@@ -330,7 +330,7 @@ let json_of_overhead ro =
 type measured = {
   me_workload : string;
   me_plan : string;
-  me_engine : string;  (** engine that actually ran ("real"/"burn") *)
+  me_engine : string;  (** engine that actually ran ("real"/"codegen") *)
   me_predicted : float;  (** the simulator's speedup estimate *)
   me_measured : float;  (** wall-clock speedup on real domains *)
   me_fidelity : P.output_fidelity;
@@ -428,7 +428,6 @@ let json_of_measured (jobs, rows) =
 (* and the attribution overhead gate                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Costmodel = Commset_runtime.Costmodel
 module Calib = Commset_runtime.Calib
 module Attrib = Obs.Attrib
 
@@ -481,7 +480,6 @@ let bench_exec_profile evals : int * bool * profile_row list =
       "  note: %d core(s) for %d domain(s); calibration-fidelity gates skip \
        oversubscribed entries\n"
       cores (jobs + 1);
-  let ns0 = Costmodel.exec_ns_per_cycle () in
   let rows =
     List.filter_map
       (fun be ->
@@ -515,11 +513,7 @@ let bench_exec_profile evals : int * bool * profile_row list =
                   with
                   | Error _ -> (gap0, 0.)
                   | Ok p ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          Calib.clear ();
-                          Costmodel.set_exec_ns_per_cycle ns0)
-                        (fun () ->
+                      Fun.protect ~finally:Calib.clear (fun () ->
                           Calib.apply p;
                           match Registry.find c.P.name with
                           | None -> (gap0, p.Calib.p_ns_per_cycle)
@@ -753,9 +747,7 @@ type codegen_row = {
     interpreted worker performs versus the statically collapsed
     [cg_node] boundaries of the compiled one. Rings, domains, locks
     and the merge phase are identical in both engines and only dilute
-    the ratio, so they are out of the picture; cycle realization is
-    off for the same reason
-    (both sides would burn the same calibrated work). Both bodies are
+    the ratio, so they are out of the picture. Both bodies are
     timed in alternating rounds — interp pass, compiled pass, repeat —
     with a major GC slice before every timed pass, and each side
     reports its median: on a loaded box a best-of-N lets one lucky
@@ -771,10 +763,6 @@ let bench_codegen_throughput evals : codegen_row list =
   let module Abi = Commset_codegen.Abi in
   let module Codegen = Commset_codegen.Codegen in
   let module Clock = Obs.Clock in
-  let saved_ns = R.Costmodel.exec_ns_per_cycle () in
-  R.Costmodel.set_exec_ns_per_cycle 0.0;
-  Fun.protect ~finally:(fun () -> R.Costmodel.set_exec_ns_per_cycle saved_ns)
-  @@ fun () ->
   let rounds = 7 in
   let median xs =
     let a = Array.of_list xs in

@@ -97,6 +97,40 @@ let file_arg =
 let threads_arg =
   Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Thread count (1-8).")
 
+(* --engine and --jobs of the real-execution subcommands (run, stat) *)
+let engine_arg =
+  Arg.(
+    value
+    & opt (some (enum Commset_exec.Exec.engines)) None
+    & info [ "engine" ] ~docv:"ENGINE"
+        ~doc:
+          "Execution engine for real runs: $(b,real) (run the prepared program itself \
+           on domains; the default) or $(b,codegen) (like real, with the iteration \
+           body compiled to native code — falls back to real with a printed reason \
+           when the toolchain or body shape defeats it; cache under \
+           \\$COMMSET_CODEGEN_CACHE, \\$XDG_CACHE_HOME/commset-codegen or \
+           _build/codegen). For $(b,run) it implies real execution even without \
+           --jobs.")
+
+let jobs_arg =
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a worker count of at least 1, got '%s'" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(
+    value
+    & opt (some positive) None
+    & info [ "jobs"; "j" ] ~docv:"N"
+        ~doc:
+          "Worker-domain count for real execution; defaults to the machine's \
+           available cores minus one. For $(b,run) it executes the plans on $(docv) \
+           real OCaml domains instead of simulating them, with a mandatory \
+           output-equivalence check against the sequential reference.")
+
 let log_level_arg =
   let conv_level =
     Arg.enum [ ("debug", Logs.Debug); ("info", Logs.Info); ("warn", Logs.Warning) ]
@@ -361,34 +395,15 @@ let run_cmd =
     with_diag (fun () ->
         let name, src, setup = load ~workload ~variant ~file in
         let c = P.compile ~name ~setup src in
-        let engine =
-          Option.map
-            (fun e ->
-              match Commset_exec.Exec.engine_of_string e with
-              | Some e -> e
-              | None ->
-                  Fmt.epr "--engine must be real, codegen or burn, not %s@." e;
-                  exit 2)
-            engine
-        in
-        (* --engine without --jobs still means "execute for real":
-           auto-size the worker-domain count from the machine. *)
-        let jobs =
-          match (jobs, engine) with
-          | (Some _ as j), _ -> j
-          | None, Some _ -> Some (Commset_exec.Exec.default_jobs ())
-          | None, None -> None
-        in
-        match jobs with
-        | Some jobs ->
-            if jobs < 1 then (
-              Fmt.epr "--jobs must be at least 1@.";
-              exit 2);
-            let engine =
-              Option.value engine ~default:Commset_exec.Exec.Real_engine
-            in
-            exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate
-        | None ->
+        match (jobs, engine) with
+        | Some _, _ | _, Some _ ->
+            (* --engine without --jobs still means "execute for real":
+               auto-size the worker-domain count from the machine. *)
+            exec_real c ~name
+              ~engine:(Option.value engine ~default:Commset_exec.Exec.Real_engine)
+              ~jobs:(Option.value jobs ~default:(Commset_exec.Exec.default_jobs ()))
+              ~plan_sel ~strict ~format ~calibrate
+        | None, None ->
             if format = `Json then (
               Fmt.epr "--format=json requires real execution (add --jobs or --engine)@.";
               exit 2);
@@ -420,32 +435,6 @@ let run_cmd =
   in
   let timeline_arg =
     Arg.(value & flag & info [ "timeline" ] ~doc:"Print the best plan's thread timeline.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Execute the plans on $(docv) real OCaml domains instead of simulating \
-             them, with a mandatory output-equivalence check against the sequential \
-             reference. Defaults to the machine's available cores minus one when \
-             --engine is given without $(docv).")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:
-            "Execution engine for real runs: $(b,real) (run the prepared program \
-             itself on domains; the default), $(b,codegen) (like real, with the \
-             iteration body compiled to native code — falls back to real with a \
-             printed reason when the toolchain or body shape defeats it; cache \
-             under \\$COMMSET_CODEGEN_CACHE, \\$XDG_CACHE_HOME/commset-codegen or \
-             _build/codegen) or $(b,burn) (replay the emitted per-thread schedule \
-             as calibrated cycle burns). Implies real execution even without \
-             --jobs.")
   in
   let plan_arg =
     Arg.(
@@ -661,19 +650,8 @@ let stat_cmd =
     setup_logs level;
     with_diag (fun () ->
         let name, src, setup = load ~workload ~variant ~file in
-        let engine =
-          match Commset_exec.Exec.engine_of_string engine with
-          | Some Commset_exec.Exec.Burn_engine | None ->
-              Fmt.epr "--engine must be real or codegen, not %s@." engine;
-              exit 2
-          | Some e -> e
-        in
-        let jobs =
-          match jobs with Some j -> j | None -> Commset_exec.Exec.default_jobs ()
-        in
-        if jobs < 1 then (
-          Fmt.epr "--jobs must be at least 1@.";
-          exit 2);
+        let engine = Option.value engine ~default:Commset_exec.Exec.Real_engine in
+        let jobs = Option.value jobs ~default:(Commset_exec.Exec.default_jobs ()) in
         let c = P.compile ~name ~setup src in
         let calib_in = if calibrate then apply_calibration ~name else None in
         let all = P.executable_plans c ~threads:jobs in
@@ -744,22 +722,6 @@ let stat_cmd =
         if mismatches <> [] then (
           Fmt.epr "%d plan(s) FAILED output equivalence@." (List.length mismatches);
           exit 1))
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt string "real"
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Engine to profile: $(b,real) (default) or $(b,codegen).")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker-domain count. Defaults to the machine's available cores minus \
-             one.")
   in
   let plan_arg =
     Arg.(
@@ -1244,6 +1206,10 @@ let () =
   let doc = "the COMMSET implicit-parallelism compiler (PLDI 2011 reproduction)" in
   let info = Cmd.info "commsetc" ~version:"1.0.0" ~doc in
   install_trace_env_hook ();
-  exit
-    (Cmd.eval
-       (Cmd.group info [ list_cmd; check_cmd; pdg_cmd; plans_cmd; run_cmd; stat_cmd; seq_cmd; serve_cmd; explain_cmd; sweep_cmd; lint_cmd; suggest_cmd; trace_cmd; table1_cmd ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info [ list_cmd; check_cmd; pdg_cmd; plans_cmd; run_cmd; stat_cmd; seq_cmd; serve_cmd; explain_cmd; sweep_cmd; lint_cmd; suggest_cmd; trace_cmd; table1_cmd ])
+  in
+  (* bad option values are usage errors: exit 2, like every other usage
+     check here, rather than cmdliner's 124 *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -81,10 +81,7 @@ def main():
             sys.exit("%s: output MISMATCH" % tag)
         a = p["attribution"]
         if a is None:
-            # burn fallbacks carry no attribution; real/codegen must
-            if p["engine"] in ("real", "codegen"):
-                sys.exit("%s: engine %s ran without attribution" % (tag, p["engine"]))
-            continue
+            sys.exit("%s: engine %s ran without attribution" % (tag, p["engine"]))
         names = [c["cause"] for c in a["causes"]]
         if sorted(names) != sorted(CAUSES):
             sys.exit("%s: causes %s != expected %s" % (tag, names, CAUSES))

@@ -35,7 +35,7 @@ type ctx = {
   cg_charge : steps:int -> cost:float -> unit;
       (** flush locally-accounted fuel steps and simulated cycles into
           the worker state (called before [cg_node]/[cg_builtin] and at
-          iteration exit, so burn pacing sees fresh totals) *)
+          iteration exit, so the worker state's totals stay current) *)
   cg_fuel_left : unit -> int;  (** worker fuel at iteration entry *)
 }
 

@@ -7,8 +7,6 @@ module Sync = Commset_transforms.Sync
 module Emit = Commset_transforms.Emit
 module Pdg = Commset_pdg.Pdg
 module R = Commset_runtime
-module Sim = Commset_runtime.Sim
-module Costmodel = Commset_runtime.Costmodel
 module Recorder = Commset_obs.Recorder
 module Metrics = Commset_obs.Metrics
 module Clock = Commset_obs.Clock
@@ -32,18 +30,10 @@ let m_empty_waits =
 let g_wall_par = Metrics.gauge ~doc:"parallel-leg seconds (last run)" "exec.wall_par_s"
 let g_wall_seq = Metrics.gauge ~doc:"sequential-leg seconds (last run)" "exec.wall_seq_s"
 
-type engine = Burn_engine | Real_engine | Codegen_engine
+type engine = Real_engine | Codegen_engine
 
-let engine_name = function
-  | Burn_engine -> "burn"
-  | Real_engine -> "real"
-  | Codegen_engine -> "codegen"
-
-let engine_of_string = function
-  | "burn" -> Some Burn_engine
-  | "real" -> Some Real_engine
-  | "codegen" -> Some Codegen_engine
-  | _ -> None
+let engines = [ ("real", Real_engine); ("codegen", Codegen_engine) ]
+let engine_name e = fst (List.find (fun (_, e') -> e' = e) engines)
 
 type stats = {
   x_label : string;
@@ -79,134 +69,19 @@ let supported (plan : Plan.t) =
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* ------------------------------------------------------------------ *)
-(* Sequential legs                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(** The equivalence reference: a fresh sequential execution of the
-    prepared program on a fresh machine (not merely the recorded trace —
-    the reference the user cares about is what the sequential program
-    actually prints today). With [~timed:true] the run also burns its
-    charged cycles at the executor's scale, making its wall time the
-    like-for-like baseline for the real engine's parallel leg. *)
-let seq_reference ~timed ~(prepared : R.Precompile.t) ~setup : string list * float =
+(** The equivalence reference and the measured sequential leg: a fresh
+    sequential execution of the prepared program on a fresh machine
+    (not merely the recorded trace — the reference the user cares about
+    is what the sequential program actually prints today). Its wall time
+    is the baseline the parallel leg's speedup is measured against. *)
+let seq_reference ~(prepared : R.Precompile.t) ~setup : string list * float =
   Recorder.with_span ~cat:"exec" "exec.seq_reference" @@ fun () ->
   let machine = R.Machine.create () in
   setup machine;
   let t0 = Clock.now_ns () in
-  let total = R.Precompile.run_main (R.Precompile.executor ~machine prepared) in
-  if timed && Costmodel.exec_ns_per_cycle () > 0. then Burn.burn (Burn.create ()) total;
+  ignore (R.Precompile.run_main (R.Precompile.executor ~machine prepared) : float);
   let wall = (Clock.now_ns () -. t0) /. 1e9 in
   (R.Machine.outputs machine, wall)
-
-(** The burn engine's measured baseline: the whole program's charged
-    cycles burned on one domain with no synchronization — the same work
-    realization its parallel leg uses, so the ratio of the two walls is
-    a like-for-like speedup. *)
-let seq_calibrated_leg (trace : R.Trace.t) : float =
-  Recorder.with_span ~cat:"exec" "exec.seq_leg" @@ fun () ->
-  let b = Burn.create () in
-  let t0 = Clock.now_ns () in
-  Burn.burn b trace.R.Trace.other_cost;
-  Array.iter
-    (fun it ->
-      List.iter
-        (fun (e : R.Trace.node_exec) ->
-          List.iter
-            (fun atom ->
-              let c = R.Trace.atom_cost atom in
-              if c > 0. then Burn.burn b c)
-            (R.Trace.exec_atoms e))
-        (R.Trace.iteration_execs it))
-    trace.R.Trace.iterations;
-  (Clock.now_ns () -. t0) /. 1e9
-
-(* ------------------------------------------------------------------ *)
-(* Burn engine: calibrated replay of the emitted segment lists          *)
-(* ------------------------------------------------------------------ *)
-
-type worker_stats = { mutable w_full : int; mutable w_empty : int }
-
-let run_segments ~(locks : Locks.t) ~(queues : int Spsc.t array) (segs : Sim.seg list)
-    (outs : (float * string) list ref) (ws : worker_stats) =
-  let b = Burn.create () in
-  List.iter
-    (fun (seg : Sim.seg) ->
-      match seg with
-      | Sim.Compute { cost; _ } -> Burn.burn b cost
-      | Sim.Acquire i -> Locks.acquire locks i
-      | Sim.Release i -> Locks.release locks i
-      | Sim.Push q ->
-          Spsc.push ~on_wait:(fun () -> ws.w_full <- ws.w_full + 1) queues.(q) 1
-      | Sim.Pop q ->
-          ignore (Spsc.pop ~on_wait:(fun () -> ws.w_empty <- ws.w_empty + 1) queues.(q))
-      | Sim.Emit s -> outs := (Clock.now_ns (), s) :: !outs
-      | Sim.Tx _ ->
-          (* [supported] already rejected TM/Spec plans *)
-          Diag.error "internal: transactional segment reached the real backend")
-    segs
-
-let run_burn ~(plan : Plan.t) ~(trace : R.Trace.t) ~(emitted : Emit.t) () :
-    string list * float * float * int * int * int =
-  let n_threads = Array.length emitted.Emit.seg_lists in
-  Log.debug (fun m ->
-      m "plan '%s' (burn): %d thread(s), %d lock(s), %d queue(s)" plan.Plan.label
-        n_threads
-        (Array.length emitted.Emit.locks)
-        emitted.Emit.n_queues);
-  let wall_seq_s = seq_calibrated_leg trace in
-  let locks = Locks.create emitted.Emit.locks in
-  let queues =
-    Array.init emitted.Emit.n_queues (fun _ ->
-        Spsc.create ~capacity:(Atomic.get Costmodel.queue_capacity))
-  in
-  let outputs_per : (float * string) list ref array =
-    Array.init n_threads (fun _ -> ref [])
-  in
-  let wstats = Array.init n_threads (fun _ -> { w_full = 0; w_empty = 0 }) in
-  (* start barrier: workers spawn, check in, and wait for [go], so domain
-     spawn latency stays outside the timed window *)
-  let ready = Atomic.make 0 in
-  let go = Atomic.make false in
-  let worker ti () =
-    Recorder.with_span ~cat:"exec" "exec.worker" @@ fun () ->
-    Atomic.incr ready;
-    let b = Spin.backoff () in
-    while not (Atomic.get go) do
-      Spin.once b
-    done;
-    run_segments ~locks ~queues emitted.Emit.seg_lists.(ti) outputs_per.(ti) wstats.(ti)
-  in
-  let domains = Array.init (n_threads - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  let b = Spin.backoff () in
-  while Atomic.get ready < n_threads - 1 do
-    Spin.once b
-  done;
-  let t0 = Clock.now_ns () in
-  (* the serial non-loop part of the program runs on the coordinator,
-     exactly as [makespan + other_cost] prices it in the simulator *)
-  let burn0 = Burn.create () in
-  Burn.burn burn0 trace.R.Trace.other_cost;
-  Atomic.set go true;
-  worker 0 ();
-  Array.iter Domain.join domains;
-  let wall_par_s = (Clock.now_ns () -. t0) /. 1e9 in
-  (* merge the per-domain output logs on the shared monotonic clock:
-     causally ordered emits (same lock, or up/downstream of a queue
-     token) carry ordered timestamps *)
-  let merged =
-    Array.to_list outputs_per
-    |> List.concat_map (fun r -> List.rev !r)
-    |> List.stable_sort (fun (t1, _) (t2, _) -> Float.compare t1 t2)
-    |> List.map snd
-  in
-  let actual =
-    trace.R.Trace.outputs_before @ merged @ trace.R.Trace.outputs_after
-  in
-  let full = Array.fold_left (fun acc w -> acc + w.w_full) 0 wstats in
-  let empty = Array.fold_left (fun acc w -> acc + w.w_empty) 0 wstats in
-  let contended = Locks.contended_total locks in
-  (actual, wall_seq_s, wall_par_s, contended, full, empty)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
@@ -223,9 +98,7 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
   Recorder.with_span ~cat:"exec" "exec.run" @@ fun () ->
   Metrics.incr m_runs;
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let reference, seq_timed_wall =
-    seq_reference ~timed:(engine <> Burn_engine) ~prepared ~setup
-  in
+  let reference, wall_seq_s = seq_reference ~prepared ~setup in
   (* both are sequential runs of the same deterministic program; a
      divergence means the compilation artifacts are out of sync *)
   if not (List.equal String.equal reference trace.R.Trace.seq_outputs) then
@@ -233,89 +106,51 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
       "internal: fresh sequential reference diverged from the recorded trace of '%s'"
       plan.Plan.label;
   let emitted = Emit.emit ~plan ~pdg ~trace in
-  let real_result, real_refused =
-    match engine with
-    | Burn_engine -> (None, None)
-    | Real_engine | Codegen_engine -> (
-        match
-          Realexec.run
-            ~codegen:(engine = Codegen_engine)
-            ~attrib ~plan ~pdg ~trace ~emitted ~prepared ~setup ~jobs ()
-        with
-        | Ok r -> (Some r, None)
-        | Error why ->
-            Log.warn (fun m ->
-                m "plan '%s': real engine refused the target loop (%s); %s"
-                  plan.Plan.label why "falling back to calibrated burns");
-            (None, Some why))
+  let r =
+    match
+      Realexec.run
+        ~codegen:(engine = Codegen_engine)
+        ~attrib ~plan ~pdg ~trace ~emitted ~prepared ~setup ~jobs ()
+    with
+    | Ok r -> r
+    | Error why ->
+        Diag.error ~code:"CS014"
+          "plan '%s' cannot run on the real backend: the target loop defeats the \
+           coordinator/worker split: %s"
+          plan.Plan.label why
   in
+  let verdict =
+    Equiv.check
+      ~commutative:(Equiv.commutative_outputs ~sync ~trace)
+      ~reference ~actual:r.Realexec.r_outputs
+  in
+  if r.Realexec.r_iterations <> R.Trace.n_iterations trace then
+    Log.warn (fun m ->
+        m "plan '%s': dispatched %d iteration(s), trace recorded %d" plan.Plan.label
+          r.Realexec.r_iterations (R.Trace.n_iterations trace));
   let stats =
-    match real_result with
-    | Some r ->
-        let wall_seq_s = seq_timed_wall in
-        let wall_par_s = r.Realexec.r_wall_par_s in
-        let verdict =
-          Equiv.check
-            ~commutative:(Equiv.commutative_outputs ~sync ~trace)
-            ~reference ~actual:r.Realexec.r_outputs
-        in
-        (if r.Realexec.r_iterations <> R.Trace.n_iterations trace then
-           Log.warn (fun m ->
-               m "plan '%s': dispatched %d iteration(s), trace recorded %d"
-                 plan.Plan.label r.Realexec.r_iterations (R.Trace.n_iterations trace)));
-        {
-          x_label = plan.Plan.label;
-          x_engine = r.Realexec.r_engine;
-          x_threads = jobs;
-          x_wall_seq_s = wall_seq_s;
-          x_wall_par_s = wall_par_s;
-          x_measured_speedup = wall_seq_s /. Float.max 1e-9 wall_par_s;
-          x_verdict = verdict;
-          x_lock_contended = r.Realexec.r_lock_contended;
-          x_queue_full_waits = r.Realexec.r_queue_full_waits;
-          x_queue_empty_waits = r.Realexec.r_queue_empty_waits;
-          x_iterations = r.Realexec.r_iterations;
-          x_frontier_waits = r.Realexec.r_frontier_waits;
-          x_buffered_updates = r.Realexec.r_buffered;
-          x_steps = r.Realexec.r_steps;
-          x_merge_s = r.Realexec.r_merge_s;
-          x_outputs = r.Realexec.r_outputs;
-          x_engine_reason = r.Realexec.r_codegen_fallback;
-          x_codegen_cache_hit = r.Realexec.r_codegen_cache_hit;
-          x_codegen_compile_s = r.Realexec.r_codegen_compile_s;
-          x_attrib = r.Realexec.r_attrib;
-        }
-    | None ->
-        let actual, wall_seq_s, wall_par_s, contended, full, empty =
-          run_burn ~plan ~trace ~emitted ()
-        in
-        let verdict =
-          Equiv.check
-            ~commutative:(Equiv.commutative_outputs ~sync ~trace)
-            ~reference ~actual
-        in
-        {
-          x_label = plan.Plan.label;
-          x_engine = "burn";
-          x_threads = Array.length emitted.Emit.seg_lists;
-          x_wall_seq_s = wall_seq_s;
-          x_wall_par_s = wall_par_s;
-          x_measured_speedup = wall_seq_s /. Float.max 1e-9 wall_par_s;
-          x_verdict = verdict;
-          x_lock_contended = contended;
-          x_queue_full_waits = full;
-          x_queue_empty_waits = empty;
-          x_iterations = R.Trace.n_iterations trace;
-          x_frontier_waits = 0;
-          x_buffered_updates = 0;
-          x_steps = 0;
-          x_merge_s = 0.;
-          x_outputs = actual;
-          x_engine_reason = real_refused;
-          x_codegen_cache_hit = false;
-          x_codegen_compile_s = 0.;
-          x_attrib = None;
-        }
+    {
+      x_label = plan.Plan.label;
+      x_engine = r.Realexec.r_engine;
+      x_threads = jobs;
+      x_wall_seq_s = wall_seq_s;
+      x_wall_par_s = r.Realexec.r_wall_par_s;
+      x_measured_speedup = wall_seq_s /. Float.max 1e-9 r.Realexec.r_wall_par_s;
+      x_verdict = verdict;
+      x_lock_contended = r.Realexec.r_lock_contended;
+      x_queue_full_waits = r.Realexec.r_queue_full_waits;
+      x_queue_empty_waits = r.Realexec.r_queue_empty_waits;
+      x_iterations = r.Realexec.r_iterations;
+      x_frontier_waits = r.Realexec.r_frontier_waits;
+      x_buffered_updates = r.Realexec.r_buffered;
+      x_steps = r.Realexec.r_steps;
+      x_merge_s = r.Realexec.r_merge_s;
+      x_outputs = r.Realexec.r_outputs;
+      x_engine_reason = r.Realexec.r_codegen_fallback;
+      x_codegen_cache_hit = r.Realexec.r_codegen_cache_hit;
+      x_codegen_compile_s = r.Realexec.r_codegen_compile_s;
+      x_attrib = r.Realexec.r_attrib;
+    }
   in
   Metrics.add m_contended stats.x_lock_contended;
   Metrics.add m_full_waits stats.x_queue_full_waits;

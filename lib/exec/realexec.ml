@@ -334,7 +334,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let wempty = Array.make w 0 in
       let wbuffered = Array.make w 0 in
       let full_waits = ref 0 in
-      let ns = Costmodel.exec_ns_per_cycle () in
       (* attribution layer: per-worker accumulators, machine mutex as a
          pseudo-lock one past the commset lock table *)
       let lock_names = Array.map (fun (ls : Sim.lock_spec) -> ls.Sim.lname) emitted.Emit.locks in
@@ -350,16 +349,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         Domain.DLS.set out_key (Some obufs.(wi));
         let wst = Precompile.worker_state ex ~fuel:max_int in
         let ring = rings.(wi) in
-        let burner = Burn.create () in
-        let last_burned = ref 0. in
-        let burn_to () =
-          if ns > 0. then begin
-            let t = Precompile.wstate_total wst in
-            let d = t -. !last_burned in
-            last_burned := t;
-            if d > 0. then Burn.burn burner d
-          end
-        in
         let priv_bm : (int, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
         let cur_k = ref 0 in
         let cur_nid = ref (-1) in
@@ -408,7 +397,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           cur_nid := nid
         in
         let on_instr (i : Ir.instr) =
-          burn_to ();
           match Pdg.node_of_instr pdg i.Ir.iid with
           | Some nid when nid <> !cur_nid ->
               exit_node ();
@@ -416,14 +404,18 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           | Some _ -> ()
           | None -> exit_node ()
         in
+        (* an uncontended acquisition waits for nothing: only contended
+           episodes pay for clock reads *)
         let with_mutex f =
-          let on_contend () = wcontended.(wi) <- wcontended.(wi) + 1 in
-          (if prof then begin
-             let t0 = Clock.now_ns () in
-             Spin.acquire ~on_contend machine_lock;
-             Attrib.add_lock aw machine_li (Clock.now_ns () -. t0)
+          (if Spin.try_acquire machine_lock then begin
+             if prof then Attrib.add_lock aw machine_li 0.
            end
-           else Spin.acquire ~on_contend machine_lock);
+           else begin
+             wcontended.(wi) <- wcontended.(wi) + 1;
+             let t0 = if prof then Clock.now_ns () else 0. in
+             Spin.acquire machine_lock;
+             if prof then Attrib.add_lock aw machine_li (Clock.now_ns () -. t0)
+           end);
           Fun.protect ~finally:(fun () -> Spin.release machine_lock) f
         in
         let bm_arg argv = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
@@ -454,14 +446,12 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                 else
                   (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.)
             | None ->
-                burn_to ();
                 await ();
                 let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
                 bump ();
                 r
           end
           else if List.mem name always_ordered then begin
-            burn_to ();
             await ();
             let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
             bump ();
@@ -489,11 +479,9 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         let builtin (bi : Builtins.t) argv ~has_dst =
           if not prof then builtin_raw bi argv ~has_dst
           else begin
-            (* realize pending burn first so it lands in compute, then
-               net out waits the builtin performs internally (frontier
+            (* net out waits the builtin performs internally (frontier
                await, machine-mutex acquisition) — they are charged to
                their own causes *)
-            burn_to ();
             let t0 = Clock.now_ns () in
             let w0 = Attrib.inner_waits aw in
             let ((_, cost) as r) = builtin_raw bi argv ~has_dst in
@@ -515,7 +503,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     cg_gdefined = Precompile.wstate_gdefined wst;
                     cg_node =
                       (fun nid ->
-                        burn_to ();
                         if nid <> !cur_nid then begin
                           exit_node ();
                           if nid >= 0 then enter_node nid
@@ -559,7 +546,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             | Some (fn, ctx) -> fn ctx regs
             | None -> Precompile.run_iteration wst rt ~on_instr ~builtin regs);
             exit_node ();
-            burn_to ();
             release_iter k;
             if prof then Attrib.iter_end aw (Clock.now_ns ());
             loop_items ()
@@ -657,24 +643,17 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           ring_push rings.(k mod w) (k, Array.copy regs)
         end
       in
-      let burner = Burn.create () in
       let t0 = Clock.now_ns () in
-      let coord_total =
-        Fun.protect
-          ~finally:(fun () ->
-            if not !finished then begin
-              Atomic.set abort true;
-              join_all ()
-            end)
-          (fun () ->
-            Recorder.with_span ~cat:"exec" "exec.real_coordinator" @@ fun () ->
-            let t = Precompile.run_main_real ex rt ~on_iter ~on_loop_done:finish in
-            finish ();
-            t)
-      in
-      (* the coordinator's own charged cycles — prologue, loop control,
-         epilogue — are serial work, realized like the workers' *)
-      if ns > 0. then Burn.burn burner coord_total;
+      Fun.protect
+        ~finally:(fun () ->
+          if not !finished then begin
+            Atomic.set abort true;
+            join_all ()
+          end)
+        (fun () ->
+          Recorder.with_span ~cat:"exec" "exec.real_coordinator" @@ fun () ->
+          ignore (Precompile.run_main_real ex rt ~on_iter ~on_loop_done:finish : float);
+          finish ());
       let wall_par_s = (Clock.now_ns () -. t0) /. 1e9 in
       let sum a = Array.fold_left ( + ) 0 a in
       let steps = Precompile.steps ex + sum wsteps in

@@ -1,9 +1,7 @@
 (** True parallel execution of the prepared program on OCaml 5 domains —
-    the real backend's default engine. Where the calibrated-burn engine
-    ({!Burn}, [--engine=burn]) replays the *costs* of a recorded trace,
-    this engine runs the program itself: the coordinator domain executes
-    the whole prepared program but only the target loop's control
-    backbone ({!Commset_runtime.Precompile.plan_real}), dispatching each
+    the real backend's engine. The coordinator domain executes the whole
+    prepared program but only the target loop's control backbone
+    ({!Commset_runtime.Precompile.plan_real}), dispatching each
     iteration's live register file over an SPSC ring to one of [jobs]
     worker domains, which execute the full iteration body against the
     shared machine and global slots.
@@ -36,11 +34,9 @@
       equivalence check ({!Equiv}) then compares the full stream
       against a fresh sequential run.
 
-    Simulated cycles retired by each domain are realized as calibrated
-    CPU work ({!Burn}) at {!Commset_runtime.Costmodel.exec_ns_per_cycle}
-    nanoseconds per cycle, so measured speedups reflect the cost model's
-    work distribution; with the scale set to [0.] the engine exercises
-    only semantics and synchronization (differential tests). *)
+    Nothing else runs in the timed window: the wall time is the
+    program's own work plus the synchronization above, so a measured
+    speedup is bounded by the worker count like any real one. *)
 
 module Plan = Commset_transforms.Plan
 module Emit = Commset_transforms.Emit
@@ -83,7 +79,7 @@ val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a)
 (** Execute [plan]'s target loop for real on [jobs] worker domains plus
     a coordinator. [Error reason] when the loop shape defeats the
     coordinator/worker split ({!Commset_runtime.Precompile.plan_real});
-    the caller falls back to the burn engine. [emitted] supplies the
+    {!Exec.run} turns it into a CS014 diagnostic. [emitted] supplies the
     lock registry; [pdg], [trace] and [emitted] must come from the same
     compilation as [prepared]. Raises whatever a worker iteration raises
     (after joining all domains).

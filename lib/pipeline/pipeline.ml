@@ -132,7 +132,7 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
   in
   let pdg = Pdg_builder.build input in
   let pdg_plain = Pdg_builder.build input in
-  let trace, _machine = R.Trace.record ~machine:(fresh_machine setup ()) ~prepared prog pdg in
+  let trace, _machine = R.Trace.record ~machine:(fresh_machine setup ()) prepared pdg in
   R.Trace.apply_weights trace pdg;
   R.Trace.apply_weights trace pdg_plain;
   let n_uco, n_ico = Dep_analysis.annotate md pdg dom induction in
@@ -189,7 +189,7 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
   Log.info (fun m -> m "[%s] profiling to select the hottest loop" name);
   let profile =
     stage "compile.profile" (fun () ->
-        R.Profile.analyze ~machine:(fresh_machine setup ()) ~prepared prog)
+        R.Profile.analyze ~machine:(fresh_machine setup ()) prepared)
   in
   let hottest =
     match R.Profile.hottest profile with

@@ -4,7 +4,7 @@
     The real engine's attribution summary measures (a) how many
     nanoseconds of wall time one simulated cycle of loop-body work
     actually costs on this machine — interpreter/compiled-code dispatch
-    plus the calibrated burn — and (b) how long each builtin's real
+    — and (b) how long each builtin's real
     implementation takes per call versus the cycles the cost model
     charges for it. {!of_summary} turns one measured run into a profile;
     {!save} persists it as JSON under [$COMMSET_CALIB_DIR] (default
@@ -15,10 +15,9 @@
     Calibration is strictly opt-in ([commsetc run/stat --calibrate], the
     bench harness's ["exec_profile"] leg): nothing is loaded or applied
     implicitly, so determinism-sensitive paths (byte-identical paper
-    tables) are unaffected unless a caller asks. Precedence once applied:
-    [apply] overrides the [COMMSET_EXEC_NS_PER_CYCLE] environment value
-    (it goes through [set_exec_ns_per_cycle]); {!clear} restores the
-    environment/default behaviour and deactivates the builtin scales. *)
+    tables) are unaffected unless a caller asks. [apply] overrides the
+    default scale (it goes through [set_exec_ns_per_cycle]); {!clear}
+    restores the default and deactivates the builtin scales. *)
 
 type builtin_calib = {
   cb_name : string;
@@ -77,5 +76,5 @@ val load : workload:string -> (profile, string) result
 val apply : profile -> unit
 
 (** Undo {!apply}: builtin scales cleared, [exec_ns_per_cycle] back to
-    the environment/default. *)
+    the default. *)
 val clear : unit -> unit

@@ -83,40 +83,19 @@ let queue_capacity = Atomic.make 32
 
 (* --- real-execution realization ---------------------------------------- *)
 
-(** The real multicore executor ([lib/exec]) realizes the same plan the
-    simulator prices: it takes its bounded-queue capacity from
-    {!queue_capacity}, its lock flavors from {!lock_flavor}, and converts
-    simulated cycles of member work into calibrated real CPU time at
-    {!exec_ns_per_cycle} nanoseconds per cycle. Keeping every one of
-    those parameters in this module is what makes the predicted-vs-
-    measured comparison in the bench harness an apples-to-apples one: the
-    two backends cannot silently drift apart on queue sizes or the
-    meaning of a "cycle". *)
+(** The real multicore executor ([lib/exec]) takes its bounded-queue
+    capacity from {!queue_capacity} and its lock flavors from
+    {!lock_flavor}, so the simulator and the executor cannot silently
+    drift apart on queue sizes. {!exec_ns_per_cycle} is the measured
+    wall-clock price of one simulated cycle ({!Calib} installs it from a
+    profile); it converts predictions into time and is never realized
+    as spinning. *)
 
-(* negative = not yet initialised from the environment *)
-let exec_ns_per_cycle_cell = Atomic.make (-1.0)
-
-let exec_ns_per_cycle () =
-  let v = Atomic.get exec_ns_per_cycle_cell in
-  if v >= 0. then v
-  else
-    let v =
-      match Sys.getenv_opt "COMMSET_EXEC_NS_PER_CYCLE" with
-      | None | Some "" -> 1.0
-      | Some s -> (
-          match float_of_string_opt (String.trim s) with
-          | Some f when f >= 0. && Float.is_finite f -> f
-          | _ ->
-              Commset_support.Diag.error ~code:"CS013"
-                "invalid COMMSET_EXEC_NS_PER_CYCLE value '%s': expected a \
-                 non-negative number of nanoseconds per simulated cycle"
-                s)
-    in
-    Atomic.set exec_ns_per_cycle_cell v;
-    v
-
+let default_exec_ns_per_cycle = 1.0
+let exec_ns_per_cycle_cell = Atomic.make default_exec_ns_per_cycle
+let exec_ns_per_cycle () = Atomic.get exec_ns_per_cycle_cell
 let set_exec_ns_per_cycle v = Atomic.set exec_ns_per_cycle_cell (Float.max 0. v)
-let reset_exec_ns_per_cycle () = Atomic.set exec_ns_per_cycle_cell (-1.0)
+let reset_exec_ns_per_cycle () = Atomic.set exec_ns_per_cycle_cell default_exec_ns_per_cycle
 
 (* --- calibration: per-builtin cost scale factors ----------------------- *)
 

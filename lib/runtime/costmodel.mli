@@ -46,21 +46,19 @@ val queue_push_cost : float
 val queue_pop_cost : float
 val queue_capacity : int Atomic.t
 
-(* real-execution realization (shared with the Commset_exec backend) *)
+(* real-execution calibration (shared with the Commset_exec backend) *)
 
-(** Nanoseconds of real CPU work per simulated cycle used by the real
-    multicore executor; the simulator's cycle counts and the executor's
-    wall-clock measurements meet through this one constant (DESIGN §13).
-    Initialized from [COMMSET_EXEC_NS_PER_CYCLE] (default 1.0) on first
-    read; a malformed value raises a CS013 {!Commset_support.Diag.Error}. *)
+(** Measured nanoseconds of wall time per simulated cycle: the scale at
+    which the simulator's cycle counts and real wall-clock measurements
+    meet (DESIGN §13). Defaults to 1.0; a calibration profile
+    ({!Calib.apply}) replaces it. Nothing realizes it as CPU work. *)
 val exec_ns_per_cycle : unit -> float
 
-(** Override the scale (tests and the bench harness). *)
+(** Override the scale (calibration, tests and the bench harness). *)
 val set_exec_ns_per_cycle : float -> unit
 
-(** Forget any override and re-read [COMMSET_EXEC_NS_PER_CYCLE] (or the
-    default) on next access — undoes both [set_exec_ns_per_cycle] and a
-    loaded calibration profile. *)
+(** Forget any override: back to the 1.0 default — undoes both
+    [set_exec_ns_per_cycle] and a loaded calibration profile. *)
 val reset_exec_ns_per_cycle : unit -> unit
 
 (** {2 Calibration: measured per-builtin cost scales}

@@ -25,7 +25,7 @@ val executor : ?hooks:Interp.hooks -> ?fuel:int -> ?machine:Machine.t -> t -> ex
 
 (** Run [main()] to completion; returns total simulated cycles. Raises
     the same {!Commset_support.Diag.Error}s / {!Interp.Out_of_fuel} as
-    {!Interp.run_main}. *)
+    the reference interpreter. *)
 val run_main : exec -> float
 
 (** Like {!run_main}, but hooks run block-grained: only [on_enter_func],

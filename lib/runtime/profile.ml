@@ -10,8 +10,9 @@ type frame = {
   fname : string;
   mutable cur_label : Ir.label;
   mutable seg_start : float;
-      (** cumulative-counter reading when this frame last changed block:
-          the open segment [seg_start, now) belongs to [cur_label] *)
+      (** executor total-cost reading when this frame last changed
+          block: the open segment [seg_start, now) belongs to
+          [cur_label] *)
 }
 
 type block_costs = (string * Ir.label, float) Hashtbl.t
@@ -26,26 +27,20 @@ type loop_report = {
 
 type t = { reports : loop_report list; total : float }
 
-(* Inclusive attribution without a per-cost-event stack walk: cost hooks
-   only bump one cumulative counter, and each frame flushes the elapsed
+(* Inclusive attribution without a per-cost-event stack walk: the coarse
+   path fires only block-grained hooks while the executor's running
+   total advances per instruction, and each frame flushes the elapsed
    segment to its current block whenever that block changes (or the
    frame pops). A parent's open segment spans its callees' execution, so
-   callee time lands at the call site's block exactly as before — only
-   the float summation grouping differs (per segment instead of per
-   event), which can move block totals by an ulp but never the ranking
-   signal. This turns an O(instructions × stack depth) hashtable storm
-   into O(blocks executed) updates. *)
-let record ?(machine = Machine.create ()) ?prepared (prog : Ir.program) : block_costs * float
-    =
+   callee time lands at the call site's block. This costs O(blocks
+   executed) updates, the same as the fast path. *)
+let record ?(machine = Machine.create ()) (prepared : Precompile.t) : block_costs * float =
   let costs : block_costs = Hashtbl.create 256 in
-  (* the cumulative counter: on the reference engine the cost hooks feed
-     [cum]; on the prepared engine the coarse path skips cost hooks
-     entirely and [now] reads the engine's own running total instead *)
-  let cum = ref 0. in
-  let now = ref (fun () -> !cum) in
+  let hooks = Interp.null_hooks () in
+  let ex = Precompile.executor ~hooks ~machine prepared in
   let stack : frame list ref = ref [] in
   let flush fr =
-    let n = !now () in
+    let n = Precompile.total_cost ex in
     let seg = n -. fr.seg_start in
     if seg <> 0. then begin
       let key = (fr.fname, fr.cur_label) in
@@ -53,10 +48,11 @@ let record ?(machine = Machine.create ()) ?prepared (prog : Ir.program) : block_
     end;
     fr.seg_start <- n
   in
-  let hooks = Interp.null_hooks () in
   hooks.Interp.on_enter_func <-
     (fun f ->
-      stack := { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = !now () } :: !stack);
+      stack :=
+        { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = Precompile.total_cost ex }
+        :: !stack);
   hooks.Interp.on_exit_func <-
     (fun _ ->
       match !stack with
@@ -71,22 +67,14 @@ let record ?(machine = Machine.create ()) ?prepared (prog : Ir.program) : block_
           flush fr;
           fr.cur_label <- l
       | _ -> ());
-  hooks.Interp.on_base_cost <- (fun c -> cum := !cum +. c);
-  hooks.Interp.on_builtin <- (fun _ c -> cum := !cum +. c);
-  let total =
-    match prepared with
-    | Some p ->
-        let ex = Precompile.executor ~hooks ~machine p in
-        now := (fun () -> Precompile.total_cost ex);
-        Precompile.run_main_coarse ex
-    | None -> Interp.run_main (Interp.create ~hooks ~machine prog)
-  in
+  let total = Precompile.run_main_coarse ex in
   List.iter flush !stack;
   (costs, total)
 
 (** Profile the program and rank its loops by inclusive cost. *)
-let analyze ?machine ?prepared (prog : Ir.program) : t =
-  let costs, total = record ?machine ?prepared prog in
+let analyze ?machine (prepared : Precompile.t) : t =
+  let prog = Precompile.program prepared in
+  let costs, total = record ?machine prepared in
   let reports = ref [] in
   List.iter
     (fun fname ->

@@ -15,11 +15,9 @@ type loop_report = {
 
 type t = { reports : loop_report list; total : float }
 
-(** Profile the program and rank its loops by inclusive cost. Passing
-    [?prepared] (which must be [Precompile.prepare] of the same program)
-    runs the profiled execution on the prepared-program engine instead
-    of the tree-walking interpreter. *)
-val analyze : ?machine:Machine.t -> ?prepared:Precompile.t -> Ir.program -> t
+(** Profile the prepared program (block-grained coarse engine) and rank
+    its loops by inclusive cost. *)
+val analyze : ?machine:Machine.t -> Precompile.t -> t
 
 (** The hottest outermost loop — the parallelization target. *)
 val hottest : t -> loop_report option

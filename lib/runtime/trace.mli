@@ -57,10 +57,9 @@ val node_mean_cost : t -> int -> float
 (** Total cost of all loop iterations. *)
 val loop_cost : t -> float
 
-(** Run the program once sequentially and record the trace of the PDG's
-    target loop. Passing [?prepared] (from [Precompile.prepare] of the
-    same program) records on the prepared-program engine. *)
-val record : ?machine:Machine.t -> ?prepared:Precompile.t -> Ir.program -> Pdg.t -> t * Machine.t
+(** Run the prepared program once sequentially (instrumented engine) and
+    record the trace of the PDG's target loop. *)
+val record : ?machine:Machine.t -> Precompile.t -> Pdg.t -> t * Machine.t
 
 (** Update PDG node weights in place from the trace (profile-guided
     pipeline balancing, §4.5). *)

@@ -56,19 +56,16 @@ let rec deep_value = function
   | Value.Varray a -> Value.Varray (Array.map deep_value a)
   | v -> v
 
-let globals_bindings tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-
 (** Run the program once under instrumentation and record member
     instances; the first [max_snapshots] instances of each member get a
     full state snapshot. *)
-let record ~max_snapshots ?prepared ~(md : Metadata.t) ~(setup : Machine.t -> unit) prog :
-    inv list =
+let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
+    ~(setup : Machine.t -> unit) : inv list =
+  let prog = Precompile.program prepared in
   let machine = Machine.create () in
   setup machine;
   let hooks = Interp.null_hooks () in
-  (* live-globals accessor for snapshots, installed below once the
-     chosen engine exists *)
-  let live_globals = ref (fun () -> []) in
+  let ex = Precompile.executor ~hooks ~machine prepared in
   let seq = ref 0 in
   let recorded : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
   let snapped : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
@@ -81,7 +78,9 @@ let record ~max_snapshots ?prepared ~(md : Metadata.t) ~(setup : Machine.t -> un
       let isnap =
         if ns < max_snapshots then begin
           Hashtbl.replace snapped member (ns + 1);
-          Some (Machine.clone machine, List.map (fun (k, v) -> (k, deep_value v)) (!live_globals ()))
+          Some
+            ( Machine.clone machine,
+              List.map (fun (k, v) -> (k, deep_value v)) (Precompile.globals ex) )
         end
         else None
       in
@@ -137,15 +136,7 @@ let record ~max_snapshots ?prepared ~(md : Metadata.t) ~(setup : Machine.t -> un
       | None -> ());
       if actuals <> [] || region.Ir.rname = None then
         add (Metadata.Mregion (func.Ir.fname, region.Ir.rid)) actuals (body ()));
-  (match prepared with
-  | Some p ->
-      let ex = Precompile.executor ~hooks ~machine p in
-      live_globals := (fun () -> Precompile.globals ex);
-      (try ignore (Precompile.run_main ex) with Interp.Out_of_fuel | Diag.Error _ -> ())
-  | None ->
-      let t = Interp.create ~hooks ~machine prog in
-      live_globals := (fun () -> globals_bindings t.Interp.globals);
-      (try ignore (Interp.run_main t) with Interp.Out_of_fuel | Diag.Error _ -> ()));
+  (try ignore (Precompile.run_main ex) with Interp.Out_of_fuel | Diag.Error _ -> ());
   List.rev !invs
 
 (* ---- eligibility ---------------------------------------------------- *)
@@ -286,8 +277,9 @@ let refute_pair ~prog ~max_trials invs (info : Metadata.set_info) m1 m2 ~pself :
 (** Re-try every [Unknown] pair of [report] concretely; [Refuted]
     upgrades carry a replay witness, surviving pairs keep their verdict
     with the trial count recorded. *)
-let refine ?(max_snapshots = 2) ?(max_trials = 3) ?prepared ~(md : Metadata.t)
-    ~(setup : Machine.t -> unit) (report : Verdict.report) : Verdict.report =
+let refine ?(max_snapshots = 2) ?(max_trials = 3) ~(prepared : Precompile.t)
+    ~(md : Metadata.t) ~(setup : Machine.t -> unit) (report : Verdict.report) :
+    Verdict.report =
   let prog = md.Metadata.prog in
   let wanted =
     List.exists
@@ -299,7 +291,7 @@ let refine ?(max_snapshots = 2) ?(max_trials = 3) ?prepared ~(md : Metadata.t)
   in
   if not wanted then report
   else
-    let invs = record ~max_snapshots ?prepared ~md ~setup prog in
+    let invs = record ~max_snapshots ~prepared ~md ~setup in
     let refine_one (p : Verdict.pair) =
       match p.Verdict.pverdict with
       | Verdict.Unknown _ when eligible md p.Verdict.pm1 p.Verdict.pm2 -> (

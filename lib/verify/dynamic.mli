@@ -23,17 +23,14 @@ type inv = {
   isnap : (Machine.t * (string * Value.t) list) option;
 }
 
-(** Run the program once under instrumentation and record member
-    instances with state snapshots. Passing [?prepared] (from
-    [Precompile.prepare] of the same program) records on the
-    prepared-program engine; replay always uses the reference
+(** Run the prepared program once under instrumentation and record
+    member instances with state snapshots; replay uses the reference
     interpreter's region/function entry points. *)
 val record :
   max_snapshots:int ->
-  ?prepared:Commset_runtime.Precompile.t ->
+  prepared:Commset_runtime.Precompile.t ->
   md:Metadata.t ->
   setup:(Machine.t -> unit) ->
-  Ir.program ->
   inv list
 
 (** May this pair be replayed fairly (writes confined to snapshot-covered
@@ -55,7 +52,7 @@ val refute_pair :
 val refine :
   ?max_snapshots:int ->
   ?max_trials:int ->
-  ?prepared:Commset_runtime.Precompile.t ->
+  prepared:Commset_runtime.Precompile.t ->
   md:Metadata.t ->
   setup:(Machine.t -> unit) ->
   Verdict.report ->

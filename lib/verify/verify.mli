@@ -13,7 +13,7 @@ val run :
   ?dynamic:bool ->
   ?max_snapshots:int ->
   ?max_trials:int ->
-  ?prepared:Commset_runtime.Precompile.t ->
+  prepared:Commset_runtime.Precompile.t ->
   md:Metadata.t ->
   target_fname:string ->
   loop:A.Loops.loop ->

@@ -56,7 +56,6 @@ let assert_conserved ~what (s : Attrib.summary) =
 (* ---- conservation: every workload, jobs 1/2/4 ---- *)
 
 let conservation_one (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
@@ -92,7 +91,6 @@ let conservation_cases =
     make a single run complete without blocking, so retry a few times
     before declaring the cause dead. *)
 let test_frontier_nonzero () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   List.iter
     (fun wname ->
       let w = Option.get (Registry.find wname) in
@@ -120,7 +118,6 @@ let test_frontier_nonzero () =
 (** md5sum's DOALL has no cross-iteration dependence: the frontier cause
     must be exactly zero however many workers run. *)
 let test_frontier_zero_doall () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let doall =
@@ -136,7 +133,6 @@ let test_frontier_zero_doall () =
 (* ---- codegen engine carries attribution through the same hooks ---- *)
 
 let test_codegen_attribution () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -151,7 +147,6 @@ let test_codegen_attribution () =
 (* ---- attrib:false produces no summary and no histogram traffic ---- *)
 
 let test_attrib_off () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -176,7 +171,6 @@ let with_calib_dir f =
     (fun () -> f dir)
 
 let measured_summary () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plan = List.hd (P.executable_plans c ~threads:2) in

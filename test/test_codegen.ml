@@ -15,7 +15,6 @@ module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
 module R = Commset_runtime
-module Costmodel = Commset_runtime.Costmodel
 module Exec = Commset_exec.Exec
 module Pdg = Commset_pdg.Pdg
 module Loops = Commset_analysis.Loops
@@ -29,15 +28,13 @@ let qcheck = QCheck_alcotest.to_alcotest
 let test_engine_names () =
   check Alcotest.string "codegen" "codegen"
     (Exec.engine_name Exec.Codegen_engine);
-  check Alcotest.bool "of_string codegen" true
-    (Exec.engine_of_string "codegen" = Some Exec.Codegen_engine);
-  check Alcotest.bool "of_string junk" true
-    (Exec.engine_of_string "jit" = None)
+  check Alcotest.bool "engines lists codegen" true
+    (List.assoc_opt "codegen" Exec.engines = Some Exec.Codegen_engine);
+  check Alcotest.bool "junk is no engine" true (List.assoc_opt "jit" Exec.engines = None)
 
 (* ---- differential suite: explicit codegen engine, no fallback ---- *)
 
 let codegen_all_plans (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
@@ -73,7 +70,6 @@ let differential_cases =
 (* ---- codegen vs interpreted real engine on one compilation ---- *)
 
 let test_codegen_vs_real () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -106,7 +102,6 @@ let test_codegen_vs_real () =
    first on outputs. (The first run may itself hit the on-disk cache
    from an earlier test binary run — only the warm run is asserted.) *)
 let test_cache_warm_agrees () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "geti") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -266,8 +261,7 @@ void main() {
 let prop_random_bodies_agree =
   QCheck.Test.make ~name:"codegen: random loop bodies compile and agree"
     ~count:12 arb_rexpr (fun e ->
-      Costmodel.set_exec_ns_per_cycle 0.0;
-      let c = P.compile ~name:"cg-prop" (program_of_rexpr e) in
+          let c = P.compile ~name:"cg-prop" (program_of_rexpr e) in
       match P.executable_plans c ~threads:2 with
       | [] -> QCheck.Test.fail_report "no executable plan"
       | plan :: _ ->

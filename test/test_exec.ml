@@ -1,17 +1,14 @@
 (** Tests for the real multicore execution backend: the SPSC queue's
     FIFO/boundedness properties (including a two-domain stress), the
     commutativity-aware output-equivalence checker, concurrent use of
-    one prepared program, unsupported-plan rejection, and the
-    differential suite — every workload, every executable plan, the
-    burn engine on real domains vs the sequential reference at jobs 1,
-    2 and 4 (the real engine's differential suite lives in
-    {!Test_realexec}). *)
+    one prepared program, unsupported-plan rejection, and md5sum's DOALL
+    and pipeline shapes on real domains (the engines' per-workload
+    differential suites live in {!Test_realexec} and {!Test_codegen}). *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
-module Costmodel = Commset_runtime.Costmodel
 module Diag = Commset_support.Diag
 module Spsc = Commset_exec.Spsc
 module Equiv = Commset_exec.Equiv
@@ -176,50 +173,9 @@ let test_unsupported_rejected () =
             "CS014 diagnostic" (Some "CS014") d.Diag.code)
     unsupported
 
-(* ---- differential suite: real domains vs sequential reference ---- *)
-
-(* zero ns/cycle turns the calibrated burns into no-ops, so the
-   differential suite exercises all the real synchronization (domains,
-   locks, queues, output merging) without paying for the CPU work *)
-let exec_all_plans (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
-  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
-  List.iter
-    (fun jobs ->
-      let plans = P.executable_plans c ~threads:jobs in
-      if jobs > 1 then
-        check Alcotest.bool
-          (Printf.sprintf "executable plans exist at %d jobs" jobs)
-          true (plans <> []);
-      List.iter
-        (fun (plan : T.Plan.t) ->
-          let x = P.run_parallel ~engine:Exec.Burn_engine c plan in
-          if x.P.xfidelity = P.Mismatch then
-            Alcotest.failf "%s: %s at %d job(s): output mismatch" w.W.wname
-              plan.T.Plan.label jobs;
-          (* a DSWP plan with fewer stages than the budget occupies
-             fewer domains; it must never occupy more *)
-          check Alcotest.bool
-            (Printf.sprintf "%s occupies 1..%d thread(s)" plan.T.Plan.label
-               plan.T.Plan.threads)
-            true
-            (x.P.xstats.Exec.x_threads >= 1
-            && x.P.xstats.Exec.x_threads <= plan.T.Plan.threads))
-        plans)
-    [ 1; 2; 4 ]
-
-let differential_cases =
-  List.map
-    (fun w ->
-      Alcotest.test_case
-        (Printf.sprintf "%s: burn ≡ sequential at jobs 1/2/4" w.W.wname)
-        `Quick (exec_all_plans w))
-    Registry.all
-
 (* DOALL and a pipeline shape both run for the paper's flagship
    workload, so the acceptance criterion is pinned down by a test *)
 let test_md5sum_both_shapes () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plans = P.executable_plans c ~threads:2 in
@@ -254,5 +210,4 @@ let suite =
         test_unsupported_rejected;
       Alcotest.test_case "md5sum: DOALL and pipeline both execute" `Quick
         test_md5sum_both_shapes;
-    ]
-    @ differential_cases )
+    ] )
