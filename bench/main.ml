@@ -39,6 +39,7 @@ let bench_tests comp =
     | p :: _ -> p
     | [] -> failwith "no plan for md5sum"
   in
+  let lowered = T.Emit.lower ~pdg:comp.P.target.P.pdg comp.P.trace in
   [
     (* Table 1: static feature matrix *)
     Test.make ~name:"table1/render" (Staged.stage (fun () -> Report.Table1.render ()));
@@ -57,7 +58,7 @@ let bench_tests comp =
     (* Figures 3 & 6: plan emission + discrete-event simulation *)
     Test.make ~name:"figure6/simulate-plan"
       (Staged.stage (fun () ->
-           T.Emit.simulate ~plan ~pdg:comp.P.target.P.pdg ~trace:comp.P.trace ()));
+           T.Emit.simulate ~plan (T.Emit.emit ~plan ~pdg:comp.P.target.P.pdg lowered)));
   ]
 
 let run_bechamel comp =

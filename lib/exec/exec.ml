@@ -4,7 +4,6 @@
 
 module Plan = Commset_transforms.Plan
 module Sync = Commset_transforms.Sync
-module Emit = Commset_transforms.Emit
 module Pdg = Commset_pdg.Pdg
 module R = Commset_runtime
 module Recorder = Commset_obs.Recorder
@@ -88,7 +87,7 @@ let seq_reference ~(prepared : R.Precompile.t) ~setup : string list * float =
 (* ------------------------------------------------------------------ *)
 
 let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
-    ~(trace : R.Trace.t) ~(sync : Sync.t) ~(prepared : R.Precompile.t) ~setup () :
+    ~(trace : R.Trace.t) ~locks ~(sync : Sync.t) ~(prepared : R.Precompile.t) ~setup () :
     stats =
   (match supported plan with
   | Ok () -> ()
@@ -105,12 +104,11 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
     Diag.error
       "internal: fresh sequential reference diverged from the recorded trace of '%s'"
       plan.Plan.label;
-  let emitted = Emit.emit ~plan ~pdg ~trace in
   let r =
     match
       Realexec.run
         ~codegen:(engine = Codegen_engine)
-        ~attrib ~plan ~pdg ~trace ~emitted ~prepared ~setup ~jobs ()
+        ~attrib ~plan ~pdg ~trace ~locks ~prepared ~setup ~jobs ()
     with
     | Ok r -> r
     | Error why ->

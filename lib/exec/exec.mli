@@ -97,10 +97,12 @@ val supported : Plan.t -> (unit, string) result
     {!Commset_runtime.Precompile.plan_real} refuses (the message carries
     its reason), and an internal error if the fresh sequential
     reference diverges from the recorded trace. [pdg], [trace] and
-    [sync] must come from the same compilation as [prepared]; [setup]
-    prepares each fresh machine. [attrib] (default [true]) controls the
-    per-iteration attribution layer; pass [false] for zero-overhead
-    measurement runs. *)
+    [sync] must come from the same compilation as [prepared]; [locks]
+    is the plan's lock registry from its emission
+    ({!Commset_transforms.Emit.t}); [setup] prepares each fresh
+    machine. [attrib] (default [true]) controls the per-iteration
+    attribution layer; pass [false] for zero-overhead measurement
+    runs. *)
 val run :
   ?engine:engine ->
   ?jobs:int ->
@@ -108,6 +110,7 @@ val run :
   plan:Plan.t ->
   pdg:Pdg.t ->
   trace:R.Trace.t ->
+  locks:R.Sim.lock_spec array ->
   sync:Sync.t ->
   prepared:R.Precompile.t ->
   setup:(R.Machine.t -> unit) ->

@@ -3,7 +3,6 @@
     ordering model. *)
 
 module Plan = Commset_transforms.Plan
-module Emit = Commset_transforms.Emit
 module Pdg = Commset_pdg.Pdg
 module Effects = Commset_analysis.Effects
 module Ir = Commset_ir.Ir
@@ -140,7 +139,7 @@ let shared_mem_loc = function
   | Effects.Lext _ -> false
 
 let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
-    ~(emitted : Emit.t) ~(rt : Precompile.rtarget) : ordering =
+    ~(locks : Sim.lock_spec array) ~(rt : Precompile.rtarget) : ordering =
   let nnodes = Array.length pdg.Pdg.nodes in
   let ordered = Array.make nnodes false in
   let mark (e : Pdg.edge) =
@@ -182,7 +181,7 @@ let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
       let n = ls.Sim.lname in
       if String.length n > 3 && String.sub n 0 3 = "cs:" then
         Hashtbl.replace lock_idx (String.sub n 3 (String.length n - 3)) i)
-    emitted.Emit.locks;
+    locks;
   let node_locks = Array.make nnodes [||] in
   Hashtbl.iter
     (fun nid names ->
@@ -248,8 +247,9 @@ let out_key : (float * string) list ref option Domain.DLS.key =
 (* ------------------------------------------------------------------ *)
 
 let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
-    ~(trace : Trace.t) ~(emitted : Emit.t) ~(prepared : Precompile.t)
-    ~(setup : Machine.t -> unit) ~(jobs : int) () : (result, string) Stdlib.result =
+    ~(trace : Trace.t) ~locks:(lock_specs : Sim.lock_spec array)
+    ~(prepared : Precompile.t) ~(setup : Machine.t -> unit) ~(jobs : int) () :
+    (result, string) Stdlib.result =
   let loop = pdg.Pdg.loop in
   match
     Precompile.plan_real prepared ~fname:pdg.Pdg.func.Ir.fname
@@ -281,7 +281,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     why);
               (None, Some why)
       in
-      let ord = analyse ~plan ~pdg ~trace ~emitted ~rt in
+      let ord = analyse ~plan ~pdg ~trace ~locks:lock_specs ~rt in
       let program = Precompile.program prepared in
       let buffered =
         Effects.bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
@@ -301,7 +301,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           match Domain.DLS.get out_key with
           | Some buf -> buf := (Clock.now_ns (), s) :: !buf
           | None -> Machine.default_emit machine s);
-      let locks = Locks.create emitted.Emit.locks in
+      let locks = Locks.create lock_specs in
       let machine_lock = Spin.lock_create () in
       let abort = Atomic.make false in
       let frontier = Atomic.make 0 in
@@ -336,12 +336,14 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let full_waits = ref 0 in
       (* attribution layer: per-worker accumulators, machine mutex as a
          pseudo-lock one past the commset lock table *)
-      let lock_names = Array.map (fun (ls : Sim.lock_spec) -> ls.Sim.lname) emitted.Emit.locks in
+      let lock_names = Array.map (fun (ls : Sim.lock_spec) -> ls.Sim.lname) lock_specs in
       let machine_li = Array.length lock_names in
       let builtin_names =
         Array.of_list (List.map (fun (b : Builtins.t) -> b.Builtins.name) Builtins.all)
       in
-      let att = Attrib.create ~enabled:attrib ~lock_names ~builtin_names ~jobs:w in
+      let att =
+        Attrib.create ~enabled:attrib ~lock_names ~builtin_names ~jobs:w ~iterations:n
+      in
       let worker wi () =
         Recorder.with_span ~cat:"exec" "exec.real_worker" @@ fun () ->
         let aw = Attrib.worker att wi in

@@ -39,7 +39,6 @@
     speedup is bounded by the worker count like any real one. *)
 
 module Plan = Commset_transforms.Plan
-module Emit = Commset_transforms.Emit
 module Pdg = Commset_pdg.Pdg
 module R = Commset_runtime
 
@@ -79,10 +78,10 @@ val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a)
 (** Execute [plan]'s target loop for real on [jobs] worker domains plus
     a coordinator. [Error reason] when the loop shape defeats the
     coordinator/worker split ({!Commset_runtime.Precompile.plan_real});
-    {!Exec.run} turns it into a CS014 diagnostic. [emitted] supplies the
-    lock registry; [pdg], [trace] and [emitted] must come from the same
-    compilation as [prepared]. Raises whatever a worker iteration raises
-    (after joining all domains).
+    {!Exec.run} turns it into a CS014 diagnostic. [locks] is the plan's
+    lock registry from its emission; [pdg], [trace] and [locks] must
+    come from the same compilation as [prepared]. Raises whatever a
+    worker iteration raises (after joining all domains).
 
     With [~codegen:true] the iteration body is first translated and
     compiled to native code ({!Commset_codegen.Codegen}) and workers
@@ -102,7 +101,7 @@ val run :
   plan:Plan.t ->
   pdg:Pdg.t ->
   trace:R.Trace.t ->
-  emitted:Emit.t ->
+  locks:R.Sim.lock_spec array ->
   prepared:R.Precompile.t ->
   setup:(R.Machine.t -> unit) ->
   jobs:int ->

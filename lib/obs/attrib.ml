@@ -40,9 +40,10 @@ type worker = {
   wb_calls : int array;
   wb_cost : float array;
   (* cumulative-cause timeline samples, one per iteration up to the cap *)
+  cap : int;  (** samples kept: min(loop iterations, [sample_cap]) *)
   mutable n_samples : int;
   samp_t : float array;
-  samp : float array;  (** 5 causes × sample_cap, flattened *)
+  samp : float array;  (** 5 causes × cap, flattened *)
 }
 
 type t = {
@@ -56,7 +57,7 @@ type t = {
   hists : hists;  (** per-cause per-iteration distributions *)
 }
 
-let make_worker on hs n_locks n_builtins =
+let make_worker on hs n_locks n_builtins cap =
   {
     w_on = on;
     w_h = hs;
@@ -82,12 +83,13 @@ let make_worker on hs n_locks n_builtins =
     wb_ns = Array.make (if on then n_builtins else 0) 0.;
     wb_calls = Array.make (if on then n_builtins else 0) 0;
     wb_cost = Array.make (if on then n_builtins else 0) 0.;
+    cap;
     n_samples = 0;
-    samp_t = Array.make (if on then sample_cap else 0) 0.;
-    samp = Array.make (if on then 5 * sample_cap else 0) 0.;
+    samp_t = Array.make cap 0.;
+    samp = Array.make (5 * cap) 0.;
   }
 
-let create ~enabled ~lock_names ~builtin_names ~jobs =
+let create ~enabled ~lock_names ~builtin_names ~jobs ~iterations =
   let n_locks = Array.length lock_names and n_builtins = Array.length builtin_names in
   let builtin_slots = Hashtbl.create (2 * n_builtins) in
   Array.iteri (fun i n -> Hashtbl.replace builtin_slots n i) builtin_names;
@@ -107,7 +109,10 @@ let create ~enabled ~lock_names ~builtin_names ~jobs =
     lock_names;
     builtin_names;
     builtin_slots;
-    workers = Array.init jobs (fun _ -> make_worker enabled hists n_locks n_builtins);
+    workers =
+      Array.init jobs (fun _ ->
+          make_worker enabled hists n_locks n_builtins
+            (if enabled then min sample_cap (max 0 iterations) else 0));
     coord_dispatch = Atomic.make 0.;
     hists;
   }
@@ -167,14 +172,14 @@ let iter_end w t_ns =
     Metrics.observe w.w_h.h_builtin w.s_builtin;
     Metrics.observe w.w_h.h_compute compute;
     Metrics.observe w.w_h.h_wall wall;
-    if w.n_samples < sample_cap then begin
-      let i = w.n_samples in
+    if w.n_samples < w.cap then begin
+      let i = w.n_samples and cap = w.cap in
       w.samp_t.(i) <- t_ns;
       w.samp.(i) <- w.t_dispatch;
-      w.samp.(sample_cap + i) <- w.t_lock;
-      w.samp.((2 * sample_cap) + i) <- w.t_frontier;
-      w.samp.((3 * sample_cap) + i) <- w.t_builtin;
-      w.samp.((4 * sample_cap) + i) <- w.t_compute;
+      w.samp.(cap + i) <- w.t_lock;
+      w.samp.((2 * cap) + i) <- w.t_frontier;
+      w.samp.((3 * cap) + i) <- w.t_builtin;
+      w.samp.((4 * cap) + i) <- w.t_compute;
       w.n_samples <- i + 1
     end
   end
@@ -322,16 +327,16 @@ let summarize t ~coord_wall_ns ~merge_ns =
     let samples =
       List.init t.jobs (fun wi ->
           let w = ws.(wi) in
-          let n = w.n_samples in
+          let n = w.n_samples and cap = w.cap in
           ( wi,
             Array.init n (fun i ->
                 {
                   s_t_ns = w.samp_t.(i);
                   s_dispatch = w.samp.(i);
-                  s_lock = w.samp.(sample_cap + i);
-                  s_frontier = w.samp.((2 * sample_cap) + i);
-                  s_builtin = w.samp.((3 * sample_cap) + i);
-                  s_compute = w.samp.((4 * sample_cap) + i);
+                  s_lock = w.samp.(cap + i);
+                  s_frontier = w.samp.((2 * cap) + i);
+                  s_builtin = w.samp.((3 * cap) + i);
+                  s_compute = w.samp.((4 * cap) + i);
                 }) ))
     in
     Some

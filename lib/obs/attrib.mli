@@ -30,12 +30,19 @@
 type t
 type worker
 
-(** [create ~enabled ~lock_names ~builtin_names ~jobs] — [lock_names]
-    are the per-commset lock labels (index-aligned with the emitter's
-    lock table); [builtin_names] the runtime builtin names used to
-    resolve {!builtin_slot}. *)
+(** [create ~enabled ~lock_names ~builtin_names ~jobs ~iterations] —
+    [lock_names] are the per-commset lock labels (index-aligned with the
+    emitter's lock table); [builtin_names] the runtime builtin names used
+    to resolve {!builtin_slot}; [iterations] the loop's iteration count
+    (from the trace), which bounds each worker's timeline sample buffer
+    below the fixed 4096-sample cap. *)
 val create :
-  enabled:bool -> lock_names:string array -> builtin_names:string array -> jobs:int -> t
+  enabled:bool ->
+  lock_names:string array ->
+  builtin_names:string array ->
+  jobs:int ->
+  iterations:int ->
+  t
 
 val enabled : t -> bool
 

@@ -133,8 +133,7 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
   let pdg = Pdg_builder.build input in
   let pdg_plain = Pdg_builder.build input in
   let trace, _machine = R.Trace.record ~machine:(fresh_machine setup ()) prepared pdg in
-  R.Trace.apply_weights trace pdg;
-  R.Trace.apply_weights trace pdg_plain;
+  R.Trace.apply_weights trace [ pdg; pdg_plain ];
   let n_uco, n_ico = Dep_analysis.annotate md pdg dom induction in
   ( {
       func;
@@ -299,28 +298,48 @@ let check_outputs t (sim_outputs : (float * string) list) : output_fidelity =
   then Multiset_equal
   else Mismatch
 
-let simulate ?(record_timeline = false) t (plan : T.Plan.t) : run =
+let plan_pdg t (plan : T.Plan.t) =
+  if plan.T.Plan.uses_commset then t.target.pdg else t.target.pdg_plain
+
+(* The trace lowered for emission. Each public entry point builds it
+   once and shares it read-only across its simulations; it is never
+   kept in [t], where it would outlive the call that needs it. *)
+let lower t =
+  Recorder.with_span ~cat:"pipeline" "pipeline.lower" (fun () ->
+      T.Emit.lower ~pdg:t.target.pdg t.trace)
+
+(* one plan on a lowered trace; the emission comes back too, so the real
+   engine can share its lock registry *)
+let simulate_lowered ~record_timeline t low (plan : T.Plan.t) : run * T.Emit.t =
   Recorder.with_span ~cat:"pipeline" "pipeline.simulate" @@ fun () ->
-  let pdg = if plan.T.Plan.uses_commset then t.target.pdg else t.target.pdg_plain in
-  let result, makespan = T.Emit.simulate ~record_timeline ~plan ~pdg ~trace:t.trace () in
-  {
-    plan;
-    speedup = t.trace.R.Trace.seq_total /. makespan;
-    makespan;
-    fidelity = check_outputs t result.R.Sim.outputs;
-    lock_contended = result.R.Sim.lock_contended;
-    tx_aborts = result.R.Sim.tx_aborts;
-    timelines = result.R.Sim.timelines;
-  }
+  let emitted = T.Emit.emit ~plan ~pdg:(plan_pdg t plan) low in
+  let result = T.Emit.simulate ~record_timeline ~plan emitted in
+  let makespan = result.R.Sim.makespan +. t.trace.R.Trace.other_cost in
+  ( {
+      plan;
+      speedup = t.trace.R.Trace.seq_total /. makespan;
+      makespan;
+      fidelity = check_outputs t result.R.Sim.outputs;
+      lock_contended = result.R.Sim.lock_contended;
+      tx_aborts = result.R.Sim.tx_aborts;
+      timelines = result.R.Sim.timelines;
+    },
+    emitted )
+
+let simulate ?(record_timeline = false) t (plan : T.Plan.t) : run =
+  fst (simulate_lowered ~record_timeline t (lower t) plan)
+
+let evaluate_lowered ~record_timeline t low ~threads : run list =
+  Recorder.with_span ~cat:"pipeline" "pipeline.evaluate" @@ fun () ->
+  Pool.parmap (fun plan -> fst (simulate_lowered ~record_timeline t low plan)) (plans t ~threads)
+  |> List.sort (fun a b -> compare b.speedup a.speedup)
 
 (** Simulate every plan at [threads]; sorted by speedup, best first.
     Simulations are independent, so they fan out over the domain pool;
     the sort key and the deterministic plan order make the result
     identical to the sequential path. *)
-let evaluate ?record_timeline t ~threads : run list =
-  Recorder.with_span ~cat:"pipeline" "pipeline.evaluate" @@ fun () ->
-  Pool.parmap (simulate ?record_timeline t) (plans t ~threads)
-  |> List.sort (fun a b -> compare b.speedup a.speedup)
+let evaluate ?(record_timeline = false) t ~threads : run list =
+  evaluate_lowered ~record_timeline t (lower t) ~threads
 
 let best ?record_timeline t ~threads : run option =
   match evaluate ?record_timeline t ~threads with [] -> None | r :: _ -> Some r
@@ -349,12 +368,12 @@ let executable_plans t ~threads : T.Plan.t list =
     onto the simulator's {!output_fidelity} scale. *)
 let run_parallel ?engine ?jobs ?attrib t (plan : T.Plan.t) : exec_run =
   Recorder.with_span ~cat:"pipeline" "pipeline.run_parallel" @@ fun () ->
-  let predicted = (simulate t plan).speedup in
-  let pdg = if plan.T.Plan.uses_commset then t.target.pdg else t.target.pdg_plain in
+  let predicted, emitted = simulate_lowered ~record_timeline:false t (lower t) plan in
+  (* the real engine indexes the same lock registry the simulation used *)
   let sync = if plan.T.Plan.uses_commset then t.sync else t.sync_none in
   let xstats =
-    Commset_exec.Exec.run ?engine ?jobs ?attrib ~plan ~pdg ~trace:t.trace ~sync
-      ~prepared:t.prepared ~setup:t.setup ()
+    Commset_exec.Exec.run ?engine ?jobs ?attrib ~plan ~pdg:(plan_pdg t plan) ~trace:t.trace
+      ~locks:emitted.T.Emit.locks ~sync ~prepared:t.prepared ~setup:t.setup ()
   in
   let xfidelity =
     match xstats.Commset_exec.Exec.x_verdict with
@@ -362,7 +381,7 @@ let run_parallel ?engine ?jobs ?attrib t (plan : T.Plan.t) : exec_run =
     | Commset_exec.Equiv.Commutative_equal -> Multiset_equal
     | Commset_exec.Equiv.Mismatch -> Mismatch
   in
-  { xplan = plan; xpredicted = predicted; xstats; xfidelity }
+  { xplan = plan; xpredicted = predicted.speedup; xstats; xfidelity }
 
 (** Speedup curves: series name -> (threads, speedup) points, for thread
     counts min_threads..max_threads. Thread counts are evaluated on the
@@ -373,12 +392,13 @@ let sweep ?(min_threads = 1) ?(precomputed = []) t ~max_threads :
     (string * (int * float) list) list =
   Recorder.with_span ~cat:"pipeline" "pipeline.sweep" @@ fun () ->
   let counts = List.init (max 0 (max_threads - min_threads + 1)) (fun i -> min_threads + i) in
+  let low = lower t in
   let runs_per_count =
     Pool.parmap
       (fun threads ->
         match List.assoc_opt threads precomputed with
         | Some runs -> (threads, runs)
-        | None -> (threads, evaluate t ~threads))
+        | None -> (threads, evaluate_lowered ~record_timeline:false t low ~threads))
       counts
   in
   (* fold in ascending thread order: series appear in first-encounter

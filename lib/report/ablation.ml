@@ -78,15 +78,15 @@ let with_knob knob value f =
 let queue_capacity_sweep () =
   let n_items = 400 in
   let producer =
-    List.concat
+    Array.concat
       (List.init n_items (fun i ->
            let cost = if i mod 8 = 0 then 1200. else 40. in
-           [ R.Sim.Compute { cost; tag = "produce" }; R.Sim.Push 0 ]))
+           [| R.Sim.Compute { costs = [| cost |]; tag = "produce" }; R.Sim.Push 0 |]))
   in
   let consumer =
-    List.concat
+    Array.concat
       (List.init n_items (fun _ ->
-           [ R.Sim.Pop 0; R.Sim.Compute { cost = 320.; tag = "consume" } ]))
+           [| R.Sim.Pop 0; R.Sim.Compute { costs = [| 320. |]; tag = "consume" } |]))
   in
   let seq_total =
     (float_of_int (n_items / 8) *. 1200.)

@@ -1,6 +1,6 @@
 (** Discrete-event simulator of the multicore target.
 
-    Each virtual thread executes a segment list produced from a
+    Each virtual thread executes a segment array produced from a
     parallelization plan plus the sequential trace. Locks model the three
     paper synchronization modes (mutex with sleep/wakeup handoff, spin
     lock with cache-line bouncing that grows with the number of spinners,
@@ -10,15 +10,17 @@
 
     Threads are processed in virtual-time order (always the minimum-time
     runnable thread), which preserves causality for all resource
-    interactions.
+    interactions. A scheduled thread runs ahead over its consecutive
+    thread-local segments ([Compute] runs and [Emit]) before control
+    returns to the scheduler: they touch no shared state, so every lock,
+    queue and transaction step still happens at the same virtual time
+    and in the same thread order (DESIGN §7).
 
-    Transaction-conflict detection is the simulator's hottest path: a
-    transaction window is validated against every earlier commit. The
-    commit log is therefore kept in {!Commit_index}, a map ordered by
-    commit time, so a window only examines the commits it can actually
-    overlap, and entries older than every unfinished thread are pruned as
-    virtual time advances. Footprints are precomputed string sets, not
-    the [List.mem] product the naive formulation implies. *)
+    A transaction window is validated against the earlier commits it can
+    overlap: the commit log is kept in {!Commit_index}, a map ordered by
+    commit time, and entries older than every unfinished thread are
+    pruned as virtual time advances. Footprints are precomputed string
+    sets, not the [List.mem] product the naive formulation implies. *)
 
 open Commset_support
 module Metrics = Commset_obs.Metrics
@@ -54,7 +56,7 @@ type spec_info = {
 }
 
 type seg =
-  | Compute of { cost : float; tag : string }
+  | Compute of { costs : float array; tag : string }
   | Acquire of int
   | Release of int
   | Push of int
@@ -190,21 +192,22 @@ type t = {
   record_timeline : bool;
 }
 
-let create ?(record_timeline = false) ?spec_commutes ~locks ~n_queues (seg_lists : seg list array) : t =
+let create ?(record_timeline = false) ?spec_commutes ~locks ~n_queues
+    (programs : seg array array) : t =
   {
     threads =
       Array.mapi
         (fun tid segs ->
           {
             tid;
-            segs = Array.of_list segs;
+            segs;
             pc = 0;
             time = 0.;
             blocked = false;
             busy = 0.;
             intervals = [];
           })
-        seg_lists;
+        programs;
     locks =
       Array.map
         (fun spec -> { spec; owner = None; waiters = Queue.create (); contended_acquires = 0 })
@@ -233,17 +236,37 @@ let finished th = th.pc >= Array.length th.segs
 let note_interval t th start stop tag =
   if t.record_timeline && stop > start then th.intervals <- (start, stop, tag) :: th.intervals
 
-let step t th =
-  let seg = th.segs.(th.pc) in
-  match seg with
-  | Compute { cost; tag } ->
-      note_interval t th th.time (th.time +. cost) tag;
-      th.time <- th.time +. cost;
-      th.busy <- th.busy +. cost;
-      th.pc <- th.pc + 1
-  | Emit s ->
-      t.emitted <- (th.time, s) :: t.emitted;
-      th.pc <- th.pc + 1
+(* a run of costs advances the clock one cost at a time, exactly as
+   the same costs in consecutive single-cost segments would *)
+let compute t th costs tag =
+  for k = 0 to Array.length costs - 1 do
+    let cost = costs.(k) in
+    note_interval t th th.time (th.time +. cost) tag;
+    th.time <- th.time +. cost;
+    th.busy <- th.busy +. cost
+  done
+
+(* Execute the thread's consecutive thread-local segments. They read and
+   write only the thread's own clock, busy total and timeline (plus the
+   output log, which [run] sorts), and a runnable thread's clock is read
+   by no other thread's step, so running them ahead leaves every shared
+   step at the same time and in the same order. *)
+let rec run_ahead t th =
+  if th.pc < Array.length th.segs then
+    match th.segs.(th.pc) with
+    | Compute { costs; tag } ->
+        compute t th costs tag;
+        th.pc <- th.pc + 1;
+        run_ahead t th
+    | Emit s ->
+        t.emitted <- (th.time, s) :: t.emitted;
+        th.pc <- th.pc + 1;
+        run_ahead t th
+    | Acquire _ | Release _ | Push _ | Pop _ | Tx _ -> ()
+
+let shared_step t th =
+  match th.segs.(th.pc) with
+  | Compute _ | Emit _ -> ()
   | Acquire l ->
       let lock = t.locks.(l) in
       if lock.owner = None && Queue.is_empty lock.waiters then begin
@@ -356,6 +379,12 @@ let step t th =
         Commit_index.add_sets t.commits ~time:stop ~thread:th.tid ~rset ~wset ~spec;
       List.iter (fun s -> t.emitted <- (stop, s) :: t.emitted) outputs;
       th.pc <- th.pc + 1
+
+(* one scheduler turn: the thread's next shared step, then everything
+   thread-local up to the one after it *)
+let step t th =
+  shared_step t th;
+  if not th.blocked then run_ahead t th
 
 let run t : result =
   let n = Array.length t.threads in

@@ -1,10 +1,12 @@
 (** Discrete-event simulator of the multicore target. Threads execute
-    segment lists; locks model the paper's synchronization modes, queues
+    segment arrays; locks model the paper's synchronization modes, queues
     the bounded lock-free inter-stage channels, and transactional
     segments the optimistic runtimes (TM, and speculative commutativity
     with a runtime predicate check). Threads are processed in
     virtual-time order, which preserves causality for all resource
-    interactions. *)
+    interactions; a scheduled thread runs ahead over its consecutive
+    thread-local segments ([Compute] and [Emit]), which moves no shared
+    step. *)
 
 type lock_spec = { lflavor : Costmodel.lock_flavor; lname : string }
 
@@ -17,7 +19,9 @@ type spec_info = {
 }
 
 type seg =
-  | Compute of { cost : float; tag : string }
+  | Compute of { costs : float array; tag : string }
+      (** a run of consecutive costs; exactly equivalent to one
+          single-cost [Compute] per element *)
   | Acquire of int
   | Release of int
   | Push of int
@@ -97,15 +101,16 @@ type result = {
       (** total virtual cycles threads spent blocked on full/empty queues *)
 }
 
-(** [create ~locks ~n_queues seg_lists] builds a machine with one thread
-    per segment list. [spec_commutes], when given, forgives transaction
-    footprint overlaps between transactions whose [spec_info]s commute. *)
+(** [create ~locks ~n_queues programs] builds a machine with one thread
+    per segment array (the arrays are not copied). [spec_commutes], when
+    given, forgives transaction footprint overlaps between transactions
+    whose [spec_info]s commute. *)
 val create :
   ?record_timeline:bool ->
   ?spec_commutes:(spec_info -> spec_info -> bool) ->
   locks:lock_spec array ->
   n_queues:int ->
-  seg list array ->
+  seg array array ->
   t
 
 (** Run to completion; detects deadlock (raises a diagnostic). *)

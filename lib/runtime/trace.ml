@@ -61,19 +61,24 @@ let iteration_cost it =
 
 let n_iterations t = Array.length t.iterations
 
-(** Average simulated cost of one instance of node [nid], for pipeline
-    balancing. *)
-let node_mean_cost t nid =
-  let total = ref 0. and n = ref 0 in
+(** Average simulated cost of one instance of every node below
+    [n_nodes], for pipeline balancing. One pass over the trace; a node
+    appears at most once per iteration, so each node's instance costs
+    are summed in iteration order. *)
+let node_mean_costs t ~n_nodes =
+  let total = Array.make n_nodes 0. and n = Array.make n_nodes 0 in
   Array.iter
     (fun it ->
-      match Hashtbl.find_opt it.exec_tbl nid with
-      | Some e ->
-          total := !total +. exec_cost e;
-          incr n
-      | None -> ())
+      List.iter
+        (fun e ->
+          let nid = e.nid in
+          if nid >= 0 && nid < n_nodes then begin
+            total.(nid) <- total.(nid) +. exec_cost e;
+            n.(nid) <- n.(nid) + 1
+          end)
+        it.execs)
     t.iterations;
-  if !n = 0 then 0. else !total /. float_of_int !n
+  Array.mapi (fun nid s -> if n.(nid) = 0 then 0. else s /. float_of_int n.(nid)) total
 
 (** Cost of the whole loop (all iterations). *)
 let loop_cost t = Array.fold_left (fun acc it -> acc +. iteration_cost it) 0. t.iterations
@@ -275,9 +280,16 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : Pdg.t
 
 (** Update PDG node weights in place from the trace (profile-guided
     pipeline balancing, paper §4.5). *)
-let apply_weights t (pdg : Pdg.t) =
-  Array.iter
-    (fun n ->
-      let w = node_mean_cost t n.Pdg.nid in
-      if w > 0. then n.Pdg.weight <- w)
-    pdg.Pdg.nodes
+let apply_weights t (pdgs : Pdg.t list) =
+  let n_nodes =
+    List.fold_left (fun m (p : Pdg.t) -> max m (Array.length p.Pdg.nodes)) 0 pdgs
+  in
+  let means = node_mean_costs t ~n_nodes in
+  List.iter
+    (fun (pdg : Pdg.t) ->
+      Array.iter
+        (fun n ->
+          let w = means.(n.Pdg.nid) in
+          if w > 0. then n.Pdg.weight <- w)
+        pdg.Pdg.nodes)
+    pdgs

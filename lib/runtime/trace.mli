@@ -50,10 +50,6 @@ val exec_cost : node_exec -> float
 val iteration_cost : iteration -> float
 val n_iterations : t -> int
 
-(** Average simulated cost of one instance of a node, for pipeline
-    balancing. *)
-val node_mean_cost : t -> int -> float
-
 (** Total cost of all loop iterations. *)
 val loop_cost : t -> float
 
@@ -61,6 +57,7 @@ val loop_cost : t -> float
     record the trace of the PDG's target loop. *)
 val record : ?machine:Machine.t -> Precompile.t -> Pdg.t -> t * Machine.t
 
-(** Update PDG node weights in place from the trace (profile-guided
-    pipeline balancing, §4.5). *)
-val apply_weights : t -> Pdg.t -> unit
+(** Update the node weights of every PDG in the list in place from the
+    trace (profile-guided pipeline balancing, §4.5); the node means are
+    computed once for all of them. *)
+val apply_weights : t -> Pdg.t list -> unit

@@ -12,10 +12,10 @@ let qcheck = QCheck_alcotest.to_alcotest
 let mutex_lock = { Sim.lflavor = Costmodel.Mutex; lname = "m" }
 let spin_lock = { Sim.lflavor = Costmodel.Spin; lname = "s" }
 
-let compute c = Sim.Compute { cost = c; tag = "w" }
+let compute c = Sim.Compute { costs = [| c |]; tag = "w" }
 
 let run ?(locks = [||]) ?(n_queues = 0) segs =
-  Sim.run (Sim.create ~locks ~n_queues segs)
+  Sim.run (Sim.create ~locks ~n_queues (Array.map Array.of_list segs))
 
 let test_compute_only () =
   let r = run [| [ compute 100.; compute 50. ]; [ compute 30. ] |] in
@@ -121,7 +121,8 @@ let prop_lock_conservation =
       let body = [ Sim.Acquire 0; compute crit; Sim.Release 0 ] in
       let r =
         Sim.run
-          (Sim.create ~locks:[| spin_lock |] ~n_queues:0 (Array.make threads body))
+          (Sim.create ~locks:[| spin_lock |] ~n_queues:0
+             (Array.make threads (Array.of_list body)))
       in
       let total_busy = Array.fold_left ( +. ) 0. r.Sim.thread_busy in
       abs_float (total_busy -. (crit *. float_of_int threads)) < 0.001
@@ -240,8 +241,146 @@ let prop_prune_preserves_queries =
                [ start; start + 1; start + 10; 40 ])
            [ cut; cut + 3; 31 ])
 
+(* ---- run-length Compute segments ---- *)
+
+(* Random thread programs in the shape the emitter produces: per
+   iteration, each thread pops one token from every upstream queue,
+   runs a body, and pushes one token to every downstream queue. Queues
+   only run from lower to higher thread ids and locked sections hold no
+   queue operation and take their locks in ascending order, so no
+   program deadlocks. Costs are tenths, so a different summation order
+   would show in the low bits. *)
+type item =
+  | Irun of float list
+  | Iemit of string
+  | Ilocked of int list * item list
+  | Itx of float * string list * string list
+
+type program = {
+  edges : (int * int) list;  (** queue index = position in this list *)
+  n_locks : int;
+  bodies : item list list array;  (** thread -> iteration -> body *)
+  timeline : bool;
+}
+
+let gen_program =
+  let open QCheck.Gen in
+  let cost = map (fun k -> float_of_int k *. 0.1) (int_range 1 500) in
+  let run = map (fun cs -> Irun cs) (list_size (int_range 1 4) cost) in
+  let emit = map (fun k -> Iemit (string_of_int k)) (int_range 0 9) in
+  let plain = frequency [ (3, run); (1, emit) ] in
+  let footprint = list_size (int_range 0 2) (oneofl [ "a"; "b"; "c" ]) in
+  let tx = map3 (fun c r w -> Itx (c, r, w)) cost footprint footprint in
+  int_range 1 4 >>= fun n_threads ->
+  int_range 1 5 >>= fun n_iters ->
+  int_range 0 2 >>= fun n_locks ->
+  let locked () =
+    map2
+      (fun held body -> Ilocked (List.sort_uniq compare held, body))
+      (list_size (int_range 1 n_locks) (int_range 0 (n_locks - 1)))
+      (list_size (int_range 0 3) plain)
+  in
+  let item =
+    frequency ((4, plain) :: (1, tx) :: (if n_locks > 0 then [ (2, locked ()) ] else []))
+  in
+  let pairs =
+    List.concat_map
+      (fun p -> List.init (n_threads - p - 1) (fun k -> (p, p + k + 1)))
+      (List.init n_threads Fun.id)
+  in
+  map3
+    (fun keep bodies timeline ->
+      {
+        edges = List.filteri (fun i _ -> List.nth keep i) pairs;
+        n_locks;
+        bodies = Array.of_list bodies;
+        timeline;
+      })
+    (list_repeat (List.length pairs) bool)
+    (list_repeat n_threads (list_repeat n_iters (list_size (int_range 0 4) item)))
+    bool
+
+let rec item_segs = function
+  | Irun cs -> [ Sim.Compute { costs = Array.of_list cs; tag = "run" } ]
+  | Iemit s -> [ Sim.Emit s ]
+  | Ilocked (held, body) ->
+      List.map (fun l -> Sim.Acquire l) held
+      @ List.concat_map item_segs body
+      @ List.rev_map (fun l -> Sim.Release l) held
+  | Itx (cost, reads, writes) ->
+      [ Sim.Tx { cost; reads; writes; outputs = [ "tx" ]; tag = "tx"; spec = None } ]
+
+let program_segs prog =
+  let queues = List.mapi (fun q e -> (q, e)) prog.edges in
+  Array.mapi
+    (fun t iters ->
+      Array.of_list
+        (List.concat_map
+           (fun body ->
+             List.filter_map (fun (q, (_, c)) -> if c = t then Some (Sim.Pop q) else None) queues
+             @ List.concat_map item_segs body
+             @ List.filter_map
+                 (fun (q, (p, _)) -> if p = t then Some (Sim.Push q) else None)
+                 queues)
+           iters))
+    prog.bodies
+
+let split_runs segs =
+  Array.concat
+    (List.map
+       (function
+         | Sim.Compute { costs; tag } ->
+             Array.map (fun c -> Sim.Compute { costs = [| c |]; tag }) costs
+         | s -> [| s |])
+       (Array.to_list segs))
+
+(* every float as exact hex: equal renderings are bit-identical results *)
+let render (r : Sim.result) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "makespan %h contended %d aborts %d lock_wait %h queue_wait %h\nbusy"
+    r.Sim.makespan r.Sim.lock_contended r.Sim.tx_aborts r.Sim.lock_wait r.Sim.queue_wait;
+  Array.iter (Printf.bprintf b " %h") r.Sim.thread_busy;
+  Buffer.add_string b "\noutputs";
+  List.iter (fun (t, s) -> Printf.bprintf b " %h:%s" t s) r.Sim.outputs;
+  Array.iteri
+    (fun th ivs ->
+      Printf.bprintf b "\nthread %d" th;
+      List.iter (fun (s, e, tag) -> Printf.bprintf b " [%h %h %s]" s e tag) ivs)
+    r.Sim.timelines;
+  Buffer.contents b
+
+let sim_program prog segs =
+  let flavors = [| Costmodel.Mutex; Costmodel.Spin; Costmodel.Libsafe |] in
+  let locks =
+    Array.init prog.n_locks (fun l ->
+        { Sim.lflavor = flavors.(l mod 3); lname = "l" ^ string_of_int l })
+  in
+  render
+    (Sim.run
+       (Sim.create ~record_timeline:prog.timeline ~locks
+          ~n_queues:(List.length prog.edges) segs))
+
+let prop_split_runs =
+  QCheck.Test.make ~name:"splitting Compute runs leaves the result bit-identical"
+    ~count:300
+    (QCheck.make
+       ~print:(fun prog ->
+         String.concat "\n"
+           (Array.to_list
+              (Array.mapi
+                 (fun t segs -> Printf.sprintf "thread %d: %d segment(s)" t (Array.length segs))
+                 (program_segs prog))))
+       gen_program)
+    (fun prog ->
+      let segs = program_segs prog in
+      let whole = sim_program prog segs in
+      let split = sim_program prog (Array.map split_runs segs) in
+      if whole <> split then QCheck.Test.fail_reportf "runs:\n%s\nsplit:\n%s" whole split;
+      true)
+
 let prop_cases =
   [
+    qcheck prop_split_runs;
     qcheck prop_makespan_bounds;
     qcheck prop_queue_conservation;
     qcheck prop_commit_index_agrees;

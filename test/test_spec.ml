@@ -74,7 +74,8 @@ let spec_tx member key =
     }
 
 let run_spec ~commutes segs =
-  R.Sim.run (R.Sim.create ~spec_commutes:commutes ~locks:[||] ~n_queues:0 segs)
+  R.Sim.run
+    (R.Sim.create ~spec_commutes:commutes ~locks:[||] ~n_queues:0 (Array.map Array.of_list segs))
 
 let keys_differ (s1 : R.Sim.spec_info) (s2 : R.Sim.spec_info) =
   s1.R.Sim.sp_keys <> s2.R.Sim.sp_keys
@@ -89,7 +90,7 @@ let test_sim_spec_conflicting () =
   (* identical keys: the predicate fails, the overlap is a real conflict *)
   let r =
     run_spec ~commutes:keys_differ
-      [| [ spec_tx "m" 7 ]; [ R.Sim.Compute { cost = 1.; tag = "w" }; spec_tx "m" 7 ] |]
+      [| [ spec_tx "m" 7 ]; [ R.Sim.Compute { costs = [| 1. |]; tag = "w" }; spec_tx "m" 7 ] |]
   in
   check Alcotest.bool "abort on non-commuting overlap" true (r.R.Sim.tx_aborts >= 1)
 

@@ -187,15 +187,15 @@ let test_speedup_monotonic_sanity () =
   check Alcotest.bool "2 threads meaningful" true (s2 > 1.5)
 
 let test_emit_lock_balance () =
-  (* every emitted segment list has balanced acquire/release pairs *)
+  (* every emitted thread program has balanced acquire/release pairs *)
   let c = compile doall_src in
   List.iter
     (fun plan ->
-      let e = T.Emit.emit ~plan ~pdg:c.P.target.P.pdg ~trace:c.P.trace in
+      let e = T.Emit.emit ~plan ~pdg:c.P.target.P.pdg (T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace) in
       Array.iter
         (fun segs ->
           let held = Hashtbl.create 8 in
-          List.iter
+          Array.iter
             (fun seg ->
               match seg with
               | R.Sim.Acquire l ->
@@ -207,7 +207,7 @@ let test_emit_lock_balance () =
               | _ -> ())
             segs;
           Alcotest.(check int) "all released" 0 (Hashtbl.length held))
-        e.T.Emit.seg_lists)
+        e.T.Emit.threads)
     (P.plans c ~threads:4)
 
 (* ---- pipeline stage-structure invariants ---- *)
@@ -255,7 +255,7 @@ let test_queue_counts () =
       match p.T.Plan.shape with
       | T.Plan.Sdoall -> ()
       | T.Plan.Sdswp stages ->
-          let e = T.Emit.emit ~plan:p ~pdg:c.P.target.P.pdg ~trace:c.P.trace in
+          let e = T.Emit.emit ~plan:p ~pdg:c.P.target.P.pdg (T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace) in
           Alcotest.(check bool)
             (Printf.sprintf "%s has queues" p.T.Plan.label)
             true
