@@ -20,8 +20,11 @@ type compiled = {
 
 (** Generated module source for the target body, with {!Emit.key_marker}
     in place of the final key. [nid_of_iid] is the static
-    instruction→PDG-node map ([-1] = no node) the worker's node
-    transitions are compiled from. [Error reason] = uncompilable shape. *)
+    instruction→node map ([-1] = no node) the worker's node transitions
+    are compiled from; the real engine passes its action map (-1 for
+    every instruction outside a node that holds locks or is
+    frontier-ordered), so transitions are compiled in only at action
+    boundaries. [Error reason] = uncompilable shape. *)
 val source :
   prepared:Precompile.t ->
   rt:Precompile.rtarget ->

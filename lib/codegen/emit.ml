@@ -20,7 +20,10 @@
       every node transition, builtin call and iteration exit;
     - node transitions ([ctx.cg_node]) are emitted once per maximal run
       of same-node instructions — the per-instruction [on_instr] of the
-      interpreted path collapses to its static boundaries;
+      interpreted path collapses to its static boundaries — and a block
+      every path enters in its first instruction's node opens without
+      one, so a body whose map sends most instructions to -1 pays for
+      transitions only where the map changes;
     - operator/trap semantics mirror [prep_binop]/[prep_unop]/
       [prep_instr] case by case, including error message text and
       constant-branch traps.
@@ -342,10 +345,12 @@ let simple_stmt env (i : Ir.instr) : string =
   | Ir.Call _ -> assert false
 
 (* Emit a block's instruction sequence. [node_of] present = target
-   depth (node boundaries emitted); absent = nested depth. Straight
-   runs of non-call instructions charge their summed static cost once,
-   then step+execute per instruction. *)
-let emit_instrs env ~ind ~(node_of : (int -> int) option) (vb : Precompile.view_block) =
+   depth (node boundaries emitted, starting from [entry_nid], the node
+   the worker is known to be in at block entry; [min_int] = unknown);
+   absent = nested depth. Straight runs of non-call instructions charge
+   their summed static cost once, then step+execute per instruction. *)
+let emit_instrs env ~ind ~(node_of : (int -> int) option) ?(entry_nid = min_int)
+    (vb : Precompile.view_block) =
   let instrs = vb.Precompile.vb_instrs and costs = vb.Precompile.vb_costs in
   let pending = ref [] (* (instr, cost) reversed *) in
   let flush_pending () =
@@ -379,7 +384,7 @@ let emit_instrs env ~ind ~(node_of : (int -> int) option) (vb : Precompile.view_
         end;
         pending := []
   in
-  let prev_nid = ref min_int in
+  let prev_nid = ref entry_nid in
   Array.iteri
     (fun k (i : Ir.instr) ->
       (match node_of with
@@ -398,6 +403,55 @@ let emit_instrs env ~ind ~(node_of : (int -> int) option) (vb : Precompile.view_
       | _ -> pending := (i, costs.(k)) :: !pending)
     instrs;
   flush_pending ()
+
+(* The node a worker is in when each target block starts, where every
+   path into the block agrees: an iteration starts in no node (-1), a
+   block with instructions leaves its last instruction's node, and an
+   empty block passes on the node it was entered in. [min_int] marks a
+   block whose paths disagree (or that is unreachable); it opens with a
+   transition. *)
+type entry = Unseen | At of int | Mixed
+
+let entry_nodes ~(blocks : Precompile.view_block array) ~header ~in_loop ~body_entry
+    ~(nid_of_iid : int -> int) : int array =
+  let n = Array.length blocks in
+  let target b = b <> header && b >= 0 && b < n && b < Array.length in_loop && in_loop.(b) in
+  let st = Array.make n Unseen in
+  let join b v =
+    let v' =
+      match (st.(b), v) with
+      | Unseen, v -> v
+      | At a, At c when a = c -> At a
+      | _ -> Mixed
+    in
+    if v' = st.(b) then false
+    else begin
+      st.(b) <- v';
+      true
+    end
+  in
+  if target body_entry then ignore (join body_entry (At (-1)));
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iteri
+      (fun b (vb : Precompile.view_block) ->
+        if target b && st.(b) <> Unseen then begin
+          let k = Array.length vb.Precompile.vb_instrs in
+          let out =
+            if k = 0 then st.(b) else At (nid_of_iid vb.Precompile.vb_instrs.(k - 1).Ir.iid)
+          in
+          let succs =
+            match vb.Precompile.vb_term with
+            | Precompile.Vjump j -> [ j ]
+            | Precompile.Vbranch (_, l1, l2) -> [ l1; l2 ]
+            | _ -> []
+          in
+          List.iter (fun s -> if target s && join s out then changed := true) succs
+        end)
+      blocks
+  done;
+  Array.map (function At nid -> nid | Unseen | Mixed -> min_int) st
 
 let terminator_charge env ~ind =
   line env "%s%s" ind (charge_stmt Costmodel.terminator_cost)
@@ -480,6 +534,7 @@ let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
     (* target blocks: every in-loop block except the header (continue_to
        returns before entering it) *)
     let blocks = view.Precompile.vf_blocks in
+    let entry = entry_nodes ~blocks ~header ~in_loop ~body_entry ~nid_of_iid in
     let first = ref true in
     Array.iteri
       (fun bi (vb : Precompile.view_block) ->
@@ -487,7 +542,7 @@ let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
           line env "  %s tb%d () : unit =" (if !first then "let rec" else "and") bi;
           first := false;
           line env "    %s" step_stmt;
-          emit_instrs env ~ind:"    " ~node_of:(Some nid_of_iid) vb;
+          emit_instrs env ~ind:"    " ~node_of:(Some nid_of_iid) ~entry_nid:entry.(bi) vb;
           emit_target_term env ~ind:"    " ~header ~in_loop vb
         end)
       blocks;

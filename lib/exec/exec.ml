@@ -68,11 +68,12 @@ let supported (plan : Plan.t) =
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
-(** The equivalence reference and the measured sequential leg: a fresh
-    sequential execution of the prepared program on a fresh machine
-    (not merely the recorded trace — the reference the user cares about
-    is what the sequential program actually prints today). Its wall time
-    is the baseline the parallel leg's speedup is measured against. *)
+(** The equivalence reference: a fresh sequential execution of the
+    prepared program on a fresh machine (not merely the recorded trace —
+    the reference the user cares about is what the sequential program
+    actually prints today). Its wall time is the real engine's baseline;
+    the codegen engine measures against its own compiled sequential leg
+    ([Realexec.r_seq_codegen]). *)
 let seq_reference ~(prepared : R.Precompile.t) ~setup : string list * float =
   Recorder.with_span ~cat:"exec" "exec.seq_reference" @@ fun () ->
   let machine = R.Machine.create () in
@@ -97,7 +98,7 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
   Recorder.with_span ~cat:"exec" "exec.run" @@ fun () ->
   Metrics.incr m_runs;
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let reference, wall_seq_s = seq_reference ~prepared ~setup in
+  let reference, wall_interp_s = seq_reference ~prepared ~setup in
   (* both are sequential runs of the same deterministic program; a
      divergence means the compilation artifacts are out of sync *)
   if not (List.equal String.equal reference trace.R.Trace.seq_outputs) then
@@ -116,6 +117,19 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
           "plan '%s' cannot run on the real backend: the target loop defeats the \
            coordinator/worker split: %s"
           plan.Plan.label why
+  in
+  (* a speedup divides like by like: a compiled parallel leg by the
+     compiled sequential leg, which must print the reference *)
+  let wall_seq_s =
+    match r.Realexec.r_seq_codegen with
+    | None -> wall_interp_s
+    | Some (outputs, wall) ->
+        if not (List.equal String.equal outputs reference) then
+          Diag.error
+            "internal: the compiled sequential leg of '%s' diverged from the sequential \
+             reference"
+            plan.Plan.label;
+        wall
   in
   let verdict =
     Equiv.check

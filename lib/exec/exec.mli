@@ -22,7 +22,8 @@
 
     Every run performs a mandatory output-equivalence check: a fresh
     sequential execution of the prepared program is the reference (and
-    the timed sequential leg), and the parallel output must match it
+    the real engine's timed sequential leg; a compiled run times its
+    own compiled sequential leg), and the parallel output must match it
     exactly — up to multiset order for outputs the commset annotations
     declare commutative ({!Equiv}).
 
@@ -61,14 +62,17 @@ type stats = {
       (** engine that actually ran: ["codegen"] or ["real"] (after a
           codegen fallback this differs from the requested engine) *)
   x_threads : int;  (** worker domains occupied *)
-  x_wall_seq_s : float;  (** sequential leg: the timed fresh sequential run *)
+  x_wall_seq_s : float;
+      (** sequential leg on the same engine: the fresh interpreted run for
+          the real engine; for codegen, the backbone driving the compiled
+          body inline on one domain *)
   x_wall_par_s : float;  (** parallel leg, spawn/join barriers excluded *)
   x_measured_speedup : float;  (** [x_wall_seq_s /. x_wall_par_s] *)
   x_verdict : Equiv.verdict;
   x_lock_contended : int;
   x_queue_full_waits : int;  (** blocking episodes on full queues/rings *)
   x_queue_empty_waits : int;  (** blocking episodes on empty queues/rings *)
-  x_iterations : int;  (** loop iterations dispatched to workers *)
+  x_iterations : int;  (** loop iterations executed (see [Realexec.r_iterations]) *)
   x_frontier_waits : int;  (** frontier blocking episodes *)
   x_buffered_updates : int;  (** updates buffered per-domain *)
   x_steps : int;  (** instructions retired, all domains *)

@@ -66,6 +66,7 @@ type result = {
   r_buffered : int;
   r_steps : int;
   r_merge_s : float;
+  r_seq_codegen : (string list * float) option;
   r_engine : string;
   r_codegen_fallback : string option;
   r_codegen_cache_hit : bool;
@@ -99,18 +100,42 @@ let mutexed_by_name name = name = "graph_set_neighbor" || name = "graph_set_weig
 
 (* Simulated cost charged for a buffered call (the impl runs later, on
    the coordinator, where its cost is not charged to any worker). *)
-let buffered_cost name argv =
+let buffered_cost name : Value.t list -> float =
   match name with
-  | "stat_add" -> 16.
-  | "stat_note_max" -> 14.
-  | "hist_add" -> Costmodel.hist_cost
-  | "vec_push" -> Costmodel.collection_op_cost
+  | "stat_add" -> fun _ -> 16.
+  | "stat_note_max" -> fun _ -> 14.
+  | "hist_add" -> fun _ -> Costmodel.hist_cost
+  | "vec_push" -> fun _ -> Costmodel.collection_op_cost
   | "log_write" ->
-      let len =
-        match argv with Value.Vstring s :: _ -> String.length s | _ -> 0
-      in
-      Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
-  | _ -> 10.
+      fun argv ->
+        let len = match argv with Value.Vstring s :: _ -> String.length s | _ -> 0 in
+        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
+  | _ -> fun _ -> 10.
+
+(* How a worker runs a builtin. Resolved once per run for every builtin
+   ([routes], indexed by [Builtins.t.id]), so a call costs one array
+   read and one match instead of name compares and a resource list. *)
+type route =
+  | Free  (** touches no shared machine state: called directly *)
+  | Mutexed  (** mutates shared machine state: under the machine mutex *)
+  | Bitmap_new  (** [Mutexed]; the fresh handle is private to the iteration *)
+  | Bitmap_free  (** [Mutexed]; the handle stops being private *)
+  | Ordered  (** its value depends on every earlier call: frontier, then mutex *)
+  | Private_bitmap of bool
+      (** [bm_set] ([true]) / [bm_get]: lock-free on a handle the
+          iteration allocated, [Ordered] on a shared one *)
+  | Buffered of (Value.t list -> float)
+      (** order-free update: buffered per worker, replayed at merge,
+          charged this cost *)
+
+let route_of ~buffered (bi : Builtins.t) =
+  let name = bi.Builtins.name in
+  if Hashtbl.mem buffered name then Buffered (buffered_cost name)
+  else if name = "bm_set" || name = "bm_get" then Private_bitmap (name = "bm_set")
+  else if List.mem name always_ordered then Ordered
+  else if Builtins.resources bi <> [] || mutexed_by_name name then
+    match name with "bm_new" -> Bitmap_new | "bm_free" -> Bitmap_free | _ -> Mutexed
+  else Free
 
 (* Merge per-worker buffers (each newest-first) into replay order. The
    stable sort keeps each worker's chronological order among equal keys,
@@ -127,11 +152,12 @@ let merge_order ~compare (bufs : ('k * 'a) list array) : ('k * 'a) list =
 (* ------------------------------------------------------------------ *)
 
 type ordering = {
-  o_ordered : bool array;  (** nid -> entry/exit participates in the frontier *)
-  o_entry_await : bool array;  (** nid -> await the frontier at node entry *)
-  o_node_locks : int array array;  (** nid -> commset lock indices, rank order *)
-  o_expected : int array;  (** iteration -> expected ordered-event count *)
-  o_counting : bool;  (** false: release only at iteration end (uncounted mode) *)
+  o_ordered : bool array;
+  o_entry_await : bool array;
+  o_node_locks : int array array;
+  o_action : int array;
+  o_expected : int array;
+  o_counting : bool;
 }
 
 let shared_mem_loc = function
@@ -224,10 +250,19 @@ let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
     entry_await.(nid) <-
       ordered.(nid) || (Array.length node_locks.(nid) > 0 && node_ob.(nid))
   done;
+  (* entering or leaving any other node only moves [cur_nid], so the
+     workers see those nodes as "no node" and never transition there *)
+  let is_action nid = ordered.(nid) || entry_await.(nid) || node_locks.(nid) <> [||] in
+  let action =
+    Array.map
+      (function Some nid when nid < nnodes && is_action nid -> nid | _ -> -1)
+      pdg.Pdg.instr_node
+  in
   {
     o_ordered = ordered;
     o_entry_await = entry_await;
     o_node_locks = node_locks;
+    o_action = action;
     o_expected = expected;
     o_counting = !counting;
   }
@@ -241,6 +276,40 @@ let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
    [machine.emit] closure routes correctly from every domain. *)
 let out_key : (float * string) list ref option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
+
+(* ------------------------------------------------------------------ *)
+(* The codegen engine's sequential leg                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The coordinator's backbone driving the compiled body inline on one
+   domain — no workers, rings, locks or frontier — on a fresh machine:
+   the same-engine baseline a codegen speedup divides by. *)
+let compiled_seq_leg ~(prepared : Precompile.t) ~(setup : Machine.t -> unit)
+    ~(rt : Precompile.rtarget) (c : Commset_codegen.Codegen.compiled) : string list * float =
+  Recorder.with_span ~cat:"exec" "exec.seq_codegen" @@ fun () ->
+  let machine = Machine.create () in
+  setup machine;
+  let ex = Precompile.executor ~machine prepared in
+  let wst = Precompile.worker_state ex ~fuel:max_int in
+  let ctx =
+    {
+      Commset_codegen.Abi.cg_globals = Precompile.wstate_globals wst;
+      cg_gdefined = Precompile.wstate_gdefined wst;
+      cg_node = ignore;
+      cg_builtin = (fun bi argv ~has_dst:_ -> bi.Builtins.impl machine argv);
+      cg_charge = (fun ~steps ~cost -> Precompile.wstate_charge wst ~steps ~cost);
+      cg_fuel_left = (fun () -> Precompile.wstate_fuel_left wst);
+    }
+  in
+  let fn = c.Commset_codegen.Codegen.cg_fn in
+  let t0 = Clock.now_ns () in
+  ignore
+    (Precompile.run_main_real ex rt
+       ~on_iter:(fun _ regs -> fn ctx (Array.copy regs))
+       ~on_loop_done:ignore
+      : float);
+  let wall = (Clock.now_ns () -. t0) /. 1e9 in
+  (Machine.outputs machine, wall)
 
 (* ------------------------------------------------------------------ *)
 (* The run                                                             *)
@@ -258,13 +327,16 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
   with
   | Error why -> Error why
   | Ok rt ->
-      (* compile the iteration body when asked; any failure degrades to
-         the interpreted path with the reason surfaced in the result *)
+      let ord = analyse ~plan ~pdg ~trace ~locks:lock_specs ~rt in
+      let action = ord.o_action in
+      (* compile the iteration body when asked, with node transitions at
+         the action boundaries only; any failure degrades to the
+         interpreted path with the reason surfaced in the result *)
       let cg, cg_fallback =
         if not codegen then (None, None)
         else
           let nid_of_iid iid =
-            match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1
+            if iid >= 0 && iid < Array.length action then action.(iid) else -1
           in
           match Commset_codegen.Codegen.prepare ~prepared ~rt ~nid_of_iid () with
           | Ok c ->
@@ -281,11 +353,12 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     why);
               (None, Some why)
       in
-      let ord = analyse ~plan ~pdg ~trace ~locks:lock_specs ~rt in
+      let seq_codegen = Option.map (compiled_seq_leg ~prepared ~setup ~rt) cg in
       let program = Precompile.program prepared in
       let buffered =
         Effects.bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
       in
+      let routes = Array.of_list (List.map (route_of ~buffered) Builtins.all) in
       let w = max 1 jobs in
       let n = Trace.n_iterations trace in
       Log.debug (fun m ->
@@ -324,7 +397,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       in
       (* per-worker mutable state, read by the coordinator after join *)
       let obufs = Array.init w (fun _ -> ref []) in
-      let ubufs : (int * (string * Value.t list)) list ref array =
+      let ubufs : (int * (Builtins.t * Value.t list)) list ref array =
         Array.init w (fun _ -> ref [])
       in
       let errors : exn option ref array = Array.init w (fun _ -> ref None) in
@@ -374,6 +447,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             if !cur_k < n && !ev >= ord.o_expected.(!cur_k) then release_iter !cur_k
           end
         in
+        (* [cur_nid] is the action node the worker is in, -1 for none *)
         let exit_node () =
           (match !cur_nid with
           | -1 -> ()
@@ -398,13 +472,13 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             ord.o_node_locks.(nid);
           cur_nid := nid
         in
+        let transition nid =
+          exit_node ();
+          if nid >= 0 then enter_node nid
+        in
         let on_instr (i : Ir.instr) =
-          match Pdg.node_of_instr pdg i.Ir.iid with
-          | Some nid when nid <> !cur_nid ->
-              exit_node ();
-              enter_node nid
-          | Some _ -> ()
-          | None -> exit_node ()
+          let nid = action.(i.Ir.iid) in
+          if nid <> !cur_nid then transition nid
         in
         (* an uncontended acquisition waits for nothing: only contended
            episodes pay for clock reads *)
@@ -420,75 +494,67 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
            end);
           Fun.protect ~finally:(fun () -> Spin.release machine_lock) f
         in
-        let bm_arg argv = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
-        let builtin_raw (bi : Builtins.t) argv ~has_dst =
-          let name = bi.Builtins.name in
-          if Hashtbl.mem buffered name then begin
-            ignore has_dst;
-            ubufs.(wi) := (!cur_k, (name, argv)) :: !(ubufs.(wi));
-            wbuffered.(wi) <- wbuffered.(wi) + 1;
-            (Value.Vint 0, buffered_cost name argv)
-          end
-          else if name = "bm_set" || name = "bm_get" then begin
-            let h, rest = bm_arg argv in
-            match Hashtbl.find_opt priv_bm h with
-            | Some bytes ->
-                (* this worker allocated the handle this iteration: the
-                   payload is private, no lock and no ordering needed *)
-                let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
-                let byte = key / 8 and bit = key mod 8 in
-                if name = "bm_set" then begin
-                  if byte < 0 || byte >= Bytes.length bytes then
-                    Diag.error "runtime: bitmap key %d out of range" key;
-                  Bytes.set bytes byte
-                    (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
-                  (Value.Vint 0, Costmodel.collection_op_cost)
-                end
-                else if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
-                else
-                  (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.)
-            | None ->
-                await ();
-                let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
-                bump ();
-                r
-          end
-          else if List.mem name always_ordered then begin
-            await ();
-            let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
-            bump ();
-            r
-          end
-          else if Builtins.resources bi <> [] || mutexed_by_name name then
-            with_mutex (fun () ->
-                let ((v, _) as r) = bi.Builtins.impl machine argv in
-                (match name with
-                | "bm_new" -> (
-                    match v with
-                    | Value.Vint id -> (
-                        match Hashtbl.find_opt machine.Machine.bitmaps id with
-                        | Some bytes -> Hashtbl.replace priv_bm id bytes
-                        | None -> ())
-                    | _ -> ())
-                | "bm_free" -> (
-                    match argv with
-                    | Value.Vint id :: _ -> Hashtbl.remove priv_bm id
-                    | _ -> ())
-                | _ -> ());
-                r)
-          else bi.Builtins.impl machine argv
+        let ordered_call (bi : Builtins.t) argv =
+          await ();
+          let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
+          bump ();
+          r
         in
-        let builtin (bi : Builtins.t) argv ~has_dst =
-          if not prof then builtin_raw bi argv ~has_dst
+        let builtin_raw (bi : Builtins.t) argv =
+          match routes.(bi.Builtins.id) with
+          | Free -> bi.Builtins.impl machine argv
+          | Mutexed -> with_mutex (fun () -> bi.Builtins.impl machine argv)
+          | Ordered -> ordered_call bi argv
+          | Buffered cost ->
+              ubufs.(wi) := (!cur_k, (bi, argv)) :: !(ubufs.(wi));
+              wbuffered.(wi) <- wbuffered.(wi) + 1;
+              (Value.Vint 0, cost argv)
+          | Private_bitmap set -> (
+              let h, rest = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
+              match Hashtbl.find_opt priv_bm h with
+              | Some bytes ->
+                  (* this worker allocated the handle this iteration: the
+                     payload is private, no lock and no ordering needed *)
+                  let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
+                  let byte = key / 8 and bit = key mod 8 in
+                  if set then begin
+                    if byte < 0 || byte >= Bytes.length bytes then
+                      Diag.error "runtime: bitmap key %d out of range" key;
+                    Bytes.set bytes byte
+                      (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
+                    (Value.Vint 0, Costmodel.collection_op_cost)
+                  end
+                  else if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
+                  else
+                    (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.)
+              | None -> ordered_call bi argv)
+          | Bitmap_new ->
+              with_mutex (fun () ->
+                  let ((v, _) as r) = bi.Builtins.impl machine argv in
+                  (match v with
+                  | Value.Vint id -> (
+                      match Hashtbl.find_opt machine.Machine.bitmaps id with
+                      | Some bytes -> Hashtbl.replace priv_bm id bytes
+                      | None -> ())
+                  | _ -> ());
+                  r)
+          | Bitmap_free ->
+              with_mutex (fun () ->
+                  let r = bi.Builtins.impl machine argv in
+                  (match argv with Value.Vint id :: _ -> Hashtbl.remove priv_bm id | _ -> ());
+                  r)
+        in
+        let builtin (bi : Builtins.t) argv ~has_dst:_ =
+          if not prof then builtin_raw bi argv
           else begin
             (* net out waits the builtin performs internally (frontier
                await, machine-mutex acquisition) — they are charged to
                their own causes *)
             let t0 = Clock.now_ns () in
             let w0 = Attrib.inner_waits aw in
-            let ((_, cost) as r) = builtin_raw bi argv ~has_dst in
+            let ((_, cost) as r) = builtin_raw bi argv in
             let dt = Clock.now_ns () -. t0 -. (Attrib.inner_waits aw -. w0) in
-            Attrib.add_builtin aw (Attrib.builtin_slot att bi.Builtins.name) ~ns:dt ~cost;
+            Attrib.add_builtin aw bi.Builtins.id ~ns:dt ~cost;
             r
           end
         in
@@ -503,12 +569,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                   {
                     Commset_codegen.Abi.cg_globals = Precompile.wstate_globals wst;
                     cg_gdefined = Precompile.wstate_gdefined wst;
-                    cg_node =
-                      (fun nid ->
-                        if nid <> !cur_nid then begin
-                          exit_node ();
-                          if nid >= 0 then enter_node nid
-                        end);
+                    cg_node = (fun nid -> if nid <> !cur_nid then transition nid);
                     cg_builtin = builtin;
                     cg_charge =
                       (fun ~steps ~cost ->
@@ -613,10 +674,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
               let upds =
                 merge_order ~compare:Int.compare (Array.map ( ! ) ubufs)
               in
-              List.iter
-                (fun (_, (name, argv)) ->
-                  ignore ((Builtins.find_exn name).Builtins.impl machine argv))
-                upds;
+              List.iter (fun (_, (bi, argv)) -> ignore (bi.Builtins.impl machine argv)) upds;
               (* worker output lines merge on the shared monotonic clock;
                  frontier-ordered emits carry ordered timestamps *)
               let outs =
@@ -627,13 +685,17 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         end
       in
       (* inline fallback once the workers are retired (a re-entered
-         target loop after the first exit): plain sequential execution *)
+         target loop after the first exit): plain sequential execution,
+         counted like dispatched work *)
       let inline_wst = lazy (Precompile.worker_state ex ~fuel:max_int) in
+      let inline_iters = ref 0 in
       let on_iter k regs =
-        if !finished then
+        if !finished then begin
+          incr inline_iters;
           Precompile.run_iteration (Lazy.force inline_wst) rt ~on_instr:ignore
             ~builtin:(fun bi argv ~has_dst:_ -> bi.Builtins.impl machine argv)
             (Array.copy regs)
+        end
         else begin
           if k >= n then begin
             Atomic.set abort true;
@@ -658,7 +720,11 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           finish ());
       let wall_par_s = (Clock.now_ns () -. t0) /. 1e9 in
       let sum a = Array.fold_left ( + ) 0 a in
-      let steps = Precompile.steps ex + sum wsteps in
+      let inline_steps =
+        if Lazy.is_val inline_wst then max_int - Precompile.wstate_fuel_left (Lazy.force inline_wst)
+        else 0
+      in
+      let steps = Precompile.steps ex + sum wsteps + inline_steps in
       let frontier_waits = sum wfrontier in
       let buffered_n = sum wbuffered in
       Metrics.add m_iterations !dispatched;
@@ -684,7 +750,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         {
           r_outputs = Machine.outputs machine;
           r_wall_par_s = wall_par_s;
-          r_iterations = !dispatched;
+          r_iterations = !dispatched + !inline_iters;
           r_frontier_waits = frontier_waits;
           r_lock_contended = Locks.contended_total locks + sum wcontended;
           r_queue_full_waits = !full_waits;
@@ -692,6 +758,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           r_buffered = buffered_n;
           r_steps = steps;
           r_merge_s = !merge_s;
+          r_seq_codegen = seq_codegen;
           r_engine = (match cg with Some _ -> "codegen" | None -> "real");
           r_codegen_fallback = cg_fallback;
           r_codegen_cache_hit =

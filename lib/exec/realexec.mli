@@ -34,6 +34,14 @@
       equivalence check ({!Equiv}) then compares the full stream
       against a fresh sequential run.
 
+    Where each layer applies is resolved before the workers start:
+    {!analyse} maps every instruction to its node only when that node
+    holds locks or takes part in the frontier (an {e action node}), and
+    every builtin gets one route (free, machine-mutexed, ordered,
+    private bitmap or buffered) in a table indexed by its id. A worker
+    pays one array read per instruction and per builtin call, and
+    synchronizes only where the plan put synchronization.
+
     Nothing else runs in the timed window: the wall time is the
     program's own work plus the synchronization above, so a measured
     speedup is bounded by the worker count like any real one. *)
@@ -45,7 +53,9 @@ module R = Commset_runtime
 type result = {
   r_outputs : string list;  (** the full merged output stream *)
   r_wall_par_s : float;  (** parallel leg, spawn excluded *)
-  r_iterations : int;  (** iterations dispatched to workers *)
+  r_iterations : int;
+      (** iterations executed: dispatched to workers, plus those a
+          re-entered target loop runs inline once the workers retired *)
   r_frontier_waits : int;  (** blocking episodes on the frontier *)
   r_lock_contended : int;  (** commset-lock + machine-mutex contention *)
   r_queue_full_waits : int;  (** coordinator blocked on full rings *)
@@ -53,6 +63,11 @@ type result = {
   r_buffered : int;  (** commutative updates buffered per-domain *)
   r_steps : int;  (** instructions retired across all domains *)
   r_merge_s : float;  (** merge-phase (replay + output) seconds *)
+  r_seq_codegen : (string list * float) option;
+      (** when a compiled body ran: outputs and wall seconds of the
+          codegen engine's sequential leg — the backbone driving the
+          compiled body inline on one domain, timed before the parallel
+          leg *)
   r_engine : string;
       (** iteration-body engine that actually ran: ["codegen"] when a
           compiled body executed, ["real"] for the interpreter *)
@@ -75,6 +90,32 @@ type result = {
     order-insensitivity property test. *)
 val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a) list
 
+(** Where a plan puts synchronization, resolved once per run before any
+    worker starts. *)
+type ordering = {
+  o_ordered : bool array;  (** nid -> entry/exit participates in the frontier *)
+  o_entry_await : bool array;  (** nid -> await the frontier at node entry *)
+  o_node_locks : int array array;  (** nid -> commset lock indices, rank order *)
+  o_action : int array;
+      (** iid -> its node when that is an {e action node} — one that
+          holds commset locks, is frontier-ordered or awaits the
+          frontier at entry — and -1 otherwise. Workers transition only
+          at action boundaries: entering or leaving any other node would
+          only move the current-node marker. *)
+  o_expected : int array;  (** iteration -> expected ordered-event count *)
+  o_counting : bool;  (** false: release only at iteration end (uncounted mode) *)
+}
+
+(** The ordering of [plan]'s target loop; [locks] is the plan's lock
+    registry. Exposed for the action-map property test. *)
+val analyse :
+  plan:Plan.t ->
+  pdg:Pdg.t ->
+  trace:R.Trace.t ->
+  locks:R.Sim.lock_spec array ->
+  rt:R.Precompile.rtarget ->
+  ordering
+
 (** Execute [plan]'s target loop for real on [jobs] worker domains plus
     a coordinator. [Error reason] when the loop shape defeats the
     coordinator/worker split ({!Commset_runtime.Precompile.plan_real});
@@ -84,9 +125,11 @@ val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a)
     worker iteration raises (after joining all domains).
 
     With [~codegen:true] the iteration body is first translated and
-    compiled to native code ({!Commset_codegen.Codegen}) and workers
-    run the compiled body instead of
-    {!Commset_runtime.Precompile.run_iteration}; translation, toolchain
+    compiled to native code ({!Commset_codegen.Codegen}), with node
+    transitions only at the action boundaries of [o_action], and
+    workers run the compiled body instead of
+    {!Commset_runtime.Precompile.run_iteration}; the compiled
+    sequential leg ([r_seq_codegen]) runs first. Translation, toolchain
     or load failures degrade to the interpreted body with the reason in
     [r_codegen_fallback].
 

@@ -31,9 +31,6 @@ type worker = {
   mutable t_iters : int;
   mutable t_charged : float;
   mutable t_flushes : int;
-  mutable t_unknown_b_ns : float;
-  mutable t_unknown_b_calls : int;
-  mutable t_unknown_b_cost : float;
   lock_wait : float array;
   lock_acq : int array;
   wb_ns : float array;
@@ -50,8 +47,7 @@ type t = {
   a_on : bool;
   jobs : int;
   lock_names : string array;
-  builtin_names : string array;
-  builtin_slots : (string, int) Hashtbl.t;  (** frozen after [create] *)
+  builtin_names : string array;  (** slot -> name *)
   workers : worker array;
   coord_dispatch : float Atomic.t;
   hists : hists;  (** per-cause per-iteration distributions *)
@@ -75,9 +71,6 @@ let make_worker on hs n_locks n_builtins cap =
     t_iters = 0;
     t_charged = 0.;
     t_flushes = 0;
-    t_unknown_b_ns = 0.;
-    t_unknown_b_calls = 0;
-    t_unknown_b_cost = 0.;
     lock_wait = Array.make (if on then n_locks + 1 else 0) 0.;
     lock_acq = Array.make (if on then n_locks + 1 else 0) 0;
     wb_ns = Array.make (if on then n_builtins else 0) 0.;
@@ -91,8 +84,6 @@ let make_worker on hs n_locks n_builtins cap =
 
 let create ~enabled ~lock_names ~builtin_names ~jobs ~iterations =
   let n_locks = Array.length lock_names and n_builtins = Array.length builtin_names in
-  let builtin_slots = Hashtbl.create (2 * n_builtins) in
-  Array.iteri (fun i n -> Hashtbl.replace builtin_slots n i) builtin_names;
   let hists =
     {
       h_dispatch = Metrics.hist_make ();
@@ -108,7 +99,6 @@ let create ~enabled ~lock_names ~builtin_names ~jobs ~iterations =
     jobs;
     lock_names;
     builtin_names;
-    builtin_slots;
     workers =
       Array.init jobs (fun _ ->
           make_worker enabled hists n_locks n_builtins
@@ -120,7 +110,6 @@ let create ~enabled ~lock_names ~builtin_names ~jobs ~iterations =
 let enabled t = t.a_on
 let worker t wi = t.workers.(wi)
 let on w = w.w_on
-let builtin_slot t name = match Hashtbl.find_opt t.builtin_slots name with Some i -> i | None -> -1
 let add_dispatch w dt =
   w.t_dispatch <- w.t_dispatch +. dt;
   Metrics.observe w.w_h.h_dispatch dt
@@ -135,16 +124,9 @@ let inner_waits w = w.s_lock +. w.s_frontier
 
 let add_builtin w slot ~ns ~cost =
   let ns = Float.max 0. ns in
-  if slot >= 0 then begin
-    w.wb_ns.(slot) <- w.wb_ns.(slot) +. ns;
-    w.wb_calls.(slot) <- w.wb_calls.(slot) + 1;
-    w.wb_cost.(slot) <- w.wb_cost.(slot) +. cost
-  end
-  else begin
-    w.t_unknown_b_ns <- w.t_unknown_b_ns +. ns;
-    w.t_unknown_b_calls <- w.t_unknown_b_calls + 1;
-    w.t_unknown_b_cost <- w.t_unknown_b_cost +. cost
-  end;
+  w.wb_ns.(slot) <- w.wb_ns.(slot) +. ns;
+  w.wb_calls.(slot) <- w.wb_calls.(slot) + 1;
+  w.wb_cost.(slot) <- w.wb_cost.(slot) +. cost;
   w.s_builtin <- w.s_builtin +. ns
 
 let charge_flush w = w.t_flushes <- w.t_flushes + 1
@@ -297,20 +279,6 @@ let summarize t ~coord_wall_ns ~merge_ns =
                b_wall_ns = sum (fun w -> w.wb_ns.(bi)) ws;
                b_cost_cycles = sum (fun w -> w.wb_cost.(bi)) ws;
              }))
-    in
-    let builtins =
-      let unk_calls = sumi (fun w -> w.t_unknown_b_calls) ws in
-      if unk_calls = 0 then builtins
-      else
-        builtins
-        @ [
-            {
-              b_name = "?";
-              b_calls = unk_calls;
-              b_wall_ns = sum (fun w -> w.t_unknown_b_ns) ws;
-              b_cost_cycles = sum (fun w -> w.t_unknown_b_cost) ws;
-            };
-          ]
     in
     let coord_dispatch = Atomic.get t.coord_dispatch in
     let coord =

@@ -32,8 +32,9 @@ type worker
 
 (** [create ~enabled ~lock_names ~builtin_names ~jobs ~iterations] —
     [lock_names] are the per-commset lock labels (index-aligned with the
-    emitter's lock table); [builtin_names] the runtime builtin names used
-    to resolve {!builtin_slot}; [iterations] the loop's iteration count
+    emitter's lock table); [builtin_names] the runtime builtin names,
+    indexed by the slot {!add_builtin} takes (the builtin's dense id);
+    [iterations] the loop's iteration count
     (from the trace), which bounds each worker's timeline sample buffer
     below the fixed 4096-sample cap. *)
 val create :
@@ -54,9 +55,6 @@ val worker : t -> int -> worker
     flag of the owning {!t}; cheap enough to check per event). *)
 val on : worker -> bool
 
-(** Slot of a builtin name for {!add_builtin}; [-1] when unknown. *)
-val builtin_slot : t -> string -> int
-
 (** {2 Worker-side accumulation (all durations in monotonic-clock ns)} *)
 
 (** Time spent blocked on an empty dispatch ring (between iterations). *)
@@ -75,9 +73,9 @@ val add_lock : worker -> int -> float -> unit
     and subtract the delta from its elapsed time. *)
 val inner_waits : worker -> float
 
-(** [add_builtin w slot ~ns ~cost] — one builtin call: [ns] net wall
-    time (inner waits already subtracted), [cost] its charged cost in
-    simulated cycles. [slot = -1] is counted under ["?"]. *)
+(** [add_builtin w slot ~ns ~cost] — one call of the builtin at
+    [builtin_names.(slot)]: [ns] net wall time (inner waits already
+    subtracted), [cost] its charged cost in simulated cycles. *)
 val add_builtin : worker -> int -> ns:float -> cost:float -> unit
 
 (** One compiled-code charge flush through the codegen ABI

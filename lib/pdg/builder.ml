@@ -41,10 +41,12 @@ let governing_region (inp : input) (b : Ir.block) =
 (* Nodes                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Nodes in creation order, plus the dense iid -> node map: every
+   instruction of a node points at the node's one [Some nid]. *)
 let build_nodes (inp : input) =
   let nodes = ref [] in
-  let instr_node = Hashtbl.create 64 in
-  let region_node : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let instr_node = Array.make inp.func.Ir.n_instrs None in
+  let region_node : (int, int option) Hashtbl.t = Hashtbl.create 8 in
   let next = ref 0 in
   let fresh () =
     let n = !next in
@@ -60,12 +62,13 @@ let build_nodes (inp : input) =
       let b = Ir.block inp.func l in
       match governing_region inp b with
       | Some rid ->
-          let nid =
+          let owner =
             match Hashtbl.find_opt region_node rid with
-            | Some nid -> nid
+            | Some owner -> owner
             | None ->
                 let nid = fresh () in
-                Hashtbl.replace region_node rid nid;
+                let owner = Some nid in
+                Hashtbl.replace region_node rid owner;
                 let region =
                   match Ir.find_region inp.func rid with
                   | Some r -> r
@@ -81,14 +84,14 @@ let build_nodes (inp : input) =
                     loop_control = false;
                   }
                   :: !nodes;
-                nid
+                owner
           in
-          List.iter (fun i -> Hashtbl.replace instr_node i.Ir.iid nid) b.Ir.instrs
+          List.iter (fun i -> instr_node.(i.Ir.iid) <- owner) b.Ir.instrs
       | None ->
           List.iter
             (fun i ->
               let nid = fresh () in
-              Hashtbl.replace instr_node i.Ir.iid nid;
+              instr_node.(i.Ir.iid) <- Some nid;
               nodes :=
                 {
                   Pdg.nid;
@@ -150,7 +153,8 @@ let build_nodes (inp : input) =
 (* Loop-control marking                                                *)
 (* ------------------------------------------------------------------ *)
 
-let mark_loop_control (inp : input) (nodes : Pdg.node array) instr_node =
+let mark_loop_control (inp : input) (pdg : Pdg.t) =
+  let nodes = pdg.Pdg.nodes in
   let header = inp.loop.A.Loops.header in
   (* the header branch and every header instruction feeding it *)
   let header_block = Ir.block inp.func header in
@@ -169,7 +173,7 @@ let mark_loop_control (inp : input) (nodes : Pdg.node array) instr_node =
         (fun i ->
           let defs = Ir.instr_defs i in
           if List.exists (fun d -> List.mem d !needed) defs then begin
-            (match Hashtbl.find_opt instr_node i.Ir.iid with
+            (match Pdg.node_of_instr pdg i.Ir.iid with
             | Some nid -> nodes.(nid).Pdg.loop_control <- true
             | None -> ());
             needed := Ir.instr_uses i @ !needed
@@ -182,12 +186,12 @@ let mark_loop_control (inp : input) (nodes : Pdg.node array) instr_node =
     (fun iv ->
       match A.Induction.unique_def tbl iv.A.Induction.iv_reg with
       | Some ({ Ir.desc = Ir.Move (_, Ir.Reg t); _ } as mv) -> (
-          (match Hashtbl.find_opt instr_node mv.Ir.iid with
+          (match Pdg.node_of_instr pdg mv.Ir.iid with
           | Some nid -> nodes.(nid).Pdg.loop_control <- true
           | None -> ());
           match A.Induction.unique_def tbl t with
           | Some bi -> (
-              match Hashtbl.find_opt instr_node bi.Ir.iid with
+              match Pdg.node_of_instr pdg bi.Ir.iid with
               | Some nid -> nodes.(nid).Pdg.loop_control <- true
               | None -> ())
           | None -> ())
@@ -198,7 +202,7 @@ let mark_loop_control (inp : input) (nodes : Pdg.node array) instr_node =
 (* Edges                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let register_edges (inp : input) (nodes : Pdg.node array) instr_node =
+let register_edges (inp : input) (pdg : Pdg.t) =
   let edges = ref [] in
   let add esrc edst ekind carried =
     if esrc <> edst || carried then
@@ -207,13 +211,13 @@ let register_edges (inp : input) (nodes : Pdg.node array) instr_node =
   let handle_use dst_nid ~intra_defs ~carried_defs reg =
     List.iter
       (fun def_iid ->
-        match Hashtbl.find_opt instr_node def_iid with
+        match Pdg.node_of_instr pdg def_iid with
         | Some src_nid -> add src_nid dst_nid (Pdg.Kreg reg) false
         | None -> ())
       intra_defs;
     List.iter
       (fun def_iid ->
-        match Hashtbl.find_opt instr_node def_iid with
+        match Pdg.node_of_instr pdg def_iid with
         | Some src_nid -> add src_nid dst_nid (Pdg.Kreg reg) true
         | None -> ())
       carried_defs
@@ -261,7 +265,7 @@ let register_edges (inp : input) (nodes : Pdg.node array) instr_node =
                       reg)
                   (Ir.term_uses b.Ir.term))
             inp.loop.A.Loops.body)
-    nodes;
+    pdg.Pdg.nodes;
   !edges
 
 (* can n1 execute before n2 within a single iteration? *)
@@ -421,15 +425,10 @@ let dedup_edges edges =
 
 let build (inp : input) : Pdg.t =
   let nodes, instr_node = build_nodes inp in
-  mark_loop_control inp nodes instr_node;
+  let pdg = { Pdg.func = inp.func; loop = inp.loop; nodes; edges = []; instr_node } in
+  mark_loop_control inp pdg;
   let edges =
-    register_edges inp nodes instr_node @ memory_edges inp nodes @ control_edges inp nodes
+    register_edges inp pdg @ memory_edges inp nodes @ control_edges inp nodes
   in
-  let edges = dedup_edges edges in
-  {
-    Pdg.func = inp.func;
-    loop = inp.loop;
-    nodes;
-    edges = List.rev edges;
-    instr_node;
-  }
+  pdg.Pdg.edges <- List.rev (dedup_edges edges);
+  pdg

@@ -46,7 +46,10 @@ type t = {
   loop : Commset_analysis.Loops.loop;
   nodes : node array;
   mutable edges : edge list;
-  instr_node : (int, int) Hashtbl.t;  (** instr iid -> node id *)
+  instr_node : int option array;
+      (** iid -> owning node, indexed by the target function's dense iids
+          ([0, func.n_instrs)); every entry of a node is that node's one
+          preallocated [Some nid] *)
 }
 
 let nodes t = Array.to_list t.nodes
@@ -61,7 +64,9 @@ let node_instrs n =
 
 let node_region n = match n.kind with Nregion (r, _) -> Some r | Ninstr _ | Nbranch _ -> None
 
-let node_of_instr t iid = Hashtbl.find_opt t.instr_node iid
+let node_of_instr t iid =
+  if iid >= 0 && iid < Array.length t.instr_node then Array.unsafe_get t.instr_node iid
+  else None
 
 let is_commutative_edge e = e.commut <> Cnone
 

@@ -46,7 +46,10 @@ type t = {
   loop : Commset_analysis.Loops.loop;
   nodes : node array;
   mutable edges : edge list;
-  instr_node : (int, int) Hashtbl.t;  (** instr iid -> node id *)
+  instr_node : int option array;
+      (** iid -> owning node, indexed by the target function's dense iids
+          ([0, func.n_instrs)); every entry of a node is that node's one
+          preallocated [Some nid] *)
 }
 
 val nodes : t -> node list
@@ -54,7 +57,13 @@ val node : t -> int -> node
 val edges : t -> edge list
 val node_instrs : node -> Ir.instr list
 val node_region : node -> Ir.region option
+
+(** The node owning an instruction of the target function: one
+    bounds-checked array read, no hashing and no allocation. [None] for
+    instructions outside the loop and for negative or out-of-range
+    iids. *)
 val node_of_instr : t -> int -> int option
+
 val is_commutative_edge : edge -> bool
 
 (** Edges as the transforms see them: [Cuco] edges vanish; carried

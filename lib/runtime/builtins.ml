@@ -29,6 +29,7 @@ open Commset_support
 type impl = Machine.t -> Value.t list -> Value.t * float
 
 type t = {
+  id : int;  (** position in [all]: dense, for per-run tables indexed by builtin *)
   name : string;
   params : Ast.ty list;
   ret : Ast.ty;
@@ -65,7 +66,7 @@ let b ?(thread_safe = false) ?(tm_safe = true) ?(spec = pure_spec) name params r
     let s = Costmodel.builtin_cost_scale name in
     if s = 1.0 then (v, cost) else (v, cost *. s)
   in
-  { name; params; ret; spec; thread_safe; tm_safe; impl }
+  { id = -1; name; params; ret; spec; thread_safe; tm_safe; impl }
 
 let int_v n = Value.Vint n
 let float_v f = Value.Vfloat f
@@ -83,6 +84,7 @@ open Ast
 let alloc_cost n = Costmodel.alloc_base +. (Costmodel.alloc_per_slot *. float_of_int n)
 
 let all : t list =
+  List.mapi (fun id bi -> { bi with id })
   [
     (* ---- pure conversions and string ops ---- *)
     b "int_to_string" [ Tint ] Tstring (fun _ a -> (string_v (string_of_int (iarg 0 a)), 12.));

@@ -11,6 +11,7 @@ module Tc = Commset_lang.Typecheck
 type impl = Machine.t -> Value.t list -> Value.t * float
 
 type t = {
+  id : int;  (** position in {!all}: dense, for per-run tables indexed by builtin *)
   name : string;
   params : Ast.ty list;
   ret : Ast.ty;

@@ -92,11 +92,13 @@ type recorder = {
   target : string;
   tfunc : Ir.func;  (** the target function record, for physical-equality
                         checks on the per-instruction hot path *)
-  nid_of_iid : int array;  (** target-function iid -> PDG node, -1 = none;
-                               replaces a hashtable probe per instruction *)
   header : Ir.label;
+  in_body : bool array;  (** label -> block of the loop body *)
   mutable cur_nid : int;  (** -1 = outside any node *)
   mutable cur_iter : iteration option;
+  mutable cur_entered : bool;
+      (** the current header visit went on into the body: false for the
+          visit whose test exits the loop, which is not an iteration *)
   mutable cur_exec : node_exec option;
       (** cache of the [(cur_iter, cur_nid)] exec, invalidated whenever
           either changes: cost events skip the exec-table probe *)
@@ -154,11 +156,8 @@ let hooks_of_recorder rec_ : Interp.hooks =
     Interp.on_instr =
       (fun func i ->
         if is_target rec_ func then begin
-          let iid = i.Ir.iid in
           let nid =
-            if iid >= 0 && iid < Array.length rec_.nid_of_iid then
-              rec_.nid_of_iid.(iid)
-            else -1
+            match Pdg.node_of_instr rec_.pdg i.Ir.iid with Some nid -> nid | None -> -1
           in
           if nid <> rec_.cur_nid then begin
             rec_.cur_nid <- nid;
@@ -167,14 +166,26 @@ let hooks_of_recorder rec_ : Interp.hooks =
         end);
     on_block =
       (fun func l ->
-        if l = rec_.header && is_target rec_ func then begin
-          rec_.saw_loop <- true;
-          (match rec_.cur_iter with
-          | Some it -> rec_.done_iters <- it :: rec_.done_iters
-          | None -> ());
-          rec_.cur_iter <- Some { execs = []; exec_tbl = Hashtbl.create 16 };
-          rec_.cur_exec <- None
-        end);
+        if l = rec_.header then begin
+          if is_target rec_ func then begin
+            rec_.saw_loop <- true;
+            (* an exit-only visit of an earlier entry into the loop is
+               loop overhead, like the final one *)
+            (match rec_.cur_iter with
+            | Some it when rec_.cur_entered -> rec_.done_iters <- it :: rec_.done_iters
+            | Some it -> rec_.other <- rec_.other +. iteration_cost it
+            | None -> ());
+            rec_.cur_iter <- Some { execs = []; exec_tbl = Hashtbl.create 16 };
+            rec_.cur_entered <- false;
+            rec_.cur_exec <- None
+          end
+        end
+        else if
+          (not rec_.cur_entered)
+          && l >= 0
+          && l < Array.length rec_.in_body
+          && rec_.in_body.(l) && is_target rec_ func
+        then rec_.cur_entered <- true);
     on_base_cost = (fun c -> add_compute rec_ c);
     on_builtin =
       (fun bi cost ->
@@ -232,14 +243,10 @@ let hooks_of_recorder rec_ : Interp.hooks =
 let record ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : Pdg.t) :
     t * Machine.t =
   let tfunc = pdg.Pdg.func in
-  let nid_of_iid =
-    let m = ref (-1) in
-    Ir.iter_instrs tfunc (fun _ i -> if i.Ir.iid > !m then m := i.Ir.iid);
-    let a = Array.make (!m + 2) (-1) in
-    Ir.iter_instrs tfunc (fun _ i ->
-        match Pdg.node_of_instr pdg i.Ir.iid with
-        | Some nid -> a.(i.Ir.iid) <- nid
-        | None -> ());
+  let loop = pdg.Pdg.loop in
+  let in_body =
+    let a = Array.make (1 + List.fold_left max (-1) loop.Commset_analysis.Loops.body) false in
+    List.iter (fun l -> if l >= 0 then a.(l) <- true) loop.Commset_analysis.Loops.body;
     a
   in
   let rec_ =
@@ -247,10 +254,11 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : Pdg.t
       pdg;
       target = tfunc.Ir.fname;
       tfunc;
-      nid_of_iid;
-      header = pdg.Pdg.loop.Commset_analysis.Loops.header;
+      header = loop.Commset_analysis.Loops.header;
+      in_body;
       cur_nid = -1;
       cur_iter = None;
+      cur_entered = false;
       cur_exec = None;
       done_iters = [];
       other = 0.;

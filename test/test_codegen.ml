@@ -5,10 +5,12 @@
     jobs 1, 2 and 4; codegen-vs-interpreter cross-checks compare
     outputs and retired instruction counts on the same compilation; the
     cache tests cover warm in-process hits and recovery from a
-    corrupted on-disk [.cmxs]; and a qcheck property compiles random
-    small loop bodies and checks the generated code agrees with
-    {!Commset_runtime.Precompile.run_iteration} (the interpreted real
-    engine) on outputs and steps. *)
+    corrupted on-disk [.cmxs]; the engine's own sequential leg (the
+    compiled body driven inline, its speedup baseline) must print the
+    sequential reference on every workload; and a qcheck property
+    compiles random small loop bodies and checks the generated code
+    agrees with {!Commset_runtime.Precompile.run_iteration} (the
+    interpreted real engine) on outputs and steps. *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
@@ -19,6 +21,7 @@ module Exec = Commset_exec.Exec
 module Pdg = Commset_pdg.Pdg
 module Loops = Commset_analysis.Loops
 module Codegen = Commset_codegen.Codegen
+module Realexec = Commset_exec.Realexec
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -278,6 +281,43 @@ let prop_random_bodies_agree =
           = sorted real.P.xstats.Exec.x_outputs
           && cg.P.xstats.Exec.x_steps = real.P.xstats.Exec.x_steps)
 
+(* ---- the compiled sequential leg ---- *)
+
+(* The codegen engine measures its speedup against the compiled body
+   run inline on one domain; that leg must do the program's work, so it
+   must print exactly the sequential reference. *)
+let compiled_seq_leg (w : W.t) () =
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let lowered = T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace in
+  match P.executable_plans c ~threads:1 @ P.executable_plans c ~threads:2 with
+  | [] -> Alcotest.failf "%s: no executable plan" w.W.wname
+  | plan :: _ -> (
+      let pdg =
+        if plan.T.Plan.uses_commset then c.P.target.P.pdg else c.P.target.P.pdg_plain
+      in
+      let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
+      match
+        Realexec.run ~codegen:true ~plan ~pdg ~trace:c.P.trace ~locks ~prepared:c.P.prepared
+          ~setup:w.W.setup ~jobs:1 ()
+      with
+      | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname why
+      | Ok r -> (
+          check Alcotest.string "compiled body ran" "codegen" r.Realexec.r_engine;
+          match r.Realexec.r_seq_codegen with
+          | None -> Alcotest.failf "%s: no compiled sequential leg" w.W.wname
+          | Some (outputs, wall) ->
+              check Alcotest.(list string) "compiled sequential leg prints the reference"
+                c.P.trace.R.Trace.seq_outputs outputs;
+              check Alcotest.bool "compiled sequential leg was timed" true (wall > 0.)))
+
+let compiled_seq_cases =
+  List.map
+    (fun w ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: compiled sequential leg prints the reference" w.W.wname)
+        `Quick (compiled_seq_leg w))
+    Registry.all
+
 let suite =
   ( "codegen",
     [
@@ -290,4 +330,4 @@ let suite =
         test_corrupted_cache_recompiles;
       qcheck prop_random_bodies_agree;
     ]
-    @ differential_cases )
+    @ differential_cases @ compiled_seq_cases )

@@ -3,10 +3,12 @@
     every executable plan actually ran on the real engine and matched
     the sequential reference at jobs 1, 2 and 4; the equal-work suite
     pins that the parallel leg retires exactly the sequential run's
-    instructions plus the coordinator's per-iteration backbone; a loop
-    the coordinator/worker split cannot handle is refused with CS014;
-    and a qcheck property establishes that the commutative-update merge
-    is insensitive to how iterations were distributed over workers. *)
+    instructions plus the coordinator's per-iteration backbone (also for
+    a target loop entered twice); the plan-time maps are checked against
+    the PDG on every workload and executable plan; a loop the
+    coordinator/worker split cannot handle is refused with CS014; and a
+    qcheck property establishes that the commutative-update merge is
+    insensitive to how iterations were distributed over workers. *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
@@ -109,11 +111,11 @@ let differential_cases =
    instructions plus the loop-control backbone the coordinator executes
    once per iteration on top of the workers' full bodies — nothing
    more (no replayed cost model), nothing less (no skipped work). *)
-let equal_work (w : W.t) () =
-  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+let equal_work ~name ~setup source () =
+  let c = P.compile ~name ~setup source in
   let seq_steps =
     let machine = R.Machine.create () in
-    w.W.setup machine;
+    setup machine;
     let ex = R.Precompile.executor ~machine c.P.prepared in
     ignore (R.Precompile.run_main ex : float);
     R.Precompile.steps ex
@@ -126,18 +128,23 @@ let equal_work (w : W.t) () =
         ~header:loop.Loops.header ~latches:loop.Loops.latches ~body:loop.Loops.body
     with
     | Ok rt -> List.length (R.Precompile.rtarget_backbone rt)
-    | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname why
+    | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" name why
   in
-  let expected = seq_steps + (R.Trace.n_iterations c.P.trace * backbone) in
+  let iterations = R.Trace.n_iterations c.P.trace in
+  let expected = seq_steps + (iterations * backbone) in
   List.iter
     (fun (engine, jobs) ->
       List.iter
         (fun (plan : T.Plan.t) ->
           let x = P.run_parallel ~engine ~jobs c plan in
-          check Alcotest.int
-            (Printf.sprintf "%s on %s at %d job(s): sequential steps + iterations x backbone"
-               plan.T.Plan.label (Exec.engine_name engine) jobs)
-            expected x.P.xstats.Exec.x_steps)
+          let what =
+            Printf.sprintf "%s on %s at %d job(s)" plan.T.Plan.label
+              (Exec.engine_name engine) jobs
+          in
+          check Alcotest.int (what ^ ": sequential steps + iterations x backbone") expected
+            x.P.xstats.Exec.x_steps;
+          check Alcotest.int (what ^ ": iterations as traced") iterations
+            x.P.xstats.Exec.x_iterations)
         (P.executable_plans c ~threads:jobs))
     [
       (Exec.Real_engine, 1);
@@ -146,12 +153,116 @@ let equal_work (w : W.t) () =
       (Exec.Codegen_engine, 2);
     ]
 
+(* The target loop's function runs twice. The workers retire at the
+   first exit, so the second entry's iterations run inline on the
+   coordinator; they are still the program's work and still iterations,
+   and the recorder must not count the first exit's header test as one. *)
+let reentered_source =
+  {|
+void work(int n) {
+  for (int i = 0; i < n; i++) {
+    int x = i * 7 + 3;
+    x = (x * x + 11) % 1009;
+    x = (x * x + 13) % 1013;
+    x = (x * x + 17) % 1019;
+    #pragma commset member SELF
+    {
+      print(int_to_string(x));
+    }
+  }
+}
+
+void main() {
+  work(60);
+  work(50);
+}
+|}
+
+let test_reentered_trace () =
+  let c = P.compile ~name:"reentered" reentered_source in
+  check Alcotest.int "one trace iteration per loop iteration of both entries" 110
+    (R.Trace.n_iterations c.P.trace);
+  check Alcotest.bool "an executable plan at one job" true
+    (P.executable_plans c ~threads:1 <> [])
+
 let equal_work_cases =
   List.map
     (fun w ->
       Alcotest.test_case
         (Printf.sprintf "%s: equal work, real and codegen at jobs 1/2" w.W.wname)
-        `Quick (equal_work w))
+        `Quick
+        (equal_work ~name:w.W.wname ~setup:w.W.setup w.W.source))
+    Registry.all
+  @ [
+      Alcotest.test_case "re-entered loop: equal work, real and codegen at jobs 1/2" `Quick
+        (equal_work ~name:"reentered" ~setup:ignore reentered_source);
+    ]
+
+(* ---- plan-time maps against the PDG ---- *)
+
+(* For every executable plan: the PDG's dense iid -> node map equals the
+   map rebuilt from each node's instructions (and answers [None] off its
+   range), and the engine's action map is exactly that map restricted to
+   nodes that hold commset locks, are frontier-ordered or await the
+   frontier at entry. *)
+let plan_time_maps (w : W.t) () =
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let lowered = T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace in
+  List.iter
+    (fun (plan : T.Plan.t) ->
+      let pdg =
+        if plan.T.Plan.uses_commset then c.P.target.P.pdg else c.P.target.P.pdg_plain
+      in
+      let n_instrs = pdg.Pdg.func.Commset_ir.Ir.n_instrs in
+      let rebuilt = Hashtbl.create 64 in
+      Array.iter
+        (fun (n : Pdg.node) ->
+          List.iter
+            (fun (i : Commset_ir.Ir.instr) ->
+              Hashtbl.replace rebuilt i.Commset_ir.Ir.iid n.Pdg.nid)
+            (Pdg.node_instrs n))
+        pdg.Pdg.nodes;
+      for iid = -3 to n_instrs + 3 do
+        check
+          Alcotest.(option int)
+          (Printf.sprintf "%s: node of iid %d" plan.T.Plan.label iid)
+          (Hashtbl.find_opt rebuilt iid) (Pdg.node_of_instr pdg iid)
+      done;
+      let loop = pdg.Pdg.loop in
+      let rt =
+        match
+          R.Precompile.plan_real c.P.prepared ~fname:pdg.Pdg.func.Commset_ir.Ir.fname
+            ~header:loop.Loops.header ~latches:loop.Loops.latches ~body:loop.Loops.body
+        with
+        | Ok rt -> rt
+        | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname why
+      in
+      let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
+      let ord = Realexec.analyse ~plan ~pdg ~trace:c.P.trace ~locks ~rt in
+      check Alcotest.int (plan.T.Plan.label ^ ": action map covers every iid") n_instrs
+        (Array.length ord.Realexec.o_action);
+      Array.iteri
+        (fun iid got ->
+          let want =
+            match Pdg.node_of_instr pdg iid with
+            | Some nid
+              when ord.Realexec.o_node_locks.(nid) <> [||]
+                   || ord.Realexec.o_ordered.(nid) || ord.Realexec.o_entry_await.(nid) ->
+                nid
+            | _ -> -1
+          in
+          check Alcotest.int
+            (Printf.sprintf "%s: action node of iid %d" plan.T.Plan.label iid)
+            want got)
+        ord.Realexec.o_action)
+    (List.concat_map (fun jobs -> P.executable_plans c ~threads:jobs) [ 1; 2; 4 ])
+
+let plan_time_map_cases =
+  List.map
+    (fun w ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: dense node map and action map match the PDG" w.W.wname)
+        `Quick (plan_time_maps w))
     Registry.all
 
 (* ---- loops the coordinator/worker split refuses ---- *)
@@ -202,5 +313,7 @@ let suite =
       qcheck prop_merge_order_insensitive;
       Alcotest.test_case "refused loop raises CS014 with the reason" `Quick
         test_refused_loop_cs014;
+      Alcotest.test_case "re-entered loop: trace counts real iterations only" `Quick
+        test_reentered_trace;
     ]
-    @ differential_cases @ equal_work_cases )
+    @ differential_cases @ equal_work_cases @ plan_time_map_cases )
