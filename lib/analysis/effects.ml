@@ -38,6 +38,8 @@ let rw_union a b = { reads = LocSet.union a.reads b.reads; writes = LocSet.union
 let add_read l rw = { rw with reads = LocSet.add l rw.reads }
 let add_write l rw = { rw with writes = LocSet.add l rw.writes }
 
+type update_role = No_update | Update_writer of string | Update_reader of string
+
 (** Effect specification of a builtin, supplied by the runtime. *)
 type builtin_spec = {
   bs_reads : string list;  (** abstract resources read *)
@@ -45,6 +47,7 @@ type builtin_spec = {
   bs_reads_arrays : int list;  (** argument positions whose array elements are read *)
   bs_writes_arrays : int list;  (** argument positions whose array elements are written *)
   bs_allocates : bool;  (** the result is a freshly allocated array *)
+  bs_update : update_role;
 }
 
 type lookup = string -> builtin_spec option
@@ -362,24 +365,8 @@ let pp_rw ppf rw =
 (* Commutative-update classes                                          *)
 (* ------------------------------------------------------------------ *)
 
-type update_family = {
-  uf_name : string;
-  uf_writers : string list;
-  uf_readers : string list;
-}
-
-let update_families =
-  [
-    {
-      uf_name = "stats";
-      uf_writers = [ "stat_add"; "stat_note_max" ];
-      uf_readers = [ "stat_summary" ];
-    };
-    { uf_name = "hist"; uf_writers = [ "hist_add" ]; uf_readers = [ "hist_summary" ] };
-    { uf_name = "vec"; uf_writers = [ "vec_push" ]; uf_readers = [ "vec_size"; "vec_get" ] };
-    { uf_name = "log"; uf_writers = [ "log_write" ]; uf_readers = [ "log_count" ] };
-  ]
-
+(* Extern calls reachable from [body], transitively through user
+   callees: (callee, has_dst) pairs. *)
 let loop_extern_calls (program : Ir.program) (func : Ir.func) (body : Ir.label list) :
     (string * bool) list =
   let seen_funcs = Hashtbl.create 8 in
@@ -403,20 +390,21 @@ let loop_extern_calls (program : Ir.program) (func : Ir.func) (body : Ir.label l
   List.iter (fun l -> scan_block (Ir.block func l)) body;
   !acc
 
-let bufferable_updates (program : Ir.program) (func : Ir.func) (body : Ir.label list) :
-    (string, unit) Hashtbl.t =
+let bufferable_updates (lookup : lookup) (program : Ir.program) (func : Ir.func)
+    (body : Ir.label list) : (string, unit) Hashtbl.t =
   let calls = loop_extern_calls program func body in
-  let tbl = Hashtbl.create 8 in
+  let role name = match lookup name with Some s -> s.bs_update | None -> No_update in
+  let families = Hashtbl.create 4 in
   List.iter
-    (fun fam ->
-      let reader_in_loop =
-        List.exists (fun (n, _) -> List.mem n fam.uf_readers) calls
-      in
-      let writer_sites = List.filter (fun (n, _) -> List.mem n fam.uf_writers) calls in
-      if
-        writer_sites <> []
-        && (not reader_in_loop)
-        && List.for_all (fun (_, has_dst) -> not has_dst) writer_sites
-      then List.iter (fun w -> Hashtbl.replace tbl w ()) fam.uf_writers)
-    update_families;
-  tbl
+    (fun (n, _) -> match role n with Update_writer f -> Hashtbl.replace families f () | _ -> ())
+    calls;
+  (* a reader in the loop, or a writer whose result is used, keeps the
+     family unbuffered *)
+  List.iter
+    (fun (n, has_dst) ->
+      match role n with
+      | Update_reader f -> Hashtbl.remove families f
+      | Update_writer f when has_dst -> Hashtbl.remove families f
+      | _ -> ())
+    calls;
+  families

@@ -29,6 +29,10 @@ val rw_union : rw -> rw -> rw
 val add_read : location -> rw -> rw
 val add_write : location -> rw -> rw
 
+(** A builtin's part in an order-free update family (see {!bufferable_updates}):
+    none, an update returning unit, or an observer of the family's state. *)
+type update_role = No_update | Update_writer of string | Update_reader of string
+
 (** Effect specification of a builtin, supplied by the runtime. *)
 type builtin_spec = {
   bs_reads : string list;  (** abstract resources read *)
@@ -36,6 +40,7 @@ type builtin_spec = {
   bs_reads_arrays : int list;  (** argument positions whose array elements are read *)
   bs_writes_arrays : int list;  (** argument positions whose array elements are written *)
   bs_allocates : bool;  (** the result is a freshly allocated array *)
+  bs_update : update_role;
 }
 
 type lookup = string -> builtin_spec option
@@ -89,27 +94,12 @@ val pp_rw : Format.formatter -> rw -> unit
 
 (** {2 Commutative-update classes}
 
-    Families of order-free update builtins: any interleaving of the
-    writers reaches the same final state {e provided} the updates are
-    ultimately applied in a single well-defined order — which is what
-    the real-execution engine's per-domain buffering with an
-    iteration-ordered lazy merge guarantees. *)
-
-type update_family = {
-  uf_name : string;
-  uf_writers : string list;  (** order-free state updates returning unit *)
-  uf_readers : string list;  (** observers of the accumulated state *)
-}
-
-val update_families : update_family list
-
-(** Extern (builtin) calls reachable from [body], transitively through
-    user-defined callees: [(callee, has_dst)] pairs. *)
-val loop_extern_calls :
-  Ir.program -> Ir.func -> Ir.label list -> (string * bool) list
-
-(** Writers safe to buffer per-domain and replay at loop exit: every
-    family with at least one writer call in the loop, no same-family
-    reader in the loop, and no writer call using its result. *)
+    Any interleaving of a family's writers reaches the same final state
+    {e provided} the updates are ultimately applied in one well-defined
+    order, which the real engine's per-domain buffering with an
+    iteration-ordered merge guarantees. [bufferable_updates] returns the
+    families safe to buffer in a loop: a writer call reachable from
+    [body] (through user callees), no same-family reader there, and no
+    writer call using its result. *)
 val bufferable_updates :
-  Ir.program -> Ir.func -> Ir.label list -> (string, unit) Hashtbl.t
+  lookup -> Ir.program -> Ir.func -> Ir.label list -> (string, unit) Hashtbl.t

@@ -77,65 +77,42 @@ type result = {
 exception Aborted
 
 (* ------------------------------------------------------------------ *)
-(* Builtin classification                                              *)
+(* Builtin routes                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Builtins whose calls are ordered events regardless of annotation:
-   their result value depends on every earlier call (a shared cursor or
-   seed), so running them out of iteration order changes program values,
-   not just effect interleaving. The commset annotations only promise
-   that the *final state* is order-free — the values each call returns
-   are not. *)
-let always_ordered = [ "rng_int"; "rng_range"; "rng_float"; "rng_gauss"; "rng_reseed"; "db_read"; "pkt_dequeue" ]
-
-(* Bitmap ops are ordered only on shared handles; a handle allocated in
-   the current iteration is private to its worker and runs lock-free. *)
-let is_ordered_builtin name =
-  List.mem name always_ordered || name = "bm_get" || name = "bm_set"
-
-(* Machine-mutating builtins that declare no abstract resource (their
-   effects are annotation-invisible by design) but mutate shared
-   hashtables; they must still be serialized at the machine level. *)
-let mutexed_by_name name = name = "graph_set_neighbor" || name = "graph_set_weight"
-
-(* Simulated cost charged for a buffered call (the impl runs later, on
-   the coordinator, where its cost is not charged to any worker). *)
-let buffered_cost name : Value.t list -> float =
-  match name with
-  | "stat_add" -> fun _ -> 16.
-  | "stat_note_max" -> fun _ -> 14.
-  | "hist_add" -> fun _ -> Costmodel.hist_cost
-  | "vec_push" -> fun _ -> Costmodel.collection_op_cost
-  | "log_write" ->
-      fun argv ->
-        let len = match argv with Value.Vstring s :: _ -> String.length s | _ -> 0 in
-        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
-  | _ -> fun _ -> 10.
-
 (* How a worker runs a builtin. Resolved once per run for every builtin
-   ([routes], indexed by [Builtins.t.id]), so a call costs one array
-   read and one match instead of name compares and a resource list. *)
+   ([routes], indexed by [Builtins.t.id]) from its descriptor, so a call
+   costs one array read and one match. *)
 type route =
-  | Free  (** touches no shared machine state: called directly *)
-  | Mutexed  (** mutates shared machine state: under the machine mutex *)
-  | Bitmap_new  (** [Mutexed]; the fresh handle is private to the iteration *)
-  | Bitmap_free  (** [Mutexed]; the handle stops being private *)
-  | Ordered  (** its value depends on every earlier call: frontier, then mutex *)
-  | Private_bitmap of bool
-      (** [bm_set] ([true]) / [bm_get]: lock-free on a handle the
-          iteration allocated, [Ordered] on a shared one *)
+  | Direct of Builtins.sharing  (** by the builtin's sharing class *)
   | Buffered of (Value.t list -> float)
-      (** order-free update: buffered per worker, replayed at merge,
-          charged this cost *)
+      (** a writer of a buffered update family: buffered per worker,
+          replayed at merge, charged this cost *)
 
 let route_of ~buffered (bi : Builtins.t) =
-  let name = bi.Builtins.name in
-  if Hashtbl.mem buffered name then Buffered (buffered_cost name)
-  else if name = "bm_set" || name = "bm_get" then Private_bitmap (name = "bm_set")
-  else if List.mem name always_ordered then Ordered
-  else if Builtins.resources bi <> [] || mutexed_by_name name then
-    match name with "bm_new" -> Bitmap_new | "bm_free" -> Bitmap_free | _ -> Mutexed
-  else Free
+  match bi.Builtins.spec.Effects.bs_update with
+  | Effects.Update_writer family when buffered family -> Buffered (Builtins.deferred_cost bi)
+  | _ -> Direct bi.Builtins.sharing
+
+let describe_route ~buffered bi =
+  match route_of ~buffered:(fun _ -> buffered) bi with
+  | Buffered _ -> "buffered"
+  | Direct Builtins.Free -> "free"
+  | Direct Builtins.Shared -> "mutexed"
+  | Direct Builtins.Ordered -> "ordered"
+  | Direct Builtins.Bitmap_alloc -> "bitmap-new"
+  | Direct Builtins.Bitmap_free -> "bitmap-free"
+  | Direct (Builtins.Bitmap_access _) -> "private-bitmap"
+
+(* Calls that are ordered events — executed in iteration order behind
+   the frontier — regardless of annotation: their result depends on
+   every earlier call, which the commset annotations do not promise to
+   be order-free (they only promise the final state is). A bitmap access
+   is one unless its iteration owns the bitmap. *)
+let ordered_event (bi : Builtins.t) =
+  match bi.Builtins.sharing with
+  | Builtins.Ordered | Builtins.Bitmap_access _ -> true
+  | _ -> false
 
 (* Merge per-worker buffers (each newest-first) into replay order. The
    stable sort keeps each worker's chronological order among equal keys,
@@ -230,7 +207,7 @@ let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
           List.iter
             (fun atom ->
               match atom with
-              | Trace.Abuiltin { bname; _ } when is_ordered_builtin bname ->
+              | Trace.Abuiltin { bi; _ } when ordered_event bi ->
                   expected.(k) <- expected.(k) + 1;
                   if nid < nnodes then node_ob.(nid) <- true
               | _ -> ())
@@ -355,17 +332,20 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       in
       let seq_codegen = Option.map (compiled_seq_leg ~prepared ~setup ~rt) cg in
       let program = Precompile.program prepared in
-      let buffered =
-        Effects.bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
+      let families =
+        Effects.bufferable_updates Builtins.lookup_spec program pdg.Pdg.func
+          loop.Commset_analysis.Loops.body
       in
-      let routes = Array.of_list (List.map (route_of ~buffered) Builtins.all) in
+      let routes =
+        Array.of_list (List.map (route_of ~buffered:(Hashtbl.mem families)) Builtins.all)
+      in
       let w = max 1 jobs in
       let n = Trace.n_iterations trace in
       Log.debug (fun m ->
-          m "plan '%s': %d worker(s), %d traced iteration(s), %s frontier, %d buffered writer(s)"
+          m "plan '%s': %d worker(s), %d traced iteration(s), %s frontier, %d buffered famil(ies)"
             plan.Plan.label w n
             (if ord.o_counting then "counted" else "iteration-grained")
-            (Hashtbl.length buffered));
+            (Hashtbl.length families));
       let machine = Machine.create () in
       setup machine;
       let ex = Precompile.executor ~machine prepared in
@@ -502,33 +482,24 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         in
         let builtin_raw (bi : Builtins.t) argv =
           match routes.(bi.Builtins.id) with
-          | Free -> bi.Builtins.impl machine argv
-          | Mutexed -> with_mutex (fun () -> bi.Builtins.impl machine argv)
-          | Ordered -> ordered_call bi argv
+          | Direct Builtins.Free -> bi.Builtins.impl machine argv
+          | Direct Builtins.Shared -> with_mutex (fun () -> bi.Builtins.impl machine argv)
+          | Direct Builtins.Ordered -> ordered_call bi argv
           | Buffered cost ->
               ubufs.(wi) := (!cur_k, (bi, argv)) :: !(ubufs.(wi));
               wbuffered.(wi) <- wbuffered.(wi) + 1;
               (Value.Vint 0, cost argv)
-          | Private_bitmap set -> (
-              let h, rest = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
-              match Hashtbl.find_opt priv_bm h with
+          | Direct (Builtins.Bitmap_access on_payload) -> (
+              let owned =
+                match argv with Value.Vint h :: _ -> Hashtbl.find_opt priv_bm h | _ -> None
+              in
+              match owned with
               | Some bytes ->
                   (* this worker allocated the handle this iteration: the
                      payload is private, no lock and no ordering needed *)
-                  let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
-                  let byte = key / 8 and bit = key mod 8 in
-                  if set then begin
-                    if byte < 0 || byte >= Bytes.length bytes then
-                      Diag.error "runtime: bitmap key %d out of range" key;
-                    Bytes.set bytes byte
-                      (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
-                    (Value.Vint 0, Costmodel.collection_op_cost)
-                  end
-                  else if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
-                  else
-                    (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.)
+                  (on_payload bytes argv, Builtins.deferred_cost bi argv)
               | None -> ordered_call bi argv)
-          | Bitmap_new ->
+          | Direct Builtins.Bitmap_alloc ->
               with_mutex (fun () ->
                   let ((v, _) as r) = bi.Builtins.impl machine argv in
                   (match v with
@@ -538,7 +509,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                       | None -> ())
                   | _ -> ());
                   r)
-          | Bitmap_free ->
+          | Direct Builtins.Bitmap_free ->
               with_mutex (fun () ->
                   let r = bi.Builtins.impl machine argv in
                   (match argv with Value.Vint id :: _ -> Hashtbl.remove priv_bm id | _ -> ());

@@ -90,6 +90,10 @@ type result = {
     order-insensitivity property test. *)
 val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a) list
 
+(** The name of the route a worker runs a builtin by when its update
+    family is, or is not, buffered. Exposed for the builtin-facts golden. *)
+val describe_route : buffered:bool -> R.Builtins.t -> string
+
 (** Where a plan puts synchronization, resolved once per run before any
     worker starts. *)
 type ordering = {

@@ -1,7 +1,6 @@
-(** The builtin (extern) functions of miniC: signatures for the type
-    checker, effect specifications for the analyses, thread-safety and
-    TM-safety flags for the synchronization engine, and implementations
-    plus cost functions for the interpreter.
+(** The builtin (extern) functions of miniC, one descriptor each: every
+    fact another layer needs about a builtin is a field of its record
+    here (see the interface), so no other module matches on names.
 
     Abstract resources (the [Lext] locations):
     - ["io.fdtable"]: the open-file table (fopen/fclose);
@@ -28,56 +27,88 @@ open Commset_support
 
 type impl = Machine.t -> Value.t list -> Value.t * float
 
+type wclass = Accum of string | Multiset of string | Alloc of string | Cursor of string
+  | Rng | Overwrite | Opaque
+
+type sharing = Free | Shared | Ordered | Bitmap_alloc | Bitmap_free
+  | Bitmap_access of (Bytes.t -> Value.t list -> Value.t)
+
 type t = {
-  id : int;  (** position in [all]: dense, for per-run tables indexed by builtin *)
+  id : int;
   name : string;
   params : Ast.ty list;
   ret : Ast.ty;
   spec : Effects.builtin_spec;
-  thread_safe : bool;  (** internally synchronized (the paper's Lib mode) *)
-  tm_safe : bool;  (** may execute inside a transaction *)
+  resources : string list;
+  thread_safe : bool;
+  tm_safe : bool;
+  sharing : sharing;
+  wclass : wclass;
+  partition : (string * int) option;
+  injective : bool;
+  arg_cost : (Value.t list -> float) option;
   impl : impl;
 }
 
-let pure_spec =
-  {
-    Effects.bs_reads = [];
-    bs_writes = [];
-    bs_reads_arrays = [];
-    bs_writes_arrays = [];
-    bs_allocates = false;
-  }
-
 let rw_spec ?(reads = []) ?(writes = []) ?(reads_arrays = []) ?(writes_arrays = [])
-    ?(allocates = false) () =
+    ?(allocates = false) ?(update = Effects.No_update) () =
   {
     Effects.bs_reads = reads;
     bs_writes = writes;
     bs_reads_arrays = reads_arrays;
     bs_writes_arrays = writes_arrays;
     bs_allocates = allocates;
+    bs_update = update;
   }
 
-let b ?(thread_safe = false) ?(tm_safe = true) ?(spec = pure_spec) name params ret impl =
-  (* calibration hook: an active profile rescales the charged cost; the
-     inactive path skips the multiplication so costs stay bit-identical *)
-  let impl m args =
-    let v, cost = impl m args in
+(* [body] returns the value and the cost of a call; [b_priced]'s [run]
+   returns the value only and [cost] prices the call from its arguments.
+   A calibration profile rescales either; the inactive path skips the
+   multiplication so costs stay bit-identical. *)
+let make ?(thread_safe = false) ?(tm_safe = true) ?(spec = rw_spec ()) ?sharing
+    ?(wclass = Opaque) ?partition ?(injective = false) ~arg_cost name params ret body =
+  let scale c =
     let s = Costmodel.builtin_cost_scale name in
-    if s = 1.0 then (v, cost) else (v, cost *. s)
+    if s = 1.0 then c else c *. s
   in
-  { id = -1; name; params; ret; spec; thread_safe; tm_safe; impl }
+  let impl m args = let v, cost = body m args in (v, scale cost) in
+  let resources = Listx.uniq (spec.Effects.bs_reads @ spec.Effects.bs_writes) in
+  let sharing = Option.value sharing ~default:(if resources = [] then Free else Shared) in
+  let arg_cost = Option.map (fun c args -> scale (c args)) arg_cost in
+  { id = -1; name; params; ret; spec; resources; thread_safe; tm_safe; sharing; wclass;
+    partition; injective; arg_cost; impl }
+
+let b = make ~arg_cost:None
+
+let b_priced ~cost ?thread_safe ?sharing ?wclass ?partition ~spec name params ret run =
+  make ?thread_safe ?sharing ?wclass ?partition ~spec ~arg_cost:(Some cost) name params ret
+    (fun m args -> (run m args, cost args))
 
 let int_v n = Value.Vint n
 let float_v f = Value.Vfloat f
 let bool_v x = Value.Vbool x
 let string_v s = Value.Vstring s
+let unit_v = int_v 0
 
+(* the labels are built once: [Value.to_*] reads them only on error *)
+let arg_labels = Array.init 8 (Printf.sprintf "argument %d")
 let arg n args = List.nth args n
-let iarg n args = Value.to_int ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let farg n args = Value.to_float ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let sarg n args = Value.to_string_val ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let aarg n args = Value.to_array ~what:(Printf.sprintf "argument %d" n) (arg n args)
+let iarg n args = Value.to_int ~what:arg_labels.(n) (arg n args)
+let farg n args = Value.to_float ~what:arg_labels.(n) (arg n args)
+let sarg n args = Value.to_string_val ~what:arg_labels.(n) (arg n args)
+let aarg n args = Value.to_array ~what:arg_labels.(n) (arg n args)
+
+(* an allocation length: negative clamps to 0, past the limit is a diagnostic *)
+let alloc_length n =
+  let n = max 0 n in
+  if n > Sys.max_array_length then
+    Diag.error "runtime: length %d exceeds the maximum array length" n;
+  n
+
+(* a bitmap operation on the payload of the handle in argument 0 *)
+let on_bitmap op m args = op (Machine.bm_payload m (iarg 0 args)) args
+let set_bit bytes args = Machine.bit_set bytes (iarg 1 args); unit_v
+let get_bit bytes args = bool_v (Machine.bit_get bytes (iarg 1 args))
 
 open Ast
 
@@ -87,7 +118,8 @@ let all : t list =
   List.mapi (fun id bi -> { bi with id })
   [
     (* ---- pure conversions and string ops ---- *)
-    b "int_to_string" [ Tint ] Tstring (fun _ a -> (string_v (string_of_int (iarg 0 a)), 12.));
+    b "int_to_string" [ Tint ] Tstring ~injective:true (fun _ a ->
+        (string_v (string_of_int (iarg 0 a)), 12.));
     b "float_to_string" [ Tfloat ] Tstring (fun _ a ->
         (string_v (Printf.sprintf "%.4f" (farg 0 a)), 30.));
     b "int_to_float" [ Tint ] Tfloat (fun _ a -> (float_v (float_of_int (iarg 0 a)), 1.));
@@ -145,17 +177,17 @@ let all : t list =
     b "iarray" [ Tint ] (Tarray Tint)
       ~spec:(rw_spec ~allocates:true ())
       (fun _ a ->
-        let n = max 0 (iarg 0 a) in
+        let n = alloc_length (iarg 0 a) in
         (Value.Varray (Array.make n (int_v 0)), alloc_cost n));
     b "farray" [ Tint ] (Tarray Tfloat)
       ~spec:(rw_spec ~allocates:true ())
       (fun _ a ->
-        let n = max 0 (iarg 0 a) in
+        let n = alloc_length (iarg 0 a) in
         (Value.Varray (Array.make n (float_v 0.)), alloc_cost n));
     b "sarray" [ Tint ] (Tarray Tstring)
       ~spec:(rw_spec ~allocates:true ())
       (fun _ a ->
-        let n = max 0 (iarg 0 a) in
+        let n = alloc_length (iarg 0 a) in
         (Value.Varray (Array.make n (string_v "")), alloc_cost n));
     b "alen_i" [ Tarray Tint ] Tint
       ~spec:(rw_spec ~reads_arrays:[ 0 ] ())
@@ -169,15 +201,16 @@ let all : t list =
     (* matrix = float[] from the shared allocator: the allocator free-list
        is the shared resource, the storage itself is fresh (456.hmmer) *)
     b "matrix_alloc" [ Tint ] (Tarray Tfloat) ~tm_safe:true ~thread_safe:true
+      ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ~allocates:true ())
       (fun _ a ->
-        let n = max 0 (iarg 0 a) in
+        let n = alloc_length (iarg 0 a) in
         (Value.Varray (Array.make n (float_v 0.)), alloc_cost n +. 120.));
-    b "matrix_free" [ Tarray Tfloat ] Tvoid ~tm_safe:true ~thread_safe:true
+    b "matrix_free" [ Tarray Tfloat ] Tvoid ~tm_safe:true ~thread_safe:true ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ~reads_arrays:[ 0 ] ())
       (fun _ _ -> (int_v 0, 140.));
     (* ---- console and files ---- *)
-    b "print" [ Tstring ] Tvoid ~tm_safe:false
+    b "print" [ Tstring ] Tvoid ~tm_safe:false ~wclass:(Multiset "stdout")
       ~spec:(rw_spec ~reads:[ "io.stdout" ] ~writes:[ "io.stdout" ] ())
       ~thread_safe:true
       (fun m a ->
@@ -186,17 +219,18 @@ let all : t list =
     (* each call mints a distinct descriptor: the result is a fresh
        handle ([allocates]), which lets the static differencer prove
        per-iteration streams distinct *)
-    b "fopen" [ Tstring ] Tint ~tm_safe:false
+    b "fopen" [ Tstring ] Tint ~tm_safe:false ~wclass:(Alloc "fd")
       ~spec:(rw_spec ~reads:[ "io.fdtable" ] ~writes:[ "io.fdtable" ] ~allocates:true ())
       ~thread_safe:true
       (fun m a -> (int_v (Machine.fopen m (sarg 0 a)), Costmodel.file_open_cost));
-    b "fclose" [ Tint ] Tvoid ~tm_safe:false
+    b "fclose" [ Tint ] Tvoid ~tm_safe:false ~wclass:(Alloc "fd")
       ~spec:(rw_spec ~reads:[ "io.fdtable" ] ~writes:[ "io.fdtable" ] ())
       ~thread_safe:true
       (fun m a ->
         Machine.fclose m (iarg 0 a);
         (int_v 0, Costmodel.file_close_cost));
-    b "fread" [ Tint; Tint ] Tstring ~tm_safe:false
+    b "fread" [ Tint; Tint ] Tstring ~tm_safe:false ~wclass:(Cursor "stream")
+      ~partition:("io.stream.in", 0)
       ~spec:
         (rw_spec
            ~reads:[ "io.stream.in"; "io.disk" ]
@@ -208,15 +242,16 @@ let all : t list =
       (fun m a ->
         let s = Machine.fread m (iarg 0 a) (iarg 1 a) in
         (string_v s, Costmodel.file_read_base +. (Costmodel.per_byte *. float_of_int (String.length s))));
-    b "fsize" [ Tint ] Tint ~tm_safe:false
+    b "fsize" [ Tint ] Tint ~tm_safe:false ~partition:("io.stream.in", 0)
       ~spec:(rw_spec ~reads:[ "io.stream.in" ] ())
       ~thread_safe:true
       (fun m a -> (int_v (Machine.fsize m (iarg 0 a)), 40.));
-    b "feof" [ Tint ] Tbool ~tm_safe:false
+    b "feof" [ Tint ] Tbool ~tm_safe:false ~partition:("io.stream.in", 0)
       ~spec:(rw_spec ~reads:[ "io.stream.in" ] ())
       ~thread_safe:true
       (fun m a -> (bool_v (Machine.feof m (iarg 0 a)), 20.));
-    b "fwrite" [ Tint; Tstring ] Tvoid ~tm_safe:false
+    b "fwrite" [ Tint; Tstring ] Tvoid ~tm_safe:false ~wclass:(Multiset "stream")
+      ~partition:("io.stream.out", 0)
       ~spec:(rw_spec ~reads:[ "io.stream.out"; "io.disk" ] ~writes:[ "io.stream.out" ] ())
       ~thread_safe:true
       (fun m a ->
@@ -224,123 +259,117 @@ let all : t list =
         Machine.fwrite m (iarg 0 a) s;
         (int_v 0, Costmodel.file_write_base +. (Costmodel.write_per_byte *. float_of_int (String.length s))));
     (* ---- RNG ---- *)
-    b "rng_int" [ Tint ] Tint ~thread_safe:true
+    b "rng_int" [ Tint ] Tint ~thread_safe:true ~sharing:Ordered ~wclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m a -> (int_v (Machine.rng_int m (iarg 0 a)), Costmodel.rng_cost));
-    b "rng_range" [ Tint; Tint ] Tint ~thread_safe:true
+    b "rng_range" [ Tint; Tint ] Tint ~thread_safe:true ~sharing:Ordered ~wclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m a ->
         let lo = iarg 0 a and hi = iarg 1 a in
         let v = if hi <= lo then lo else lo + Machine.rng_int m (hi - lo) in
         (int_v v, Costmodel.rng_cost));
-    b "rng_float" [] Tfloat ~thread_safe:true
+    b "rng_float" [] Tfloat ~thread_safe:true ~sharing:Ordered ~wclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m _ -> (float_v (Machine.rng_float m), Costmodel.rng_cost));
-    b "rng_gauss" [] Tfloat ~thread_safe:true
+    b "rng_gauss" [] Tfloat ~thread_safe:true ~sharing:Ordered ~wclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m _ ->
         let u1 = max 1e-9 (Machine.rng_float m) and u2 = Machine.rng_float m in
         (float_v (sqrt (-2. *. log u1) *. cos (6.2831853 *. u2)), Costmodel.rng_cost *. 2.));
-    b "rng_reseed" [ Tint ] Tvoid ~thread_safe:true
+    b "rng_reseed" [ Tint ] Tvoid ~thread_safe:true ~sharing:Ordered ~wclass:Overwrite
       ~spec:(rw_spec ~writes:[ "rng" ] ())
       (fun m a ->
         Machine.rng_reseed m (iarg 0 a);
         (int_v 0, Costmodel.rng_cost));
     (* ---- histogram ---- *)
-    b "hist_add" [ Tfloat ] Tvoid
-      ~spec:(rw_spec ~reads:[ "hist" ] ~writes:[ "hist" ] ())
-      (fun m a ->
-        Machine.hist_add m (farg 0 a);
-        (int_v 0, Costmodel.hist_cost));
+    b_priced "hist_add" [ Tfloat ] Tvoid ~cost:(fun _ -> Costmodel.hist_cost)
+      ~wclass:(Accum "histogram")
+      ~spec:(rw_spec ~reads:[ "hist" ] ~writes:[ "hist" ] ~update:(Effects.Update_writer "hist") ())
+      (fun m a -> Machine.hist_add m (farg 0 a); unit_v);
     b "hist_summary" [] Tstring
-      ~spec:(rw_spec ~reads:[ "hist" ] ())
+      ~spec:(rw_spec ~reads:[ "hist" ] ~update:(Effects.Update_reader "hist") ())
       (fun m _ -> (string_v (Machine.hist_summary m), 60.));
     (* ---- vector ---- *)
-    b "vec_push" [ Tstring ] Tvoid
-      ~spec:(rw_spec ~reads:[ "vec" ] ~writes:[ "vec" ] ())
-      (fun m a ->
-        Machine.vec_push m (sarg 0 a);
-        (int_v 0, Costmodel.collection_op_cost));
+    b_priced "vec_push" [ Tstring ] Tvoid ~cost:(fun _ -> Costmodel.collection_op_cost)
+      ~wclass:(Multiset "vector")
+      ~spec:(rw_spec ~reads:[ "vec" ] ~writes:[ "vec" ] ~update:(Effects.Update_writer "vec") ())
+      (fun m a -> Machine.vec_push m (sarg 0 a); unit_v);
     b "vec_size" [] Tint
-      ~spec:(rw_spec ~reads:[ "vec" ] ())
+      ~spec:(rw_spec ~reads:[ "vec" ] ~update:(Effects.Update_reader "vec") ())
       (fun m _ -> (int_v (Machine.vec_size m), 4.));
     b "vec_get" [ Tint ] Tstring
-      ~spec:(rw_spec ~reads:[ "vec" ] ())
+      ~spec:(rw_spec ~reads:[ "vec" ] ~update:(Effects.Update_reader "vec") ())
       (fun m a -> (string_v (Machine.vec_get m (iarg 0 a)), 6.));
     (* ---- bitmaps ---- *)
-    b "bm_new" [ Tint ] Tint ~thread_safe:true
+    b "bm_new" [ Tint ] Tint ~thread_safe:true ~sharing:Bitmap_alloc ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
-      (fun m a -> (int_v (Machine.bm_new m (iarg 0 a)), 60. +. (0.05 *. float_of_int (iarg 0 a / 8))));
-    b "bm_free" [ Tint ] Tvoid ~thread_safe:true
+      (fun m a ->
+        let nbits = max 0 (iarg 0 a) in
+        (int_v (Machine.bm_new m nbits), 60. +. (0.05 *. float_of_int (nbits / 8))));
+    b "bm_free" [ Tint ] Tvoid ~thread_safe:true ~sharing:Bitmap_free ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m a ->
         Machine.bm_free m (iarg 0 a);
         (int_v 0, 40.));
-    b "bm_set" [ Tint; Tint ] Tvoid
+    b_priced "bm_set" [ Tint; Tint ] Tvoid ~cost:(fun _ -> Costmodel.collection_op_cost)
+      ~sharing:(Bitmap_access set_bit) ~wclass:(Accum "bitmap-or") ~partition:("bm.data", 0)
       ~spec:(rw_spec ~reads:[ "bm.data" ] ~writes:[ "bm.data" ] ())
-      (fun m a ->
-        Machine.bm_set m (iarg 0 a) (iarg 1 a);
-        (int_v 0, Costmodel.collection_op_cost));
-    b "bm_get" [ Tint; Tint ] Tbool
-      ~spec:(rw_spec ~reads:[ "bm.data" ] ())
-      (fun m a -> (bool_v (Machine.bm_get m (iarg 0 a) (iarg 1 a)), 8.));
+      (on_bitmap set_bit);
+    b_priced "bm_get" [ Tint; Tint ] Tbool ~cost:(fun _ -> 8.) ~sharing:(Bitmap_access get_bit)
+      ~partition:("bm.data", 0) ~spec:(rw_spec ~reads:[ "bm.data" ] ())
+      (on_bitmap get_bit);
     (* ---- lists ---- *)
-    b "list_new" [] Tint ~thread_safe:true
+    b "list_new" [] Tint ~thread_safe:true ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m _ -> (int_v (Machine.list_new m), 50.));
-    b "list_insert" [ Tint; Tint ] Tvoid
+    b "list_insert" [ Tint; Tint ] Tvoid ~wclass:(Multiset "list") ~partition:("lst", 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ~writes:[ "lst" ] ())
       (fun m a ->
         Machine.list_insert m (iarg 0 a) (iarg 1 a);
         (int_v 0, Costmodel.collection_op_cost));
-    b "list_contains" [ Tint; Tint ] Tbool
+    b "list_contains" [ Tint; Tint ] Tbool ~partition:("lst", 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a ->
         let l = Machine.list_lookup m (iarg 0 a) in
         (bool_v (List.mem (iarg 1 a) !l), 8. +. (0.4 *. float_of_int (List.length !l))));
-    b "list_size" [ Tint ] Tint
+    b "list_size" [ Tint ] Tint ~partition:("lst", 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a -> (int_v (Machine.list_size m (iarg 0 a)), 6.));
-    b "list_sum" [ Tint ] Tint
+    b "list_sum" [ Tint ] Tint ~partition:("lst", 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a -> (int_v (Machine.list_sum m (iarg 0 a)), 20.));
     (* ---- stats ---- *)
-    b "stat_add" [ Tfloat ] Tvoid
-      ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ())
-      (fun m a ->
-        Machine.stat_add m (farg 0 a);
-        (int_v 0, 16.));
-    b "stat_note_max" [ Tfloat ] Tvoid
-      ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ())
-      (fun m a ->
-        Machine.stat_note_max m (farg 0 a);
-        (int_v 0, 14.));
+    b_priced "stat_add" [ Tfloat ] Tvoid ~cost:(fun _ -> 16.) ~wclass:(Accum "statistics")
+      ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ~update:(Effects.Update_writer "stats") ())
+      (fun m a -> Machine.stat_add m (farg 0 a); unit_v);
+    b_priced "stat_note_max" [ Tfloat ] Tvoid ~cost:(fun _ -> 14.) ~wclass:(Accum "statistics")
+      ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ~update:(Effects.Update_writer "stats") ())
+      (fun m a -> Machine.stat_note_max m (farg 0 a); unit_v);
     b "stat_summary" [] Tstring
-      ~spec:(rw_spec ~reads:[ "stats" ] ())
+      ~spec:(rw_spec ~reads:[ "stats" ] ~update:(Effects.Update_reader "stats") ())
       (fun m _ -> (string_v (Machine.stat_summary m), 60.));
     (* ---- packets ---- *)
-    b "pkt_dequeue" [] Tint
+    b "pkt_dequeue" [] Tint ~sharing:Ordered ~wclass:(Cursor "packet-queue")
       ~spec:(rw_spec ~reads:[ "pkt.pool" ] ~writes:[ "pkt.pool" ] ())
       (fun m _ -> (int_v (Machine.pkt_dequeue m), Costmodel.packet_dequeue_cost));
     b "pkt_url" [ Tint ] Tstring (fun m a -> (string_v (Machine.pkt_url m (iarg 0 a)), 10.));
     (* ---- database ---- *)
-    b "db_read" [] Tstring ~tm_safe:false
+    b "db_read" [] Tstring ~tm_safe:false ~sharing:Ordered ~wclass:(Cursor "db")
       ~spec:(rw_spec ~reads:[ "db.cursor" ] ~writes:[ "db.cursor" ] ())
       (fun m _ ->
         let row = Machine.db_read m in
         (string_v row, Costmodel.db_read_cost +. (Costmodel.per_byte *. float_of_int (String.length row))));
     (* ---- log ---- *)
-    b "log_write" [ Tstring ] Tvoid ~thread_safe:true
-      ~spec:(rw_spec ~reads:[ "log" ] ~writes:[ "log" ] ())
-      (fun m a ->
-        let s = sarg 0 a in
-        Machine.log_write m s;
-        (int_v 0, Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int (String.length s))));
+    b_priced "log_write" [ Tstring ] Tvoid ~thread_safe:true ~wclass:(Multiset "log")
+      ~spec:(rw_spec ~reads:[ "log" ] ~writes:[ "log" ] ~update:(Effects.Update_writer "log") ())
+      ~cost:(fun a ->
+        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int (String.length (sarg 0 a))))
+      (fun m a -> Machine.log_write m (sarg 0 a); unit_v);
     b "log_count" [] Tint
-      ~spec:(rw_spec ~reads:[ "log" ] ())
+      ~spec:(rw_spec ~reads:[ "log" ] ~update:(Effects.Update_reader "log") ())
       (fun m _ -> (int_v (Machine.log_count m), 6.));
     (* ---- list destruction (heap free-list, like bm_free) ---- *)
-    b "list_free" [ Tint ] Tvoid ~thread_safe:true
+    b "list_free" [ Tint ] Tvoid ~thread_safe:true ~wclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m a ->
         Hashtbl.remove m.Machine.lists (iarg 0 a);
@@ -354,10 +383,11 @@ let all : t list =
         Buffer.add_string buf "</svg>";
         (string_v (Buffer.contents buf), 60. +. (4.5 *. float_of_int (String.length s))));
     (* ---- memoization cache (string registry) ---- *)
-    b "cache_get" [ Tstring ] Tstring ~thread_safe:true
+    b "cache_get" [ Tstring ] Tstring ~thread_safe:true ~partition:("registry", 0)
       ~spec:(rw_spec ~reads:[ "registry" ] ())
       (fun m a -> (string_v (Machine.cache_get m (sarg 0 a)), 26.));
-    b "cache_put" [ Tstring; Tstring ] Tvoid ~thread_safe:true
+    b "cache_put" [ Tstring; Tstring ] Tvoid ~thread_safe:true ~wclass:Overwrite
+      ~partition:("registry", 0)
       ~spec:(rw_spec ~reads:[ "registry" ] ~writes:[ "registry" ] ())
       (fun m a ->
         Machine.cache_put m (sarg 0 a) (sarg 1 a);
@@ -370,18 +400,19 @@ let all : t list =
     b "graph_build_nodes" [ Tint ] Tvoid
       ~spec:(rw_spec ~writes:[ "graph.nodes" ] ())
       (fun m a ->
-        Machine.graph_build_nodes m (iarg 0 a);
-        (int_v 0, 100. +. (2.0 *. float_of_int (iarg 0 a))));
+        let n = alloc_length (iarg 0 a) in
+        Machine.graph_build_nodes m n;
+        (int_v 0, 100. +. (2.0 *. float_of_int n)));
     b "graph_first" [] Tint
       ~spec:(rw_spec ~reads:[ "graph.nodes" ] ())
       (fun m _ -> (int_v (Machine.graph_first m), 6.));
     b "graph_next" [ Tint ] Tint
       ~spec:(rw_spec ~reads:[ "graph.nodes" ] ())
       (fun m a -> (int_v (Machine.graph_next m (iarg 0 a)), 18.));
-    b "graph_set_neighbor" [ Tint; Tint; Tint ] Tvoid (fun m a ->
+    b "graph_set_neighbor" [ Tint; Tint; Tint ] Tvoid ~sharing:Shared (fun m a ->
         Machine.graph_set_neighbor m (iarg 0 a) (iarg 1 a) (iarg 2 a);
         (int_v 0, 22.));
-    b "graph_set_weight" [ Tint; Tint; Tfloat ] Tvoid (fun m a ->
+    b "graph_set_weight" [ Tint; Tint; Tfloat ] Tvoid ~sharing:Shared (fun m a ->
         Machine.graph_set_weight m (iarg 0 a) (iarg 1 a) (farg 2 a);
         (int_v 0, 22.));
     b "graph_summary" [] Tstring
@@ -406,7 +437,10 @@ let all : t list =
     b "aset_f" [ Tarray Tfloat; Tint; Tfloat ] Tvoid
       ~spec:(rw_spec ~writes_arrays:[ 0 ] ())
       (fun _ a ->
-        (aarg 0 a).(iarg 1 a) <- float_v (farg 2 a);
+        let arr = aarg 0 a and i = iarg 1 a in
+        if i < 0 || i >= Array.length arr then
+          Diag.error "runtime: index %d out of bounds (length %d)" i (Array.length arr);
+        arr.(i) <- float_v (farg 2 a);
         (int_v 0, 3.));
   ]
 
@@ -429,6 +463,7 @@ let lookup_spec : Effects.lookup = fun name -> Option.map (fun bi -> bi.spec) (f
 let extern_sigs : Tc.extern_sig list =
   List.map (fun bi -> { Tc.xname = bi.name; xparams = bi.params; xret = bi.ret }) all
 
-(** Abstract resources a builtin touches (for Lib-mode locking). *)
-let resources bi =
-  Commset_support.Listx.uniq (bi.spec.Effects.bs_reads @ bi.spec.Effects.bs_writes)
+let deferred_cost bi =
+  match bi.arg_cost with
+  | Some cost -> cost
+  | None -> invalid_arg ("Builtins.deferred_cost: " ^ bi.name ^ " prices calls as it runs them")

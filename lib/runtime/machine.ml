@@ -199,28 +199,30 @@ let vec_get m i =
 (* --- bitmaps ------------------------------------------------------------ *)
 
 let bm_new m nbits =
+  let nbits = max 0 nbits in
+  let nbytes = (nbits / 8) + if nbits mod 8 = 0 then 0 else 1 in
+  if nbytes > Sys.max_string_length then
+    Diag.error "runtime: bitmap of %d bits exceeds the maximum size" nbits;
   let id = m.next_bitmap in
   m.next_bitmap <- id + 1;
   m.live_bitmaps <- m.live_bitmaps + 1;
-  Hashtbl.replace m.bitmaps id (Bytes.make ((nbits + 7) / 8) '\000');
+  Hashtbl.replace m.bitmaps id (Bytes.make nbytes '\000');
   id
 
-let bm_lookup m id =
+let bm_payload m id =
   match Hashtbl.find_opt m.bitmaps id with
   | Some b -> b
   | None -> Diag.error "runtime: unknown bitmap %d" id
 
-let bm_set m id key =
-  let b = bm_lookup m id in
-  let byte = key / 8 and bit = key mod 8 in
-  if byte < 0 || byte >= Bytes.length b then Diag.error "runtime: bitmap key %d out of range" key;
-  Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl bit)))
+let bit_in_range b key = key >= 0 && key / 8 < Bytes.length b
 
-let bm_get m id key =
-  let b = bm_lookup m id in
-  let byte = key / 8 and bit = key mod 8 in
-  if byte < 0 || byte >= Bytes.length b then false
-  else Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
+let bit_set b key =
+  if not (bit_in_range b key) then Diag.error "runtime: bitmap key %d out of range" key;
+  let byte = key / 8 in
+  Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl (key mod 8))))
+
+let bit_get b key =
+  bit_in_range b key && Char.code (Bytes.get b (key / 8)) land (1 lsl (key mod 8)) <> 0
 
 let bm_free m id =
   if Hashtbl.mem m.bitmaps id then begin

@@ -76,8 +76,12 @@ val vec_get : t -> int -> string
 
 (* bitmaps *)
 val bm_new : t -> int -> int
-val bm_set : t -> int -> int -> unit
-val bm_get : t -> int -> int -> bool
+val bm_payload : t -> int -> Bytes.t
+
+(** Set / test a bit of a bitmap payload (also the real engine's private
+    bitmaps): setting a key outside it is a diagnostic, testing one reads clear. *)
+val bit_set : Bytes.t -> int -> unit
+val bit_get : Bytes.t -> int -> bool
 val bm_free : t -> int -> unit
 
 (* integer lists *)

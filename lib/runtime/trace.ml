@@ -11,13 +11,7 @@ module Pdg = Commset_pdg.Pdg
 
 type atom =
   | Acompute of float
-  | Abuiltin of {
-      bname : string;
-      cost : float;
-      resources : string list;
-      thread_safe : bool;
-      tm_safe : bool;
-    }
+  | Abuiltin of { bi : Builtins.t; cost : float }  (** one call and the cost it charged *)
   | Aout of string
 
 (** predicate actuals observed for one dynamic member instance *)
@@ -191,16 +185,7 @@ let hooks_of_recorder rec_ : Interp.hooks =
       (fun bi cost ->
         match current_exec rec_ with
         | Some e ->
-            e.atoms <-
-              Abuiltin
-                {
-                  bname = bi.Builtins.name;
-                  cost;
-                  resources = Builtins.resources bi;
-                  thread_safe = bi.Builtins.thread_safe;
-                  tm_safe = bi.Builtins.tm_safe;
-                }
-              :: e.atoms
+            e.atoms <- Abuiltin { bi; cost } :: e.atoms
         | None -> rec_.other <- rec_.other +. cost);
     on_output =
       (fun s ->

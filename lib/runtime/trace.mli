@@ -8,13 +8,7 @@ module Pdg = Commset_pdg.Pdg
 
 type atom =
   | Acompute of float
-  | Abuiltin of {
-      bname : string;
-      cost : float;
-      resources : string list;
-      thread_safe : bool;
-      tm_safe : bool;
-    }
+  | Abuiltin of { bi : Builtins.t; cost : float }  (** one call and the cost it charged *)
   | Aout of string
 
 (** Predicate actuals observed for one dynamic member instance. *)

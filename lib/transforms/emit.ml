@@ -28,6 +28,7 @@
 module Pdg = Commset_pdg.Pdg
 module Effects = Commset_analysis.Effects
 module Trace = Commset_runtime.Trace
+module Builtins = Commset_runtime.Builtins
 module Sim = Commset_runtime.Sim
 module Costmodel = Commset_runtime.Costmodel
 
@@ -73,7 +74,7 @@ let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
      cost run *)
   let in_run = function
     | Trace.Acompute _ -> true
-    | Trace.Abuiltin { resources; thread_safe; _ } -> not (thread_safe && resources <> [])
+    | Trace.Abuiltin { bi; _ } -> not (bi.Builtins.thread_safe && bi.Builtins.resources <> [])
     | Trace.Aout _ -> false
   in
   let rec run_length n = function a :: rest when in_run a -> run_length (n + 1) rest | _ -> n in
@@ -94,10 +95,10 @@ let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
         walk tag (Sim.Compute { costs; tag } :: segs) ([||] :: lib) has_lib outputs rest
     | Trace.Aout s :: rest ->
         walk tag (Sim.Emit s :: segs) ([||] :: lib) has_lib (s :: outputs) rest
-    | Trace.Abuiltin { cost; resources; _ } :: rest ->
+    | Trace.Abuiltin { bi; cost } :: rest ->
         walk tag
           (Sim.Compute { costs = [| cost |]; tag } :: segs)
-          (Array.of_list (List.map res_id resources) :: lib)
+          (Array.of_list (List.map res_id bi.Builtins.resources) :: lib)
           true outputs rest
     | Trace.Acompute _ :: _ -> assert false
   in

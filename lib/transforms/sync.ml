@@ -17,6 +17,7 @@ module Pdg = Commset_pdg.Pdg
 module Effects = Commset_analysis.Effects
 module Metadata = Commset_core.Metadata
 module Trace = Commset_runtime.Trace
+module Builtins = Commset_runtime.Builtins
 
 type set_sync = {
   ss_name : string;
@@ -43,7 +44,8 @@ let node_lib_safe (trace : Trace.t) nid =
           List.iter
             (fun a ->
               match a with
-              | Trace.Abuiltin { thread_safe = false; resources; _ } when resources <> [] ->
+              | Trace.Abuiltin { bi; _ }
+                when (not bi.Builtins.thread_safe) && bi.Builtins.resources <> [] ->
                   ok := false
               | _ -> ())
             (Trace.exec_atoms e)
@@ -142,7 +144,7 @@ let tm_applicable t (trace : Trace.t) =
               List.iter
                 (fun a ->
                   match a with
-                  | Trace.Abuiltin { tm_safe = false; _ } -> ok := false
+                  | Trace.Abuiltin { bi; _ } when not bi.Builtins.tm_safe -> ok := false
                   | Trace.Aout _ -> ok := false (* output cannot roll back *)
                   | _ -> ())
                 (Trace.exec_atoms e)

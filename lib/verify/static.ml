@@ -19,9 +19,10 @@
     chased structurally through unique definitions: results of
     allocating builtins executed once per iteration become per-iteration
     *fresh* pseudo-IVs (distinct across iterations, stable within one),
-    and injective constructions ([int_to_string], concatenation with a
-    fixed prefix/suffix) become {!S.Sinj} values — both feed the keyed
-    disjointness reasoning of {!Abstore}. *)
+    and injective constructions (a builtin whose descriptor says it is
+    injective, concatenation with a fixed prefix/suffix) become
+    {!S.Sinj} values — both feed the keyed disjointness reasoning of
+    {!Abstore}. *)
 
 module Ir = Commset_ir.Ir
 module A = Commset_analysis
@@ -150,6 +151,11 @@ let fresh_alloc ctx ~site r : int option =
 
 let chase_depth = 6
 
+let injective callee =
+  match Commset_runtime.Builtins.find callee with
+  | Some bi -> bi.Commset_runtime.Builtins.injective
+  | None -> false
+
 (* Symbolic value of an operand, chasing unique in-function definitions
    for structure the affine classifier cannot see. [label] is the block
    of the member site the operand is observed from. *)
@@ -181,8 +187,8 @@ let rec sval_of_operand ?(depth = chase_depth) ctx side ~fname ~label
                     in
                     match i.Ir.desc with
                     | Ir.Move (_, o) -> recur o
-                    | Ir.Call { callee = "int_to_string"; args = [ a ]; _ } ->
-                        S.Sinj ("int_to_string", recur a)
+                    | Ir.Call { callee; args = [ a ]; _ } when injective callee ->
+                        S.Sinj (callee, recur a)
                     | Ir.Binop (Commset_lang.Ast.Add, Commset_lang.Ast.Tstring, _, a, b)
                       -> (
                         match (a, b) with

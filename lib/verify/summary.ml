@@ -34,6 +34,7 @@
 module Ir = Commset_ir.Ir
 module Effects = Commset_analysis.Effects
 module Metadata = Commset_core.Metadata
+module Builtins = Commset_runtime.Builtins
 
 type opclass =
   | Accum of string
@@ -55,43 +56,6 @@ let opclass_to_string = function
   | Overwrite -> "overwrite"
   | Opaque s -> Printf.sprintf "opaque(%s)" s
 
-(* How each builtin's writes combine with a concurrent instance of the
-   same (or another) builtin hitting the same resource. *)
-let builtin_class name =
-  match name with
-  | "hist_add" -> Accum "histogram"
-  | "stat_add" | "stat_note_max" -> Accum "statistics"
-  | "bm_set" -> Accum "bitmap-or"
-  | "list_insert" -> Multiset "list"
-  | "vec_push" -> Multiset "vector"
-  | "log_write" -> Multiset "log"
-  | "print" -> Multiset "stdout"
-  | "fwrite" -> Multiset "stream"
-  | "fopen" | "fclose" -> Alloc "fd"
-  | "bm_new" | "bm_free" | "list_new" | "list_free" | "matrix_alloc"
-  | "matrix_free" ->
-      Alloc "heap"
-  | "pkt_dequeue" -> Cursor "packet-queue"
-  | "db_read" -> Cursor "db"
-  | "fread" -> Cursor "stream"
-  | "rng_int" | "rng_range" | "rng_float" | "rng_gauss" -> Rng
-  | "rng_reseed" | "cache_put" -> Overwrite
-  | other -> Opaque other
-
-(* Builtins whose named resources are partitioned by one argument: the
-   resource behaves as an array of independent sub-resources indexed by
-   that argument's value (a handle or a key). Instances touching
-   provably distinct keys touch disjoint state. *)
-let builtin_key name : (string list * int) option =
-  match name with
-  | "bm_set" | "bm_get" -> Some ([ "bm.data" ], 0)
-  | "fread" | "fsize" | "feof" -> Some ([ "io.stream.in" ], 0)
-  | "fwrite" -> Some ([ "io.stream.out" ], 0)
-  | "cache_put" | "cache_get" -> Some ([ "registry" ], 0)
-  | "list_insert" | "list_contains" | "list_size" | "list_sum" ->
-      Some ([ "lst" ], 0)
-  | _ -> None
-
 (** One abstract-store access of a member. *)
 type access = {
   aloc : Effects.location;
@@ -106,14 +70,17 @@ type access = {
 
 let read_access ?key l = { aloc = l; awrite = false; aclass = Opaque "read"; avalue = None; akey = key }
 
-(* keyed resources of a builtin call: key operand per touched location *)
-let key_for_builtin callee (args : Ir.operand list) (l : Effects.location) =
-  match builtin_key callee with
-  | Some (resources, idx) -> (
-      match l with
-      | Effects.Lext r when List.mem r resources -> List.nth_opt args idx
-      | _ -> None)
-  | None -> None
+(* How a builtin's writes combine with a concurrent write to the same
+   resource, from its descriptor. *)
+let write_class (bi : Builtins.t) =
+  match bi.Builtins.wclass with
+  | Builtins.Accum s -> Accum s
+  | Builtins.Multiset s -> Multiset s
+  | Builtins.Alloc s -> Alloc s
+  | Builtins.Cursor s -> Cursor s
+  | Builtins.Rng -> Rng
+  | Builtins.Overwrite -> Overwrite
+  | Builtins.Opaque -> Opaque bi.Builtins.name
 
 (* ---- transitive summarization of user-function calls ---------------- *)
 
@@ -139,16 +106,22 @@ let rec accesses_of_instr md ~fname ~visited (i : Ir.instr) : access list =
   let rw = Effects.instr_rw effects ~fname i in
   match i.Ir.desc with
   | Ir.Call { callee; args; _ } -> (
-      match Commset_runtime.Builtins.find callee with
-      | Some _ ->
-          let wclass = builtin_class callee in
+      match Builtins.find callee with
+      | Some bi ->
+          let wclass = write_class bi in
+          (* a partitioned resource carries its key operand *)
+          let key l =
+            match (bi.Builtins.partition, l) with
+            | Some (r, idx), Effects.Lext r' when r = r' -> List.nth_opt args idx
+            | _ -> None
+          in
           let mk awrite l =
             {
               aloc = l;
               awrite;
               aclass = (if awrite then wclass else Opaque "read");
               avalue = None;
-              akey = key_for_builtin callee args l;
+              akey = key l;
             }
           in
           Effects.LocSet.fold

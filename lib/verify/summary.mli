@@ -3,7 +3,8 @@
     functions are summarized transitively; structurally recognized
     patterns (read-modify-write array accumulation, deterministic global
     self-updates) upgrade otherwise-opaque writes; accesses to
-    partitioned resources carry the partitioning *key* operand. *)
+    partitioned resources carry the partitioning *key* operand. A
+    builtin's class and partition come from its descriptor. *)
 
 module Ir = Commset_ir.Ir
 module Effects = Commset_analysis.Effects
@@ -23,11 +24,9 @@ type opclass =
   | Opaque of string  (** no algebraic structure known *)
 
 val opclass_to_string : opclass -> string
-val builtin_class : string -> opclass
 
-(** Resources of a builtin partitioned by one of its arguments, as
-    [(resource names, key argument index)]. *)
-val builtin_key : string -> (string list * int) option
+(** The class of a builtin's writes, from its descriptor. *)
+val write_class : Commset_runtime.Builtins.t -> opclass
 
 (** One abstract-store access of a member. *)
 type access = {

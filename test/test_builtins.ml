@@ -168,6 +168,116 @@ void main() {
     [ "deterministic"; "in-range"; "hist n=2 mean=1.0000" ]
     out
 
+(* ---- every builtin on edge arguments ---- *)
+
+(* Edge values for each declared parameter type. Lengths stay at or
+   below 10^6 or go past the platform's maximum, so a call either
+   allocates little or must refuse; none merely exhausts memory. *)
+let edge_values : L.Ast.ty -> R.Value.t list =
+  let ints = [ min_int; -9; -3; -1; 0; 1; 3; 4; 1_000_000; max_int ] in
+  let arr mk = [ [||]; Array.init 4 mk ] in
+  function
+  | L.Ast.Tint -> List.map (fun n -> R.Value.Vint n) ints
+  | L.Ast.Tfloat ->
+      List.map (fun f -> R.Value.Vfloat f) [ 0.; -1.5; nan; infinity; neg_infinity; 1e308 ]
+  | L.Ast.Tbool -> [ R.Value.Vbool true; R.Value.Vbool false ]
+  | L.Ast.Tstring -> List.map (fun s -> R.Value.Vstring s) [ ""; "abc"; "f" ]
+  | L.Ast.Tarray L.Ast.Tfloat ->
+      List.map (fun a -> R.Value.Varray a) (arr (fun i -> R.Value.Vfloat (float_of_int i)))
+  | L.Ast.Tarray L.Ast.Tstring ->
+      List.map (fun a -> R.Value.Varray a) (arr (fun _ -> R.Value.Vstring "s"))
+  | L.Ast.Tarray _ -> List.map (fun a -> R.Value.Varray a) (arr (fun i -> R.Value.Vint i))
+  | _ -> [ R.Value.Vint 0 ]
+
+(* a machine where handle 1 names a live bitmap and list, fd 3 an open
+   file, and the graph, packet queue and database are populated *)
+let edge_machine () =
+  let m = R.Machine.create () in
+  R.Machine.add_file m "f" "hello";
+  ignore (R.Machine.fopen m "f" : int);
+  ignore (R.Machine.bm_new m 16 : int);
+  ignore (R.Machine.list_new m : int);
+  R.Machine.graph_build_nodes m 4;
+  R.Machine.set_packets m [ (1, "u") ];
+  R.Machine.set_db_rows m [| "row" |];
+  m
+
+let test_edge_arguments () =
+  let rec combos = function
+    | [] -> [ [] ]
+    | ty :: rest ->
+        let tails = combos rest in
+        List.concat_map (fun v -> List.map (fun t -> v :: t) tails) (edge_values ty)
+  in
+  let escaped =
+    List.filter_map
+      (fun (bi : R.Builtins.t) ->
+        List.find_map
+          (fun args ->
+            match bi.R.Builtins.impl (edge_machine ()) args with
+            | _ -> None
+            | exception Commset_support.Diag.Error _ -> None
+            | exception e ->
+                Some
+                  (Printf.sprintf "%s(%s): %s" bi.R.Builtins.name
+                     (String.concat ", " (List.map R.Value.to_display_string args))
+                     (Printexc.to_string e)))
+          (combos bi.R.Builtins.params))
+      R.Builtins.all
+  in
+  check Alcotest.(list string) "builtins that escape with a non-diagnostic exception" []
+    escaped
+
+let test_argument_labels () =
+  let imin = Option.get (R.Builtins.find "imin") in
+  match imin.R.Builtins.impl (R.Machine.create ()) [ R.Value.Vint 1; R.Value.Vstring "x" ] with
+  | _ -> Alcotest.fail "an ill-typed argument was accepted"
+  | exception Commset_support.Diag.Error d ->
+      check Alcotest.string "diagnostic" "runtime: argument 1 is not an int"
+        d.Commset_support.Diag.message
+
+(* ---- one descriptor per builtin ---- *)
+
+let test_descriptors_complete () =
+  let families = Hashtbl.create 8 in
+  List.iteri
+    (fun i (bi : R.Builtins.t) ->
+      let name = bi.R.Builtins.name and spec = bi.R.Builtins.spec in
+      let fail fmt = Alcotest.failf ("%s: " ^^ fmt) name in
+      if bi.R.Builtins.id <> i then fail "id %d at position %d" bi.R.Builtins.id i;
+      let resources = spec.Effects.bs_reads @ spec.Effects.bs_writes in
+      if List.sort_uniq compare resources <> List.sort compare bi.R.Builtins.resources then
+        fail "resource list differs from the spec";
+      (match bi.R.Builtins.sharing with
+      | R.Builtins.Free -> if resources <> [] then fail "free but declares resources"
+      | R.Builtins.Ordered when spec.Effects.bs_writes = [] -> fail "ordered but writes nothing"
+      | R.Builtins.Bitmap_access _ when Option.is_none bi.R.Builtins.arg_cost ->
+          fail "a private-bitmap route needs a cost from the arguments"
+      | _ -> ());
+      (match spec.Effects.bs_update with
+      | Effects.Update_writer f ->
+          if Option.is_none bi.R.Builtins.arg_cost then
+            fail "a buffered route needs a cost from the arguments";
+          if bi.R.Builtins.ret <> L.Ast.Tvoid then fail "an update writer must return unit";
+          Hashtbl.replace families f true
+      | Effects.Update_reader f ->
+          if not (Hashtbl.mem families f) then Hashtbl.replace families f false
+      | Effects.No_update -> ());
+      if bi.R.Builtins.wclass <> R.Builtins.Opaque && spec.Effects.bs_writes = [] then
+        fail "a write class without a written resource";
+      (match bi.R.Builtins.partition with
+      | Some (r, idx) ->
+          if not (List.mem r resources) then fail "partitions undeclared resource %s" r;
+          if idx < 0 || idx >= List.length bi.R.Builtins.params then
+            fail "partition key %d out of range" idx
+      | None -> ());
+      if bi.R.Builtins.injective && List.length bi.R.Builtins.params <> 1 then
+        fail "injective but not unary")
+    R.Builtins.all;
+  Hashtbl.iter
+    (fun f has_writer -> if not has_writer then Alcotest.failf "family %s has no writer" f)
+    families
+
 let suite =
   ( "builtins",
     [
@@ -179,4 +289,7 @@ let suite =
       Alcotest.test_case "array builtins" `Quick test_array_builtins;
       Alcotest.test_case "collections via miniC" `Quick test_collections_via_program;
       Alcotest.test_case "rng and histogram" `Quick test_rng_and_hist;
+      Alcotest.test_case "edge arguments end in a diagnostic" `Quick test_edge_arguments;
+      Alcotest.test_case "argument labels in coercion errors" `Quick test_argument_labels;
+      Alcotest.test_case "every descriptor is complete" `Quick test_descriptors_complete;
     ] )

@@ -306,6 +306,66 @@ let test_refused_loop_cs014 () =
               plan.T.Plan.label msg)
     plans
 
+(* ---- one cost per builtin ---- *)
+
+(* The builtins a route charges without running their implementation:
+   the buffered update writers and the private-bitmap accessors. Their
+   engine charges must equal what the sequential run charged for the
+   same calls, with a calibration profile applied or not. *)
+let deferred_builtins =
+  [ "hist_add"; "vec_push"; "log_write"; "stat_add"; "stat_note_max"; "bm_set"; "bm_get" ]
+
+let test_deferred_costs ~calibrated () =
+  let module Costmodel = R.Costmodel in
+  let module Attrib = Commset_obs.Attrib in
+  if calibrated then
+    Costmodel.set_builtin_cost_scales (List.map (fun n -> (n, 1.5)) deferred_builtins);
+  Fun.protect ~finally:Costmodel.clear_builtin_cost_scales @@ fun () ->
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun wname ->
+      let w = Option.get (Registry.find wname) in
+      let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+      (* what the sequential run charged each builtin inside the loop *)
+      let seq = Hashtbl.create 8 in
+      Array.iter
+        (fun it ->
+          List.iter
+            (fun e ->
+              List.iter
+                (function
+                  | R.Trace.Abuiltin { bi; cost } ->
+                      let n = bi.R.Builtins.name in
+                      let sum = Option.value ~default:0. (Hashtbl.find_opt seq n) in
+                      Hashtbl.replace seq n (sum +. cost)
+                  | _ -> ())
+                (R.Trace.exec_atoms e))
+            (R.Trace.iteration_execs it))
+        c.P.trace.R.Trace.iterations;
+      let plan = List.hd (P.executable_plans c ~threads:1) in
+      let x = P.run_parallel ~engine:Exec.Real_engine ~jobs:1 c plan in
+      if x.P.xstats.Exec.x_buffered_updates = 0 then
+        Alcotest.failf "%s: no update was buffered" wname;
+      match x.P.xstats.Exec.x_attrib with
+      | None -> Alcotest.failf "%s: no attribution summary" wname
+      | Some a ->
+          List.iter
+            (fun (st : Attrib.builtin_stat) ->
+              let n = st.Attrib.b_name in
+              if List.mem n deferred_builtins then begin
+                Hashtbl.replace seen n ();
+                let expect = Option.value ~default:nan (Hashtbl.find_opt seq n) in
+                if Float.abs (st.Attrib.b_cost_cycles -. expect) > 1e-9 *. Float.abs expect then
+                  Alcotest.failf "%s: %s charged %h cycles on the engine, %h sequentially" wname
+                    n st.Attrib.b_cost_cycles expect
+              end)
+            a.Attrib.a_builtins)
+    [ "hmmer"; "geti"; "url"; "eclat" ];
+  List.iter
+    (fun n ->
+      if not (Hashtbl.mem seen n) then Alcotest.failf "%s never ran on the engine" n)
+    deferred_builtins
+
 let suite =
   ( "realexec",
     [
@@ -316,4 +376,10 @@ let suite =
       Alcotest.test_case "re-entered loop: trace counts real iterations only" `Quick
         test_reentered_trace;
     ]
-    @ differential_cases @ equal_work_cases @ plan_time_map_cases )
+    @ differential_cases @ equal_work_cases @ plan_time_map_cases
+    @ [
+        Alcotest.test_case "deferred builtin costs match the sequential run" `Quick
+          (test_deferred_costs ~calibrated:false);
+        Alcotest.test_case "deferred builtin costs match the sequential run, calibrated" `Quick
+          (test_deferred_costs ~calibrated:true);
+      ] )

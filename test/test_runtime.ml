@@ -108,10 +108,11 @@ let test_machine_collections () =
   check Alcotest.string "vec get" "17" (R.Machine.vec_get m 17);
   (* bitmap *)
   let b = R.Machine.bm_new m 128 in
-  check Alcotest.bool "bit initially clear" false (R.Machine.bm_get m b 77);
-  R.Machine.bm_set m b 77;
-  check Alcotest.bool "bit set" true (R.Machine.bm_get m b 77);
-  check Alcotest.bool "other bit clear" false (R.Machine.bm_get m b 78);
+  let bits = R.Machine.bm_payload m b in
+  check Alcotest.bool "bit initially clear" false (R.Machine.bit_get bits 77);
+  R.Machine.bit_set bits 77;
+  check Alcotest.bool "bit set" true (R.Machine.bit_get bits 77);
+  check Alcotest.bool "other bit clear" false (R.Machine.bit_get bits 78);
   R.Machine.bm_free m b;
   (* lists *)
   let l = R.Machine.list_new m in
