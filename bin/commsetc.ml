@@ -70,7 +70,7 @@ let setup_logs level =
   Logs.set_level (Some level)
 
 let with_diag f =
-  try f () with
+  try R.Precompile.fuel_guard f with
   | Commset_support.Diag.Error d ->
       Fmt.epr "%s@." (Commset_support.Diag.to_string d);
       exit 1
@@ -551,7 +551,10 @@ let lint_cmd =
     let name, src, setup =
       try load ~workload ~variant ~file with Diag.Error d -> fail d
     in
-    let c = try P.compile ~name ~setup ~verify:true src with Diag.Error d -> fail d in
+    let c =
+      try R.Precompile.fuel_guard (fun () -> P.compile ~name ~setup ~verify:true src)
+      with Diag.Error d -> fail d
+    in
     let report =
       match c.P.verification with
       | Some r -> r
@@ -883,7 +886,9 @@ let suggest_cmd =
       try load ~workload ~variant ~file with Diag.Error d -> fail d
     in
     let r =
-      try Commset_synth.Synth.suggest ~name ~setup ?min_speedup src
+      try
+        R.Precompile.fuel_guard (fun () ->
+            Commset_synth.Synth.suggest ~name ~setup ?min_speedup src)
       with Diag.Error d -> fail d
     in
     (match format with

@@ -245,7 +245,7 @@ let resolve_callee env name =
               Ruser c
           | None -> Runknown))
 
-let step_stmt = "if !fuel <= 0 then raise Commset_runtime.Interp.Out_of_fuel; decr fuel;"
+let step_stmt = "if !fuel <= 0 then raise Commset_runtime.Precompile.Out_of_fuel; decr fuel;"
 
 (* [pc] is a one-element float array so accumulating simulated cycles
    never boxes (a [float ref] allocates on every update). *)
@@ -487,7 +487,7 @@ let nested_go (c : callee) tgt : string =
   if tgt >= 0 then Printf.sprintf "%sb%d regs" c.cl_fn tgt
   else
     Printf.sprintf "(%s raise Stdlib.Not_found)"
-      "if !fuel <= 0 then raise Commset_runtime.Interp.Out_of_fuel; decr fuel;"
+      "if !fuel <= 0 then raise Commset_runtime.Precompile.Out_of_fuel; decr fuel;"
 
 let emit_nested_term env ~ind (c : callee) (vb : Precompile.view_block) =
   terminator_charge env ~ind;

@@ -1,39 +1,58 @@
 (** Prepared-program execution layer: a one-time pass that resolves an
-    {!Ir.program} into an array-indexed, closure-threaded form, plus two
-    engines over it — a null-hooks fast path with zero dispatch and zero
-    allocation per instruction, and an instrumented path that fires the
-    exact {!Interp.hooks} event stream of the reference interpreter.
+    {!Ir.program} into an array-indexed, closure-threaded form, and the
+    interpreter loops over it.
 
-    What the prepare pass specializes away from the tree-walking
+    What the prepare pass specializes away from a tree-walking
     interpreter's hot loop:
 
     - block lookup: labels become dense array indices, terminators jump
       to pre-resolved indices (no [Hashtbl.find] per block);
     - commutative region entries: the [(function, label) -> region]
-      table becomes a per-block field, consulted only on the
-      instrumented path (regions are hook-observable only);
+      table becomes a per-block field, consulted only on the hooked
+      loop (regions are hook-observable only);
     - operand access: [Const] operands become pre-built {!Value.t}
       shares, [Reg] operands become direct [regs.(i)] reads;
-    - operator dispatch: the [(op, ty)] match of [Interp.eval_binop]
-      happens once at prepare time, leaving a direct two-argument
-      function;
+    - operator dispatch: the [(op, ty)] match happens once at prepare
+      time, leaving a direct two-argument function;
     - callee resolution: the builtin-vs-user split happens at prepare
       time; user calls bind arguments straight into the callee's fresh
-      register file with no intermediate list on the fast path;
+      register file with no intermediate list on the fast loop;
     - global variables: names become dense array slots (a declared
       global's load is one array read);
     - cost accounting: {!Costmodel.instr_cost} is precomputed per
-      instruction into a flat float array, charged in the same order as
-      the reference, so total cycles are bit-identical (float addition
-      is not associative — per-block batching would drift).
+      instruction into a flat float array, charged in reference order,
+      so total cycles are bit-identical (float addition is not
+      associative — per-block batching would drift).
 
-    Behavioural contract, relied on by the differential tests
-    ([test/test_precompile.ml], [test/test_fuzz.ml]): for any program,
-    outputs, total cycles, diagnostics, and (on the instrumented path)
-    the full hook event stream are identical to {!Interp}. Runtime
-    failures raise the same {!Diag.Error}s at the same point; fuel is
-    charged per instruction and per block exactly like the reference, so
-    {!Interp.Out_of_fuel} fires at the same execution point. *)
+    Three instruction loops run over the prepared form, each for a
+    stated reason:
+
+    - the fast loop ([f_run]) carries every run that needs no
+      per-instruction observer: [run_main], the profiler's
+      block-grained run ([run_main_coarse]), the real engine's
+      coordinator ([run_main_real]), workers' nested calls and the
+      verifier's replay entries. What those runs observe comes from an
+      optional per-state {!observer}, consulted once per block entry
+      and once per call, and from an optional per-state builtin
+      dispatch; neither is looked at per instruction;
+    - the hooked loop ([i_run]) fires the full reference event stream
+      ({!hooks}), for the trace recorder and the verifier's recording
+      run;
+    - [run_iteration]'s target-depth loop, whose per-instruction
+      [on_instr] is fixed by its signature.
+
+    Per instruction the fast loop makes one closure call and one
+    running-total charge; it still allocates, because [st_total] is a
+    float field of a mixed record (each charge boxes two words) and
+    every [int] or [float] result is a boxed {!Value.t}.
+
+    Behavioural contract, relied on by the differential tests against
+    the reference interpreter kept in [test/]: for any program, outputs,
+    total cycles, diagnostics, and (on the hooked loop) the full hook
+    event stream are identical to the reference. Runtime failures raise
+    the same {!Diag.Error}s at the same point; fuel is charged per
+    instruction and per block exactly like the reference, so
+    {!Out_of_fuel} fires at the same execution point. *)
 
 module Ir = Commset_ir.Ir
 module Ast = Commset_lang.Ast
@@ -51,6 +70,46 @@ let m_steps =
 let m_exec_runs = Metrics.counter ~doc:"prepared-program runs" "interp.runs"
 
 (* ------------------------------------------------------------------ *)
+(* Hooks and fuel                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type hooks = {
+  mutable on_instr : Ir.func -> Ir.instr -> unit;
+  mutable on_block : Ir.func -> Ir.label -> unit;
+  mutable on_base_cost : float -> unit;
+  mutable on_builtin : Builtins.t -> float -> unit;
+  mutable on_output : string -> unit;
+  mutable on_enter_func : Ir.func -> unit;
+  mutable on_exit_func : Ir.func -> unit;
+  mutable on_region_enter :
+    Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit;
+  mutable on_call_actuals :
+    Ir.instr -> Value.t list -> (string * (string * Value.t list) list) list -> unit;
+}
+
+let null_hooks () =
+  {
+    on_instr = (fun _ _ -> ());
+    on_block = (fun _ _ -> ());
+    on_base_cost = (fun _ -> ());
+    on_builtin = (fun _ _ -> ());
+    on_output = (fun _ -> ());
+    on_enter_func = (fun _ -> ());
+    on_exit_func = (fun _ -> ());
+    on_region_enter = (fun _ _ _ _ -> ());
+    on_call_actuals = (fun _ _ _ -> ());
+  }
+
+exception Out_of_fuel
+
+let default_fuel = 200_000_000
+
+let fuel_guard f =
+  try f ()
+  with Out_of_fuel ->
+    Diag.error ~code:"CS017" "program exhausted its fuel; it may not terminate"
+
+(* ------------------------------------------------------------------ *)
 (* Prepared form                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -64,13 +123,27 @@ type state = {
           [Hashtbl.replace] semantics) *)
   mutable st_fuel : int;
   mutable st_total : float;
+  mutable st_obs : observer option;  (** consulted by the fast loop only *)
+  mutable st_builtin :
+    (Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float) option;
+      (** replaces [Builtins.impl] on the fast loop when set *)
+}
+
+(** What a fast-loop run observes, beyond its effects. *)
+and observer = {
+  ob_block : pfunc -> int -> Value.t array -> pblock;
+      (** at every block entry, in place of {!enter}: charges the
+          entry's fuel and returns the block to execute, which need not
+          be the one jumped to *)
+  ob_enter : Ir.func -> unit;  (** before a call binds its arguments *)
+  ob_exit : Ir.func -> unit;  (** after a call returns normally *)
 }
 
 (** A compiled operand read: closed over the constant or the register
     index; never allocates. *)
-type opf = Value.t array -> Value.t
+and opf = Value.t array -> Value.t
 
-type pinstr =
+and pinstr =
   | Psimple of (state -> Value.t array -> unit)
       (** everything but calls; includes raising stubs for instructions
           whose resolution failed (unknown global / unknown callee),
@@ -139,7 +212,7 @@ let prep_operand : Ir.operand -> opf = function
       fun _ -> v
   | Ir.Reg r -> fun regs -> regs.(r)
 
-(* the (op, ty) match of Interp.eval_binop, performed once per instruction *)
+(* the (op, ty) match, performed once per instruction *)
 let prep_binop op ty : Value.t -> Value.t -> Value.t =
   let open Value in
   match (op, ty) with
@@ -391,12 +464,11 @@ let prepare (prog : Ir.program) : t =
 type exec = {
   ex_prepared : t;
   ex_state : state;
-  ex_hooks : Interp.hooks option;
+  ex_hooks : hooks option;
   ex_fuel0 : int;  (** initial fuel, for the steps-retired accessor *)
 }
 
-let executor ?hooks ?(fuel = Interp.default_fuel) ?(machine = Machine.create ()) (p : t) :
-    exec =
+let executor ?hooks ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t) : exec =
   let st =
     {
       st_machine = machine;
@@ -404,6 +476,8 @@ let executor ?hooks ?(fuel = Interp.default_fuel) ?(machine = Machine.create ())
       st_gdefined = Array.copy p.p_global_defined;
       st_fuel = fuel;
       st_total = 0.;
+      st_obs = None;
+      st_builtin = None;
     }
   in
   (machine.Machine.emit <-
@@ -412,7 +486,7 @@ let executor ?hooks ?(fuel = Interp.default_fuel) ?(machine = Machine.create ())
      | Some h ->
          fun s ->
            Machine.default_emit machine s;
-           h.Interp.on_output s));
+           h.on_output s));
   { ex_prepared = p; ex_state = st; ex_hooks = hooks; ex_fuel0 = fuel }
 
 let machine ex = ex.ex_state.st_machine
@@ -431,12 +505,36 @@ let globals ex : (string * Value.t) list =
   done;
   !acc
 
-(* ---- fast path (no hooks) ------------------------------------------ *)
+let set_globals ex (bindings : (string * Value.t) list) =
+  let st = ex.ex_state in
+  Array.fill st.st_gdefined 0 (Array.length st.st_gdefined) false;
+  List.iter
+    (fun (name, v) ->
+      let s = Hashtbl.find ex.ex_prepared.p_global_slots name in
+      st.st_globals.(s) <- v;
+      st.st_gdefined.(s) <- true)
+    bindings
+
+(* ---- fast loop ------------------------------------------------------ *)
+
+(* One step of fuel: a block entry or an instruction. *)
+let[@inline] step st =
+  if st.st_fuel <= 0 then raise Out_of_fuel;
+  st.st_fuel <- st.st_fuel - 1
+
+(* A block entry: one step, then the block, where a jump to a label
+   with no block raises [Not_found] like the reference's [Ir.block].
+   Observers call this (or an equivalent) themselves. *)
+let[@inline] enter st (pf : pfunc) bidx : pblock =
+  step st;
+  if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
+  Array.unsafe_get pf.pf_blocks bidx
 
 let rec f_args bargs regs i n =
   if i >= n then [] else bargs.(i) regs :: f_args bargs regs (i + 1) n
 
-let rec f_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
+let rec f_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
+  (match st.st_obs with None -> () | Some o -> o.ob_enter callee.pf_ir);
   let regs = Array.make callee.pf_nregs (Value.Vint 0) in
   let params = callee.pf_params in
   let np = Array.length params in
@@ -446,28 +544,31 @@ let rec f_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.
   for i = 0 to np - 1 do
     regs.(params.(i)) <- cargs.(i) caller_regs
   done;
-  f_run st callee regs callee.pf_entry
+  let v = f_run st callee regs callee.pf_entry in
+  (match st.st_obs with None -> () | Some o -> o.ob_exit callee.pf_ir);
+  v
 
 and f_run st (pf : pfunc) regs bidx : Value.t =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found *);
-  let b = Array.unsafe_get pf.pf_blocks bidx in
+  let b =
+    match st.st_obs with None -> enter st pf bidx | Some o -> o.ob_block pf bidx regs
+  in
   let instrs = b.pb_instrs and costs = b.pb_costs in
   for k = 0 to Array.length instrs - 1 do
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
+    step st;
     st.st_total <- st.st_total +. Array.unsafe_get costs k;
     match Array.unsafe_get instrs k with
     | Psimple f -> f st regs
     | Pbuiltin { bi; bargs; bdst } ->
+        let argv = f_args bargs regs 0 (Array.length bargs) in
         let v, cost =
-          bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
+          match st.st_builtin with
+          | None -> bi.Builtins.impl st.st_machine argv
+          | Some dispatch -> dispatch bi argv ~has_dst:(bdst >= 0)
         in
         st.st_total <- st.st_total +. cost;
         if bdst >= 0 then regs.(bdst) <- v
     | Pcall { ccallee; cargs; cdst; _ } ->
-        let v = f_exec_call st ccallee cargs regs in
+        let v = f_call st ccallee cargs regs in
         if cdst >= 0 then regs.(cdst) <- v
   done;
   st.st_total <- st.st_total +. Costmodel.terminator_cost;
@@ -487,79 +588,10 @@ and f_run st (pf : pfunc) regs bidx : Value.t =
   | Pret_const v -> v
   | Pret_none -> Value.Vint 0
 
-(* ---- coarse path (block-grained hooks) ------------------------------ *)
+(* ---- hooked loop (the reference event stream) ----------------------- *)
 
-(* Runs like the fast path but fires the function- and block-level
-   subset of the hooks: [on_enter_func], [on_exit_func], [on_block]
-   (plus [on_output] via the machine). Per-instruction hooks
-   ([on_instr], [on_base_cost], [on_builtin]) and actuals hooks
-   ([on_region_enter], [on_call_actuals]) never fire; observers that
-   only need running cost read {!total_cost}, which advances through
-   the same per-instruction charges as the other two paths. The
-   profiler's block-segment attribution is the intended client. *)
-let rec c_exec_call st (h : Interp.hooks) (callee : pfunc) (cargs : opf array)
-    caller_regs : Value.t =
-  h.Interp.on_enter_func callee.pf_ir;
-  let regs = Array.make callee.pf_nregs (Value.Vint 0) in
-  let params = callee.pf_params in
-  let np = Array.length params in
-  if Array.length cargs < np then
-    Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-      callee.pf_ir.Ir.fname;
-  for i = 0 to np - 1 do
-    regs.(params.(i)) <- cargs.(i) caller_regs
-  done;
-  let v = c_run st h callee regs callee.pf_entry in
-  h.Interp.on_exit_func callee.pf_ir;
-  v
-
-and c_run st h (pf : pfunc) regs bidx : Value.t =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then begin
-    h.Interp.on_block pf.pf_ir (-1 - bidx);
-    ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found like the reference *)
-  end;
-  let b = Array.unsafe_get pf.pf_blocks bidx in
-  h.Interp.on_block pf.pf_ir b.pb_label;
-  let instrs = b.pb_instrs and costs = b.pb_costs in
-  for k = 0 to Array.length instrs - 1 do
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    st.st_total <- st.st_total +. Array.unsafe_get costs k;
-    match Array.unsafe_get instrs k with
-    | Psimple f -> f st regs
-    | Pbuiltin { bi; bargs; bdst } ->
-        let v, cost =
-          bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
-        in
-        st.st_total <- st.st_total +. cost;
-        if bdst >= 0 then regs.(bdst) <- v
-    | Pcall { ccallee; cargs; cdst; _ } ->
-        let v = c_exec_call st h ccallee cargs regs in
-        if cdst >= 0 then regs.(cdst) <- v
-  done;
-  st.st_total <- st.st_total +. Costmodel.terminator_cost;
-  match b.pb_term with
-  | Pjump j -> c_run st h pf regs j
-  | Pbranch (c, l1, l2) -> (
-      match regs.(c) with
-      | Value.Vbool true -> c_run st h pf regs l1
-      | Value.Vbool false -> c_run st h pf regs l2
-      | v ->
-          ignore (Value.to_bool ~what:"branch condition" v);
-          assert false)
-  | Pbranch_raise fop ->
-      ignore (Value.to_bool ~what:"branch condition" (fop regs));
-      assert false
-  | Pret_reg r -> regs.(r)
-  | Pret_const v -> v
-  | Pret_none -> Value.Vint 0
-
-(* ---- instrumented path (hook-faithful) ------------------------------ *)
-
-let rec i_exec_func st (h : Interp.hooks) (pf : pfunc) (args : Value.t list) : Value.t =
-  h.Interp.on_enter_func pf.pf_ir;
+let rec i_exec_func st (h : hooks) (pf : pfunc) (args : Value.t list) : Value.t =
+  h.on_enter_func pf.pf_ir;
   let regs = Array.make pf.pf_nregs (Value.Vint 0) in
   let params = pf.pf_params in
   let np = Array.length params in
@@ -574,18 +606,17 @@ let rec i_exec_func st (h : Interp.hooks) (pf : pfunc) (args : Value.t list) : V
   in
   bind 0 args;
   let v = i_run st h pf regs pf.pf_entry in
-  h.Interp.on_exit_func pf.pf_ir;
+  h.on_exit_func pf.pf_ir;
   v
 
 and i_run st h (pf : pfunc) regs bidx : Value.t =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
+  step st;
   if bidx < 0 then begin
-    h.Interp.on_block pf.pf_ir (-1 - bidx);
+    h.on_block pf.pf_ir (-1 - bidx);
     ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found like the reference *)
   end;
   let b = pf.pf_blocks.(bidx) in
-  h.Interp.on_block pf.pf_ir b.pb_label;
+  h.on_block pf.pf_ir b.pb_label;
   (match b.pb_region with
   | Some (region, set_fns) ->
       let actuals =
@@ -593,16 +624,15 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
           (fun (set, fns) -> (set, List.map (fun f -> f regs) (Array.to_list fns)))
           set_fns
       in
-      h.Interp.on_region_enter pf.pf_ir region actuals regs
+      h.on_region_enter pf.pf_ir region actuals regs
   | None -> ());
   let instrs = b.pb_instrs and costs = b.pb_costs and irs = b.pb_irs in
   for k = 0 to Array.length instrs - 1 do
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    h.Interp.on_instr pf.pf_ir irs.(k);
+    step st;
+    h.on_instr pf.pf_ir irs.(k);
     let c = costs.(k) in
     st.st_total <- st.st_total +. c;
-    h.Interp.on_base_cost c;
+    h.on_base_cost c;
     match instrs.(k) with
     | Psimple f -> f st regs
     | Pbuiltin { bi; bargs; bdst } ->
@@ -610,7 +640,7 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
         let v, cost = bi.Builtins.impl st.st_machine argv in
         (* builtin cost is reported through its own hook, not on_base_cost *)
         st.st_total <- st.st_total +. cost;
-        h.Interp.on_builtin bi cost;
+        h.on_builtin bi cost;
         if bdst >= 0 then regs.(bdst) <- v
     | Pcall { ccallee; cargs; cdst; cir; cenabled } ->
         let argv = f_args cargs regs 0 (Array.length cargs) in
@@ -623,13 +653,13 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
                   sets ))
             cenabled
         in
-        h.Interp.on_call_actuals cir argv en_actuals;
+        h.on_call_actuals cir argv en_actuals;
         let v = i_exec_func st h ccallee argv in
         if cdst >= 0 then regs.(cdst) <- v
   done;
   let c = Costmodel.terminator_cost in
   st.st_total <- st.st_total +. c;
-  h.Interp.on_base_cost c;
+  h.on_base_cost c;
   match b.pb_term with
   | Pjump j -> i_run st h pf regs j
   | Pbranch (c, l1, l2) -> (
@@ -646,25 +676,87 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
   | Pret_const v -> v
   | Pret_none -> Value.Vint 0
 
-(* ---- entry ---------------------------------------------------------- *)
+(* ---- entries -------------------------------------------------------- *)
 
-(** Run [main()] to completion; returns total simulated cycles. The
-    executor keeps the machine, globals, and running total for
-    inspection afterwards. *)
-let run_main (ex : exec) : float =
+(* Run [main()] from [ex] with [obs] installed on the fast loop, or on
+   the hooked loop when [hooks] is given; counts the run and its steps
+   in the metrics. *)
+let run_entry ?hooks ?obs (ex : exec) : float =
   match ex.ex_prepared.p_main with
   | None -> Diag.error "program has no 'main' function"
   | Some mainf ->
       let st = ex.ex_state in
       let fuel_before = st.st_fuel in
       Metrics.incr m_exec_runs;
+      st.st_obs <- obs;
       Fun.protect
-        ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
+        ~finally:(fun () ->
+          st.st_obs <- None;
+          Metrics.add m_steps (fuel_before - st.st_fuel))
         (fun () ->
-          match ex.ex_hooks with
-          | None -> ignore (f_exec_call st mainf [||] [||])
+          match hooks with
+          | None -> ignore (f_call st mainf [||] [||])
           | Some h -> ignore (i_exec_func st h mainf []));
       st.st_total
+
+(** Run [main()] to completion; returns total simulated cycles. The
+    executor keeps the machine, globals, and running total for
+    inspection afterwards. *)
+let run_main (ex : exec) : float = run_entry ?hooks:ex.ex_hooks ex
+
+(** Like {!run_main}, but an executor with hooks runs on the fast loop
+    with a block observer: only [on_enter_func], [on_exit_func],
+    [on_block] and [on_output] fire, while {!total_cost} still advances
+    per instruction. *)
+let run_main_coarse (ex : exec) : float =
+  match ex.ex_hooks with
+  | None -> run_entry ex
+  | Some h ->
+      let st = ex.ex_state in
+      let ob_block pf bidx _ =
+        (* the reference checks the fuel before it fires [on_block] *)
+        if st.st_fuel <= 0 then raise Out_of_fuel;
+        h.on_block pf.pf_ir (if bidx < 0 then -1 - bidx else pf.pf_blocks.(bidx).pb_label);
+        enter st pf bidx
+      in
+      run_entry ex
+        ~obs:
+          {
+            ob_block;
+            ob_enter = (fun f -> h.on_enter_func f);
+            ob_exit = (fun f -> h.on_exit_func f);
+          }
+
+let run_func ex (f : Ir.func) (args : Value.t list) : Value.t =
+  let pf = Hashtbl.find ex.ex_prepared.p_funcs f.Ir.fname in
+  f_call ex.ex_state pf (Array.of_list (List.map (fun v _ -> v) args)) [||]
+
+exception Left_region
+
+let run_region ex (f : Ir.func) (region : Ir.region) (regs : Value.t array) : unit =
+  let pf = Hashtbl.find ex.ex_prepared.p_funcs f.Ir.fname in
+  let inside =
+    Array.map
+      (fun b -> List.mem region.Ir.rid (Ir.block pf.pf_ir b.pb_label).Ir.bregions)
+      pf.pf_blocks
+  in
+  let entry =
+    match Array.find_index (fun b -> b.pb_label = region.Ir.rentry) pf.pf_blocks with
+    | Some i -> i
+    | None -> -1 - region.Ir.rentry
+  in
+  (* only the region's own frame can leave it; callee frames run whole *)
+  let st = ex.ex_state in
+  let depth = ref 0 in
+  let ob_block pf' bidx _ =
+    if !depth = 0 && not (bidx >= 0 && inside.(bidx)) then raise_notrace Left_region;
+    enter st pf' bidx
+  in
+  st.st_obs <-
+    Some { ob_block; ob_enter = (fun _ -> incr depth); ob_exit = (fun _ -> decr depth) };
+  Fun.protect
+    ~finally:(fun () -> st.st_obs <- None)
+    (fun () -> try ignore (f_run st pf regs entry) with Left_region -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Real-execution support                                              *)
@@ -689,9 +781,9 @@ type rtarget = {
   rt_header : int;
   rt_body_entry : int;
   rt_in_loop : bool array;  (** per block index of [rt_pf] *)
-  rt_spine : (int * bool array) list;
-      (** latch blocks the coordinator executes after dispatch, with a
-          per-instruction backbone mask *)
+  rt_latch : pblock;
+      (** the latch reduced to its backbone instructions: the block the
+          coordinator runs after each dispatch *)
   rt_backbone : int list;  (** iids the coordinator executes inside the loop *)
 }
 
@@ -866,15 +958,20 @@ let plan_real (p : t) ~(fname : string) ~(header : Ir.label)
       Error "a register written in the loop body is read after the loop"
     else Ok ()
   in
-  let spine =
-    if latch_idx = header_idx then []
-    else
-      [
-        ( latch_idx,
-          Array.map
-            (fun (i : Ir.instr) -> Hashtbl.mem backbone i.Ir.iid)
-            pf.pf_blocks.(latch_idx).pb_irs );
-      ]
+  let rt_latch =
+    let latch = pf.pf_blocks.(latch_idx) in
+    let backbone_only a =
+      Array.of_list
+        (List.filteri
+           (fun k _ -> Hashtbl.mem backbone latch.pb_irs.(k).Ir.iid)
+           (Array.to_list a))
+    in
+    {
+      latch with
+      pb_instrs = backbone_only latch.pb_instrs;
+      pb_irs = backbone_only latch.pb_irs;
+      pb_costs = backbone_only latch.pb_costs;
+    }
   in
   Ok
     {
@@ -883,7 +980,7 @@ let plan_real (p : t) ~(fname : string) ~(header : Ir.label)
       rt_header = header_idx;
       rt_body_entry = body_entry;
       rt_in_loop = in_loop;
-      rt_spine = spine;
+      rt_latch;
       rt_backbone = Hashtbl.fold (fun iid () acc -> iid :: acc) backbone [];
     }
 
@@ -962,109 +1059,35 @@ let global_declared (p : t) name =
 
 (* ---- coordinator ---------------------------------------------------- *)
 
-(* One block's instructions on the fast path, optionally masked; the
-   terminator is left to the caller. *)
-let x_block st (pf : pfunc) regs bidx (mask : bool array option) exec_call =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
-  let b = Array.unsafe_get pf.pf_blocks bidx in
-  let instrs = b.pb_instrs and costs = b.pb_costs in
-  for k = 0 to Array.length instrs - 1 do
-    let keep = match mask with None -> true | Some m -> m.(k) in
-    if keep then begin
-      if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-      st.st_fuel <- st.st_fuel - 1;
-      st.st_total <- st.st_total +. Array.unsafe_get costs k;
-      match Array.unsafe_get instrs k with
-      | Psimple f -> f st regs
-      | Pbuiltin { bi; bargs; bdst } ->
-          let v, cost =
-            bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
-          in
-          st.st_total <- st.st_total +. cost;
-          if bdst >= 0 then regs.(bdst) <- v
-      | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = exec_call st ccallee cargs regs in
-          if cdst >= 0 then regs.(cdst) <- v
-    end
-  done;
-  st.st_total <- st.st_total +. Costmodel.terminator_cost;
-  b.pb_term
-
+(* The fast loop with the target loop intercepted at block entry: the
+   header runs whole; entering the body fires [on_iter] and runs the
+   latch's backbone instead, which jumps back to the header; entering
+   any other block of the target function from the header is the loop's
+   exit. The backbone makes no user calls, so no other frame of the
+   target function can interleave while the loop is open. *)
 let run_main_real (ex : exec) (rt : rtarget) ~(on_iter : int -> Value.t array -> unit)
     ~(on_loop_done : unit -> unit) : float =
-  match ex.ex_prepared.p_main with
-  | None -> Diag.error "program has no 'main' function"
-  | Some mainf ->
-      let st = ex.ex_state in
-      let fuel_before = st.st_fuel in
-      let iterc = ref 0 in
-      let rec x_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
-        let regs = Array.make callee.pf_nregs (Value.Vint 0) in
-        let params = callee.pf_params in
-        let np = Array.length params in
-        if Array.length cargs < np then
-          Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-            callee.pf_ir.Ir.fname;
-        for i = 0 to np - 1 do
-          regs.(params.(i)) <- cargs.(i) caller_regs
-        done;
-        x_run st callee regs callee.pf_entry
-      and x_run st (pf : pfunc) regs bidx : Value.t =
-        if pf == rt.rt_pf && bidx = rt.rt_header then x_loop st pf regs
-        else
-          let term = x_block st pf regs bidx None x_exec_call in
-          x_term st pf regs term
-      and x_term st pf regs = function
-        | Pjump j -> x_run st pf regs j
-        | Pbranch (c, l1, l2) -> (
-            match regs.(c) with
-            | Value.Vbool true -> x_run st pf regs l1
-            | Value.Vbool false -> x_run st pf regs l2
-            | v ->
-                ignore (Value.to_bool ~what:"branch condition" v);
-                assert false)
-        | Pbranch_raise fop ->
-            ignore (Value.to_bool ~what:"branch condition" (fop regs));
-            assert false
-        | Pret_reg r -> regs.(r)
-        | Pret_const v -> v
-        | Pret_none -> Value.Vint 0
-      and x_loop st pf regs : Value.t =
-        let rec go () =
-          let term = x_block st pf regs rt.rt_header None x_exec_call in
-          let tgt =
-            match term with
-            | Pbranch (c, l1, l2) -> (
-                match regs.(c) with
-                | Value.Vbool true -> l1
-                | Value.Vbool false -> l2
-                | v ->
-                    ignore (Value.to_bool ~what:"branch condition" v);
-                    assert false)
-            | _ -> Diag.error "real-exec: header terminator changed shape"
-          in
-          if tgt = rt.rt_body_entry then begin
-            on_iter !iterc regs;
-            incr iterc;
-            List.iter
-              (fun (bidx, mask) -> ignore (x_block st pf regs bidx (Some mask) x_exec_call))
-              rt.rt_spine;
-            go ()
-          end
-          else begin
-            on_loop_done ();
-            x_run st pf regs tgt
-          end
-        in
-        go ()
-      in
-      Metrics.incr m_exec_runs;
-      Fun.protect
-        ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () -> ignore (x_exec_call st mainf [||] [||]));
-      st.st_total
+  let st = ex.ex_state in
+  let iterc = ref 0 in
+  let looping = ref false in
+  let ob_block pf bidx regs =
+    if pf != rt.rt_pf then enter st pf bidx
+    else if bidx = rt.rt_body_entry then begin
+      on_iter !iterc regs;
+      incr iterc;
+      step st;
+      rt.rt_latch
+    end
+    else begin
+      if bidx = rt.rt_header then looping := true
+      else if !looping then begin
+        looping := false;
+        on_loop_done ()
+      end;
+      enter st pf bidx
+    end
+  in
+  run_entry ex ~obs:{ ob_block; ob_enter = ignore; ob_exit = ignore }
 
 (* ---- workers -------------------------------------------------------- *)
 
@@ -1081,6 +1104,8 @@ let worker_state (ex : exec) ~fuel : wstate =
     st_gdefined = ex.ex_state.st_gdefined;
     st_fuel = fuel;
     st_total = 0.;
+    st_obs = None;
+    st_builtin = None;
   }
 
 let wstate_fuel_left (st : wstate) = st.st_fuel
@@ -1092,71 +1117,21 @@ let wstate_charge (st : wstate) ~steps ~cost =
   st.st_fuel <- st.st_fuel - steps;
   st.st_total <- st.st_total +. cost
 
+(* The target-depth loop: node tracking ([on_instr]) stays at this depth
+   — callee work belongs to the calling node — so nested calls run whole
+   on the fast loop, with [builtin] installed as the state's dispatch. *)
 let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
     ~(builtin : Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float)
     (regs : Value.t array) : unit =
-  let rec w_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
-    let cregs = Array.make callee.pf_nregs (Value.Vint 0) in
-    let params = callee.pf_params in
-    let np = Array.length params in
-    if Array.length cargs < np then
-      Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-        callee.pf_ir.Ir.fname;
-    for i = 0 to np - 1 do
-      cregs.(params.(i)) <- cargs.(i) caller_regs
-    done;
-    w_nested st callee cregs callee.pf_entry
-  (* nested calls run whole functions: builtins stay intercepted, but
-     node tracking ([on_instr]) stays at target-function depth — callee
-     work belongs to the calling node *)
-  and w_nested st (pf : pfunc) regs bidx : Value.t =
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
-    let b = Array.unsafe_get pf.pf_blocks bidx in
-    let instrs = b.pb_instrs and costs = b.pb_costs in
-    for k = 0 to Array.length instrs - 1 do
-      if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-      st.st_fuel <- st.st_fuel - 1;
-      st.st_total <- st.st_total +. Array.unsafe_get costs k;
-      match Array.unsafe_get instrs k with
-      | Psimple f -> f st regs
-      | Pbuiltin { bi; bargs; bdst } ->
-          let argv = f_args bargs regs 0 (Array.length bargs) in
-          let v, cost = builtin bi argv ~has_dst:(bdst >= 0) in
-          st.st_total <- st.st_total +. cost;
-          if bdst >= 0 then regs.(bdst) <- v
-      | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = w_exec_call st ccallee cargs regs in
-          if cdst >= 0 then regs.(cdst) <- v
-    done;
-    st.st_total <- st.st_total +. Costmodel.terminator_cost;
-    match b.pb_term with
-    | Pjump j -> w_nested st pf regs j
-    | Pbranch (c, l1, l2) -> (
-        match regs.(c) with
-        | Value.Vbool true -> w_nested st pf regs l1
-        | Value.Vbool false -> w_nested st pf regs l2
-        | v ->
-            ignore (Value.to_bool ~what:"branch condition" v);
-            assert false)
-    | Pbranch_raise fop ->
-        ignore (Value.to_bool ~what:"branch condition" (fop regs));
-        assert false
-    | Pret_reg r -> regs.(r)
-    | Pret_const v -> v
-    | Pret_none -> Value.Vint 0
-  in
+  st.st_builtin <- Some builtin;
   let pf = rt.rt_pf in
   let nblocks = Array.length pf.pf_blocks in
   let rec span bidx =
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
+    step st;
     let b = Array.unsafe_get pf.pf_blocks bidx in
     let instrs = b.pb_instrs and costs = b.pb_costs and irs = b.pb_irs in
     for k = 0 to Array.length instrs - 1 do
-      if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-      st.st_fuel <- st.st_fuel - 1;
+      step st;
       st.st_total <- st.st_total +. Array.unsafe_get costs k;
       on_instr (Array.unsafe_get irs k);
       match Array.unsafe_get instrs k with
@@ -1167,7 +1142,7 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
           st.st_total <- st.st_total +. cost;
           if bdst >= 0 then regs.(bdst) <- v
       | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = w_exec_call st ccallee cargs regs in
+          let v = f_call st ccallee cargs regs in
           if cdst >= 0 then regs.(cdst) <- v
     done;
     st.st_total <- st.st_total +. Costmodel.terminator_cost;
@@ -1192,23 +1167,3 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
         Diag.error "real-exec: iteration returned out of the target loop"
   in
   span rt.rt_body_entry
-
-(** Like {!run_main}, but an executor with hooks runs on the coarse
-    path: only [on_enter_func], [on_exit_func], [on_block] and
-    [on_output] fire (per-instruction and actuals hooks are skipped),
-    while {!total_cost} still advances per instruction. Block-grained
-    observers — the profiler — get fast-path speed this way. *)
-let run_main_coarse (ex : exec) : float =
-  match ex.ex_prepared.p_main with
-  | None -> Diag.error "program has no 'main' function"
-  | Some mainf ->
-      let st = ex.ex_state in
-      let fuel_before = st.st_fuel in
-      Metrics.incr m_exec_runs;
-      Fun.protect
-        ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () ->
-          match ex.ex_hooks with
-          | None -> ignore (f_exec_call st mainf [||] [||])
-          | Some h -> ignore (c_exec_call st h mainf [||] [||]));
-      st.st_total

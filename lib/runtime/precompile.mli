@@ -1,40 +1,81 @@
 (** Prepared-program execution layer: a one-time pass resolving an
-    {!Ir.program} into an array-indexed, closure-threaded form, and two
-    engines over it — a null-hooks fast path (zero dispatch, zero
-    allocation per instruction) and an instrumented path firing the
-    exact {!Interp.hooks} event stream of the reference interpreter.
+    {!Ir.program} into an array-indexed, closure-threaded form, and the
+    interpreter loops over it. A fast loop carries every run that needs
+    no per-instruction observer (plain runs, the profiler's
+    block-grained run, the real engine's coordinator, workers' nested
+    calls and the verifier's replay); a hooked loop fires the reference
+    event stream ({!hooks}); [run_iteration] keeps its own target-depth
+    loop. The fast loop makes one closure call per instruction but still
+    allocates: the running total is a boxed float and every numeric
+    result a boxed {!Value.t}.
 
     Contract: outputs, total cycles, diagnostics, fuel exhaustion point,
-    and (instrumented) hook event streams are identical to {!Interp} on
-    every program. The differential tests in [test/test_precompile.ml]
-    and [test/test_fuzz.ml] enforce this. *)
+    and (hooked) event streams are identical to the reference
+    interpreter kept in [test/] as the oracle, on every program. The
+    differential tests in [test/test_precompile.ml] and
+    [test/test_fuzz.ml] enforce this. *)
+
+module Ir := Commset_ir.Ir
+
+(** The reference event stream, fired by the hooked loop. *)
+type hooks = {
+  mutable on_instr : Ir.func -> Ir.instr -> unit;
+  mutable on_block : Ir.func -> Ir.label -> unit;
+  mutable on_base_cost : float -> unit;
+  mutable on_builtin : Builtins.t -> float -> unit;
+  mutable on_output : string -> unit;
+  mutable on_enter_func : Ir.func -> unit;
+  mutable on_exit_func : Ir.func -> unit;
+  mutable on_region_enter :
+    Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit;
+      (** fired on entry to a commutative region, with the predicate
+          actuals of each of its commsets evaluated at that instant and
+          the live register file (for replay, snapshot it) *)
+  mutable on_call_actuals :
+    Ir.instr -> Value.t list -> (string * (string * Value.t list) list) list -> unit;
+      (** fired before a call to a user-defined function, with the
+          evaluated argument values and, per COMMSETNAMEDARGADD enable on
+          the call, the evaluated (block, set actuals) bindings *)
+}
+
+val null_hooks : unit -> hooks
+
+(** Raised when a run exhausts its fuel (charged per instruction and per
+    block entry), so that a non-terminating program stops. *)
+exception Out_of_fuel
+
+val default_fuel : int
+
+(** [fuel_guard f] runs [f ()], turning an escaping {!Out_of_fuel} into
+    a CS017 diagnostic. Command and request boundaries wrap their work
+    in it; the engines themselves keep raising {!Out_of_fuel}. *)
+val fuel_guard : (unit -> 'a) -> 'a
 
 (** A prepared program: immutable once built, safe to share across
     domains (each executor gets its own mutable state). *)
 type t
 
-val prepare : Commset_ir.Ir.program -> t
-val program : t -> Commset_ir.Ir.program
+val prepare : Ir.program -> t
+val program : t -> Ir.program
 
 (** One run of a prepared program: private machine, globals, fuel and
-    cycle counter. Passing [?hooks] selects the instrumented engine;
-    omitting it selects the allocation-free fast path. *)
+    cycle counter. Passing [?hooks] makes {!run_main} use the hooked
+    loop; omitting it selects the fast loop. *)
 type exec
 
-val executor : ?hooks:Interp.hooks -> ?fuel:int -> ?machine:Machine.t -> t -> exec
+val executor : ?hooks:hooks -> ?fuel:int -> ?machine:Machine.t -> t -> exec
 
 (** Run [main()] to completion; returns total simulated cycles. Raises
-    the same {!Commset_support.Diag.Error}s / {!Interp.Out_of_fuel} as
-    the reference interpreter. *)
+    the same {!Commset_support.Diag.Error}s / {!Out_of_fuel} as the
+    reference interpreter. *)
 val run_main : exec -> float
 
-(** Like {!run_main}, but hooks run block-grained: only [on_enter_func],
-    [on_exit_func], [on_block] and [on_output] fire; per-instruction
-    hooks ([on_instr], [on_base_cost], [on_builtin]) and actuals hooks
-    ([on_region_enter], [on_call_actuals]) are skipped while
-    {!total_cost} still advances per instruction in reference order.
-    For block-grained observers (the profiler) this costs the same as
-    the fast path. *)
+(** Like {!run_main}, but hooks run block-grained, on the fast loop with
+    a block observer: only [on_enter_func], [on_exit_func], [on_block]
+    and [on_output] fire; per-instruction hooks ([on_instr],
+    [on_base_cost], [on_builtin]) and actuals hooks ([on_region_enter],
+    [on_call_actuals]) are skipped while {!total_cost} still advances
+    per instruction in reference order. *)
 val run_main_coarse : exec -> float
 
 val machine : exec -> Machine.t
@@ -49,6 +90,25 @@ val steps : exec -> int
     interpreter's globals hashtable would hold them — declared globals
     plus any undeclared names created by an executed store. *)
 val globals : exec -> (string * Value.t) list
+
+(** {2 Replay entries}
+
+    Re-execute a recorded instance on a fresh executor (the verifier's
+    dynamic replay), on the fast loop. *)
+
+(** Replace every global binding with [bindings] (the shape {!globals}
+    returns): names absent from the list become unbound. Raises
+    [Not_found] for a name the program has no slot for. *)
+val set_globals : exec -> (string * Value.t) list -> unit
+
+(** Call a user function of the program with argument values (extra
+    values are ignored, a missing one traps) and return its result. *)
+val run_func : exec -> Ir.func -> Value.t list -> Value.t
+
+(** Run one commutative region of a function of the program from its
+    entry block with the given register file, until control leaves the
+    region's blocks or the function returns. *)
+val run_region : exec -> Ir.func -> Ir.region -> Value.t array -> unit
 
 (** {2 Real-execution support}
 
@@ -73,9 +133,9 @@ type rtarget
 val plan_real :
   t ->
   fname:string ->
-  header:Commset_ir.Ir.label ->
-  latches:Commset_ir.Ir.label list ->
-  body:Commset_ir.Ir.label list ->
+  header:Ir.label ->
+  latches:Ir.label list ->
+  body:Ir.label list ->
   (rtarget, string) result
 
 (** Instruction iids the coordinator executes inside the loop. *)
@@ -84,7 +144,7 @@ val rtarget_backbone : rtarget -> int list
 val rtarget_nregs : rtarget -> int
 val rtarget_fname : rtarget -> string
 
-(** Run [main()] with the target loop in dispatch mode (fast path only;
+(** Run [main()] with the target loop in dispatch mode (fast loop only;
     the executor's hooks are ignored). [on_iter k regs] fires at every
     header entry that continues into the body — [regs] is the live
     register file, valid only for the duration of the callback (copy it
@@ -143,8 +203,8 @@ type view_term =
           a label with no block (the trap stays behind the condition). *)
 
 type view_block = {
-  vb_label : Commset_ir.Ir.label;
-  vb_instrs : Commset_ir.Ir.instr array;
+  vb_label : Ir.label;
+  vb_instrs : Ir.instr array;
   vb_costs : float array;  (** parallel static instruction costs *)
   vb_term : view_term;
 }
@@ -187,7 +247,7 @@ val global_declared : t -> string -> bool
 val run_iteration :
   wstate ->
   rtarget ->
-  on_instr:(Commset_ir.Ir.instr -> unit) ->
+  on_instr:(Ir.instr -> unit) ->
   builtin:(Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float) ->
   Value.t array ->
   unit

@@ -36,7 +36,7 @@ type t = { reports : loop_report list; total : float }
    executed) updates, the same as the fast path. *)
 let record ?(machine = Machine.create ()) (prepared : Precompile.t) : block_costs * float =
   let costs : block_costs = Hashtbl.create 256 in
-  let hooks = Interp.null_hooks () in
+  let hooks = Precompile.null_hooks () in
   let ex = Precompile.executor ~hooks ~machine prepared in
   let stack : frame list ref = ref [] in
   let flush fr =
@@ -48,19 +48,19 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) : block_cost
     end;
     fr.seg_start <- n
   in
-  hooks.Interp.on_enter_func <-
+  hooks.Precompile.on_enter_func <-
     (fun f ->
       stack :=
         { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = Precompile.total_cost ex }
         :: !stack);
-  hooks.Interp.on_exit_func <-
+  hooks.Precompile.on_exit_func <-
     (fun _ ->
       match !stack with
       | [] -> ()
       | fr :: rest ->
           flush fr;
           stack := rest);
-  hooks.Interp.on_block <-
+  hooks.Precompile.on_block <-
     (fun f l ->
       match !stack with
       | fr :: _ when fr.fname = f.Ir.fname ->

@@ -145,9 +145,9 @@ let add_compute rec_ c =
       | _ -> e.atoms <- Acompute c :: e.atoms)
   | None -> rec_.other <- rec_.other +. c
 
-let hooks_of_recorder rec_ : Interp.hooks =
+let hooks_of_recorder rec_ : Precompile.hooks =
   {
-    Interp.on_instr =
+    Precompile.on_instr =
       (fun func i ->
         if is_target rec_ func then begin
           let nid =

@@ -135,6 +135,7 @@ type state = {
 let exec_source st ~name ~setup source =
   let key = P.content_key source in
   match
+    Commset_runtime.Precompile.fuel_guard @@ fun () ->
     Plancache.find_or_compile st.cache ~key ~compile:(fun () ->
         let sv =
           P.prepare_service ~name ~setup ~verify:st.cfg.s_verify ~threads:st.cfg.s_threads

@@ -26,7 +26,6 @@ module Ir = Commset_ir.Ir
 module Effects = Commset_analysis.Effects
 module Metadata = Commset_core.Metadata
 module Machine = Commset_runtime.Machine
-module Interp = Commset_runtime.Interp
 module Precompile = Commset_runtime.Precompile
 module Value = Commset_runtime.Value
 module Concrete_eval = Commset_runtime.Concrete_eval
@@ -64,7 +63,7 @@ let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
   let prog = Precompile.program prepared in
   let machine = Machine.create () in
   setup machine;
-  let hooks = Interp.null_hooks () in
+  let hooks = Precompile.null_hooks () in
   let ex = Precompile.executor ~hooks ~machine prepared in
   let seq = ref 0 in
   let recorded : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
@@ -94,7 +93,7 @@ let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
      enables of the innermost active user call down to region entries. *)
   let pending = ref None in
   let stack = ref [] in
-  hooks.Interp.on_call_actuals <-
+  hooks.Precompile.on_call_actuals <-
     (fun i argv enables ->
       match Ir.callee_of i with
       | None -> ()
@@ -110,16 +109,16 @@ let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
                   refs
               in
               add (Metadata.Mfun callee) actuals (Bfun { bfunc = f; bargs = argv })));
-  hooks.Interp.on_enter_func <-
+  hooks.Precompile.on_enter_func <-
     (fun f ->
       let en =
         match !pending with Some (c, en) when c = f.Ir.fname -> en | _ -> []
       in
       pending := None;
       stack := (f.Ir.fname, en) :: !stack);
-  hooks.Interp.on_exit_func <-
+  hooks.Precompile.on_exit_func <-
     (fun _ -> match !stack with _ :: tl -> stack := tl | [] -> ());
-  hooks.Interp.on_region_enter <-
+  hooks.Precompile.on_region_enter <-
     (fun func region actuals regs ->
       let body () =
         Bregion { bfunc = func; bregion = region; bregs = Array.copy regs }
@@ -136,7 +135,7 @@ let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
       | None -> ());
       if actuals <> [] || region.Ir.rname = None then
         add (Metadata.Mregion (func.Ir.fname, region.Ir.rid)) actuals (body ()));
-  (try ignore (Precompile.run_main ex) with Interp.Out_of_fuel | Diag.Error _ -> ());
+  (try ignore (Precompile.run_main ex) with Precompile.Out_of_fuel | Diag.Error _ -> ());
   List.rev !invs
 
 (* ---- eligibility ---------------------------------------------------- *)
@@ -162,28 +161,24 @@ let eligible md m1 m2 =
 
 let replay_fuel = 2_000_000
 
-let exec_inv t inv =
+let exec_inv ex inv =
   match inv.ibody with
   | Bregion { bfunc; bregion; bregs } ->
-      Interp.exec_region t bfunc (Array.copy bregs) bregion
-  | Bfun { bfunc; bargs } -> ignore (Interp.exec_func t bfunc bargs)
+      Precompile.run_region ex bfunc bregion (Array.copy bregs)
+  | Bfun { bfunc; bargs } -> ignore (Precompile.run_func ex bfunc bargs)
 
 (* Run [a] then [b] from a clone of the snapshot; returns the final
    machine and globals. *)
-let replay prog (snap_machine, snap_globals) a b =
+let replay prepared (snap_machine, snap_globals) a b =
   let m = Machine.clone snap_machine in
-  let t = Interp.create ~fuel:replay_fuel ~machine:m prog in
-  Hashtbl.reset t.Interp.globals;
-  List.iter (fun (k, v) -> Hashtbl.replace t.Interp.globals k (deep_value v)) snap_globals;
-  exec_inv t a;
-  exec_inv t b;
-  (m, t.Interp.globals)
+  let ex = Precompile.executor ~fuel:replay_fuel ~machine:m prepared in
+  Precompile.set_globals ex (List.map (fun (k, v) -> (k, deep_value v)) snap_globals);
+  exec_inv ex a;
+  exec_inv ex b;
+  (m, Precompile.globals ex)
 
 let globals_diff g1 g2 =
-  let bindings tbl =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-  in
-  let l1 = bindings g1 and l2 = bindings g2 in
+  let l1 = List.sort compare g1 and l2 = List.sort compare g2 in
   if l1 = l2 then []
   else
     let assoc k l = List.assoc_opt k l in
@@ -225,7 +220,7 @@ let admitted (info : Metadata.set_info) a b =
 
 (** Try to refute one pair: returns the upgraded verdict (when a replay
     diverged) and the number of completed trials. *)
-let refute_pair ~prog ~max_trials invs (info : Metadata.set_info) m1 m2 ~pself :
+let refute_pair ~prepared ~max_trials invs (info : Metadata.set_info) m1 m2 ~pself :
     Verdict.t option * int =
   let invs1 = List.filter (fun i -> i.imember = m1) invs in
   let invs2 = List.filter (fun i -> i.imember = m2) invs in
@@ -248,10 +243,10 @@ let refute_pair ~prog ~max_trials invs (info : Metadata.set_info) m1 m2 ~pself :
       if !trials < max_trials && !verdict = None && admitted info a b then
         match
           (try
-             let mab, gab = replay prog snap a b in
-             let mba, gba = replay prog snap b a in
+             let mab, gab = replay prepared snap a b in
+             let mba, gba = replay prepared snap b a in
              Some (Machine.obs_diff mab mba @ globals_diff gab gba)
-           with Interp.Out_of_fuel | Diag.Error _ -> None)
+           with Precompile.Out_of_fuel | Diag.Error _ -> None)
         with
         | None -> ()
         | Some [] -> incr trials
@@ -280,7 +275,6 @@ let refute_pair ~prog ~max_trials invs (info : Metadata.set_info) m1 m2 ~pself :
 let refine ?(max_snapshots = 2) ?(max_trials = 3) ~(prepared : Precompile.t)
     ~(md : Metadata.t) ~(setup : Machine.t -> unit) (report : Verdict.report) :
     Verdict.report =
-  let prog = md.Metadata.prog in
   let wanted =
     List.exists
       (fun (p : Verdict.pair) ->
@@ -299,7 +293,7 @@ let refine ?(max_snapshots = 2) ?(max_trials = 3) ~(prepared : Precompile.t)
           | None -> p
           | Some info ->
               let upgraded, trials =
-                refute_pair ~prog ~max_trials invs info p.Verdict.pm1
+                refute_pair ~prepared ~max_trials invs info p.Verdict.pm1
                   p.Verdict.pm2 ~pself:p.Verdict.pself
               in
               let pverdict =

@@ -24,8 +24,9 @@ type inv = {
 }
 
 (** Run the prepared program once under instrumentation and record
-    member instances with state snapshots; replay uses the reference
-    interpreter's region/function entry points. *)
+    member instances with state snapshots; replay runs them through
+    {!Commset_runtime.Precompile.run_region} and
+    {!Commset_runtime.Precompile.run_func}. *)
 val record :
   max_snapshots:int ->
   prepared:Commset_runtime.Precompile.t ->
@@ -39,7 +40,7 @@ val eligible : Metadata.t -> Metadata.member -> Metadata.member -> bool
 
 (** Try to refute one pair from recorded instances. *)
 val refute_pair :
-  prog:Ir.program ->
+  prepared:Commset_runtime.Precompile.t ->
   max_trials:int ->
   inv list ->
   Metadata.set_info ->

@@ -5,10 +5,15 @@
     Codes: CS001 commutativity-refuted, CS002 commutativity-unknown
     (strict mode only), CS003 unused-commset, CS004
     predicate-side-effect, CS005 nosync-shared-write, CS006
-    member-shadows-instance, CS007 dead-optional-block. CS008 (unreadable
-    input) and CS010–CS012 (region control flow, transitive member call,
-    cyclic commset graph) are emitted by the driver and the well-formedness
-    checker respectively. *)
+    member-shadows-instance, CS007 dead-optional-block. Elsewhere: CS008
+    (unreadable input) from the driver; CS010–CS012 (region control
+    flow, transitive member call, cyclic commset graph) from the
+    well-formedness checker; CS013 (invalid [COMMSET_JOBS] or
+    [COMMSET_SPIN_*] value) from the pool and the cost model; CS014
+    (plan refused by the real backend) from the executor; CS015 and
+    CS016 (no sound condition, weaker bundle) from the synthesizer;
+    CS017 (fuel exhausted) from {!Commset_runtime.Precompile.fuel_guard}
+    at the command and request boundaries. *)
 
 module Ir = Commset_ir.Ir
 module A = Commset_analysis

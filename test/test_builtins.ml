@@ -13,8 +13,8 @@ let run_src src =
   let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
   let prog = Commset_ir.Lower.lower_program ast in
   let machine = R.Machine.create () in
-  let interp = R.Interp.create ~machine prog in
-  let _ = R.Interp.run_main interp in
+  let interp = Interp.create ~machine prog in
+  let _ = Interp.run_main interp in
   R.Machine.outputs machine
 
 let expect src outputs = check Alcotest.(list string) src outputs (run_src src)

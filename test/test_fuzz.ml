@@ -103,8 +103,8 @@ let run_sequential src =
   let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
   let prog = Commset_ir.Lower.lower_program ast in
   let machine = R.Machine.create () in
-  let interp = R.Interp.create ~machine prog in
-  let _ = R.Interp.run_main interp in
+  let interp = Interp.create ~machine prog in
+  let _ = Interp.run_main interp in
   R.Machine.outputs machine
 
 let prop_pipeline_sound =
@@ -148,7 +148,7 @@ let prop_prepared_differential =
       let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
       let prog = Commset_ir.Lower.lower_program ast in
       let m_ref = R.Machine.create () in
-      let t_ref = R.Interp.run_main (R.Interp.create ~machine:m_ref prog) in
+      let t_ref = Interp.run_main (Interp.create ~machine:m_ref prog) in
       let prepared = R.Precompile.prepare prog in
       let run path =
         let machine = R.Machine.create () in
@@ -157,10 +157,10 @@ let prop_prepared_differential =
           | `Fast -> R.Precompile.run_main (R.Precompile.executor ~machine prepared)
           | `Instrumented ->
               R.Precompile.run_main
-                (R.Precompile.executor ~hooks:(R.Interp.null_hooks ()) ~machine prepared)
+                (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) ~machine prepared)
           | `Coarse ->
               R.Precompile.run_main_coarse
-                (R.Precompile.executor ~hooks:(R.Interp.null_hooks ()) ~machine prepared)
+                (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) ~machine prepared)
         in
         (t, R.Machine.outputs machine)
       in

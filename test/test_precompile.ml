@@ -1,9 +1,11 @@
 (** Differential tests: the prepared-program engine ({!Precompile}) must
     be observationally identical to the reference interpreter
-    ({!Interp}) — outputs, total cycles (bit-exact), diagnostics, fuel
-    exhaustion points, final globals, and (on the instrumented path) the
-    complete hook event stream — across every bundled workload, every
-    annotation variant, and a set of handwritten corner cases. *)
+    ({!Interp}, the oracle kept in this directory) — outputs, total
+    cycles (bit-exact), diagnostics, fuel exhaustion points, final
+    globals, the complete hook event stream on the hooked path, the
+    block-level events on the coarse path, and the outcome of replaying
+    each recorded commset instance — across every bundled workload,
+    every annotation variant, and a set of handwritten corner cases. *)
 
 module L = Commset_lang
 module Ir = Commset_ir.Ir
@@ -40,22 +42,22 @@ let enc_actuals actuals =
 (** Record every hook event into [sink] as a canonical string. Exact but
     allocation-heavy: for the big workloads use {!hashing_hooks}. *)
 let recording_hooks sink =
-  let h = R.Interp.null_hooks () in
+  let h = R.Precompile.null_hooks () in
   let add s = sink := s :: !sink in
-  h.R.Interp.on_instr <- (fun f i -> add (Printf.sprintf "I:%s:%d" f.Ir.fname i.Ir.iid));
-  h.R.Interp.on_block <- (fun f l -> add (Printf.sprintf "B:%s:%d" f.Ir.fname l));
-  h.R.Interp.on_base_cost <- (fun c -> add (Printf.sprintf "C:%d" (fbits c)));
-  h.R.Interp.on_builtin <-
+  h.R.Precompile.on_instr <- (fun f i -> add (Printf.sprintf "I:%s:%d" f.Ir.fname i.Ir.iid));
+  h.R.Precompile.on_block <- (fun f l -> add (Printf.sprintf "B:%s:%d" f.Ir.fname l));
+  h.R.Precompile.on_base_cost <- (fun c -> add (Printf.sprintf "C:%d" (fbits c)));
+  h.R.Precompile.on_builtin <-
     (fun bi c -> add (Printf.sprintf "X:%s:%d" bi.R.Builtins.name (fbits c)));
-  h.R.Interp.on_output <- (fun s -> add ("O:" ^ String.escaped s));
-  h.R.Interp.on_enter_func <- (fun f -> add ("E:" ^ f.Ir.fname));
-  h.R.Interp.on_exit_func <- (fun f -> add ("F:" ^ f.Ir.fname));
-  h.R.Interp.on_region_enter <-
+  h.R.Precompile.on_output <- (fun s -> add ("O:" ^ String.escaped s));
+  h.R.Precompile.on_enter_func <- (fun f -> add ("E:" ^ f.Ir.fname));
+  h.R.Precompile.on_exit_func <- (fun f -> add ("F:" ^ f.Ir.fname));
+  h.R.Precompile.on_region_enter <-
     (fun f r actuals regs ->
       add
         (Printf.sprintf "R:%s:%d:%s:#%d" f.Ir.fname r.Ir.rid (enc_actuals actuals)
            (Array.length regs)));
-  h.R.Interp.on_call_actuals <-
+  h.R.Precompile.on_call_actuals <-
     (fun i argv en ->
       add
         (Printf.sprintf "A:%d:%s:%s" i.Ir.iid
@@ -68,52 +70,52 @@ let recording_hooks sink =
     the stream. Identical streams give identical (hash, count); a
     divergence at any event perturbs all later mixes. *)
 let hashing_hooks acc count =
-  let h = R.Interp.null_hooks () in
+  let h = R.Precompile.null_hooks () in
   let mix x = acc := (!acc * 31) + x in
   let mixh v = mix (Hashtbl.hash v) in
   let ev tag =
     incr count;
     mix tag
   in
-  h.R.Interp.on_instr <-
+  h.R.Precompile.on_instr <-
     (fun f i ->
       ev 1;
       mixh f.Ir.fname;
       mix i.Ir.iid);
-  h.R.Interp.on_block <-
+  h.R.Precompile.on_block <-
     (fun f l ->
       ev 2;
       mixh f.Ir.fname;
       mix l);
-  h.R.Interp.on_base_cost <-
+  h.R.Precompile.on_base_cost <-
     (fun c ->
       ev 3;
       mix (fbits c));
-  h.R.Interp.on_builtin <-
+  h.R.Precompile.on_builtin <-
     (fun bi c ->
       ev 4;
       mixh bi.R.Builtins.name;
       mix (fbits c));
-  h.R.Interp.on_output <-
+  h.R.Precompile.on_output <-
     (fun s ->
       ev 5;
       mixh s);
-  h.R.Interp.on_enter_func <-
+  h.R.Precompile.on_enter_func <-
     (fun f ->
       ev 6;
       mixh f.Ir.fname);
-  h.R.Interp.on_exit_func <-
+  h.R.Precompile.on_exit_func <-
     (fun f ->
       ev 7;
       mixh f.Ir.fname);
-  h.R.Interp.on_region_enter <-
+  h.R.Precompile.on_region_enter <-
     (fun f r actuals regs ->
       ev 8;
       mixh f.Ir.fname;
       mix r.Ir.rid;
       mixh (enc_actuals actuals);
       mix (Array.length regs));
-  h.R.Interp.on_call_actuals <-
+  h.R.Precompile.on_call_actuals <-
     (fun i argv en ->
       ev 9;
       mix i.Ir.iid;
@@ -139,30 +141,30 @@ let canon_globals l =
 let run_reference ?hooks ?fuel ~setup prog =
   let machine = R.Machine.create () in
   setup machine;
-  let interp = R.Interp.create ?hooks ?fuel ~machine prog in
+  let interp = Interp.create ?hooks ?fuel ~machine prog in
   let result =
-    match R.Interp.run_main interp with
+    match Interp.run_main interp with
     | total -> Ok total
     | exception Diag.Error d -> Error (Diag.to_string d)
-    | exception R.Interp.Out_of_fuel -> Error "<out of fuel>"
+    | exception R.Precompile.Out_of_fuel -> Error "<out of fuel>"
     | exception Not_found -> Error "<not found>"
   in
   {
     o_result = result;
     o_outputs = R.Machine.outputs machine;
     o_globals =
-      canon_globals (Hashtbl.fold (fun n v l -> (n, v) :: l) interp.R.Interp.globals []);
+      canon_globals (Hashtbl.fold (fun n v l -> (n, v) :: l) interp.Interp.globals []);
   }
 
-let run_prepared ?hooks ?fuel ~setup prepared =
+let run_prepared ?(run = R.Precompile.run_main) ?hooks ?fuel ~setup prepared =
   let machine = R.Machine.create () in
   setup machine;
   let ex = R.Precompile.executor ?hooks ?fuel ~machine prepared in
   let result =
-    match R.Precompile.run_main ex with
+    match run ex with
     | total -> Ok total
     | exception Diag.Error d -> Error (Diag.to_string d)
-    | exception R.Interp.Out_of_fuel -> Error "<out of fuel>"
+    | exception R.Precompile.Out_of_fuel -> Error "<out of fuel>"
     | exception Not_found -> Error "<not found>"
   in
   {
@@ -312,6 +314,17 @@ let test_diff_missing_arg () =
   | Error m -> check Alcotest.bool "names argument 0" true (m <> "")
   | Ok _ -> Alcotest.fail "main(int) with no args must trap"
 
+let test_fuel_diag () =
+  (* the CLI and serve boundaries turn fuel exhaustion into CS017; a
+     small fuel keeps the non-terminating run short *)
+  let prog = compile "void main() { int x = 0; while (true) { x = x + 1; } }" in
+  let ex = R.Precompile.executor ~fuel:100 (R.Precompile.prepare prog) in
+  match R.Precompile.fuel_guard (fun () -> R.Precompile.run_main ex) with
+  | _ -> Alcotest.fail "a non-terminating program must exhaust its fuel"
+  | exception Diag.Error d ->
+      check Alcotest.(option string) "code" (Some "CS017") d.Diag.code;
+      check Alcotest.int "ran the whole budget" 100 (R.Precompile.steps ex)
+
 (* ---- workload differentials ----------------------------------------- *)
 
 let workload_differential (w : W.t) variant_name src () =
@@ -336,17 +349,166 @@ let workload_differential (w : W.t) variant_name src () =
   check Alcotest.int (what "%s/%s hook event count") !ref_n !ins_n;
   check Alcotest.int (what "%s/%s hook event hash") !ref_acc !ins_acc
 
+(** Hash only the block- and function-level events: the subset the
+    block-grained path fires (outputs are compared separately). *)
+let coarse_hooks acc count =
+  let h = R.Precompile.null_hooks () in
+  let ev tag x =
+    incr count;
+    acc := (((!acc * 31) + tag) * 31) + Hashtbl.hash x
+  in
+  h.R.Precompile.on_block <- (fun f l -> ev 2 (f.Ir.fname, l));
+  h.R.Precompile.on_enter_func <- (fun f -> ev 6 f.Ir.fname);
+  h.R.Precompile.on_exit_func <- (fun f -> ev 7 f.Ir.fname);
+  h
+
+let workload_coarse_events (w : W.t) variant_name src () =
+  let prog = compile src in
+  let what fmt = Printf.sprintf fmt w.W.wname variant_name in
+  let ref_acc = ref 0 and ref_n = ref 0 in
+  let acc = ref 0 and n = ref 0 in
+  let reference = run_reference ~hooks:(coarse_hooks ref_acc ref_n) ~setup:w.W.setup prog in
+  let coarse =
+    run_prepared ~run:R.Precompile.run_main_coarse ~hooks:(coarse_hooks acc n)
+      ~setup:w.W.setup (R.Precompile.prepare prog)
+  in
+  check_outcome (what "%s/%s coarse") reference coarse;
+  check Alcotest.int (what "%s/%s block event count") !ref_n !n;
+  check Alcotest.int (what "%s/%s block event hash") !ref_acc !acc
+
+(* ---- replay entries against the oracle ------------------------------ *)
+
+module P = Commset_pipeline.Pipeline
+module Dynamic = Commset_verify.Dynamic
+
+let rec deep = function
+  | R.Value.Varray a -> R.Value.Varray (Array.map deep a)
+  | v -> v
+
+type replayed = {
+  r_result : (unit, string) result;
+  r_machine : R.Machine.t;
+  r_globals : (string * string) list;
+  r_steps : int;
+}
+
+(** Run one recorded instance from its snapshot on the prepared entries
+    and on the oracle, each on its own copy of the snapshot machine,
+    globals and register file. *)
+let replay_both ~fuel prepared (inv : Dynamic.inv) (snap_m, snap_g) =
+  let outcome f =
+    match f () with
+    | () -> Ok ()
+    | exception Diag.Error d -> Error (Diag.to_string d)
+    | exception R.Precompile.Out_of_fuel -> Error "<out of fuel>"
+  in
+  let globals () = List.map (fun (k, v) -> (k, deep v)) snap_g in
+  let m1 = R.Machine.clone snap_m in
+  let ex = R.Precompile.executor ~fuel ~machine:m1 prepared in
+  R.Precompile.set_globals ex (globals ());
+  let r1 =
+    outcome (fun () ->
+        match inv.Dynamic.ibody with
+        | Dynamic.Bregion { bfunc; bregion; bregs } ->
+            R.Precompile.run_region ex bfunc bregion (Array.map deep bregs)
+        | Dynamic.Bfun { bfunc; bargs } ->
+            ignore (R.Precompile.run_func ex bfunc (List.map deep bargs)))
+  in
+  let m2 = R.Machine.clone snap_m in
+  let t = Interp.create ~fuel ~machine:m2 (R.Precompile.program prepared) in
+  Hashtbl.reset t.Interp.globals;
+  List.iter (fun (k, v) -> Hashtbl.replace t.Interp.globals k v) (globals ());
+  let r2 =
+    outcome (fun () ->
+        match inv.Dynamic.ibody with
+        | Dynamic.Bregion { bfunc; bregion; bregs } ->
+            Interp.exec_region t bfunc (Array.map deep bregs) bregion
+        | Dynamic.Bfun { bfunc; bargs } ->
+            ignore (Interp.exec_func t bfunc (List.map deep bargs)))
+  in
+  ( {
+      r_result = r1;
+      r_machine = m1;
+      r_globals = canon_globals (R.Precompile.globals ex);
+      r_steps = R.Precompile.steps ex;
+    },
+    {
+      r_result = r2;
+      r_machine = m2;
+      r_globals = canon_globals (Hashtbl.fold (fun k v l -> (k, v) :: l) t.Interp.globals []);
+      r_steps = fuel - t.Interp.fuel;
+    } )
+
+let check_replay what ((got, expected) : replayed * replayed) =
+  check Alcotest.(result unit string) (what ^ ": outcome") expected.r_result got.r_result;
+  check Alcotest.(list string) (what ^ ": machine diff") []
+    (R.Machine.obs_diff expected.r_machine got.r_machine);
+  check
+    Alcotest.(list (pair string string))
+    (what ^ ": globals") expected.r_globals got.r_globals;
+  check Alcotest.int (what ^ ": steps") expected.r_steps got.r_steps
+
+(** Every instance the verifier's recording run snapshots. *)
+let snapshotted (w : W.t) src =
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup src in
+  let invs =
+    Dynamic.record ~max_snapshots:2 ~prepared:c.P.prepared ~md:c.P.md ~setup:w.W.setup
+  in
+  (c.P.prepared, List.filter_map (fun i -> Option.map (fun s -> (i, s)) i.Dynamic.isnap) invs)
+
+let workload_replay (w : W.t) variant_name src () =
+  let prepared, snaps = snapshotted w src in
+  List.iter
+    (fun ((inv : Dynamic.inv), snap) ->
+      check_replay
+        (Printf.sprintf "%s/%s instance #%d" w.W.wname variant_name inv.Dynamic.iseq)
+        (replay_both ~fuel:2_000_000 prepared inv snap))
+    snaps
+
+let test_replay_fuel () =
+  (* the longest region instance under every fuel up to one past its
+     step count: both engines run out at the same step, and a budget
+     that covers the instance completes on both (leaving the region
+     costs no fuel) *)
+  let w = Option.get (Registry.find "potrace") in
+  let prepared, snaps = snapshotted w w.W.source in
+  let n, (inv, snap) =
+    List.fold_left
+      (fun ((best, _) as acc) (((i : Dynamic.inv), snap) as cand) ->
+        match i.Dynamic.ibody with
+        | Dynamic.Bfun _ -> acc
+        | Dynamic.Bregion _ ->
+            let full, _ = replay_both ~fuel:2_000_000 prepared i snap in
+            if full.r_steps > best then (full.r_steps, cand) else acc)
+      (0, List.hd snaps) snaps
+  in
+  check Alcotest.bool (Printf.sprintf "instance takes %d steps" n) true (n > 3);
+  List.iter
+    (fun fuel ->
+      let ((got, _) as both) = replay_both ~fuel prepared inv snap in
+      check_replay (Printf.sprintf "fuel %d of %d" fuel n) both;
+      check Alcotest.bool
+        (Printf.sprintf "fuel %d of %d runs out" fuel n)
+        (fuel < n)
+        (got.r_result = Error "<out of fuel>"))
+    (List.init (n + 1) (fun i -> i + 1))
+
 let workload_cases =
   List.concat_map
     (fun (w : W.t) ->
-      let case name src =
-        Alcotest.test_case
-          (Printf.sprintf "%s/%s differential" w.W.wname name)
-          `Slow
-          (workload_differential w name src)
+      let cases name src =
+        List.map
+          (fun (kind, f) ->
+            Alcotest.test_case (Printf.sprintf "%s/%s %s" w.W.wname name kind) `Slow
+              (f w name src))
+          [
+            ("differential", workload_differential);
+            ("coarse events", workload_coarse_events);
+            ("replay vs oracle", workload_replay);
+          ]
       in
-      case "base" w.W.source
-      :: List.map (fun (vname, vsrc) -> case vname vsrc) w.W.variants)
+      cases "base" w.W.source
+      @ List.concat_map (fun (vname, vsrc) -> cases vname vsrc) w.W.variants)
     Registry.all
 
 let suite =
@@ -358,5 +520,7 @@ let suite =
       Alcotest.test_case "traps" `Quick test_diff_traps;
       Alcotest.test_case "fuel parity" `Quick test_diff_fuel;
       Alcotest.test_case "missing argument" `Quick test_diff_missing_arg;
+      Alcotest.test_case "fuel exhaustion is CS017" `Quick test_fuel_diag;
+      Alcotest.test_case "replay fuel parity" `Quick test_replay_fuel;
     ]
     @ workload_cases )

@@ -160,8 +160,8 @@ let run_src ?machine src =
   let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
   let prog = Commset_ir.Lower.lower_program ast in
   let machine = match machine with Some m -> m | None -> R.Machine.create () in
-  let interp = R.Interp.create ~machine prog in
-  let total = R.Interp.run_main interp in
+  let interp = Interp.create ~machine prog in
+  let total = Interp.run_main interp in
   (R.Machine.outputs machine, total)
 
 let test_interp_arith () =
@@ -234,9 +234,9 @@ let test_interp_fuel () =
   let ast = L.Parser.parse_program "void main() { while (true) { } }" in
   let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
   let prog = Commset_ir.Lower.lower_program ast in
-  let interp = R.Interp.create ~fuel:1000 prog in
-  match R.Interp.run_main interp with
-  | exception R.Interp.Out_of_fuel -> ()
+  let interp = Interp.create ~fuel:1000 prog in
+  match Interp.run_main interp with
+  | exception R.Precompile.Out_of_fuel -> ()
   | _ -> Alcotest.fail "infinite loop must exhaust fuel"
 
 (* Value.equal drives the interpreter's == / != : IEEE float semantics

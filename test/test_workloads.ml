@@ -24,8 +24,8 @@ let run_sequential ~setup src =
   let prog = Commset_ir.Lower.lower_program ast in
   let machine = R.Machine.create () in
   setup machine;
-  let interp = R.Interp.create ~machine prog in
-  let _ = R.Interp.run_main interp in
+  let interp = Interp.create ~machine prog in
+  let _ = Interp.run_main interp in
   R.Machine.outputs machine
 
 (* cache of full evaluations: compiling + simulating once per workload *)
