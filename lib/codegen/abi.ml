@@ -34,8 +34,9 @@ type ctx = {
       (** every builtin call, at any nesting depth *)
   cg_charge : steps:int -> cost:float -> unit;
       (** flush locally-accounted fuel steps and simulated cycles into
-          the worker state (called before [cg_node]/[cg_builtin] and at
-          iteration exit, so the worker state's totals stay current) *)
+          the worker state: called once as the iteration exits, normally
+          or by an exception (the worker's totals are read only between
+          iterations) *)
   cg_fuel_left : unit -> int;  (** worker fuel at iteration entry *)
 }
 

@@ -15,9 +15,10 @@
       straight run of simple instructions pays one batched check and
       subtraction when the tank clearly covers it, falling back to the
       per-instruction path — which traps exactly where the interpreter
-      would — when it may not; simulated cycles are batched per
-      straight-line segment and flushed through [ctx.cg_charge] before
-      every node transition, builtin call and iteration exit;
+      would — when it may not; fuel and simulated cycles accumulate in
+      locals and reach the worker state through one [ctx.cg_charge] as
+      the iteration exits, normally or by an exception (nothing reads
+      the worker's totals mid-iteration);
     - node transitions ([ctx.cg_node]) are emitted once per maximal run
       of same-node instructions — the per-instruction [on_instr] of the
       interpreted path collapses to its static boundaries — and a block
@@ -26,7 +27,10 @@
       transitions only where the map changes;
     - operator/trap semantics mirror [prep_binop]/[prep_unop]/
       [prep_instr] case by case, including error message text and
-      constant-branch traps.
+      constant-branch traps; the int, float, array and index reads
+      match the expected constructor inline (the prelude's [int_of],
+      [float_of], [indexed_of], [index_of]) and call the [Value]
+      coercion only to raise its diagnostic.
 
     The emitted text is deterministic for a given prepared program +
     target + node map: it is the content-hash cache key's preimage. *)
@@ -138,15 +142,16 @@ let ov pools = function
 
 (* Coerced operand expressions. A constant of the matching constructor
    folds to an OCaml literal (the coercion is the identity there); any
-   other constant goes through the pooled value and the same [Value]
-   coercion the interpreter applies, trapping with the same message. *)
+   other operand goes through the prelude's inlined read, which traps
+   through the [Value] coercion the interpreter applies, with the same
+   message. *)
 let oi pools = function
   | Ir.Const (Ir.Cint n) -> int_lit n
-  | o -> Printf.sprintf "(V.to_int %s)" (ov pools o)
+  | o -> Printf.sprintf "(int_of %s)" (ov pools o)
 
 let of_ pools = function
   | Ir.Const (Ir.Cfloat f) -> float_lit f
-  | o -> Printf.sprintf "(V.to_float %s)" (ov pools o)
+  | o -> Printf.sprintf "(float_of %s)" (ov pools o)
 
 let os pools = function
   | Ir.Const (Ir.Cstring s) -> Printf.sprintf "%S" s
@@ -157,6 +162,10 @@ let ob pools = function
   | o -> Printf.sprintf "(V.to_bool %s)" (ov pools o)
 
 (* ---- instruction bodies ---------------------------------------------- *)
+
+(* A boolean result: one of [Value]'s two shared values, never a fresh
+   [Vbool]. *)
+let vbool cond = Printf.sprintf "(if %s then V.vtrue else V.vfalse)" cond
 
 (* The (op, ty) table of [Precompile.prep_binop], emitted case by case. *)
 let binop_expr pools op ty a b : string =
@@ -181,20 +190,20 @@ let binop_expr pools op ty a b : string =
   | Ast.Mul, Ast.Tfloat -> Printf.sprintf "V.Vfloat (%s *. %s)" (f a) (f b)
   | Ast.Div, Ast.Tfloat -> Printf.sprintf "V.Vfloat (%s /. %s)" (f a) (f b)
   | Ast.Add, Ast.Tstring -> Printf.sprintf "V.Vstring (%s ^ %s)" (s a) (s b)
-  | Ast.Lt, Ast.Tint -> Printf.sprintf "V.Vbool (%s < %s)" (i a) (i b)
-  | Ast.Le, Ast.Tint -> Printf.sprintf "V.Vbool (%s <= %s)" (i a) (i b)
-  | Ast.Gt, Ast.Tint -> Printf.sprintf "V.Vbool (%s > %s)" (i a) (i b)
-  | Ast.Ge, Ast.Tint -> Printf.sprintf "V.Vbool (%s >= %s)" (i a) (i b)
-  | Ast.Lt, Ast.Tfloat -> Printf.sprintf "V.Vbool (%s < %s)" (f a) (f b)
-  | Ast.Le, Ast.Tfloat -> Printf.sprintf "V.Vbool (%s <= %s)" (f a) (f b)
-  | Ast.Gt, Ast.Tfloat -> Printf.sprintf "V.Vbool (%s > %s)" (f a) (f b)
-  | Ast.Ge, Ast.Tfloat -> Printf.sprintf "V.Vbool (%s >= %s)" (f a) (f b)
-  | Ast.Lt, Ast.Tstring -> Printf.sprintf "V.Vbool (%s < %s)" (s a) (s b)
-  | Ast.Gt, Ast.Tstring -> Printf.sprintf "V.Vbool (%s > %s)" (s a) (s b)
-  | Ast.Eq, _ -> Printf.sprintf "V.Vbool (V.equal %s %s)" (v a) (v b)
-  | Ast.Neq, _ -> Printf.sprintf "V.Vbool (not (V.equal %s %s))" (v a) (v b)
-  | Ast.And, Ast.Tbool -> Printf.sprintf "V.Vbool (%s && %s)" (bl a) (bl b)
-  | Ast.Or, Ast.Tbool -> Printf.sprintf "V.Vbool (%s || %s)" (bl a) (bl b)
+  | Ast.Lt, Ast.Tint -> vbool (Printf.sprintf "%s < %s" (i a) (i b))
+  | Ast.Le, Ast.Tint -> vbool (Printf.sprintf "%s <= %s" (i a) (i b))
+  | Ast.Gt, Ast.Tint -> vbool (Printf.sprintf "%s > %s" (i a) (i b))
+  | Ast.Ge, Ast.Tint -> vbool (Printf.sprintf "%s >= %s" (i a) (i b))
+  | Ast.Lt, Ast.Tfloat -> vbool (Printf.sprintf "%s < %s" (f a) (f b))
+  | Ast.Le, Ast.Tfloat -> vbool (Printf.sprintf "%s <= %s" (f a) (f b))
+  | Ast.Gt, Ast.Tfloat -> vbool (Printf.sprintf "%s > %s" (f a) (f b))
+  | Ast.Ge, Ast.Tfloat -> vbool (Printf.sprintf "%s >= %s" (f a) (f b))
+  | Ast.Lt, Ast.Tstring -> vbool (Printf.sprintf "%s < %s" (s a) (s b))
+  | Ast.Gt, Ast.Tstring -> vbool (Printf.sprintf "%s > %s" (s a) (s b))
+  | Ast.Eq, _ -> vbool (Printf.sprintf "V.equal %s %s" (v a) (v b))
+  | Ast.Neq, _ -> vbool (Printf.sprintf "not (V.equal %s %s)" (v a) (v b))
+  | Ast.And, Ast.Tbool -> vbool (Printf.sprintf "%s && %s" (bl a) (bl b))
+  | Ast.Or, Ast.Tbool -> vbool (Printf.sprintf "%s || %s" (bl a) (bl b))
   | _ -> "(D.error \"runtime: ill-typed binop\")"
 
 let unop_expr pools op a : string =
@@ -206,9 +215,8 @@ let unop_expr pools op a : string =
         (ov pools a)
   | Ast.Not ->
       Printf.sprintf
-        "(match %s with V.Vbool x -> V.Vbool (not x) | _ -> D.error \"runtime: \
-         ill-typed unop\")"
-        (ov pools a)
+        "(match %s with V.Vbool x -> %s | _ -> D.error \"runtime: ill-typed unop\")"
+        (ov pools a) (vbool "not x")
 
 (* ---- the emitter ------------------------------------------------------ *)
 
@@ -252,7 +260,7 @@ let step_stmt = "if !fuel <= 0 then raise Commset_runtime.Precompile.Out_of_fuel
 let charge_stmt cost = Printf.sprintf "pc.(0) <- pc.(0) +. %s;" (float_lit cost)
 
 (* One call instruction: fuel + own static cost, then the builtin
-   boundary (flush, dispatch through ctx) or the user-call frame setup. *)
+   dispatch through ctx or the user-call frame setup. *)
 let emit_call env ~ind ~cost (i : Ir.instr) =
   match i.Ir.desc with
   | Ir.Call { dst; callee; args; enabled = _ } -> (
@@ -262,7 +270,6 @@ let emit_call env ~ind ~cost (i : Ir.instr) =
       | Rbuiltin name ->
           let argv = String.concat "; " (List.map (ov env.pools) args) in
           let has_dst = match dst with Some _ -> true | None -> false in
-          line env "%sflush ();" ind;
           line env
             "%s(let (v, c) = ctx.A.cg_builtin %s [%s] ~has_dst:%b in pc.(0) <- pc.(0) +. c; %s);"
             ind
@@ -326,19 +333,17 @@ let simple_stmt env (i : Ir.instr) : string =
             Printf.sprintf "gl.(%d) <- %s; gld.(%d) <- true;" slot (ov pools op) slot)
   | Ir.Load_index (r, arr, idx) ->
       Printf.sprintf
-        "(let a = V.to_array ~what:\"indexed value\" %s in let j = V.to_int \
-         ~what:\"index\" %s in if j < 0 || j >= Array.length a then D.error ~loc:%s \
-         \"runtime: index %%d out of bounds (length %%d)\" j (Array.length a); \
-         regs.(%d) <- a.(j));"
+        "(let a = indexed_of %s in let j = index_of %s in if j < 0 || j >= \
+         Array.length a then D.error ~loc:%s \"runtime: index %%d out of bounds \
+         (length %%d)\" j (Array.length a); regs.(%d) <- a.(j));"
         (ov pools arr) (ov pools idx)
         (loc_name pools i.Ir.iloc)
         r
   | Ir.Store_index (arr, idx, v) ->
       Printf.sprintf
-        "(let a = V.to_array ~what:\"indexed value\" %s in let j = V.to_int \
-         ~what:\"index\" %s in if j < 0 || j >= Array.length a then D.error ~loc:%s \
-         \"runtime: index %%d out of bounds (length %%d)\" j (Array.length a); a.(j) \
-         <- %s);"
+        "(let a = indexed_of %s in let j = index_of %s in if j < 0 || j >= \
+         Array.length a then D.error ~loc:%s \"runtime: index %%d out of bounds \
+         (length %%d)\" j (Array.length a); a.(j) <- %s);"
         (ov pools arr) (ov pools idx)
         (loc_name pools i.Ir.iloc)
         (ov pools v)
@@ -392,7 +397,7 @@ let emit_instrs env ~ind ~(node_of : (int -> int) option) ?(entry_nid = min_int)
           let nid = nid_of i.Ir.iid in
           if nid <> !prev_nid then begin
             flush_pending ();
-            line env "%sflush (); ctx.A.cg_node (%d);" ind nid;
+            line env "%sctx.A.cg_node (%d);" ind nid;
             prev_nid := nid
           end
       | None -> ());
@@ -591,6 +596,17 @@ let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
     Buffer.add_string out "module A = Commset_codegen.Abi\n";
     Buffer.add_string out "module D = Commset_support.Diag\n";
     Buffer.add_string out "module L = Commset_support.Loc\n";
+    (* local so that they inline: the runtime library may be compiled
+       [-opaque], and then no [Value] function inlines into this unit *)
+    List.iter
+      (fun l -> Buffer.add_string out (l ^ "\n"))
+      [
+        "let[@inline] int_of = function V.Vint n -> n | v -> V.to_int v";
+        "let[@inline] float_of = function V.Vfloat f -> f | v -> V.to_float v";
+        "let[@inline] indexed_of = function";
+        "  | V.Varray a -> a | v -> V.to_array ~what:\"indexed value\" v";
+        "let[@inline] index_of = function V.Vint n -> n | v -> V.to_int ~what:\"index\" v";
+      ];
     List.iter
       (fun (n, e) -> Buffer.add_string out (Printf.sprintf "let %s = %s\n" n e))
       (List.rev env.pools.p_bindings);

@@ -86,7 +86,7 @@ let b_priced ~cost ?thread_safe ?sharing ?wclass ?partition ~spec name params re
 
 let int_v n = Value.Vint n
 let float_v f = Value.Vfloat f
-let bool_v x = Value.Vbool x
+let bool_v x = if x then Value.vtrue else Value.vfalse
 let string_v s = Value.Vstring s
 let unit_v = int_v 0
 

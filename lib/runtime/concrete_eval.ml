@@ -10,17 +10,19 @@ open Commset_support
 
 type env = (string * Value.t) list
 
+let bool b = if b then Value.vtrue else Value.vfalse
+
 let rec eval (env : env) (e : Ast.expr) : Value.t =
   match e.Ast.edesc with
   | Ast.Int_lit n -> Value.Vint n
   | Ast.Float_lit f -> Value.Vfloat f
-  | Ast.Bool_lit b -> Value.Vbool b
+  | Ast.Bool_lit b -> bool b
   | Ast.String_lit s -> Value.Vstring s
   | Ast.Var v -> (
       match List.assoc_opt v env with
       | Some value -> value
       | None -> Diag.error "predicate evaluation: unbound parameter '%s'" v)
-  | Ast.Unop (Ast.Not, a) -> Value.Vbool (not (Value.to_bool (eval env a)))
+  | Ast.Unop (Ast.Not, a) -> bool (not (Value.to_bool (eval env a)))
   | Ast.Unop (Ast.Neg, a) -> (
       match eval env a with
       | Value.Vint n -> Value.Vint (-n)
@@ -46,18 +48,18 @@ and eval_binop env op a b =
   | Ast.Mul, Vfloat x, Vfloat y -> Vfloat (x *. y)
   | Ast.Div, Vfloat x, Vfloat y -> Vfloat (x /. y)
   | Ast.Add, Vstring x, Vstring y -> Vstring (x ^ y)
-  | Ast.Lt, Vint x, Vint y -> Vbool (x < y)
-  | Ast.Le, Vint x, Vint y -> Vbool (x <= y)
-  | Ast.Gt, Vint x, Vint y -> Vbool (x > y)
-  | Ast.Ge, Vint x, Vint y -> Vbool (x >= y)
-  | Ast.Lt, Vfloat x, Vfloat y -> Vbool (x < y)
-  | Ast.Le, Vfloat x, Vfloat y -> Vbool (x <= y)
-  | Ast.Gt, Vfloat x, Vfloat y -> Vbool (x > y)
-  | Ast.Ge, Vfloat x, Vfloat y -> Vbool (x >= y)
-  | Ast.Eq, x, y -> Vbool (x = y)
-  | Ast.Neq, x, y -> Vbool (x <> y)
-  | Ast.And, Vbool x, Vbool y -> Vbool (x && y)
-  | Ast.Or, Vbool x, Vbool y -> Vbool (x || y)
+  | Ast.Lt, Vint x, Vint y -> bool (x < y)
+  | Ast.Le, Vint x, Vint y -> bool (x <= y)
+  | Ast.Gt, Vint x, Vint y -> bool (x > y)
+  | Ast.Ge, Vint x, Vint y -> bool (x >= y)
+  | Ast.Lt, Vfloat x, Vfloat y -> bool (x < y)
+  | Ast.Le, Vfloat x, Vfloat y -> bool (x <= y)
+  | Ast.Gt, Vfloat x, Vfloat y -> bool (x > y)
+  | Ast.Ge, Vfloat x, Vfloat y -> bool (x >= y)
+  | Ast.Eq, x, y -> bool (x = y)
+  | Ast.Neq, x, y -> bool (x <> y)
+  | Ast.And, Vbool x, Vbool y -> bool (x && y)
+  | Ast.Or, Vbool x, Vbool y -> bool (x || y)
   | _ -> Diag.error "predicate evaluation: ill-typed operation"
 
 (** Evaluate a predicate body with the two instances' actuals bound to the

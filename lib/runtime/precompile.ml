@@ -13,7 +13,11 @@
     - operand access: [Const] operands become pre-built {!Value.t}
       shares, [Reg] operands become direct [regs.(i)] reads;
     - operator dispatch: the [(op, ty)] match happens once at prepare
-      time, leaving a direct two-argument function;
+      time, leaving a direct two-argument function; a binop whose left
+      operand is a register and whose right operand is a register or a
+      constant reads both in place and calls that function directly;
+    - booleans: every comparison, logical operator and [!] returns one
+      of the two shared {!Value.vtrue}/{!Value.vfalse};
     - callee resolution: the builtin-vs-user split happens at prepare
       time; user calls bind arguments straight into the callee's fresh
       register file with no intermediate list on the fast loop;
@@ -22,7 +26,9 @@
     - cost accounting: {!Costmodel.instr_cost} is precomputed per
       instruction into a flat float array, charged in reference order,
       so total cycles are bit-identical (float addition is not
-      associative — per-block batching would drift).
+      associative — per-block batching would drift); the running total
+      lives in a float-only record, so a charge is a load, an add and a
+      store, with no allocation and no write barrier.
 
     Three instruction loops run over the prepared form, each for a
     stated reason:
@@ -41,10 +47,10 @@
     - [run_iteration]'s target-depth loop, whose per-instruction
       [on_instr] is fixed by its signature.
 
-    Per instruction the fast loop makes one closure call and one
-    running-total charge; it still allocates, because [st_total] is a
-    float field of a mixed record (each charge boxes two words) and
-    every [int] or [float] result is a boxed {!Value.t}.
+    Per instruction the fast loop makes one closure call (a binop adds
+    its operator's) and one running-total charge. What it still
+    allocates is every [int] or [float] result (a boxed {!Value.t}) and,
+    per builtin call, the argument list and the result pair.
 
     Behavioural contract, relied on by the differential tests against
     the reference interpreter kept in [test/]: for any program, outputs,
@@ -113,6 +119,12 @@ let fuel_guard f =
 (* Prepared form                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(** The running cycle total. A float-only record stores its field
+    unboxed: a charge is a load, an add and a store, where a float field
+    of the mixed [state] record would box every sum and store it through
+    the write barrier. *)
+type cycles = { mutable cycles : float }
+
 type state = {
   st_machine : Machine.t;
   st_globals : Value.t array;
@@ -122,7 +134,7 @@ type state = {
           some [Store_global] creates at run time (the reference's
           [Hashtbl.replace] semantics) *)
   mutable st_fuel : int;
-  mutable st_total : float;
+  st_total : cycles;
   mutable st_obs : observer option;  (** consulted by the fast loop only *)
   mutable st_builtin :
     (Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float) option;
@@ -212,40 +224,48 @@ let prep_operand : Ir.operand -> opf = function
       fun _ -> v
   | Ir.Reg r -> fun regs -> regs.(r)
 
+(* Hot-path helpers, local so that they inline: dune's dev profile
+   compiles with [-opaque], so nothing from [Value] inlines here. A
+   mismatch fails through [Value.to_int]/[to_float], with their text.
+   ([Value] has no [of_bool], so opening it does not shadow this one.) *)
+let[@inline] of_bool b = if b then Value.vtrue else Value.vfalse
+let[@inline] int_of = function Value.Vint n -> n | v -> Value.to_int v
+let[@inline] float_of = function Value.Vfloat f -> f | v -> Value.to_float v
+
 (* the (op, ty) match, performed once per instruction *)
 let prep_binop op ty : Value.t -> Value.t -> Value.t =
   let open Value in
   match (op, ty) with
-  | Ast.Add, Ast.Tint -> fun a b -> Vint (to_int a + to_int b)
-  | Ast.Sub, Ast.Tint -> fun a b -> Vint (to_int a - to_int b)
-  | Ast.Mul, Ast.Tint -> fun a b -> Vint (to_int a * to_int b)
+  | Ast.Add, Ast.Tint -> fun a b -> Vint (int_of a + int_of b)
+  | Ast.Sub, Ast.Tint -> fun a b -> Vint (int_of a - int_of b)
+  | Ast.Mul, Ast.Tint -> fun a b -> Vint (int_of a * int_of b)
   | Ast.Div, Ast.Tint ->
       fun a b ->
-        let d = to_int b in
-        if d = 0 then Diag.error "runtime: division by zero" else Vint (to_int a / d)
+        let d = int_of b in
+        if d = 0 then Diag.error "runtime: division by zero" else Vint (int_of a / d)
   | Ast.Mod, Ast.Tint ->
       fun a b ->
-        let d = to_int b in
-        if d = 0 then Diag.error "runtime: modulo by zero" else Vint (to_int a mod d)
-  | Ast.Add, Ast.Tfloat -> fun a b -> Vfloat (to_float a +. to_float b)
-  | Ast.Sub, Ast.Tfloat -> fun a b -> Vfloat (to_float a -. to_float b)
-  | Ast.Mul, Ast.Tfloat -> fun a b -> Vfloat (to_float a *. to_float b)
-  | Ast.Div, Ast.Tfloat -> fun a b -> Vfloat (to_float a /. to_float b)
+        let d = int_of b in
+        if d = 0 then Diag.error "runtime: modulo by zero" else Vint (int_of a mod d)
+  | Ast.Add, Ast.Tfloat -> fun a b -> Vfloat (float_of a +. float_of b)
+  | Ast.Sub, Ast.Tfloat -> fun a b -> Vfloat (float_of a -. float_of b)
+  | Ast.Mul, Ast.Tfloat -> fun a b -> Vfloat (float_of a *. float_of b)
+  | Ast.Div, Ast.Tfloat -> fun a b -> Vfloat (float_of a /. float_of b)
   | Ast.Add, Ast.Tstring -> fun a b -> Vstring (to_string_val a ^ to_string_val b)
-  | Ast.Lt, Ast.Tint -> fun a b -> Vbool (to_int a < to_int b)
-  | Ast.Le, Ast.Tint -> fun a b -> Vbool (to_int a <= to_int b)
-  | Ast.Gt, Ast.Tint -> fun a b -> Vbool (to_int a > to_int b)
-  | Ast.Ge, Ast.Tint -> fun a b -> Vbool (to_int a >= to_int b)
-  | Ast.Lt, Ast.Tfloat -> fun a b -> Vbool (to_float a < to_float b)
-  | Ast.Le, Ast.Tfloat -> fun a b -> Vbool (to_float a <= to_float b)
-  | Ast.Gt, Ast.Tfloat -> fun a b -> Vbool (to_float a > to_float b)
-  | Ast.Ge, Ast.Tfloat -> fun a b -> Vbool (to_float a >= to_float b)
-  | Ast.Lt, Ast.Tstring -> fun a b -> Vbool (to_string_val a < to_string_val b)
-  | Ast.Gt, Ast.Tstring -> fun a b -> Vbool (to_string_val a > to_string_val b)
-  | Ast.Eq, _ -> fun a b -> Vbool (Value.equal a b)
-  | Ast.Neq, _ -> fun a b -> Vbool (not (Value.equal a b))
-  | Ast.And, Ast.Tbool -> fun a b -> Vbool (to_bool a && to_bool b)
-  | Ast.Or, Ast.Tbool -> fun a b -> Vbool (to_bool a || to_bool b)
+  | Ast.Lt, Ast.Tint -> fun a b -> of_bool (int_of a < int_of b)
+  | Ast.Le, Ast.Tint -> fun a b -> of_bool (int_of a <= int_of b)
+  | Ast.Gt, Ast.Tint -> fun a b -> of_bool (int_of a > int_of b)
+  | Ast.Ge, Ast.Tint -> fun a b -> of_bool (int_of a >= int_of b)
+  | Ast.Lt, Ast.Tfloat -> fun a b -> of_bool (float_of a < float_of b)
+  | Ast.Le, Ast.Tfloat -> fun a b -> of_bool (float_of a <= float_of b)
+  | Ast.Gt, Ast.Tfloat -> fun a b -> of_bool (float_of a > float_of b)
+  | Ast.Ge, Ast.Tfloat -> fun a b -> of_bool (float_of a >= float_of b)
+  | Ast.Lt, Ast.Tstring -> fun a b -> of_bool (to_string_val a < to_string_val b)
+  | Ast.Gt, Ast.Tstring -> fun a b -> of_bool (to_string_val a > to_string_val b)
+  | Ast.Eq, _ -> fun a b -> of_bool (Value.equal a b)
+  | Ast.Neq, _ -> fun a b -> of_bool (not (Value.equal a b))
+  | Ast.And, Ast.Tbool -> fun a b -> of_bool (to_bool a && to_bool b)
+  | Ast.Or, Ast.Tbool -> fun a b -> of_bool (to_bool a || to_bool b)
   | _ -> fun _ _ -> Diag.error "runtime: ill-typed binop"
 
 let prep_unop op : Value.t -> Value.t =
@@ -253,7 +273,7 @@ let prep_unop op : Value.t -> Value.t =
   match (op, a) with
   | Ast.Neg, Value.Vint n -> Value.Vint (-n)
   | Ast.Neg, Value.Vfloat f -> Value.Vfloat (-.f)
-  | Ast.Not, Value.Vbool x -> Value.Vbool (not x)
+  | Ast.Not, Value.Vbool x -> of_bool (not x)
   | _ -> Diag.error "runtime: ill-typed unop"
 
 (* ------------------------------------------------------------------ *)
@@ -269,10 +289,18 @@ let prep_instr ~global_slots ~declared ~funcs (i : Ir.instr) : pinstr =
           let v = Value.of_const c in
           Psimple (fun _ regs -> regs.(r) <- v)
       | Ir.Reg s -> Psimple (fun _ regs -> regs.(r) <- regs.(s)))
-  | Ir.Binop (op, ty, r, a, b) ->
+  | Ir.Binop (op, ty, r, a, b) -> (
+      (* the two commonest operand shapes read their operands in place:
+         two indirect calls (instruction, operator) instead of four *)
       let f = prep_binop op ty in
-      let fa = prep_operand a and fb = prep_operand b in
-      Psimple (fun _ regs -> regs.(r) <- f (fa regs) (fb regs))
+      match (a, b) with
+      | Ir.Reg x, Ir.Reg y -> Psimple (fun _ regs -> regs.(r) <- f regs.(x) regs.(y))
+      | Ir.Reg x, Ir.Const c ->
+          let k = Value.of_const c in
+          Psimple (fun _ regs -> regs.(r) <- f regs.(x) k)
+      | _ ->
+          let fa = prep_operand a and fb = prep_operand b in
+          Psimple (fun _ regs -> regs.(r) <- f (fa regs) (fb regs)))
   | Ir.Unop (op, _, r, a) ->
       let f = prep_unop op in
       let fa = prep_operand a in
@@ -475,7 +503,7 @@ let executor ?hooks ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t
       st_globals = Array.copy p.p_global_init;
       st_gdefined = Array.copy p.p_global_defined;
       st_fuel = fuel;
-      st_total = 0.;
+      st_total = { cycles = 0. };
       st_obs = None;
       st_builtin = None;
     }
@@ -490,7 +518,7 @@ let executor ?hooks ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t
   { ex_prepared = p; ex_state = st; ex_hooks = hooks; ex_fuel0 = fuel }
 
 let machine ex = ex.ex_state.st_machine
-let total_cost ex = ex.ex_state.st_total
+let total_cost ex = ex.ex_state.st_total.cycles
 let steps ex = ex.ex_fuel0 - ex.ex_state.st_fuel
 
 (** Live global bindings, as the reference's globals hashtable would
@@ -521,6 +549,9 @@ let set_globals ex (bindings : (string * Value.t) list) =
 let[@inline] step st =
   if st.st_fuel <= 0 then raise Out_of_fuel;
   st.st_fuel <- st.st_fuel - 1
+
+(* One charge to the running total: inlined, it boxes nothing. *)
+let[@inline] charge st c = st.st_total.cycles <- st.st_total.cycles +. c
 
 (* A block entry: one step, then the block, where a jump to a label
    with no block raises [Not_found] like the reference's [Ir.block].
@@ -555,7 +586,7 @@ and f_run st (pf : pfunc) regs bidx : Value.t =
   let instrs = b.pb_instrs and costs = b.pb_costs in
   for k = 0 to Array.length instrs - 1 do
     step st;
-    st.st_total <- st.st_total +. Array.unsafe_get costs k;
+    charge st (Array.unsafe_get costs k);
     match Array.unsafe_get instrs k with
     | Psimple f -> f st regs
     | Pbuiltin { bi; bargs; bdst } ->
@@ -565,13 +596,13 @@ and f_run st (pf : pfunc) regs bidx : Value.t =
           | None -> bi.Builtins.impl st.st_machine argv
           | Some dispatch -> dispatch bi argv ~has_dst:(bdst >= 0)
         in
-        st.st_total <- st.st_total +. cost;
+        charge st cost;
         if bdst >= 0 then regs.(bdst) <- v
     | Pcall { ccallee; cargs; cdst; _ } ->
         let v = f_call st ccallee cargs regs in
         if cdst >= 0 then regs.(cdst) <- v
   done;
-  st.st_total <- st.st_total +. Costmodel.terminator_cost;
+  charge st Costmodel.terminator_cost;
   match b.pb_term with
   | Pjump j -> f_run st pf regs j
   | Pbranch (c, l1, l2) -> (
@@ -631,7 +662,7 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
     step st;
     h.on_instr pf.pf_ir irs.(k);
     let c = costs.(k) in
-    st.st_total <- st.st_total +. c;
+    charge st c;
     h.on_base_cost c;
     match instrs.(k) with
     | Psimple f -> f st regs
@@ -639,7 +670,7 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
         let argv = f_args bargs regs 0 (Array.length bargs) in
         let v, cost = bi.Builtins.impl st.st_machine argv in
         (* builtin cost is reported through its own hook, not on_base_cost *)
-        st.st_total <- st.st_total +. cost;
+        charge st cost;
         h.on_builtin bi cost;
         if bdst >= 0 then regs.(bdst) <- v
     | Pcall { ccallee; cargs; cdst; cir; cenabled } ->
@@ -658,7 +689,7 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
         if cdst >= 0 then regs.(cdst) <- v
   done;
   let c = Costmodel.terminator_cost in
-  st.st_total <- st.st_total +. c;
+  charge st c;
   h.on_base_cost c;
   match b.pb_term with
   | Pjump j -> i_run st h pf regs j
@@ -697,7 +728,7 @@ let run_entry ?hooks ?obs (ex : exec) : float =
           match hooks with
           | None -> ignore (f_call st mainf [||] [||])
           | Some h -> ignore (i_exec_func st h mainf []));
-      st.st_total
+      st.st_total.cycles
 
 (** Run [main()] to completion; returns total simulated cycles. The
     executor keeps the machine, globals, and running total for
@@ -1103,19 +1134,19 @@ let worker_state (ex : exec) ~fuel : wstate =
     st_globals = ex.ex_state.st_globals;
     st_gdefined = ex.ex_state.st_gdefined;
     st_fuel = fuel;
-    st_total = 0.;
+    st_total = { cycles = 0. };
     st_obs = None;
     st_builtin = None;
   }
 
 let wstate_fuel_left (st : wstate) = st.st_fuel
-let wstate_total (st : wstate) = st.st_total
+let wstate_total (st : wstate) = st.st_total.cycles
 let wstate_globals (st : wstate) = st.st_globals
 let wstate_gdefined (st : wstate) = st.st_gdefined
 
 let wstate_charge (st : wstate) ~steps ~cost =
   st.st_fuel <- st.st_fuel - steps;
-  st.st_total <- st.st_total +. cost
+  charge st cost
 
 (* The target-depth loop: node tracking ([on_instr]) stays at this depth
    — callee work belongs to the calling node — so nested calls run whole
@@ -1132,20 +1163,20 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
     let instrs = b.pb_instrs and costs = b.pb_costs and irs = b.pb_irs in
     for k = 0 to Array.length instrs - 1 do
       step st;
-      st.st_total <- st.st_total +. Array.unsafe_get costs k;
+      charge st (Array.unsafe_get costs k);
       on_instr (Array.unsafe_get irs k);
       match Array.unsafe_get instrs k with
       | Psimple f -> f st regs
       | Pbuiltin { bi; bargs; bdst } ->
           let argv = f_args bargs regs 0 (Array.length bargs) in
           let v, cost = builtin bi argv ~has_dst:(bdst >= 0) in
-          st.st_total <- st.st_total +. cost;
+          charge st cost;
           if bdst >= 0 then regs.(bdst) <- v
       | Pcall { ccallee; cargs; cdst; _ } ->
           let v = f_call st ccallee cargs regs in
           if cdst >= 0 then regs.(cdst) <- v
     done;
-    st.st_total <- st.st_total +. Costmodel.terminator_cost;
+    charge st Costmodel.terminator_cost;
     let continue_to tgt =
       if tgt = rt.rt_header then ()
       else if tgt >= 0 && tgt < nblocks && rt.rt_in_loop.(tgt) then span tgt

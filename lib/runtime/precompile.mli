@@ -5,9 +5,13 @@
     block-grained run, the real engine's coordinator, workers' nested
     calls and the verifier's replay); a hooked loop fires the reference
     event stream ({!hooks}); [run_iteration] keeps its own target-depth
-    loop. The fast loop makes one closure call per instruction but still
-    allocates: the running total is a boxed float and every numeric
-    result a boxed {!Value.t}.
+    loop. Per instruction the fast loop makes one closure call (a binop
+    on a register and a register or constant adds one more, to its
+    operator) and one charge to an unboxed running total; comparisons
+    return the shared {!Value.vtrue}/{!Value.vfalse}.
+    What it still allocates is every [int] or [float] result (a boxed
+    {!Value.t}) and, per builtin call, the argument list and the result
+    pair.
 
     Contract: outputs, total cycles, diagnostics, fuel exhaustion point,
     and (hooked) event streams are identical to the reference
@@ -177,10 +181,10 @@ val wstate_globals : wstate -> Value.t array
 val wstate_gdefined : wstate -> bool array
 
 (** Retire [steps] fuel steps and [cost] simulated cycles in one batch.
-    Compiled iteration bodies account locally and flush through here at
-    node transitions, builtin calls and iteration exit; fuel totals stay
-    identical to the interpreted path, cycle totals may differ in the
-    last ulp (batched float accumulation). *)
+    Compiled iteration bodies account locally and flush through here
+    once, as the iteration exits; fuel totals stay identical to the
+    interpreted path, cycle totals may differ in the last ulp (batched
+    float accumulation). Allocates nothing. *)
 val wstate_charge : wstate -> steps:int -> cost:float -> unit
 
 (** {2 Typed iteration-body IR view (codegen input)}

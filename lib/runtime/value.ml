@@ -10,6 +10,11 @@ type t =
   | Vstring of string
   | Varray of t array
 
+(* the two booleans every engine returns, so a comparison allocates
+   nothing *)
+let vtrue = Vbool true
+let vfalse = Vbool false
+
 let of_const = function
   | Ir.Cint n -> Vint n
   | Ir.Cfloat f -> Vfloat f

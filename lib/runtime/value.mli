@@ -7,6 +7,14 @@ type t =
   | Vstring of string
   | Varray of t array
 
+(** The shared [Vbool true] and [Vbool false]. The interpreter loops
+    ([Precompile]), compiled iteration bodies, [Builtins.bool_v] and
+    [Concrete_eval] return one of these two for every comparison,
+    logical operator and [!] instead of allocating a fresh one. *)
+val vtrue : t
+
+val vfalse : t
+
 val of_const : Commset_ir.Ir.const -> t
 
 (** The [to_*] projections raise a diagnostic naming [what] on a type

@@ -318,6 +318,134 @@ let compiled_seq_cases =
         `Quick (compiled_seq_leg w))
     Registry.all
 
+(* ---- compiled body vs run_iteration, one worker state each ---- *)
+
+let compiled_of (c : P.t) =
+  let rt, nid_of_iid, _ = rt_and_source c in
+  match Codegen.prepare ~prepared:c.P.prepared ~rt ~nid_of_iid () with
+  | Ok cg -> (rt, cg)
+  | Error why -> Alcotest.failf "codegen prepare failed: %s" why
+
+(* The two bodies as [run_main_real] drives them, over one worker
+   state: no node tracking, builtins straight to the machine. *)
+let interp_body rt wst builtin regs =
+  R.Precompile.run_iteration wst rt ~on_instr:ignore ~builtin regs
+
+let compiled_body (cg : Codegen.compiled) wst builtin regs =
+  cg.Codegen.cg_fn
+    {
+      Commset_codegen.Abi.cg_globals = R.Precompile.wstate_globals wst;
+      cg_gdefined = R.Precompile.wstate_gdefined wst;
+      cg_node = ignore;
+      cg_builtin = builtin;
+      cg_charge = (fun ~steps ~cost -> R.Precompile.wstate_charge wst ~steps ~cost);
+      cg_fuel_left = (fun () -> R.Precompile.wstate_fuel_left wst);
+    }
+    regs
+
+(* A fresh machine and worker state; [on_iter] gets every iteration's
+   register file from the coordinator's backbone. *)
+let drive (c : P.t) rt ~on_iter =
+  let machine = R.Machine.create () in
+  c.P.setup machine;
+  let ex = R.Precompile.executor ~machine c.P.prepared in
+  let wst = R.Precompile.worker_state ex ~fuel:max_int in
+  let builtin (bi : R.Builtins.t) argv ~has_dst:_ = bi.R.Builtins.impl machine argv in
+  ignore
+    (R.Precompile.run_main_real ex rt
+       ~on_iter:(fun _ regs -> on_iter wst builtin regs)
+       ~on_loop_done:ignore
+      : float);
+  (machine, wst)
+
+(* The compiled body charges the worker state once, as the iteration
+   exits: over a whole run that must add up to the interpreted body's
+   steps exactly and its cycles up to summation order. *)
+let compiled_charges (w : W.t) () =
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let rt, cg = compiled_of c in
+  let run body =
+    let machine, wst =
+      drive c rt ~on_iter:(fun wst builtin regs -> body wst builtin (Array.copy regs))
+    in
+    ( R.Machine.outputs machine,
+      max_int - R.Precompile.wstate_fuel_left wst,
+      R.Precompile.wstate_total wst )
+  in
+  let out_i, steps_i, cycles_i = run (interp_body rt) in
+  let out_c, steps_c, cycles_c = run (compiled_body cg) in
+  check Alcotest.(list string) "outputs" out_i out_c;
+  check Alcotest.int "steps" steps_i steps_c;
+  check Alcotest.bool "iterations ran" true (steps_i > 0);
+  check (Alcotest.float (1e-9 *. Float.abs cycles_i)) "cycles" cycles_i cycles_c
+
+let compiled_charges_cases =
+  List.map
+    (fun w ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: compiled body charges the interpreted steps and cycles"
+           w.W.wname)
+        `Quick (compiled_charges w))
+    Registry.all
+
+(* Lowering never produces an ill-typed operand, so poison the first
+   iteration's state instead, one register or global slot at a time:
+   the compiled body's inlined int, float, array and index reads must
+   fail with the interpreter's diagnostic, or succeed with its steps and
+   cycles (summation order aside). *)
+let poisoned_state name () =
+  let w = Option.get (Registry.find name) in
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let rt, cg = compiled_of c in
+  let first_iteration f =
+    let result = ref None in
+    let exception Stop in
+    (try
+       ignore
+         (drive c rt ~on_iter:(fun wst builtin regs ->
+              result := Some (f wst builtin regs);
+              raise Stop))
+     with Stop -> ());
+    match !result with
+    | Some r -> r
+    | None -> Alcotest.failf "%s: the target loop never ran" name
+  in
+  let outcome body ~poison wst builtin regs =
+    let regs = Array.copy regs in
+    poison regs (R.Precompile.wstate_globals wst);
+    let fuel = R.Precompile.wstate_fuel_left wst in
+    match body wst builtin regs with
+    | () ->
+        Printf.sprintf "ok: %d steps, %.9g cycles"
+          (fuel - R.Precompile.wstate_fuel_left wst)
+          (R.Precompile.wstate_total wst)
+    | exception Commset_support.Diag.Error d -> "error: " ^ Commset_support.Diag.to_string d
+  in
+  let nregs, nglobals =
+    first_iteration (fun wst _ regs ->
+        (Array.length regs, Array.length (R.Precompile.wstate_globals wst)))
+  in
+  let traps = ref 0 in
+  let compare what poison =
+    let expected = first_iteration (outcome (interp_body rt) ~poison) in
+    if String.starts_with ~prefix:"error:" expected then incr traps;
+    check Alcotest.string what expected (first_iteration (outcome (compiled_body cg) ~poison))
+  in
+  List.iter
+    (fun (label, v) ->
+      for r = 0 to nregs - 1 do
+        compare (Printf.sprintf "register %d = %s" r label) (fun regs _ -> regs.(r) <- v)
+      done;
+      for g = 0 to nglobals - 1 do
+        compare (Printf.sprintf "global slot %d = %s" g label) (fun _ gl -> gl.(g) <- v)
+      done)
+    [
+      ("a string", R.Value.Vstring "poison");
+      ("an int", R.Value.Vint 1);
+      ("a float", R.Value.Vfloat 0.5);
+    ];
+  check Alcotest.bool "some poisoning trapped" true (!traps > 0)
+
 let suite =
   ( "codegen",
     [
@@ -329,5 +457,9 @@ let suite =
       Alcotest.test_case "corrupted cache entry is recompiled" `Quick
         test_corrupted_cache_recompiles;
       qcheck prop_random_bodies_agree;
+      Alcotest.test_case "hmmer: poisoned state, compiled body traps like the interpreter"
+        `Quick (poisoned_state "hmmer");
+      Alcotest.test_case "kmeans: poisoned state, compiled body traps like the interpreter"
+        `Quick (poisoned_state "kmeans");
     ]
-    @ differential_cases @ compiled_seq_cases )
+    @ differential_cases @ compiled_seq_cases @ compiled_charges_cases )

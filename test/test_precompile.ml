@@ -184,8 +184,7 @@ let check_outcome what (expected : outcome) (got : outcome) =
 
 (** Full differential on one program: fast path and instrumented path
     against the reference, plus exact hook-stream comparison. *)
-let differential ?fuel ?(setup = fun _ -> ()) src =
-  let prog = compile src in
+let differential_prog ?fuel ?(setup = fun _ -> ()) prog =
   let prepared = R.Precompile.prepare prog in
   let ref_sink = ref [] in
   let reference = run_reference ~hooks:(recording_hooks ref_sink) ?fuel ~setup prog in
@@ -198,6 +197,8 @@ let differential ?fuel ?(setup = fun _ -> ()) src =
   check_outcome "instrumented path" reference instrumented;
   check Alcotest.(list string) "hook event stream" (List.rev !ref_sink)
     (List.rev !ins_sink)
+
+let differential ?fuel ?setup src = differential_prog ?fuel ?setup (compile src)
 
 (* ---- handwritten corner cases --------------------------------------- *)
 
@@ -269,6 +270,195 @@ void main() {
 }
 |}
 
+let test_diff_binop_shapes () =
+  (* int + - * / % < <= > >= and float + - * / < <= > >= on both
+     operand shapes [Precompile] reads in place, register and register
+     (a op b) and register and constant (a op 3 / a op 0.5), plus the
+     generic constant-and-register shape (3 op b); the values cover int
+     wrap-around, nan, both zeros and both infinities *)
+  differential
+    {|
+int gi = 0;
+float gf = 0.0;
+bool gb = false;
+string b2s(bool b) {
+  gb = b;
+  if (b) {
+    return "t";
+  }
+  return "f";
+}
+string ints(int a, int b) {
+  int r1 = a + b;
+  int r2 = a - b;
+  int r3 = a * b;
+  int k1 = a + 3;
+  int k2 = a - 3;
+  int k3 = a * 3;
+  int c1 = 3 + b;
+  int c2 = 3 - b;
+  int c3 = 3 * b;
+  int d = b + 8;
+  int q1 = a / d;
+  int q2 = a % d;
+  int q3 = a / 3;
+  int q4 = a % 3;
+  int q5 = 3 / d;
+  gi = r1 + r2 + r3 + k1 + k2 + k3 - c3;
+  return int_to_string(q1) + " " + int_to_string(q2) + " " + int_to_string(q3) + " "
+    + int_to_string(q4) + " " + int_to_string(q5) + " "
+    + int_to_string(r1) + " " + int_to_string(r2) + " " + int_to_string(r3) + " "
+    + int_to_string(k1) + " " + int_to_string(k2) + " " + int_to_string(k3) + " "
+    + int_to_string(c1) + " " + int_to_string(c2) + " " + int_to_string(c3) + " "
+    + b2s(a < b) + b2s(a <= b) + b2s(a > b) + b2s(a >= b)
+    + b2s(a < 3) + b2s(a <= 3) + b2s(a > 3) + b2s(a >= 3)
+    + b2s(3 < b) + b2s(3 <= b) + b2s(3 > b) + b2s(3 >= b);
+}
+string floats(float a, float b) {
+  float r1 = a + b;
+  float r2 = a - b;
+  float r3 = a * b;
+  float r4 = a / b;
+  float k1 = a + 0.5;
+  float k2 = a - 0.5;
+  float k3 = a * 0.5;
+  float k4 = a / 0.5;
+  float z1 = a * 0.0;
+  float z2 = a / 0.0;
+  float c1 = 0.5 + b;
+  float c4 = 0.5 / b;
+  gf = r4;
+  return float_to_string(r1) + " " + float_to_string(r2) + " " + float_to_string(r3) + " "
+    + float_to_string(r4) + " " + float_to_string(k1) + " " + float_to_string(k2) + " "
+    + float_to_string(k3) + " " + float_to_string(k4) + " " + float_to_string(z1) + " "
+    + float_to_string(z2) + " " + float_to_string(c1) + " " + float_to_string(c4) + " "
+    + b2s(a < b) + b2s(a <= b) + b2s(a > b) + b2s(a >= b)
+    + b2s(a < 0.5) + b2s(a <= 0.5) + b2s(a > 0.5) + b2s(a >= 0.5)
+    + b2s(a < 0.0) + b2s(a <= 0.0) + b2s(a > 0.0) + b2s(a >= 0.0)
+    + b2s(0.5 < b) + b2s(0.5 <= b) + b2s(0.5 > b) + b2s(0.5 >= b);
+}
+void main() {
+  int big = 4611686018427387903;
+  int[] iv = iarray(7);
+  iv[0] = 0;
+  iv[1] = 3;
+  iv[2] = 0 - 7;
+  iv[3] = big;
+  iv[4] = 0 - big - 1;
+  iv[5] = big / 2 + 1;
+  iv[6] = 2;
+  for (int i = 0; i < 7; i++) {
+    for (int j = 0; j < 7; j++) {
+      print(ints(iv[i], iv[j]));
+    }
+  }
+  float zero = 0.0;
+  float[] fv = farray(9);
+  fv[0] = zero;
+  fv[1] = -zero;
+  fv[2] = 1.0 / zero;
+  fv[3] = -fv[2];
+  fv[4] = zero / zero;
+  fv[5] = 0.5;
+  fv[6] = 0.0 - 2.25;
+  fv[7] = 1.0;
+  for (int k = 0; k < 1000; k++) {
+    fv[7] = fv[7] * 2.0;
+  }
+  fv[8] = fv[7] * fv[7];
+  for (int i = 0; i < 9; i++) {
+    for (int j = 0; j < 9; j++) {
+      print(floats(fv[i], fv[j]));
+    }
+  }
+  print(b2s(big + 1 < 0) + b2s(big * 2 < big) + b2s(gf == gf));
+}
+|}
+
+let contains ~needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A [main] of one block, built directly: lowering never produces an
+   ill-typed operand. *)
+let ir_main ~globals (descs : Ir.instr_desc list) : Ir.program =
+  let instrs =
+    List.mapi (fun iid desc -> { Ir.iid; desc; iloc = Loc.dummy; iregions = [] }) descs
+  in
+  let blocks = Hashtbl.create 1 in
+  Hashtbl.replace blocks 0 { Ir.label = 0; instrs; term = Ir.Ret None; bregions = [] };
+  let main =
+    {
+      Ir.fname = "main";
+      fparams = [];
+      param_regs = [];
+      fret = L.Ast.Tvoid;
+      entry = 0;
+      blocks;
+      block_order = [ 0 ];
+      reg_names = Hashtbl.create 1;
+      reg_types = Hashtbl.create 1;
+      n_regs = 8;
+      n_labels = 1;
+      n_instrs = List.length instrs;
+      fregions = [];
+      loop_locals = [];
+    }
+  in
+  let funcs = Hashtbl.create 1 in
+  Hashtbl.replace funcs "main" main;
+  {
+    Ir.funcs;
+    func_order = [ "main" ];
+    prog_globals = globals;
+    source = { L.Ast.global_pragmas = []; decls = [] };
+  }
+
+let test_diff_binop_ill_typed () =
+  (* each int and float arithmetic and comparison binop computes on
+     well-typed registers (both in-place shapes, results stored to
+     globals), then meets an ill-typed register on the left or right of
+     the register shape or on the left of the constant shape; the trap,
+     the globals, the bit-exact total and the hook stream must match the
+     oracle's *)
+  let open L.Ast in
+  let ops ty = List.map (fun op -> (op, ty)) in
+  List.iter
+    (fun (op, ty) ->
+      let a, b, bad, expected =
+        match ty with
+        | Tint -> (Ir.Cint 7, Ir.Cint 3, Ir.Cfloat 1.5, "runtime: value is not an int")
+        | _ -> (Ir.Cfloat 2.5, Ir.Cfloat 0.25, Ir.Cint 1, "runtime: value is not a float")
+      in
+      List.iter
+        (fun (x, y) ->
+          let prog =
+            ir_main
+              ~globals:[ ("g", ty, a); ("h", ty, a) ]
+              Ir.
+                [
+                  Move (0, Const a);
+                  Move (1, Const b);
+                  Move (2, Const bad);
+                  Binop (op, ty, 3, Reg 0, Reg 1);
+                  Store_global ("g", Reg 3);
+                  Binop (op, ty, 4, Reg 0, Const b);
+                  Store_global ("h", Reg 4);
+                  Binop (op, ty, 5, x, y);
+                  Store_global ("g", Reg 5);
+                ]
+          in
+          differential_prog prog;
+          match run_prepared ~setup:ignore (R.Precompile.prepare prog) with
+          | { o_result = Error m; _ } ->
+              check Alcotest.bool (Printf.sprintf "%S in %S" expected m) true
+                (contains ~needle:expected m)
+          | { o_result = Ok _; _ } -> Alcotest.fail "an ill-typed operand must trap")
+        [ (Ir.Reg 2, Ir.Reg 1); (Ir.Reg 0, Ir.Reg 2); (Ir.Reg 2, Ir.Const b) ])
+    (ops Tint [ Add; Sub; Mul; Div; Mod; Lt; Le; Gt; Ge ]
+    @ ops Tfloat [ Add; Sub; Mul; Div; Lt; Le; Gt; Ge ])
+
 let trap_message src =
   let prog = compile src in
   let reference = run_reference ~setup:(fun _ -> ()) prog in
@@ -279,11 +469,6 @@ let trap_message src =
   | Ok _ -> Alcotest.failf "expected %S to trap" src
 
 let test_diff_traps () =
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   let expect needle src =
     let m = trap_message src in
     check Alcotest.bool (Printf.sprintf "%S in %S" needle m) true (contains ~needle m)
@@ -324,6 +509,41 @@ let test_fuel_diag () =
   | exception Diag.Error d ->
       check Alcotest.(option string) "code" (Some "CS017") d.Diag.code;
       check Alcotest.int "ran the whole budget" 100 (R.Precompile.steps ex)
+
+(* ---- allocation ------------------------------------------------------ *)
+
+(* Counts, not timings: [Gc.minor_words] counts the words this domain
+   allocated, and the numbers below are fixed by the code generated for
+   the loops. *)
+
+let test_alloc_per_step () =
+  (* per iteration: 7 steps, one boxed [Vint] (2 words) and one boxed
+     [Vfloat] (4 words); the comparison, the charges and the branch
+     allocate nothing *)
+  let prog =
+    compile
+      "void main() { int i = 0; float x = 0.0; while (i < 100000) { x = x + 0.5; i = i + 1; } }"
+  in
+  let ex = R.Precompile.executor (R.Precompile.prepare prog) in
+  let w0 = Gc.minor_words () in
+  ignore (R.Precompile.run_main ex : float);
+  let words = Gc.minor_words () -. w0 in
+  let steps = R.Precompile.steps ex in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words over %d steps is at most 1 per step" words steps)
+    true
+    (words <= float_of_int steps)
+
+let test_alloc_charge () =
+  let ex = R.Precompile.executor (R.Precompile.prepare (compile "void main() { }")) in
+  let st = R.Precompile.worker_state ex ~fuel:max_int in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    R.Precompile.wstate_charge st ~steps:1 ~cost:1.5
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "minor words over 1000 charges" 0. words;
+  check (Alcotest.float 0.) "total" 1500. (R.Precompile.wstate_total st)
 
 (* ---- workload differentials ----------------------------------------- *)
 
@@ -517,10 +737,16 @@ let suite =
       Alcotest.test_case "basic differential" `Quick test_diff_basic;
       Alcotest.test_case "strings and bools" `Quick test_diff_strings_bools;
       Alcotest.test_case "float edge cases" `Quick test_diff_float_edge;
+      Alcotest.test_case "specialized binop shapes" `Quick test_diff_binop_shapes;
+      Alcotest.test_case "specialized binops, ill-typed operands" `Quick
+        test_diff_binop_ill_typed;
       Alcotest.test_case "traps" `Quick test_diff_traps;
       Alcotest.test_case "fuel parity" `Quick test_diff_fuel;
       Alcotest.test_case "missing argument" `Quick test_diff_missing_arg;
       Alcotest.test_case "fuel exhaustion is CS017" `Quick test_fuel_diag;
       Alcotest.test_case "replay fuel parity" `Quick test_replay_fuel;
+      Alcotest.test_case "fast loop allocates at most a word per step" `Quick
+        test_alloc_per_step;
+      Alcotest.test_case "a worker charge allocates nothing" `Quick test_alloc_charge;
     ]
     @ workload_cases )
