@@ -6,16 +6,19 @@
 module Ir = Commset_ir.Ir
 module A = Commset_analysis
 
+(** The open segment's start: a float-only record stores it unboxed, so
+    moving it is a store, not an allocation. *)
+type seg = { mutable seg_start : float }
+
 type frame = {
-  fname : string;
+  func : Ir.func;  (** compared physically with the block hook's function *)
+  costs : float array;  (** the function's block costs, indexed by label *)
   mutable cur_label : Ir.label;
-  mutable seg_start : float;
+  seg : seg;
       (** executor total-cost reading when this frame last changed
           block: the open segment [seg_start, now) belongs to
           [cur_label] *)
 }
-
-type block_costs = (string * Ir.label, float) Hashtbl.t
 
 type loop_report = {
   lr_func : string;
@@ -27,31 +30,49 @@ type loop_report = {
 
 type t = { reports : loop_report list; total : float }
 
+(* One cost slot per label the function's blocks or label counter
+   name. An edge to a label with no block is followed by the executor's
+   [Not_found] before that label's segment is ever flushed. *)
+let label_slots (f : Ir.func) =
+  Hashtbl.fold (fun l _ m -> max m (l + 1)) f.Ir.blocks (max 0 f.Ir.n_labels)
+
 (* Inclusive attribution without a per-cost-event stack walk: the coarse
    path fires only block-grained hooks while the executor's running
    total advances per instruction, and each frame flushes the elapsed
    segment to its current block whenever that block changes (or the
    frame pops). A parent's open segment spans its callees' execution, so
    callee time lands at the call site's block. This costs O(blocks
-   executed) updates, the same as the fast path. *)
-let record ?(machine = Machine.create ()) (prepared : Precompile.t) : block_costs * float =
-  let costs : block_costs = Hashtbl.create 256 in
+   executed) array updates; the per-function cost arrays are found once
+   per call (name -> array, built on a function's first call). *)
+let record ?(machine = Machine.create ()) (prepared : Precompile.t) :
+    (string, float array) Hashtbl.t * float =
+  let costs : (string, float array) Hashtbl.t = Hashtbl.create 16 in
+  let costs_of (f : Ir.func) =
+    match Hashtbl.find costs f.Ir.fname with
+    | a -> a
+    | exception Not_found ->
+        let a = Array.make (label_slots f) 0. in
+        Hashtbl.add costs f.Ir.fname a;
+        a
+  in
   let hooks = Precompile.null_hooks () in
   let ex = Precompile.executor ~hooks ~machine prepared in
   let stack : frame list ref = ref [] in
   let flush fr =
     let n = Precompile.total_cost ex in
-    let seg = n -. fr.seg_start in
-    if seg <> 0. then begin
-      let key = (fr.fname, fr.cur_label) in
-      Hashtbl.replace costs key (seg +. Option.value ~default:0. (Hashtbl.find_opt costs key))
-    end;
-    fr.seg_start <- n
+    let seg = n -. fr.seg.seg_start in
+    if seg <> 0. then fr.costs.(fr.cur_label) <- seg +. fr.costs.(fr.cur_label);
+    fr.seg.seg_start <- n
   in
   hooks.Precompile.on_enter_func <-
     (fun f ->
       stack :=
-        { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = Precompile.total_cost ex }
+        {
+          func = f;
+          costs = costs_of f;
+          cur_label = f.Ir.entry;
+          seg = { seg_start = Precompile.total_cost ex };
+        }
         :: !stack);
   hooks.Precompile.on_exit_func <-
     (fun _ ->
@@ -63,7 +84,7 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) : block_cost
   hooks.Precompile.on_block <-
     (fun f l ->
       match !stack with
-      | fr :: _ when fr.fname = f.Ir.fname ->
+      | fr :: _ when fr.func == f ->
           flush fr;
           fr.cur_label <- l
       | _ -> ());
@@ -82,13 +103,14 @@ let analyze ?machine (prepared : Precompile.t) : t =
       let cfg = A.Cfg.of_func func in
       let dom = A.Dominance.compute cfg in
       let loops = A.Loops.compute cfg dom in
+      let block_cost =
+        match Hashtbl.find_opt costs fname with
+        | Some a -> fun label -> a.(label)
+        | None -> fun _ -> 0.
+      in
       List.iter
         (fun (l : A.Loops.loop) ->
-          let cost =
-            Commset_support.Listx.sum_float
-              (fun label -> Option.value ~default:0. (Hashtbl.find_opt costs (fname, label)))
-              l.A.Loops.body
-          in
+          let cost = Commset_support.Listx.sum_float block_cost l.A.Loops.body in
           reports :=
             {
               lr_func = fname;

@@ -16,7 +16,10 @@ type loop_report = {
 type t = { reports : loop_report list; total : float }
 
 (** Profile the prepared program (block-grained coarse engine) and rank
-    its loops by inclusive cost. *)
+    its loops by inclusive cost. Block costs accumulate in one float
+    array per function, indexed by label and found once per call: per
+    block there is no hashing or string comparison, and the only
+    allocation is the boxed reading of {!Precompile.total_cost}. *)
 val analyze : ?machine:Machine.t -> Precompile.t -> t
 
 (** The hottest outermost loop — the parallelization target. *)

@@ -36,19 +36,27 @@ type t = {
   seq_total : float;  (** total sequential cycles *)
 }
 
+(** The stored lists in execution order (each a [List.rev]). *)
 val exec_atoms : node_exec -> atom list
+
 val exec_actuals : node_exec -> actuals list
 val iteration_execs : iteration -> node_exec list
 val atom_cost : atom -> float
+
+(** The cost folds add in execution order, walking the stored lists
+    without reversing them, and allocate nothing per atom or exec. *)
 val exec_cost : node_exec -> float
+
 val iteration_cost : iteration -> float
 val n_iterations : t -> int
 
 (** Total cost of all loop iterations. *)
 val loop_cost : t -> float
 
-(** Run the prepared program once sequentially (instrumented engine) and
-    record the trace of the PDG's target loop. *)
+(** Run the prepared program once sequentially (hooked loop) and record
+    the trace of the PDG's target loop. Its bookkeeping allocates per
+    iteration, per node instance and per atom, never per instruction:
+    a node's compute between atoms accumulates unboxed. *)
 val record : ?machine:Machine.t -> Precompile.t -> Pdg.t -> t * Machine.t
 
 (** Update the node weights of every PDG in the list in place from the

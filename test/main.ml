@@ -20,6 +20,7 @@ let () =
       Test_invariants.suite;
       Test_fuzz.suite;
       Test_precompile.suite;
+      Test_recorders.suite;
       Test_builtins.suite;
       Test_analysis_props.suite;
       Test_exec.suite;

@@ -1,0 +1,262 @@
+(** The compile-time recorders ({!Trace.record}, {!Profile.analyze})
+    against the reference recorders kept in this directory
+    ({!Ref_recorders}): every trace and profile must be bit-identical on
+    every workload and annotation variant, on random programs and on
+    seeded source mutants. Allocation counts pin the recorders'
+    bookkeeping: the trace recorder allocates nothing per instruction,
+    the profiler nothing per block beyond its boxed total reading. *)
+
+module R = Commset_runtime
+module P = Commset_pipeline.Pipeline
+module W = Commset_workloads.Workload
+module Registry = Commset_workloads.Registry
+module Ir = Commset_ir.Ir
+open Commset_support
+
+let check = Alcotest.check
+let bits = Int64.bits_of_float
+
+let enc_actuals = function
+  | R.Trace.Aregion_sets sets -> "R:" ^ Test_precompile.enc_actuals sets
+  | R.Trace.Acall_args (callee, argv) ->
+      "C:" ^ callee ^ ":" ^ String.concat "," (List.map Test_precompile.enc_value argv)
+
+(* ---- comparisons ----------------------------------------------------- *)
+
+let same_atom (a : R.Trace.atom) (b : R.Trace.atom) =
+  match (a, b) with
+  | Acompute x, Acompute y -> bits x = bits y
+  | Abuiltin x, Abuiltin y -> x.bi == y.bi && bits x.cost = bits y.cost
+  | Aout x, Aout y -> String.equal x y
+  | _ -> false
+
+let show_atom = function
+  | R.Trace.Acompute c -> Printf.sprintf "compute %h" c
+  | Abuiltin { bi; cost } -> Printf.sprintf "builtin %s %h" bi.R.Builtins.name cost
+  | Aout s -> "out " ^ String.escaped s
+
+let check_bits what (expected : float) (got : float) =
+  if bits expected <> bits got then Alcotest.failf "%s: expected %h, got %h" what expected got
+
+let check_exec what (expected : R.Trace.node_exec) (got : R.Trace.node_exec) =
+  let what = Printf.sprintf "%s: node %d" what expected.nid in
+  check Alcotest.int (what ^ ": nid") expected.nid got.nid;
+  let ea = R.Trace.exec_atoms expected and ga = R.Trace.exec_atoms got in
+  if not (List.equal same_atom ea ga) then
+    check Alcotest.(list string) (what ^ ": atoms") (List.map show_atom ea)
+      (List.map show_atom ga);
+  check_bits (what ^ ": cost") (Ref_recorders.exec_cost expected) (R.Trace.exec_cost got);
+  check
+    Alcotest.(list string)
+    (what ^ ": actuals")
+    (List.map enc_actuals (R.Trace.exec_actuals expected))
+    (List.map enc_actuals (R.Trace.exec_actuals got))
+
+let check_trace what (expected : R.Trace.t) (got : R.Trace.t) =
+  check Alcotest.int (what ^ ": iterations") (R.Trace.n_iterations expected)
+    (R.Trace.n_iterations got);
+  Array.iteri
+    (fun k (eit : R.Trace.iteration) ->
+      let git = got.iterations.(k) in
+      let what = Printf.sprintf "%s: iteration %d" what k in
+      let ee = R.Trace.iteration_execs eit and ge = R.Trace.iteration_execs git in
+      check
+        Alcotest.(list int)
+        (what ^ ": exec order")
+        (List.map (fun (e : R.Trace.node_exec) -> e.nid) ee)
+        (List.map (fun (e : R.Trace.node_exec) -> e.nid) ge);
+      List.iter2 (check_exec what) ee ge;
+      check Alcotest.int (what ^ ": exec table size") (Hashtbl.length eit.exec_tbl)
+        (Hashtbl.length git.exec_tbl);
+      List.iter
+        (fun (e : R.Trace.node_exec) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: exec table holds node %d" what e.nid)
+            true
+            (match Hashtbl.find_opt git.exec_tbl e.nid with Some e' -> e' == e | None -> false))
+        ge;
+      check_bits (what ^ ": cost") (Ref_recorders.iteration_cost eit) (R.Trace.iteration_cost git))
+    expected.iterations;
+  check_bits (what ^ ": other_cost") expected.other_cost got.other_cost;
+  check_bits (what ^ ": seq_total") expected.seq_total got.seq_total;
+  check_bits (what ^ ": loop cost") (Ref_recorders.loop_cost expected) (R.Trace.loop_cost got);
+  check Alcotest.(list string) (what ^ ": outputs before") expected.outputs_before
+    got.outputs_before;
+  check Alcotest.(list string) (what ^ ": outputs after") expected.outputs_after
+    got.outputs_after;
+  check Alcotest.(list string) (what ^ ": sequential outputs") expected.seq_outputs
+    got.seq_outputs
+
+let check_profile what (expected : R.Profile.t) (got : R.Profile.t) =
+  check_bits (what ^ ": total") expected.total got.total;
+  let show (r : R.Profile.loop_report) =
+    Printf.sprintf "%s L%d depth %d cost %h share %h" r.lr_func r.lr_header r.lr_depth r.lr_cost
+      r.lr_fraction
+  in
+  check
+    Alcotest.(list string)
+    (what ^ ": loop reports") (List.map show expected.reports) (List.map show got.reports)
+
+(** The pipeline's trace and profile of one compiled program against
+    the reference recorders, each run on a fresh machine. *)
+let differential what ~setup (c : P.t) =
+  let machine () =
+    let m = R.Machine.create () in
+    setup m;
+    m
+  in
+  check_trace what
+    (Ref_recorders.trace ~machine:(machine ()) c.P.prepared c.P.target.P.pdg)
+    c.P.trace;
+  check_profile what (Ref_recorders.profile ~machine:(machine ()) c.P.prepared) c.P.profile
+
+let workload_differential (w : W.t) name src () =
+  differential
+    (Printf.sprintf "%s/%s" w.W.wname name)
+    ~setup:w.W.setup
+    (P.compile ~name:w.W.wname ~setup:w.W.setup src)
+
+(* ---- random programs -------------------------------------------------- *)
+
+let prop_random_differential =
+  QCheck.Test.make ~name:"random programs: recorders match the reference recorders"
+    ~count:40
+    (QCheck.make ~print:Test_fuzz.render_program Test_fuzz.gen_program)
+    (fun spec ->
+      differential "random" ~setup:ignore (P.compile (Test_fuzz.render_program spec));
+      true)
+
+(* ---- a label with no block ------------------------------------------- *)
+
+let test_missing_label () =
+  (* a jump to a label with no block ends in [Not_found] on both
+     profilers, never in an index error *)
+  let prog = Test_precompile.ir_main ~globals:[] [] in
+  (Ir.block (Hashtbl.find prog.Ir.funcs "main") 0).Ir.term <- Ir.Jump 7;
+  let prepared = R.Precompile.prepare prog in
+  let outcome f = match f () with _ -> "ran" | exception Not_found -> "Not_found" in
+  check Alcotest.string "reference" "Not_found"
+    (outcome (fun () -> Ref_recorders.profile prepared));
+  check Alcotest.string "profile" "Not_found" (outcome (fun () -> R.Profile.analyze prepared))
+
+(* ---- allocation ------------------------------------------------------ *)
+
+(* Counts, not timings. [f]'s inner loop runs 20 times per call and
+   [main] calls it from a 10,000-iteration loop: one run retires
+   2,140,008 steps, 450,003 of them block entries. Each recorder is
+   measured against the same run without its bookkeeping (null hooks
+   on the same loop). *)
+let alloc_src =
+  "int f(int n) { int s = 0; int j = 0; while (j < 20) { s = (s + j * n + 1) % 9973; j = j + 1; } \
+   return s; }\n\
+   void main() { int t = 0; int i = 0; while (i < 10000) { t = t + f(i); i = i + 1; } \
+   print(int_to_string(t)); }"
+
+let words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* the program compiled once, with its block entries counted *)
+let alloc_prog =
+  lazy
+    (let c = P.compile alloc_src in
+     let blocks = ref 0 in
+     let counting = R.Precompile.null_hooks () in
+     counting.R.Precompile.on_block <- (fun _ _ -> incr blocks);
+     let ex = R.Precompile.executor ~hooks:counting c.P.prepared in
+     ignore (R.Precompile.run_main_coarse ex : float);
+     check Alcotest.int "steps" 2_140_008 (R.Precompile.steps ex);
+     check Alcotest.int "block entries" 450_003 !blocks;
+     (c, !blocks))
+
+let test_alloc_trace () =
+  let c, _ = Lazy.force alloc_prog in
+  let _, hooked =
+    words (fun () ->
+        R.Precompile.run_main
+          (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) c.P.prepared))
+  in
+  let (trace, _), traced = words (fun () -> R.Trace.record c.P.prepared c.P.target.P.pdg) in
+  let iters = R.Trace.n_iterations trace in
+  check Alcotest.int "target iterations" 10_000 iters;
+  let per_iter = (traced -. hooked) /. float_of_int iters in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f words per iteration beyond the hooked loop (at most 200)" per_iter)
+    true (per_iter <= 200.)
+
+let test_alloc_profile () =
+  let c, blocks = Lazy.force alloc_prog in
+  let _, coarse =
+    words (fun () ->
+        R.Precompile.run_main_coarse
+          (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) c.P.prepared))
+  in
+  let _, profiled = words (fun () -> R.Profile.analyze c.P.prepared) in
+  let per_block = (profiled -. coarse) /. float_of_int blocks in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f words per block entry beyond the coarse loop (at most 3)" per_block)
+    true (per_block <= 3.)
+
+(* ---- seeded source mutants -------------------------------------------- *)
+
+let mutant_alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 +-*/%<>=!&|(){}[];,.\"#\n"
+
+(* [n] single-character mutants of [src]: one position replaced by a
+   character of the alphabet, both drawn from [rng] *)
+let mutants rng n src =
+  List.init n (fun _ ->
+      let b = Bytes.of_string src in
+      let pos = Random.State.int rng (Bytes.length b) in
+      Bytes.set b pos mutant_alphabet.[Random.State.int rng (String.length mutant_alphabet)];
+      Bytes.to_string b)
+
+let test_mutants () =
+  let rng = Random.State.make [| 2011 |] in
+  let compiled = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (w : W.t) ->
+      List.iteri
+        (fun k src ->
+          let what = Printf.sprintf "%s mutant %d" w.W.wname k in
+          match
+            R.Precompile.fuel_guard (fun () ->
+                P.compile ~name:w.W.wname ~setup:w.W.setup ~verify:true src)
+          with
+          | c ->
+              incr compiled;
+              differential what ~setup:w.W.setup c
+          | exception Diag.Error _ -> incr rejected
+          | exception e -> Alcotest.failf "%s: %s\n%s" what (Printexc.to_string e) src)
+        (mutants rng 40 w.W.source))
+    Registry.all;
+  check Alcotest.int "every mutant ends" 320 (!compiled + !rejected);
+  check Alcotest.bool
+    (Printf.sprintf "%d mutants compile through both recorders (at least 20)" !compiled)
+    true (!compiled >= 20)
+
+let workload_cases =
+  List.concat_map
+    (fun (w : W.t) ->
+      List.map
+        (fun (name, src) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s/%s recorders vs reference" w.W.wname name)
+            `Slow
+            (workload_differential w name src))
+        (("base", w.W.source) :: w.W.variants))
+    Registry.all
+
+let suite =
+  ( "recorders",
+    [
+      Alcotest.test_case "a label with no block is Not_found" `Quick test_missing_label;
+      Alcotest.test_case "trace recorder allocates at most 200 words per iteration" `Quick
+        test_alloc_trace;
+      Alcotest.test_case "profiler allocates at most 3 words per block entry" `Quick
+        test_alloc_profile;
+      Alcotest.test_case "seeded source mutants end in a result or a diagnostic" `Slow
+        test_mutants;
+      QCheck_alcotest.to_alcotest ~long:false prop_random_differential;
+    ]
+    @ workload_cases )
