@@ -20,6 +20,8 @@ module T = Commset_transforms
 module Report = Commset_report
 module Obs = Commset_obs
 
+let json_escape = Obs.Metrics.json_escape
+
 let md5sum = Option.get (Registry.find "md5sum")
 
 let section title =
@@ -414,7 +416,7 @@ let json_of_measured (jobs, rows) =
     |> List.map (fun m ->
            Printf.sprintf
              {|{ "workload": "%s", "plan": "%s", "engine": "%s", "predicted_speedup": %.3f, "measured_speedup": %.3f, "verdict": "%s", "available_cores": %d, "jobs_clamped": %b, "oversubscribed": %b }|}
-             m.me_workload (String.escaped m.me_plan) m.me_engine m.me_predicted
+             m.me_workload (json_escape m.me_plan) m.me_engine m.me_predicted
              m.me_measured
              (P.fidelity_to_string m.me_fidelity)
              m.me_cores m.me_jobs_clamped m.me_oversubscribed)
@@ -425,11 +427,10 @@ let json_of_measured (jobs, rows) =
   ] }|} jobs entries
 
 (* ------------------------------------------------------------------ *)
-(* Execution observatory: attribution profiles, calibration fidelity   *)
-(* and the attribution overhead gate                                   *)
+(* Execution observatory: attribution profiles, the predicted-vs-      *)
+(* measured gap and the attribution overhead gate                      *)
 (* ------------------------------------------------------------------ *)
 
-module Calib = Commset_runtime.Calib
 module Attrib = Obs.Attrib
 
 type profile_row = {
@@ -438,10 +439,7 @@ type profile_row = {
   ep_engine : string;
   ep_p95_lock_wait_ns : float;
   ep_p95_frontier_wait_ns : float;
-  ep_gap_uncal : float;  (** |predicted − measured| / measured, before calibration *)
-  ep_gap_cal : float;  (** same gap after Calib.apply + recompile + rerun *)
-  ep_improved : bool;
-  ep_ns_per_cycle : float;  (** the profile's measured ns per non-builtin cycle *)
+  ep_gap : float;  (** |predicted − measured| / measured *)
   ep_oversubscribed : bool;
 }
 
@@ -463,23 +461,19 @@ let cause_p95 (s : Attrib.summary) name =
   | Some c -> c.Attrib.c_p95_ns
   | None -> 0.
 
-(** Per workload: run the best executable plan with attribution on,
+(** Per workload: run the best executable plan with attribution on and
     record the p95 lock/frontier waits and the predicted-vs-measured
-    gap; then derive a calibration profile from that very run, apply it,
-    recompile (the builtin cost scales change the recorded trace costs,
-    hence the simulator's prediction) and rerun to see whether the gap
-    shrank. The cost model is restored between workloads so profiles
-    never leak across rows. *)
+    gap. *)
 let bench_exec_profile evals : int * bool * profile_row list =
   let jobs = Commset_exec.Exec.default_jobs () in
   let cores = Domain.recommended_domain_count () in
   let oversubscribed = cores < jobs + 1 in
   section
-    (Printf.sprintf "Execution observatory: attribution and calibration (jobs=%d)" jobs);
+    (Printf.sprintf "Execution observatory: attribution and predicted-vs-measured gap (jobs=%d)"
+       jobs);
   if oversubscribed then
     Printf.printf
-      "  note: %d core(s) for %d domain(s); calibration-fidelity gates skip \
-       oversubscribed entries\n"
+      "  note: %d core(s) for %d domain(s); measured gaps are time-slicing artifacts\n"
       cores (jobs + 1);
   let rows =
     List.filter_map
@@ -497,77 +491,34 @@ let bench_exec_profile evals : int * bool * profile_row list =
               jobs;
             None
         | Some r -> (
-            let x0 = P.run_parallel ~jobs c r.P.plan in
-            match x0.P.xstats.Commset_exec.Exec.x_attrib with
+            let x = P.run_parallel ~jobs c r.P.plan in
+            match x.P.xstats.Commset_exec.Exec.x_attrib with
             | None ->
                 Printf.printf "  %-10s ran without attribution (%s); skipped\n"
-                  c.P.name x0.P.xstats.Commset_exec.Exec.x_engine;
+                  c.P.name x.P.xstats.Commset_exec.Exec.x_engine;
                 None
             | Some s ->
-                let measured0 = x0.P.xstats.Commset_exec.Exec.x_measured_speedup in
-                let gap0 = speedup_gap ~predicted:x0.P.xpredicted ~measured:measured0 in
-                let gap1, npc =
-                  match
-                    Calib.of_summary ~workload:c.P.name
-                      ~engine:x0.P.xstats.Commset_exec.Exec.x_engine
-                      ~predicted:x0.P.xpredicted ~measured:measured0 s
-                  with
-                  | Error _ -> (gap0, 0.)
-                  | Ok p ->
-                      Fun.protect ~finally:Calib.clear (fun () ->
-                          Calib.apply p;
-                          match Registry.find c.P.name with
-                          | None -> (gap0, p.Calib.p_ns_per_cycle)
-                          | Some w ->
-                              let c2 =
-                                P.compile ~name:c.P.name ~setup:w.W.setup w.W.source
-                              in
-                              let plan2 =
-                                let label = r.P.plan.T.Plan.label in
-                                match
-                                  List.find_opt
-                                    (fun (p : T.Plan.t) -> p.T.Plan.label = label)
-                                    (P.executable_plans c2 ~threads:jobs)
-                                with
-                                | Some p -> Some p
-                                | None ->
-                                    List.nth_opt (P.executable_plans c2 ~threads:jobs) 0
-                              in
-                              (match plan2 with
-                              | None -> (gap0, p.Calib.p_ns_per_cycle)
-                              | Some plan2 ->
-                                  let x1 = P.run_parallel ~jobs c2 plan2 in
-                                  ( speedup_gap ~predicted:x1.P.xpredicted
-                                      ~measured:
-                                        x1.P.xstats
-                                          .Commset_exec.Exec.x_measured_speedup,
-                                    p.Calib.p_ns_per_cycle )))
-                in
                 Some
                   {
                     ep_workload = c.P.name;
                     ep_plan = r.P.plan.T.Plan.label;
-                    ep_engine = x0.P.xstats.Commset_exec.Exec.x_engine;
+                    ep_engine = x.P.xstats.Commset_exec.Exec.x_engine;
                     ep_p95_lock_wait_ns = cause_p95 s "lock_wait";
                     ep_p95_frontier_wait_ns = cause_p95 s "frontier_wait";
-                    ep_gap_uncal = gap0;
-                    ep_gap_cal = gap1;
-                    ep_improved = gap1 < gap0;
-                    ep_ns_per_cycle = npc;
+                    ep_gap =
+                      speedup_gap ~predicted:x.P.xpredicted
+                        ~measured:x.P.xstats.Commset_exec.Exec.x_measured_speedup;
                     ep_oversubscribed = oversubscribed;
                   }))
       evals
   in
   List.iter
     (fun r ->
-      Printf.printf
-        "  %-10s %-40s p95 lock %8.1fus  p95 frontier %8.1fus  gap %5.1f%% -> %5.1f%% %s\n"
+      Printf.printf "  %-10s %-40s p95 lock %8.1fus  p95 frontier %8.1fus  gap %5.1f%%\n"
         r.ep_workload r.ep_plan
         (r.ep_p95_lock_wait_ns /. 1e3)
         (r.ep_p95_frontier_wait_ns /. 1e3)
-        (100. *. r.ep_gap_uncal) (100. *. r.ep_gap_cal)
-        (if r.ep_improved then "(improved)" else "")
-    )
+        (100. *. r.ep_gap))
     rows;
   (jobs, oversubscribed, rows)
 
@@ -632,10 +583,9 @@ let json_of_exec_profile (jobs, oversubscribed, rows) overhead =
     rows
     |> List.map (fun r ->
            Printf.sprintf
-             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "p95_lock_wait_ns": %.1f, "p95_frontier_wait_ns": %.1f, "gap_uncalibrated": %.4f, "gap_calibrated": %.4f, "improved": %b, "ns_per_cycle": %.4f, "oversubscribed": %b }|}
-             r.ep_workload (String.escaped r.ep_plan) r.ep_engine
-             r.ep_p95_lock_wait_ns r.ep_p95_frontier_wait_ns r.ep_gap_uncal
-             r.ep_gap_cal r.ep_improved r.ep_ns_per_cycle r.ep_oversubscribed)
+             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "p95_lock_wait_ns": %.1f, "p95_frontier_wait_ns": %.1f, "gap": %.4f, "oversubscribed": %b }|}
+             r.ep_workload (json_escape r.ep_plan) r.ep_engine
+             r.ep_p95_lock_wait_ns r.ep_p95_frontier_wait_ns r.ep_gap r.ep_oversubscribed)
     |> String.concat ",\n    "
   in
   let overhead_entries =
@@ -898,9 +848,9 @@ let json_of_codegen rows =
     |> List.map (fun cr ->
            Printf.sprintf
              {|{ "workload": "%s", "plan": "%s", "engine_ran": "%s", "fallback_reason": %s, "interp_iter_per_s": %.1f, "codegen_iter_per_s": %.1f, "speedup": %.3f, "cache_hit": %b, "compile_s": %.3f }|}
-             cr.cr_workload (String.escaped cr.cr_plan) cr.cr_engine_ran
+             cr.cr_workload (json_escape cr.cr_plan) cr.cr_engine_ran
              (match cr.cr_fallback with
-             | Some why -> Printf.sprintf "\"%s\"" (String.escaped why)
+             | Some why -> Printf.sprintf "\"%s\"" (json_escape why)
              | None -> "null")
              cr.cr_interp_iter_s cr.cr_codegen_iter_s cr.cr_speedup cr.cr_cache_hit
              cr.cr_compile_s)

@@ -242,68 +242,7 @@ let engine_cell ~requested (s : Commset_exec.Exec.stats) =
     | Some why -> Printf.sprintf "%s (requested %s: %s)" s.Commset_exec.Exec.x_engine req why
     | None -> Printf.sprintf "%s (requested %s)" s.Commset_exec.Exec.x_engine req
 
-(* [--calibrate]: load the persisted profile for this workload and feed
-   it into Costmodel before any plan runs; a missing profile is a
-   warning, not an error (the run proceeds uncalibrated). *)
-let apply_calibration ~name =
-  match R.Calib.load ~workload:name with
-  | Ok p ->
-      R.Calib.apply p;
-      Some
-        {
-          Commset_report.Stat.cn_path = R.Calib.path ~workload:name;
-          cn_ns_per_cycle = p.R.Calib.p_ns_per_cycle;
-          cn_loaded = true;
-        }
-  | Error e ->
-      Fmt.epr "calibration: %s (run 'commsetc stat %s' to create a profile)@." e name;
-      None
-
-(* Persist a calibration profile from the strongest measured run that
-   has attribution and did not mismatch. *)
-let save_profile ~name ~engine (runs : P.exec_run list) =
-  let ok =
-    List.filter
-      (fun (r : P.exec_run) ->
-        r.P.xfidelity <> P.Mismatch && r.P.xstats.Commset_exec.Exec.x_attrib <> None)
-      runs
-  in
-  let best =
-    List.fold_left
-      (fun acc (r : P.exec_run) ->
-        match acc with
-        | Some (b : P.exec_run)
-          when b.P.xstats.Commset_exec.Exec.x_measured_speedup
-               >= r.P.xstats.Commset_exec.Exec.x_measured_speedup ->
-            acc
-        | _ -> Some r)
-      None ok
-  in
-  match best with
-  | None -> None
-  | Some r -> (
-      let s = Option.get r.P.xstats.Commset_exec.Exec.x_attrib in
-      match
-        R.Calib.of_summary ~workload:name ~engine ~predicted:r.P.xpredicted
-          ~measured:r.P.xstats.Commset_exec.Exec.x_measured_speedup s
-      with
-      | Error e ->
-          Fmt.epr "calibration: profile not saved: %s@." e;
-          None
-      | Ok p -> (
-          match R.Calib.save p with
-          | Ok path ->
-              Some
-                {
-                  Commset_report.Stat.cn_path = path;
-                  cn_ns_per_cycle = p.R.Calib.p_ns_per_cycle;
-                  cn_loaded = false;
-                }
-          | Error e ->
-              Fmt.epr "calibration: cannot save profile: %s@." e;
-              None))
-
-(* [--strict]: gate measured speedups on the calibration fidelity band
+(* [--strict]: gate measured speedups on the fidelity band
    (COMMSET_FIDELITY_BAND). The gate's own skip logic handles the
    oversubscribed case with a visible message; messages go to stderr so
    --format=json stdout stays a single document. *)
@@ -320,7 +259,7 @@ let gate_fidelity ~strict ~cores ~jobs (runs : P.exec_run list) =
         List.iter (fun (label, gap) -> Fmt.epr "  %-52s gap %.2f@." label gap) over;
         exit 1
 
-let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate =
+let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format =
   let all = P.executable_plans c ~threads:jobs in
   let selected = List.filter (plan_matches plan_sel) all in
   if selected = [] then (
@@ -328,7 +267,6 @@ let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate =
     Fmt.epr "executable plans:@.";
     List.iter (fun (p : T.Plan.t) -> Fmt.epr "  %s@." p.T.Plan.label) all;
     exit (if strict then 1 else 0));
-  let calib = if calibrate then apply_calibration ~name else None in
   let cores = Domain.recommended_domain_count () in
   match format with
   | `Json ->
@@ -338,7 +276,7 @@ let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate =
       print_string
         (Commset_report.Stat.render_json ~workload:name
            ~engine:(Commset_exec.Exec.engine_name engine)
-           ~jobs ~cores ?calib runs);
+           ~jobs ~cores runs);
       let mismatches =
         List.length (List.filter (fun (r : P.exec_run) -> r.P.xfidelity = P.Mismatch) runs)
       in
@@ -352,11 +290,6 @@ let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate =
         cores;
       if cores < 2 then
         Fmt.pr "  note: single core available — measured speedups are not meaningful@.";
-      (match calib with
-      | Some n ->
-          Fmt.pr "  calibration: loaded %s (ns/cycle %.3f)@."
-            n.Commset_report.Stat.cn_path n.Commset_report.Stat.cn_ns_per_cycle
-      | None -> ());
       Fmt.pr "  %-52s %9s %9s  %s@." "plan" "predicted" "measured" "outputs";
       let executed = ref [] in
       let mismatches =
@@ -389,8 +322,7 @@ let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format ~calibrate =
       gate_fidelity ~strict ~cores ~jobs (List.rev !executed)
 
 let run_cmd =
-  let run workload variant file threads jobs engine plan_sel strict timeline format
-      calibrate level =
+  let run workload variant file threads jobs engine plan_sel strict timeline format level =
     setup_logs level;
     with_diag (fun () ->
         let name, src, setup = load ~workload ~variant ~file in
@@ -402,13 +334,10 @@ let run_cmd =
             exec_real c ~name
               ~engine:(Option.value engine ~default:Commset_exec.Exec.Real_engine)
               ~jobs:(Option.value jobs ~default:(Commset_exec.Exec.default_jobs ()))
-              ~plan_sel ~strict ~format ~calibrate
+              ~plan_sel ~strict ~format
         | None, None ->
             if format = `Json then (
               Fmt.epr "--format=json requires real execution (add --jobs or --engine)@.";
-              exit 2);
-            if calibrate then (
-              Fmt.epr "--calibrate requires real execution (add --jobs or --engine)@.";
               exit 2);
             Fmt.pr "%s: sequential baseline %.0f cycles over %d iterations@." name
               c.P.trace.R.Trace.seq_total
@@ -450,8 +379,10 @@ let run_cmd =
       value & flag
       & info [ "strict" ]
           ~doc:
-            "With --jobs: exit non-zero when no plan matches; mismatches always exit \
-             non-zero.")
+            "With --jobs: exit non-zero when no plan matches, or when a run's \
+             predicted-vs-measured speedup gap exceeds the fidelity band \
+             (\\$COMMSET_FIDELITY_BAND, default 0.5; skipped with a message when \
+             cores are oversubscribed). Mismatches always exit non-zero.")
   in
   let format_arg =
     Arg.(
@@ -463,15 +394,6 @@ let run_cmd =
              strict-JSON document with the full stats and attribution of every \
              executed plan, the schema CI pins in ci/stat-schema.json).")
   in
-  let calibrate_arg =
-    Arg.(
-      value & flag
-      & info [ "calibrate" ]
-          ~doc:
-            "With --jobs/--engine: load the workload's persisted calibration profile \
-             (\\$COMMSET_CALIB_DIR, default _build/calib; written by $(b,commsetc \
-             stat)) into the cost model before running.")
-  in
   Cmd.v
     (Cmd.info "run"
        ~doc:
@@ -479,8 +401,7 @@ let run_cmd =
           execute on real OCaml domains")
     Term.(
       const run $ workload_arg $ variant_arg $ file_arg $ threads_arg $ jobs_arg
-      $ engine_arg $ plan_arg $ strict_arg $ timeline_arg $ format_arg $ calibrate_arg
-      $ log_level_arg)
+      $ engine_arg $ plan_arg $ strict_arg $ timeline_arg $ format_arg $ log_level_arg)
 
 let seq_cmd =
   let run workload variant file level =
@@ -648,15 +569,13 @@ let select_best_plans c ~jobs (all : T.Plan.t list) =
 let stat_cmd =
   (* exit codes: 0 profiled OK, 1 output mismatch or nothing to run,
      2 bad usage, 3 internal trace-validation failure *)
-  let run workload variant file engine jobs plan_sel format calibrate no_save trace_out
-      level =
+  let run workload variant file engine jobs plan_sel format trace_out level =
     setup_logs level;
     with_diag (fun () ->
         let name, src, setup = load ~workload ~variant ~file in
         let engine = Option.value engine ~default:Commset_exec.Exec.Real_engine in
         let jobs = Option.value jobs ~default:(Commset_exec.Exec.default_jobs ()) in
         let c = P.compile ~name ~setup src in
-        let calib_in = if calibrate then apply_calibration ~name else None in
         let all = P.executable_plans c ~threads:jobs in
         let selected =
           if String.lowercase_ascii plan_sel = "best" then select_best_plans c ~jobs all
@@ -676,22 +595,16 @@ let stat_cmd =
         in
         if tracing then Obs.Recorder.set_enabled false;
         let engine_s = Commset_exec.Exec.engine_name engine in
-        let calib =
-          match calib_in with
-          | Some _ as loaded -> loaded
-          | None when not no_save -> save_profile ~name ~engine:engine_s runs
-          | None -> None
-        in
         let cores = Domain.recommended_domain_count () in
         (match format with
         | `Text ->
             print_string
               (Commset_report.Stat.render_text ~workload:name ~engine:engine_s ~jobs
-                 ~cores ?calib runs)
+                 ~cores runs)
         | `Json ->
             print_string
               (Commset_report.Stat.render_json ~workload:name ~engine:engine_s ~jobs
-                 ~cores ?calib runs));
+                 ~cores runs));
         (match trace_out with
         | None -> ()
         | Some path -> (
@@ -742,22 +655,6 @@ let stat_cmd =
       & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
       & info [ "format" ] ~docv:"FMT" ~doc:"Output format: $(b,text) or $(b,json).")
   in
-  let calibrate_arg =
-    Arg.(
-      value & flag
-      & info [ "calibrate" ]
-          ~doc:
-            "Load the workload's persisted calibration profile into the cost model \
-             before profiling (instead of writing a fresh profile afterwards).")
-  in
-  let no_save_arg =
-    Arg.(
-      value & flag
-      & info [ "no-save" ]
-          ~doc:
-            "Do not persist a calibration profile from this run \
-             (\\$COMMSET_CALIB_DIR, default _build/calib).")
-  in
   let trace_arg =
     Arg.(
       value
@@ -774,11 +671,10 @@ let stat_cmd =
           attribution layer on and report where every worker nanosecond went — \
           dispatch wait, commset lock wait, frontier wait, builtins, compute — with \
           per-cause quantiles, per-lock contention, coordinator utilization and \
-          predicted-vs-measured fidelity; persists a calibration profile the cost \
-          model can reuse via --calibrate")
+          predicted-vs-measured fidelity. Writes no file unless --trace is given")
     Term.(
       const run $ workload_arg $ variant_arg $ file_arg $ engine_arg $ jobs_arg
-      $ plan_arg $ format_arg $ calibrate_arg $ no_save_arg $ trace_arg $ log_level_arg)
+      $ plan_arg $ format_arg $ trace_arg $ log_level_arg)
 
 let trace_cmd =
   let run workload variant file threads out metrics_out validate level =
@@ -1070,8 +966,7 @@ let serve_cmd =
       exit 1);
     if strict then begin
       (* probe each compiled service's best plan on real domains and
-         gate on the calibration fidelity band (skips, visibly, when
-         oversubscribed) *)
+         gate on the fidelity band (skips, visibly, when oversubscribed) *)
       let runs =
         List.filter_map
           (fun (_, (sv : P.service)) ->
@@ -1162,7 +1057,7 @@ let serve_cmd =
       & info [ "strict" ]
           ~doc:
             "After the drain, probe each compiled workload's best plan on real domains \
-             and gate on the calibration fidelity band (COMMSET_FIDELITY_BAND); skipped \
+             and gate on the fidelity band (COMMSET_FIDELITY_BAND); skipped \
              with a message when oversubscribed. Equiv failures exit non-zero even \
              without this flag.")
   in

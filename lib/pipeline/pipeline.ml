@@ -489,7 +489,7 @@ let service_commutative (sv : service) : string -> bool =
     ~trace:sv.sv_compiled.trace
 
 (* ------------------------------------------------------------------ *)
-(* Calibration fidelity gate (run --strict, serve --selftest --strict) *)
+(* Fidelity gate (run --strict, serve --selftest --strict)             *)
 (* ------------------------------------------------------------------ *)
 
 type gate_verdict =

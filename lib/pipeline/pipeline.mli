@@ -174,7 +174,7 @@ val service_reference : service -> string list
 (** Output classifier for {!Commset_exec.Equiv.check}. *)
 val service_commutative : service -> string -> bool
 
-(** {2 Calibration fidelity gate} *)
+(** {2 Fidelity gate} *)
 
 type gate_verdict =
   | Gate_ok of float  (** worst relative gap over the gated runs *)
@@ -182,7 +182,7 @@ type gate_verdict =
       (** (plan label, gap) for every run outside the band *)
   | Gate_skipped of string  (** why the gate did not apply *)
 
-(** Gate measured runs on the calibration fidelity band
+(** Gate measured runs on the predicted-vs-measured fidelity band
     ({!Commset_runtime.Costmodel.fidelity_band} unless [band] is given):
     skipped (with the reason) when [cores < jobs + 1] — oversubscribed
     measurements are time-slicing artifacts. *)

@@ -5,8 +5,6 @@ module X = Commset_exec.Exec
 module Attrib = Commset_obs.Attrib
 module Metrics = Commset_obs.Metrics
 
-type calib_note = { cn_path : string; cn_ns_per_cycle : float; cn_loaded : bool }
-
 let fidelity_name = function
   | P.Exact -> "exact"
   | P.Multiset_equal -> "multiset-equal"
@@ -105,7 +103,7 @@ let attrib_text buf (s : Attrib.summary) =
        (k.Attrib.k_dispatch_wait_ns /. 1e6)
        (k.Attrib.k_merge_ns /. 1e6))
 
-let render_text ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
+let render_text ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add
@@ -136,13 +134,6 @@ let render_text ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
           add (Printf.sprintf "\nplan %s:\n" r.P.xplan.Commset_transforms.Plan.label);
           attrib_text buf s)
     runs;
-  (match calib with
-  | None -> ()
-  | Some c ->
-      add
-        (Printf.sprintf "\ncalibration: %s %s (ns/cycle %.3f)\n"
-           (if c.cn_loaded then "loaded from" else "profile written to")
-           c.cn_path c.cn_ns_per_cycle));
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -244,18 +235,7 @@ let plan_json (r : P.exec_run) =
         match x.X.x_attrib with None -> "null" | Some s -> attrib_json s );
     ]
 
-let render_json ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
-  let calib_json =
-    match calib with
-    | None -> "null"
-    | Some c ->
-        obj
-          [
-            ("path", str c.cn_path);
-            ("ns_per_cycle", num c.cn_ns_per_cycle);
-            ("loaded", bool c.cn_loaded);
-          ]
-  in
+let render_json ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
   obj
     [
       ("workload", str workload);
@@ -264,6 +244,5 @@ let render_json ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
       ("available_cores", string_of_int cores);
       ("oversubscribed", bool (jobs + 1 > cores));
       ("plans", arr (List.map plan_json runs));
-      ("calibration", calib_json);
     ]
   ^ "\n"

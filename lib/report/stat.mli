@@ -13,25 +13,17 @@
 
 module P = Commset_pipeline.Pipeline
 
-(** What calibration did for this invocation, echoed into the report. *)
-type calib_note = {
-  cn_path : string;  (** profile path loaded or written *)
-  cn_ns_per_cycle : float;
-  cn_loaded : bool;  (** [true]: applied before the run; [false]: written after *)
-}
-
 val render_text :
   workload:string ->
   engine:string ->
   jobs:int ->
   cores:int ->
-  ?calib:calib_note ->
   P.exec_run list ->
   string
 
 (** Strict JSON (RFC 8259, accepted by {!Commset_obs.Json_strict}):
     [{"workload", "engine_requested", "jobs", "available_cores",
-    "oversubscribed", "plans": [...], "calibration"}] where each plan
+    "oversubscribed", "plans": [...]}] where each plan
     object embeds the full stats record and an ["attribution"] object
     ([null] when the run had none). *)
 val render_json :
@@ -39,6 +31,5 @@ val render_json :
   engine:string ->
   jobs:int ->
   cores:int ->
-  ?calib:calib_note ->
   P.exec_run list ->
   string

@@ -55,22 +55,7 @@ let render (r : Synth.result) : string =
 
 (* ---- JSON ----------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
+let jstr s = Printf.sprintf "\"%s\"" (Commset_obs.Metrics.json_escape s)
 let jopt_str = function Some s -> jstr s | None -> "null"
 let jfloat f = Printf.sprintf "%.4f" f
 let jopt_float = function Some f -> jfloat f | None -> "null"

@@ -5,6 +5,7 @@ module V = Commset_verify
 module Verdict = V.Verdict
 module Diag = Commset_support.Diag
 module Loc = Commset_support.Loc
+module Metrics = Commset_obs.Metrics
 
 let verdict_cell = function
   | Verdict.Proved _ -> "proved"
@@ -39,36 +40,21 @@ let render (r : Verdict.report) : string =
 
 (* ---- JSON ----------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_pair (p : Verdict.pair) =
   let source =
     match p.Verdict.pverdict with
     | Verdict.Refuted cx ->
         Printf.sprintf ",\"source\":\"%s\""
-          (json_escape (Verdict.source_to_string cx.Verdict.cx_source))
+          (Metrics.json_escape (Verdict.source_to_string cx.Verdict.cx_source))
     | _ -> ""
   in
   Printf.sprintf
     "{\"set\":\"%s\",\"pair\":\"%s\",\"verdict\":\"%s\",\"trials\":%d,\"why\":\"%s\"%s}"
-    (json_escape p.Verdict.pset)
-    (json_escape (Verdict.pair_label p))
-    (json_escape (verdict_cell p.Verdict.pverdict))
+    (Metrics.json_escape p.Verdict.pset)
+    (Metrics.json_escape (Verdict.pair_label p))
+    (Metrics.json_escape (verdict_cell p.Verdict.pverdict))
     p.Verdict.ptrials
-    (json_escape (verdict_why p.Verdict.pverdict))
+    (Metrics.json_escape (verdict_why p.Verdict.pverdict))
     source
 
 let json_of_diag (d : Diag.diagnostic) =
@@ -78,9 +64,9 @@ let json_of_diag (d : Diag.diagnostic) =
     (match d.Diag.severity with
     | Diag.Error_sev -> "error"
     | Diag.Warning_sev -> "warning")
-    (json_escape code)
-    (json_escape (Format.asprintf "%a" Loc.pp d.Diag.loc))
-    (json_escape d.Diag.message)
+    (Metrics.json_escape code)
+    (Metrics.json_escape (Format.asprintf "%a" Loc.pp d.Diag.loc))
+    (Metrics.json_escape d.Diag.message)
 
 (** The whole lint outcome as one JSON object: verdicts plus diagnostics. *)
 let render_json (r : Verdict.report) (diags : Diag.diagnostic list) : string =

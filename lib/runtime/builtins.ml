@@ -61,20 +61,12 @@ let rw_spec ?(reads = []) ?(writes = []) ?(reads_arrays = []) ?(writes_arrays = 
     bs_update = update;
   }
 
-(* [body] returns the value and the cost of a call; [b_priced]'s [run]
-   returns the value only and [cost] prices the call from its arguments.
-   A calibration profile rescales either; the inactive path skips the
-   multiplication so costs stay bit-identical. *)
+(* [impl] returns the value and the cost of a call; [b_priced]'s [run]
+   returns the value only and [cost] prices the call from its arguments. *)
 let make ?(thread_safe = false) ?(tm_safe = true) ?(spec = rw_spec ()) ?sharing
-    ?(wclass = Opaque) ?partition ?(injective = false) ~arg_cost name params ret body =
-  let scale c =
-    let s = Costmodel.builtin_cost_scale name in
-    if s = 1.0 then c else c *. s
-  in
-  let impl m args = let v, cost = body m args in (v, scale cost) in
+    ?(wclass = Opaque) ?partition ?(injective = false) ~arg_cost name params ret impl =
   let resources = Listx.uniq (spec.Effects.bs_reads @ spec.Effects.bs_writes) in
   let sharing = Option.value sharing ~default:(if resources = [] then Free else Shared) in
-  let arg_cost = Option.map (fun c args -> scale (c args)) arg_cost in
   { id = -1; name; params; ret; spec; resources; thread_safe; tm_safe; sharing; wclass;
     partition; injective; arg_cost; impl }
 

@@ -41,7 +41,7 @@ type t = {
   injective : bool;  (** unary, and distinct arguments give distinct results *)
   arg_cost : (Value.t list -> float) option;
       (** the cost of a call from its arguments alone, when it follows from them *)
-  impl : impl;  (** the value and the cost of a call, calibration applied *)
+  impl : impl;  (** the value and the cost of a call *)
 }
 
 val all : t list

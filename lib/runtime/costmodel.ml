@@ -1,6 +1,6 @@
 (** Cost model of the simulated multicore (all values in simulated cycles).
 
-    The constants are calibrated so that the *relative* behaviour of the
+    The constants are set by hand so that the *relative* behaviour of the
     paper's eight workloads is preserved: short contended critical
     sections favour spin locks over mutexes, software TM pays re-execution
     on conflict, pipeline communication costs tens of cycles per token,
@@ -86,56 +86,13 @@ let queue_capacity = Atomic.make 32
 (** The real multicore executor ([lib/exec]) takes its bounded-queue
     capacity from {!queue_capacity} and its lock flavors from
     {!lock_flavor}, so the simulator and the executor cannot silently
-    drift apart on queue sizes. {!exec_ns_per_cycle} is the measured
-    wall-clock price of one simulated cycle ({!Calib} installs it from a
-    profile); it converts predictions into time and is never realized
-    as spinning. *)
+    drift apart on queue sizes. *)
 
-let default_exec_ns_per_cycle = 1.0
-let exec_ns_per_cycle_cell = Atomic.make default_exec_ns_per_cycle
+(* Kept only for the repository benchmark's no-burns guard (see the
+   interface); nothing in the library reads it. *)
+let exec_ns_per_cycle_cell = Atomic.make 1.0
 let exec_ns_per_cycle () = Atomic.get exec_ns_per_cycle_cell
 let set_exec_ns_per_cycle v = Atomic.set exec_ns_per_cycle_cell (Float.max 0. v)
-let reset_exec_ns_per_cycle () = Atomic.set exec_ns_per_cycle_cell default_exec_ns_per_cycle
-
-(* --- calibration: per-builtin cost scale factors ----------------------- *)
-
-(* Populated by Calib.apply from a measured execution profile; builtin
-   registration (Builtins) multiplies each call's charged cost by
-   [builtin_cost_scale name]. The active flag keeps the inactive path a
-   single atomic load with no table lookup, and — because the scale is
-   then exactly 1.0 and the multiplication skipped — charged costs are
-   bit-identical to an uncalibrated build, which the byte-identical
-   Table-1 tests rely on. The table is only mutated between runs (by the
-   coordinator); workers do concurrent lookups on a quiescent table. *)
-let builtin_scale_active = Atomic.make false
-let builtin_scale_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
-let builtin_scale_lock = Mutex.create ()
-
-let builtin_cost_scale name =
-  if not (Atomic.get builtin_scale_active) then 1.0
-  else match Hashtbl.find_opt builtin_scale_tbl name with Some s -> s | None -> 1.0
-
-let set_builtin_cost_scales scales =
-  Mutex.lock builtin_scale_lock;
-  Hashtbl.reset builtin_scale_tbl;
-  List.iter
-    (fun (name, s) ->
-      if Float.is_finite s && s > 0. then Hashtbl.replace builtin_scale_tbl name s)
-    scales;
-  Atomic.set builtin_scale_active (Hashtbl.length builtin_scale_tbl > 0);
-  Mutex.unlock builtin_scale_lock
-
-let clear_builtin_cost_scales () =
-  Mutex.lock builtin_scale_lock;
-  Hashtbl.reset builtin_scale_tbl;
-  Atomic.set builtin_scale_active false;
-  Mutex.unlock builtin_scale_lock
-
-let builtin_cost_scales () =
-  Mutex.lock builtin_scale_lock;
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) builtin_scale_tbl [] in
-  Mutex.unlock builtin_scale_lock;
-  List.sort compare l
 
 (* Busy-wait tuning for the executor's adaptive backoff (Commset_exec.Spin)
    lives here, next to the simulator's handoff constants, so retuning the
@@ -244,8 +201,7 @@ let set_exec_idle_sleep_cap_ms ms =
   Atomic.set exec_idle_sleep_cap_cell (Float.max 0. (ms *. 1e-3))
 
 (* Relative predicted-vs-measured speedup gap the strict gates accept
-   once a calibration profile is applied (run --strict --calibrate,
-   serve --selftest --strict). *)
+   (run --strict, serve --selftest --strict). *)
 let fidelity_band_cell = Atomic.make (-1.0)
 
 let fidelity_band () =

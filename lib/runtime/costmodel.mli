@@ -1,5 +1,5 @@
 (** Cost model of the simulated multicore (all values in simulated
-    cycles), calibrated so the *relative* behaviour of the paper's eight
+    cycles), set by hand so the *relative* behaviour of the paper's eight
     workloads is preserved (DESIGN.md §7). The [Atomic.t] cells are the
     knobs the ablation benchmarks sweep; atomics make them safe to read
     from the parallel evaluation harness's worker domains. *)
@@ -46,47 +46,13 @@ val queue_push_cost : float
 val queue_pop_cost : float
 val queue_capacity : int Atomic.t
 
-(* real-execution calibration (shared with the Commset_exec backend) *)
-
-(** Measured nanoseconds of wall time per simulated cycle: the scale at
-    which the simulator's cycle counts and real wall-clock measurements
-    meet (DESIGN §13). Defaults to 1.0; a calibration profile
-    ({!Calib.apply}) replaces it. Nothing realizes it as CPU work. *)
+(** Nanoseconds of wall time per simulated cycle, default 1.0. Nothing
+    in the library reads it. It is kept only for the repository
+    benchmark's no-burns guard ([bench/perf]), which sets it to 0 and
+    checks it before timing, until that benchmark drops the guard. *)
 val exec_ns_per_cycle : unit -> float
 
-(** Override the scale (calibration, tests and the bench harness). *)
 val set_exec_ns_per_cycle : float -> unit
-
-(** Forget any override: back to the 1.0 default — undoes both
-    [set_exec_ns_per_cycle] and a loaded calibration profile. *)
-val reset_exec_ns_per_cycle : unit -> unit
-
-(** {2 Calibration: measured per-builtin cost scales}
-
-    A calibration profile ({!Calib}) rescales each builtin's charged
-    cycle cost by a measured factor. Precedence, strongest first:
-    explicit [set_*] calls (including [Calib.apply]), then environment
-    variables, then the built-in defaults. Calibration is strictly
-    opt-in: with no profile applied, [builtin_cost_scale] is exactly
-    [1.0], the multiplication is skipped, and all charged costs (and
-    therefore the paper tables) are byte-identical to an uncalibrated
-    build. *)
-
-(** The cost multiplier for one builtin; [1.0] unless a profile with a
-    scale for this name is active. Lock-free on the inactive path;
-    concurrent lookups are safe while no profile is being (un)applied. *)
-val builtin_cost_scale : string -> float
-
-(** Replace the active scale set ([(builtin name, factor)] pairs;
-    non-finite or non-positive factors are dropped). An empty list
-    deactivates calibration, like {!clear_builtin_cost_scales}. Only
-    call between runs — never while worker domains are executing. *)
-val set_builtin_cost_scales : (string * float) list -> unit
-
-val clear_builtin_cost_scales : unit -> unit
-
-(** The active scale set, sorted by name ([[]] when inactive). *)
-val builtin_cost_scales : unit -> (string * float) list
 
 (** Spin rounds the executor's adaptive backoff burns with
     [Domain.cpu_relax] before it starts yielding to the OS scheduler.
@@ -126,8 +92,8 @@ val exec_idle_sleep_cap_s : unit -> float
 val set_exec_idle_sleep_cap_ms : float -> unit
 
 (** Relative predicted-vs-measured speedup gap accepted by the strict
-    fidelity gates ([run --strict --calibrate], [serve --selftest
-    --strict]) on non-oversubscribed machines. Initialized from
+    fidelity gates ([run --strict], [serve --selftest --strict]) on
+    non-oversubscribed machines. Initialized from
     [COMMSET_FIDELITY_BAND] (default 0.5) on first read; malformed
     values raise CS013. *)
 val fidelity_band : unit -> float

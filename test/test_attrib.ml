@@ -3,16 +3,13 @@
     the measured iteration wall within the bound the attribution layer
     promises by construction), frontier-wait attribution (nonzero for
     the cross-iteration workloads under multi-domain runs, exactly zero
-    for a DOALL), the calibration-profile round trip through JSON and
-    through {!Commset_runtime.Calib.apply}/[clear], and the stat
-    renderers (the JSON document must satisfy the strict parser). *)
+    for a DOALL), and the stat renderers (the JSON document must
+    satisfy the strict parser). *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
-module Costmodel = Commset_runtime.Costmodel
-module Calib = Commset_runtime.Calib
 module Exec = Commset_exec.Exec
 module Attrib = Commset_obs.Attrib
 module Json = Commset_obs.Json_strict
@@ -156,19 +153,7 @@ let test_attrib_off () =
       check Alcotest.bool "no summary with attrib:false" true
         (x.P.xstats.Exec.x_attrib = None)
 
-(* ---- calibration profiles ---- *)
-
-let with_calib_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "commset-calib-%d" (Unix.getpid ()))
-  in
-  Unix.putenv "COMMSET_CALIB_DIR" dir;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "COMMSET_CALIB_DIR" "";
-      Calib.clear ())
-    (fun () -> f dir)
+(* ---- stat renderers ---- *)
 
 let measured_summary () =
   let w = Option.get (Registry.find "md5sum") in
@@ -177,92 +162,11 @@ let measured_summary () =
   let x = P.run_parallel ~engine:Exec.Real_engine ~jobs:2 c plan in
   (x, summary_of x)
 
-let test_calib_round_trip () =
-  with_calib_dir (fun dir ->
-      let x, s = measured_summary () in
-      let p =
-        match
-          Calib.of_summary ~workload:"md5sum" ~engine:"real" ~predicted:x.P.xpredicted
-            ~measured:x.P.xstats.Exec.x_measured_speedup s
-        with
-        | Ok p -> p
-        | Error e -> Alcotest.failf "of_summary: %s" e
-      in
-      check Alcotest.bool "ns_per_cycle is positive and finite" true
-        (Float.is_finite p.Calib.p_ns_per_cycle && p.Calib.p_ns_per_cycle > 0.);
-      List.iter
-        (fun (b : Calib.builtin_calib) ->
-          if not (b.Calib.cb_scale >= 0.05 && b.Calib.cb_scale <= 20.) then
-            Alcotest.failf "builtin %s scale %.3f escapes the clamp" b.Calib.cb_name
-              b.Calib.cb_scale)
-        p.Calib.p_builtins;
-      (* JSON round trip preserves the profile *)
-      (match Json.parse (Calib.to_json p) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "profile JSON not strict: %s" e);
-      let p2 =
-        match Calib.of_json (Calib.to_json p) with
-        | Ok p2 -> p2
-        | Error e -> Alcotest.failf "of_json: %s" e
-      in
-      check Alcotest.bool "JSON round trip is lossless" true (p = p2);
-      (* disk round trip under $COMMSET_CALIB_DIR *)
-      let path =
-        match Calib.save p with
-        | Ok path -> path
-        | Error e -> Alcotest.failf "save: %s" e
-      in
-      check Alcotest.bool "saved under the test dir" true
-        (String.length path > String.length dir
-        && String.sub path 0 (String.length dir) = dir);
-      let p3 =
-        match Calib.load ~workload:"md5sum" with
-        | Ok p3 -> p3
-        | Error e -> Alcotest.failf "load: %s" e
-      in
-      check Alcotest.bool "disk round trip is lossless" true (p = p3))
-
-let test_calib_apply_clear () =
-  with_calib_dir (fun _ ->
-      let x, s = measured_summary () in
-      let p =
-        match
-          Calib.of_summary ~workload:"md5sum" ~engine:"real" ~predicted:x.P.xpredicted
-            ~measured:x.P.xstats.Exec.x_measured_speedup s
-        with
-        | Ok p -> p
-        | Error e -> Alcotest.failf "of_summary: %s" e
-      in
-      Calib.apply p;
-      check (Alcotest.float 1e-9) "apply installs ns_per_cycle" p.Calib.p_ns_per_cycle
-        (Costmodel.exec_ns_per_cycle ());
-      List.iter
-        (fun (b : Calib.builtin_calib) ->
-          check (Alcotest.float 1e-9)
-            (Printf.sprintf "apply installs scale for %s" b.Calib.cb_name)
-            b.Calib.cb_scale
-            (Costmodel.builtin_cost_scale b.Calib.cb_name))
-        p.Calib.p_builtins;
-      Calib.clear ();
-      check (Alcotest.float 0.) "clear deactivates builtin scales" 1.0
-        (Costmodel.builtin_cost_scale "fread");
-      check Alcotest.bool "clear empties the scale table" true
-        (Costmodel.builtin_cost_scales () = []))
-
-let test_calib_missing () =
-  with_calib_dir (fun _ ->
-      match Calib.load ~workload:"no-such-workload" with
-      | Ok _ -> Alcotest.fail "loading a missing profile must fail"
-      | Error _ -> ())
-
-(* ---- stat renderers ---- *)
-
 let test_stat_render_json_strict () =
   let x, _ = measured_summary () in
   let json =
     Stat.render_json ~workload:"md5sum" ~engine:"real" ~jobs:2
       ~cores:(Domain.recommended_domain_count ())
-      ~calib:{ Stat.cn_path = "/tmp/x.calib.json"; cn_ns_per_cycle = 1.5; cn_loaded = true }
       [ x ]
   in
   match Json.parse json with
@@ -294,11 +198,6 @@ let suite =
         Alcotest.test_case "codegen engine: attribution conserved" `Quick
           test_codegen_attribution;
         Alcotest.test_case "attrib:false yields no summary" `Quick test_attrib_off;
-        Alcotest.test_case "calibration: JSON and disk round trip" `Quick
-          test_calib_round_trip;
-        Alcotest.test_case "calibration: apply and clear" `Quick test_calib_apply_clear;
-        Alcotest.test_case "calibration: missing profile errors" `Quick
-          test_calib_missing;
         Alcotest.test_case "stat: JSON is strict" `Quick test_stat_render_json_strict;
         Alcotest.test_case "stat: text carries the report" `Quick test_stat_render_text;
       ] )

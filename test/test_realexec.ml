@@ -285,6 +285,11 @@ void main() {
 }
 |}
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_refused_loop_cs014 () =
   let c = P.compile ~name:"refused" refused_source in
   let plans = P.executable_plans c ~threads:2 in
@@ -295,32 +300,85 @@ let test_refused_loop_cs014 () =
       | _ -> Alcotest.failf "%s: refused loop ran" plan.T.Plan.label
       | exception Diag.Error d ->
           check Alcotest.(option string) "CS014" (Some "CS014") d.Diag.code;
-          let needle = "loop condition reads a global written in the loop body" in
           let msg = d.Diag.message in
-          let n = String.length needle in
-          let rec found i =
-            i + n <= String.length msg && (String.sub msg i n = needle || found (i + 1))
-          in
-          if not (found 0) then
+          if not (contains ~sub:"loop condition reads a global written in the loop body" msg)
+          then
             Alcotest.failf "%s: CS014 message lacks plan_real's reason: %s"
               plan.T.Plan.label msg)
     plans
+
+(* ---- a worker traps while it holds a commset lock ---- *)
+
+(* The SELF member indexes [counts] at [i + off], where [off] is the
+   length of a file the setup writes. The compile-time setup writes an
+   empty file, so every index is in range; a second setup makes the last
+   iterations index past the end, inside the member, under its lock. *)
+let trap_source =
+  {|
+int[] counts;
+int total = 0;
+
+void main() {
+  int fd = fopen("offset");
+  int off = fsize(fd);
+  fclose(fd);
+  int n = 40;
+  counts = iarray(n);
+  for (int i = 0; i < n; i++) {
+    int x = i * 7 + 3;
+    x = (x * x + 11) % 1009;
+    x = (x * x + 13) % 1013;
+    #pragma commset member SELF
+    {
+      counts[i + off] = counts[i + off] + x;
+      total = total + counts[i + off];
+    }
+  }
+  print(int_to_string(total));
+}
+|}
+
+let offset_setup off m = R.Machine.add_file m "offset" (String.make off 'x')
+
+let test_worker_trap_releases_locks () =
+  let c = P.compile ~name:"trap" ~setup:(offset_setup 0) trap_source in
+  let plan =
+    match
+      List.find_opt
+        (fun (p : T.Plan.t) ->
+          p.T.Plan.shape = T.Plan.Sdoall && p.T.Plan.variant = T.Plan.Mutex)
+        (P.executable_plans c ~threads:2)
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "no executable DOALL + Mutex plan at 2 jobs"
+  in
+  let lowered = T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace in
+  let pdg = if plan.T.Plan.uses_commset then c.P.target.P.pdg else c.P.target.P.pdg_plain in
+  let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
+  check Alcotest.bool "the member takes a commset lock" true (Array.length locks > 0);
+  (match
+     Realexec.run ~plan ~pdg ~trace:c.P.trace ~locks ~prepared:c.P.prepared
+       ~setup:(offset_setup 5) ~jobs:2 ()
+   with
+  | Ok _ -> Alcotest.fail "an out-of-range index ran to completion"
+  | Error why -> Alcotest.failf "plan_real refused the loop: %s" why
+  | exception Diag.Error d ->
+      if not (contains ~sub:"out of bounds" d.Diag.message) then
+        Alcotest.failf "unexpected diagnostic: %s" d.Diag.message);
+  let x = P.run_parallel ~engine:Exec.Real_engine ~jobs:2 c plan in
+  check Alcotest.bool "the same program then runs Equiv" true (x.P.xfidelity <> P.Mismatch)
 
 (* ---- one cost per builtin ---- *)
 
 (* The builtins a route charges without running their implementation:
    the buffered update writers and the private-bitmap accessors. Their
    engine charges must equal what the sequential run charged for the
-   same calls, with a calibration profile applied or not. *)
+   same calls. *)
 let deferred_builtins =
   [ "hist_add"; "vec_push"; "log_write"; "stat_add"; "stat_note_max"; "bm_set"; "bm_get" ]
 
-let test_deferred_costs ~calibrated () =
-  let module Costmodel = R.Costmodel in
+let test_deferred_costs () =
   let module Attrib = Commset_obs.Attrib in
-  if calibrated then
-    Costmodel.set_builtin_cost_scales (List.map (fun n -> (n, 1.5)) deferred_builtins);
-  Fun.protect ~finally:Costmodel.clear_builtin_cost_scales @@ fun () ->
   let seen = Hashtbl.create 8 in
   List.iter
     (fun wname ->
@@ -379,7 +437,7 @@ let suite =
     @ differential_cases @ equal_work_cases @ plan_time_map_cases
     @ [
         Alcotest.test_case "deferred builtin costs match the sequential run" `Quick
-          (test_deferred_costs ~calibrated:false);
-        Alcotest.test_case "deferred builtin costs match the sequential run, calibrated" `Quick
-          (test_deferred_costs ~calibrated:true);
+          test_deferred_costs;
+        Alcotest.test_case "worker trap under a commset lock ends in its diagnostic" `Quick
+          test_worker_trap_releases_locks;
       ] )

@@ -1,7 +1,10 @@
 (** Tests for the reporting layer: ASCII tables and charts, the Table 1
-    feature matrix, and the evaluation helpers. *)
+    feature matrix, the evaluation helpers, and the lint JSON's string
+    escaping. *)
 
 module Report = Commset_report
+module Diag = Commset_support.Diag
+module Json = Commset_obs.Json_strict
 
 let check = Alcotest.check
 
@@ -53,6 +56,23 @@ let test_geomean () =
     (Report.Evaluation.geomean [ 1.0; 8.0 ]);
   check (Alcotest.float 0.0001) "empty" 0.0 (Report.Evaluation.geomean [])
 
+(* A diagnostic message with a quote, a backslash, a carriage return,
+   another control byte and a UTF-8 letter must survive the lint JSON:
+   the document parses strictly and the message comes back byte for
+   byte. *)
+let test_verdicts_json_escape () =
+  let msg = "say \"hi\" \\ there\r\001 caf\xc3\xa9" in
+  let d = Diag.diagnostic ~code:"CS001" Diag.Warning_sev Commset_support.Loc.dummy msg in
+  let json = Report.Verdicts.render_json { Commset_verify.Verdict.rpairs = [] } [ d ] in
+  match Json.parse json with
+  | Error e -> Alcotest.failf "lint JSON rejected by the strict parser: %s" e
+  | Ok doc -> (
+      match Json.member "diagnostics" doc with
+      | Some (Json.Arr [ diag ]) ->
+          check Alcotest.(option string) "message round trip" (Some msg)
+            (match Json.member "message" diag with Some (Json.Str m) -> Some m | _ -> None)
+      | _ -> Alcotest.fail "expected one diagnostic")
+
 let suite =
   ( "report",
     [
@@ -60,4 +80,6 @@ let suite =
       Alcotest.test_case "ascii chart" `Quick test_ascii_chart;
       Alcotest.test_case "table 1" `Quick test_table1;
       Alcotest.test_case "geomean" `Quick test_geomean;
+      Alcotest.test_case "verdicts: JSON escapes diagnostic messages" `Quick
+        test_verdicts_json_escape;
     ] )
