@@ -177,13 +177,13 @@ let binop_expr pools op ty a b : string =
   | Ast.Mul, Ast.Tint -> Printf.sprintf "V.Vint (%s * %s)" (i a) (i b)
   | Ast.Div, Ast.Tint ->
       Printf.sprintf
-        "(let d = %s in if d = 0 then D.error \"runtime: division by zero\" else \
-         V.Vint (%s / d))"
+        "(let d = %s in if d = 0 then D.error ~code:\"CS018\" \"runtime: division by \
+         zero\" else V.Vint (%s / d))"
         (i b) (i a)
   | Ast.Mod, Ast.Tint ->
       Printf.sprintf
-        "(let d = %s in if d = 0 then D.error \"runtime: modulo by zero\" else \
-         V.Vint (%s mod d))"
+        "(let d = %s in if d = 0 then D.error ~code:\"CS018\" \"runtime: modulo by \
+         zero\" else V.Vint (%s mod d))"
         (i b) (i a)
   | Ast.Add, Ast.Tfloat -> Printf.sprintf "V.Vfloat (%s +. %s)" (f a) (f b)
   | Ast.Sub, Ast.Tfloat -> Printf.sprintf "V.Vfloat (%s -. %s)" (f a) (f b)
@@ -334,16 +334,16 @@ let simple_stmt env (i : Ir.instr) : string =
   | Ir.Load_index (r, arr, idx) ->
       Printf.sprintf
         "(let a = indexed_of %s in let j = index_of %s in if j < 0 || j >= \
-         Array.length a then D.error ~loc:%s \"runtime: index %%d out of bounds \
-         (length %%d)\" j (Array.length a); regs.(%d) <- a.(j));"
+         Array.length a then D.error ~loc:%s ~code:\"CS018\" \"runtime: index %%d out \
+         of bounds (length %%d)\" j (Array.length a); regs.(%d) <- a.(j));"
         (ov pools arr) (ov pools idx)
         (loc_name pools i.Ir.iloc)
         r
   | Ir.Store_index (arr, idx, v) ->
       Printf.sprintf
         "(let a = indexed_of %s in let j = index_of %s in if j < 0 || j >= \
-         Array.length a then D.error ~loc:%s \"runtime: index %%d out of bounds \
-         (length %%d)\" j (Array.length a); a.(j) <- %s);"
+         Array.length a then D.error ~loc:%s ~code:\"CS018\" \"runtime: index %%d out \
+         of bounds (length %%d)\" j (Array.length a); a.(j) <- %s);"
         (ov pools arr) (ov pools idx)
         (loc_name pools i.Ir.iloc)
         (ov pools v)

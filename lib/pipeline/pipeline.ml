@@ -97,8 +97,12 @@ let fresh_machine setup () =
   setup m;
   m
 
-let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~setup ~prepared :
-    target * R.Trace.t =
+(* The target loop's analyses, its two PDGs and the trace run. With
+   [verify], the static pass runs first, so that the trace run records
+   the replay instances its report needs; both come back for
+   {!V.Dynamic.refine}. *)
+let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~setup ~prepared
+    ~verify : target * R.Trace.t * (V.Verdict.report * V.Dynamic.inv list) option =
   let func =
     match Ir.find_func prog fname with
     | Some f -> f
@@ -132,7 +136,22 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
   in
   let pdg = Pdg_builder.build input in
   let pdg_plain = Pdg_builder.build input in
-  let trace, _machine = R.Trace.record ~machine:(fresh_machine setup ()) prepared pdg in
+  let static =
+    if verify then
+      Some
+        (Recorder.with_span ~cat:"compile" "compile.verify" (fun () ->
+             V.Static.run ~md ~target_fname:fname ~loop ~induction ()))
+    else None
+  in
+  let recording =
+    match static with
+    | Some report when V.Dynamic.wanted md report -> Some (V.Dynamic.recording ~md prepared)
+    | _ -> None
+  in
+  let trace =
+    R.Trace.record ?tap:(Option.map V.Dynamic.tap recording) ~machine:(fresh_machine setup ())
+      prepared pdg
+  in
   R.Trace.apply_weights trace [ pdg; pdg_plain ];
   let n_uco, n_ico = Dep_analysis.annotate md pdg dom induction in
   ( {
@@ -149,14 +168,16 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
       n_uco;
       n_ico;
     },
-    trace )
+    trace,
+    Option.map (fun r -> (r, Option.fold ~none:[] ~some:V.Dynamic.instances recording)) static )
 
 let src_log = Logs.Src.create "commset.pipeline" ~doc:"COMMSET parallelization workflow"
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
 
 (** Compile a miniC source: all static stages plus one profiling run and
-    one tracing run (both on fresh machines built by [setup]). Stage
+    one tracing run (both on fresh machines built by [setup]; the latter
+    also records the verifier's replay instances when needed). Stage
     progress is reported on the [commset.pipeline] log source (paper
     Figure 5's workflow). *)
 let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = false)
@@ -199,10 +220,10 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
       m "[%s] target loop: %s at L%d (%.1f%% of execution)" name hottest.R.Profile.lr_func
         hottest.R.Profile.lr_header
         (100. *. hottest.R.Profile.lr_fraction));
-  let target, trace =
+  let target, trace, static =
     stage "compile.pdg" (fun () ->
         build_target prog effects lookup md ~fname:hottest.R.Profile.lr_func
-          ~header:hottest.R.Profile.lr_header ~setup ~prepared)
+          ~header:hottest.R.Profile.lr_header ~setup ~prepared ~verify)
   in
   Log.info (fun m ->
       m "[%s] PDG built (%d nodes, %d edges); Algorithm 1: %d uco, %d ico" name
@@ -216,20 +237,18 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
       (Hashtbl.length sync.T.Sync.node_locks));
   let sync_none = T.Sync.none md in
   let verification =
-    if not verify then None
-    else begin
+    match static with
+    | None -> None
+    | Some (report, instances) ->
       Log.info (fun m -> m "[%s] commutativity sanitizer: differencing + replay" name);
       let report =
-        stage "compile.verify" (fun () ->
-            V.Verify.run ~prepared ~md ~target_fname:target.func.Ir.fname ~loop:target.loop
-              ~induction:target.induction ~setup ())
+        stage "compile.verify" (fun () -> V.Dynamic.refine ~prepared ~md ~instances report)
       in
       Log.info (fun m ->
           m "[%s] sanitizer verdicts: %d proved, %d unknown, %d refuted" name
             (V.Verdict.n_proved report) (V.Verdict.n_unknown report)
             (V.Verdict.n_refuted report));
       Some report
-    end
   in
   let plan_ctx_of pdg =
     stage "compile.planctx" @@ fun () ->

@@ -431,7 +431,8 @@ let all : t list =
       (fun _ a ->
         let arr = aarg 0 a and i = iarg 1 a in
         if i < 0 || i >= Array.length arr then
-          Diag.error "runtime: index %d out of bounds (length %d)" i (Array.length arr);
+          Diag.error ~code:"CS018" "runtime: index %d out of bounds (length %d)" i
+            (Array.length arr);
         arr.(i) <- float_v (farg 2 a);
         (int_v 0, 3.));
   ]

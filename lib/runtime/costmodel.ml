@@ -121,8 +121,6 @@ let exec_spin_rounds () =
     Atomic.set exec_spin_rounds_cell v;
     v
 
-let set_exec_spin_rounds n = Atomic.set exec_spin_rounds_cell (max 0 n)
-
 (* negative = not yet initialised from the environment *)
 let exec_spin_sleep_cell = Atomic.make (-1.0)
 
@@ -144,8 +142,6 @@ let exec_spin_sleep_s () =
     in
     Atomic.set exec_spin_sleep_cell v;
     v
-
-let set_exec_spin_sleep_us us = Atomic.set exec_spin_sleep_cell (Float.max 0. (us *. 1e-6))
 
 (* Long-idle tier of the adaptive backoff (daemon mode): after
    [exec_idle_sleep_after] base-quantum sleeps the quantum doubles each
@@ -222,8 +218,6 @@ let fidelity_band () =
     in
     Atomic.set fidelity_band_cell v;
     v
-
-let set_fidelity_band b = Atomic.set fidelity_band_cell (Float.max 0. b)
 
 (* --- builtin cost helpers ---------------------------------------------- *)
 

@@ -60,14 +60,10 @@ val set_exec_ns_per_cycle : float -> unit
     malformed values raise a CS013 {!Commset_support.Diag.Error}. *)
 val exec_spin_rounds : unit -> int
 
-val set_exec_spin_rounds : int -> unit
-
 (** Yielding quantum (seconds) once the spin budget is spent. Initialized
     from [COMMSET_SPIN_SLEEP_US] (microseconds, default 50) on first
     read; malformed values raise a CS013 {!Commset_support.Diag.Error}. *)
 val exec_spin_sleep_s : unit -> float
-
-val set_exec_spin_sleep_us : float -> unit
 
 (** {2 Long-idle parking (daemon mode)}
 
@@ -97,8 +93,6 @@ val set_exec_idle_sleep_cap_ms : float -> unit
     [COMMSET_FIDELITY_BAND] (default 0.5) on first read; malformed
     values raise CS013. *)
 val fidelity_band : unit -> float
-
-val set_fidelity_band : float -> unit
 
 (* builtin cost helpers *)
 val per_byte : float

@@ -193,7 +193,8 @@ let vec_push m s =
 let vec_size m = m.vec_len
 
 let vec_get m i =
-  if i < 0 || i >= m.vec_len then Diag.error "runtime: vector index %d out of bounds" i;
+  if i < 0 || i >= m.vec_len then
+    Diag.error ~code:"CS018" "runtime: vector index %d out of bounds" i;
   m.vec.(i)
 
 (* --- bitmaps ------------------------------------------------------------ *)

@@ -8,8 +8,8 @@
     - block lookup: labels become dense array indices, terminators jump
       to pre-resolved indices (no [Hashtbl.find] per block);
     - commutative region entries: the [(function, label) -> region]
-      table becomes a per-block field, consulted only on the hooked
-      loop (regions are hook-observable only);
+      table becomes a per-block field with the region's commset actuals
+      compiled, evaluated only for an observed run that asks for them;
     - operand access: [Const] operands become pre-built {!Value.t}
       shares, [Reg] operands become direct [regs.(i)] reads;
     - operator dispatch: the [(op, ty)] match happens once at prepare
@@ -20,7 +20,7 @@
       of the two shared {!Value.vtrue}/{!Value.vfalse};
     - callee resolution: the builtin-vs-user split happens at prepare
       time; user calls bind arguments straight into the callee's fresh
-      register file with no intermediate list on the fast loop;
+      register file with no intermediate list;
     - global variables: names become dense array slots (a declared
       global's load is one array read);
     - cost accounting: {!Costmodel.instr_cost} is precomputed per
@@ -30,20 +30,19 @@
       lives in a float-only record, so a charge is a load, an add and a
       store, with no allocation and no write barrier.
 
-    Three instruction loops run over the prepared form, each for a
-    stated reason:
+    Two instruction loops run over the prepared form:
 
-    - the fast loop ([f_run]) carries every run that needs no
-      per-instruction observer: [run_main], the profiler's
-      block-grained run ([run_main_coarse]), the real engine's
-      coordinator ([run_main_real]), workers' nested calls and the
-      verifier's replay entries. What those runs observe comes from an
-      optional per-state {!observer}, consulted once per block entry
-      and once per call, and from an optional per-state builtin
-      dispatch; neither is looked at per instruction;
-    - the hooked loop ([i_run]) fires the full reference event stream
-      ({!hooks}), for the trace recorder and the verifier's recording
-      run;
+    - the fast loop ([f_run]) carries every run: [run_main], the
+      compile-time recorders' observed runs ([run_observed]), the real
+      engine's coordinator ([run_main_real]), workers' nested calls and
+      the verifier's replay entries. What a run observes comes from an
+      optional per-state {!probe}, consulted once per block entry and
+      once per call, and from an optional per-state builtin dispatch;
+      neither is looked at per instruction. An {!observer} hears block
+      entries, calls, returns and builtins with their costs (outputs
+      come through {!Machine.emit}); region and call actuals are
+      evaluated only if it asks, inside the probe, so an unobserved run
+      does no work for them;
     - [run_iteration]'s target-depth loop, whose per-instruction
       [on_instr] is fixed by its signature.
 
@@ -54,11 +53,12 @@
 
     Behavioural contract, relied on by the differential tests against
     the reference interpreter kept in [test/]: for any program, outputs,
-    total cycles, diagnostics, and (on the hooked loop) the full hook
-    event stream are identical to the reference. Runtime failures raise
-    the same {!Diag.Error}s at the same point; fuel is charged per
-    instruction and per block exactly like the reference, so
-    {!Out_of_fuel} fires at the same execution point. *)
+    total cycles, diagnostics, and the observed events are identical to
+    the reference's. Runtime failures raise the same {!Diag.Error}s at
+    the same point (division or modulo by zero and an index out of
+    bounds carry CS018); fuel is charged per instruction and per block
+    exactly like the reference, so {!Out_of_fuel} fires at the same
+    execution point. *)
 
 module Ir = Commset_ir.Ir
 module Ast = Commset_lang.Ast
@@ -76,35 +76,8 @@ let m_steps =
 let m_exec_runs = Metrics.counter ~doc:"prepared-program runs" "interp.runs"
 
 (* ------------------------------------------------------------------ *)
-(* Hooks and fuel                                                      *)
+(* Fuel                                                                *)
 (* ------------------------------------------------------------------ *)
-
-type hooks = {
-  mutable on_instr : Ir.func -> Ir.instr -> unit;
-  mutable on_block : Ir.func -> Ir.label -> unit;
-  mutable on_base_cost : float -> unit;
-  mutable on_builtin : Builtins.t -> float -> unit;
-  mutable on_output : string -> unit;
-  mutable on_enter_func : Ir.func -> unit;
-  mutable on_exit_func : Ir.func -> unit;
-  mutable on_region_enter :
-    Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit;
-  mutable on_call_actuals :
-    Ir.instr -> Value.t list -> (string * (string * Value.t list) list) list -> unit;
-}
-
-let null_hooks () =
-  {
-    on_instr = (fun _ _ -> ());
-    on_block = (fun _ _ -> ());
-    on_base_cost = (fun _ -> ());
-    on_builtin = (fun _ _ -> ());
-    on_output = (fun _ -> ());
-    on_enter_func = (fun _ -> ());
-    on_exit_func = (fun _ -> ());
-    on_region_enter = (fun _ _ _ _ -> ());
-    on_call_actuals = (fun _ _ _ -> ());
-  }
 
 exception Out_of_fuel
 
@@ -135,21 +108,29 @@ type state = {
           [Hashtbl.replace] semantics) *)
   mutable st_fuel : int;
   st_total : cycles;
-  mutable st_obs : observer option;  (** consulted by the fast loop only *)
+  mutable st_obs : probe option;  (** consulted by the fast loop only *)
   mutable st_builtin :
     (Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float) option;
       (** replaces [Builtins.impl] on the fast loop when set *)
 }
 
 (** What a fast-loop run observes, beyond its effects. *)
-and observer = {
+and probe = {
   ob_block : pfunc -> int -> Value.t array -> pblock;
       (** at every block entry, in place of {!enter}: charges the
           entry's fuel and returns the block to execute, which need not
           be the one jumped to *)
-  ob_enter : Ir.func -> unit;  (** before a call binds its arguments *)
+  ob_enter : pfunc -> opf array -> enables -> Value.t array -> unit;
+      (** before a call binds its arguments: the callee, the call
+          site's compiled arguments and enables, and the caller's
+          register file. An entry ([main], {!run_func}) is no call and
+          passes an empty register file, which no frame has. *)
   ob_exit : Ir.func -> unit;  (** after a call returns normally *)
 }
+
+(** Per COMMSETNAMEDARGADD enable on a call: the named block and its
+    sets' compiled actuals. *)
+and enables = (string * (string * opf array) list) list
 
 (** A compiled operand read: closed over the constant or the register
     index; never allocates. *)
@@ -161,13 +142,7 @@ and pinstr =
           whose resolution failed (unknown global / unknown callee),
           which must keep failing at execution time, not prepare time *)
   | Pbuiltin of { bi : Builtins.t; bargs : opf array; bdst : int (* -1 = none *) }
-  | Pcall of {
-      ccallee : pfunc;
-      cargs : opf array;
-      cdst : int;  (** -1 = none *)
-      cir : Ir.instr;  (** original instruction, for [on_call_actuals] *)
-      cenabled : (string * (string * opf array) list) list;
-    }
+  | Pcall of { ccallee : pfunc; cargs : opf array; cdst : int (* -1 = none *); cenabled : enables }
 
 and pterm =
   | Pjump of int
@@ -186,7 +161,7 @@ and pterm =
 and pblock = {
   pb_label : Ir.label;
   pb_instrs : pinstr array;
-  pb_irs : Ir.instr array;  (** parallel to [pb_instrs], for [on_instr] *)
+  pb_irs : Ir.instr array;  (** parallel to [pb_instrs] *)
   pb_costs : float array;  (** parallel static {!Costmodel.instr_cost}s *)
   pb_term : pterm;
   pb_region : (Ir.region * (string * opf array) list) option;
@@ -242,11 +217,13 @@ let prep_binop op ty : Value.t -> Value.t -> Value.t =
   | Ast.Div, Ast.Tint ->
       fun a b ->
         let d = int_of b in
-        if d = 0 then Diag.error "runtime: division by zero" else Vint (int_of a / d)
+        if d = 0 then Diag.error ~code:"CS018" "runtime: division by zero"
+        else Vint (int_of a / d)
   | Ast.Mod, Ast.Tint ->
       fun a b ->
         let d = int_of b in
-        if d = 0 then Diag.error "runtime: modulo by zero" else Vint (int_of a mod d)
+        if d = 0 then Diag.error ~code:"CS018" "runtime: modulo by zero"
+        else Vint (int_of a mod d)
   | Ast.Add, Ast.Tfloat -> fun a b -> Vfloat (float_of a +. float_of b)
   | Ast.Sub, Ast.Tfloat -> fun a b -> Vfloat (float_of a -. float_of b)
   | Ast.Mul, Ast.Tfloat -> fun a b -> Vfloat (float_of a *. float_of b)
@@ -335,7 +312,8 @@ let prep_instr ~global_slots ~declared ~funcs (i : Ir.instr) : pinstr =
           let a = Value.to_array ~what:"indexed value" (fa regs) in
           let j = Value.to_int ~what:"index" (fi regs) in
           if j < 0 || j >= Array.length a then
-            Diag.error ~loc "runtime: index %d out of bounds (length %d)" j (Array.length a);
+            Diag.error ~loc ~code:"CS018" "runtime: index %d out of bounds (length %d)" j
+              (Array.length a);
           regs.(r) <- a.(j))
   | Ir.Store_index (arr, idx, v) ->
       let fa = prep_operand arr and fi = prep_operand idx and fv = prep_operand v in
@@ -344,7 +322,8 @@ let prep_instr ~global_slots ~declared ~funcs (i : Ir.instr) : pinstr =
           let a = Value.to_array ~what:"indexed value" (fa regs) in
           let j = Value.to_int ~what:"index" (fi regs) in
           if j < 0 || j >= Array.length a then
-            Diag.error ~loc "runtime: index %d out of bounds (length %d)" j (Array.length a);
+            Diag.error ~loc ~code:"CS018" "runtime: index %d out of bounds (length %d)" j
+              (Array.length a);
           a.(j) <- fv regs)
   | Ir.Call { dst; callee; args; enabled } -> (
       let cargs = Array.of_list (List.map prep_operand args) in
@@ -363,7 +342,7 @@ let prep_instr ~global_slots ~declared ~funcs (i : Ir.instr) : pinstr =
                         e.Ir.en_sets ))
                   enabled
               in
-              Pcall { ccallee = pf; cargs; cdst; cir = i; cenabled }
+              Pcall { ccallee = pf; cargs; cdst; cenabled }
           | None ->
               Psimple
                 (fun _ _ -> Diag.error ~loc "runtime: call to unknown function '%s'" callee)))
@@ -492,11 +471,10 @@ let prepare (prog : Ir.program) : t =
 type exec = {
   ex_prepared : t;
   ex_state : state;
-  ex_hooks : hooks option;
   ex_fuel0 : int;  (** initial fuel, for the steps-retired accessor *)
 }
 
-let executor ?hooks ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t) : exec =
+let executor ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t) : exec =
   let st =
     {
       st_machine = machine;
@@ -508,14 +486,8 @@ let executor ?hooks ?(fuel = default_fuel) ?(machine = Machine.create ()) (p : t
       st_builtin = None;
     }
   in
-  (machine.Machine.emit <-
-     (match hooks with
-     | None -> fun s -> Machine.default_emit machine s
-     | Some h ->
-         fun s ->
-           Machine.default_emit machine s;
-           h.on_output s));
-  { ex_prepared = p; ex_state = st; ex_hooks = hooks; ex_fuel0 = fuel }
+  machine.Machine.emit <- (fun s -> Machine.default_emit machine s);
+  { ex_prepared = p; ex_state = st; ex_fuel0 = fuel }
 
 let machine ex = ex.ex_state.st_machine
 let total_cost ex = ex.ex_state.st_total.cycles
@@ -555,7 +527,7 @@ let[@inline] charge st c = st.st_total.cycles <- st.st_total.cycles +. c
 
 (* A block entry: one step, then the block, where a jump to a label
    with no block raises [Not_found] like the reference's [Ir.block].
-   Observers call this (or an equivalent) themselves. *)
+   Probes call this (or an equivalent) themselves. *)
 let[@inline] enter st (pf : pfunc) bidx : pblock =
   step st;
   if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
@@ -564,8 +536,8 @@ let[@inline] enter st (pf : pfunc) bidx : pblock =
 let rec f_args bargs regs i n =
   if i >= n then [] else bargs.(i) regs :: f_args bargs regs (i + 1) n
 
-let rec f_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
-  (match st.st_obs with None -> () | Some o -> o.ob_enter callee.pf_ir);
+let rec f_call st (callee : pfunc) (cargs : opf array) cenabled caller_regs : Value.t =
+  (match st.st_obs with None -> () | Some o -> o.ob_enter callee cargs cenabled caller_regs);
   let regs = Array.make callee.pf_nregs (Value.Vint 0) in
   let params = callee.pf_params in
   let np = Array.length params in
@@ -598,8 +570,8 @@ and f_run st (pf : pfunc) regs bidx : Value.t =
         in
         charge st cost;
         if bdst >= 0 then regs.(bdst) <- v
-    | Pcall { ccallee; cargs; cdst; _ } ->
-        let v = f_call st ccallee cargs regs in
+    | Pcall { ccallee; cargs; cdst; cenabled } ->
+        let v = f_call st ccallee cargs cenabled regs in
         if cdst >= 0 then regs.(cdst) <- v
   done;
   charge st Costmodel.terminator_cost;
@@ -619,148 +591,89 @@ and f_run st (pf : pfunc) regs bidx : Value.t =
   | Pret_const v -> v
   | Pret_none -> Value.Vint 0
 
-(* ---- hooked loop (the reference event stream) ----------------------- *)
-
-let rec i_exec_func st (h : hooks) (pf : pfunc) (args : Value.t list) : Value.t =
-  h.on_enter_func pf.pf_ir;
-  let regs = Array.make pf.pf_nregs (Value.Vint 0) in
-  let params = pf.pf_params in
-  let np = Array.length params in
-  let rec bind i args =
-    if i >= np then ()
-    else
-      match args with
-      | v :: args ->
-          regs.(params.(i)) <- v;
-          bind (i + 1) args
-      | [] -> Diag.error "runtime: missing argument %d of %s" i pf.pf_ir.Ir.fname
-  in
-  bind 0 args;
-  let v = i_run st h pf regs pf.pf_entry in
-  h.on_exit_func pf.pf_ir;
-  v
-
-and i_run st h (pf : pfunc) regs bidx : Value.t =
-  step st;
-  if bidx < 0 then begin
-    h.on_block pf.pf_ir (-1 - bidx);
-    ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found like the reference *)
-  end;
-  let b = pf.pf_blocks.(bidx) in
-  h.on_block pf.pf_ir b.pb_label;
-  (match b.pb_region with
-  | Some (region, set_fns) ->
-      let actuals =
-        List.map
-          (fun (set, fns) -> (set, List.map (fun f -> f regs) (Array.to_list fns)))
-          set_fns
-      in
-      h.on_region_enter pf.pf_ir region actuals regs
-  | None -> ());
-  let instrs = b.pb_instrs and costs = b.pb_costs and irs = b.pb_irs in
-  for k = 0 to Array.length instrs - 1 do
-    step st;
-    h.on_instr pf.pf_ir irs.(k);
-    let c = costs.(k) in
-    charge st c;
-    h.on_base_cost c;
-    match instrs.(k) with
-    | Psimple f -> f st regs
-    | Pbuiltin { bi; bargs; bdst } ->
-        let argv = f_args bargs regs 0 (Array.length bargs) in
-        let v, cost = bi.Builtins.impl st.st_machine argv in
-        (* builtin cost is reported through its own hook, not on_base_cost *)
-        charge st cost;
-        h.on_builtin bi cost;
-        if bdst >= 0 then regs.(bdst) <- v
-    | Pcall { ccallee; cargs; cdst; cir; cenabled } ->
-        let argv = f_args cargs regs 0 (Array.length cargs) in
-        let en_actuals =
-          List.map
-            (fun (block, sets) ->
-              ( block,
-                List.map
-                  (fun (set, fns) -> (set, List.map (fun f -> f regs) (Array.to_list fns)))
-                  sets ))
-            cenabled
-        in
-        h.on_call_actuals cir argv en_actuals;
-        let v = i_exec_func st h ccallee argv in
-        if cdst >= 0 then regs.(cdst) <- v
-  done;
-  let c = Costmodel.terminator_cost in
-  charge st c;
-  h.on_base_cost c;
-  match b.pb_term with
-  | Pjump j -> i_run st h pf regs j
-  | Pbranch (c, l1, l2) -> (
-      match regs.(c) with
-      | Value.Vbool true -> i_run st h pf regs l1
-      | Value.Vbool false -> i_run st h pf regs l2
-      | v ->
-          ignore (Value.to_bool ~what:"branch condition" v);
-          assert false)
-  | Pbranch_raise fop ->
-      ignore (Value.to_bool ~what:"branch condition" (fop regs));
-      assert false
-  | Pret_reg r -> regs.(r)
-  | Pret_const v -> v
-  | Pret_none -> Value.Vint 0
-
 (* ---- entries -------------------------------------------------------- *)
 
-(* Run [main()] from [ex] with [obs] installed on the fast loop, or on
-   the hooked loop when [hooks] is given; counts the run and its steps
-   in the metrics. *)
-let run_entry ?hooks ?obs (ex : exec) : float =
+(* Run [main()] from [ex] with [probe] installed; counts the run and its
+   steps in the metrics. *)
+let run_entry ?probe (ex : exec) : float =
   match ex.ex_prepared.p_main with
   | None -> Diag.error "program has no 'main' function"
   | Some mainf ->
       let st = ex.ex_state in
       let fuel_before = st.st_fuel in
       Metrics.incr m_exec_runs;
-      st.st_obs <- obs;
+      st.st_obs <- probe;
       Fun.protect
         ~finally:(fun () ->
           st.st_obs <- None;
           Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () ->
-          match hooks with
-          | None -> ignore (f_call st mainf [||] [||])
-          | Some h -> ignore (i_exec_func st h mainf []));
+        (fun () -> ignore (f_call st mainf [||] [] [||]));
       st.st_total.cycles
 
 (** Run [main()] to completion; returns total simulated cycles. The
     executor keeps the machine, globals, and running total for
     inspection afterwards. *)
-let run_main (ex : exec) : float = run_entry ?hooks:ex.ex_hooks ex
+let run_main (ex : exec) : float = run_entry ex
 
-(** Like {!run_main}, but an executor with hooks runs on the fast loop
-    with a block observer: only [on_enter_func], [on_exit_func],
-    [on_block] and [on_output] fire, while {!total_cost} still advances
-    per instruction. *)
-let run_main_coarse (ex : exec) : float =
-  match ex.ex_hooks with
-  | None -> run_entry ex
-  | Some h ->
-      let st = ex.ex_state in
-      let ob_block pf bidx _ =
-        (* the reference checks the fuel before it fires [on_block] *)
-        if st.st_fuel <= 0 then raise Out_of_fuel;
-        h.on_block pf.pf_ir (if bidx < 0 then -1 - bidx else pf.pf_blocks.(bidx).pb_label);
-        enter st pf bidx
-      in
-      run_entry ex
-        ~obs:
-          {
-            ob_block;
-            ob_enter = (fun f -> h.on_enter_func f);
-            ob_exit = (fun f -> h.on_exit_func f);
-          }
+(** What an observed run reports; see the interface. *)
+type observer = {
+  on_block : Ir.func -> Ir.label -> unit;
+  on_region :
+    (Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit) option;
+  on_enter : Ir.func -> unit;
+  on_call :
+    (Ir.func -> Value.t list -> (string * (string * Value.t list) list) list -> unit) option;
+  on_exit : Ir.func -> unit;
+  on_builtin : (Builtins.t -> float -> unit) option;
+}
+
+let eval_sets (sets : (string * opf array) list) regs : (string * Value.t list) list =
+  List.map (fun (set, fns) -> (set, List.map (fun f -> f regs) (Array.to_list fns))) sets
+
+(* The observer's payloads are evaluated here, and only those it asks
+   for: a block-grained observer costs one step and one call per block
+   entry and per call, as on the plain fast loop. *)
+let run_observed (ex : exec) (o : observer) : float =
+  let st = ex.ex_state in
+  let ob_block pf bidx regs =
+    step st;
+    if bidx < 0 then begin
+      o.on_block pf.pf_ir (-1 - bidx);
+      ignore (Ir.block pf.pf_ir (-1 - bidx))
+    end;
+    let b = Array.unsafe_get pf.pf_blocks bidx in
+    o.on_block pf.pf_ir b.pb_label;
+    (match (o.on_region, b.pb_region) with
+    | Some on_region, Some (region, sets) ->
+        on_region pf.pf_ir region (eval_sets sets regs) regs
+    | _ -> ());
+    b
+  in
+  let ob_enter pf cargs cenabled caller_regs =
+    (match o.on_call with
+    | Some on_call when Array.length caller_regs > 0 ->
+        on_call pf.pf_ir
+          (f_args cargs caller_regs 0 (Array.length cargs))
+          (List.map (fun (blk, sets) -> (blk, eval_sets sets caller_regs)) cenabled)
+    | _ -> ());
+    o.on_enter pf.pf_ir
+  in
+  st.st_builtin <-
+    (match o.on_builtin with
+    | None -> None
+    | Some on_builtin ->
+        Some
+          (fun bi argv ~has_dst:_ ->
+            let ((_, cost) as r) = bi.Builtins.impl st.st_machine argv in
+            on_builtin bi cost;
+            r));
+  Fun.protect
+    ~finally:(fun () -> st.st_builtin <- None)
+    (fun () -> run_entry ex ~probe:{ ob_block; ob_enter; ob_exit = o.on_exit })
 
 let run_func ex (f : Ir.func) (args : Value.t list) : Value.t =
   let pf = Hashtbl.find ex.ex_prepared.p_funcs f.Ir.fname in
-  f_call ex.ex_state pf (Array.of_list (List.map (fun v _ -> v) args)) [||]
+  f_call ex.ex_state pf (Array.of_list (List.map (fun v _ -> v) args)) [] [||]
 
 exception Left_region
 
@@ -783,8 +696,8 @@ let run_region ex (f : Ir.func) (region : Ir.region) (regs : Value.t array) : un
     if !depth = 0 && not (bidx >= 0 && inside.(bidx)) then raise_notrace Left_region;
     enter st pf' bidx
   in
-  st.st_obs <-
-    Some { ob_block; ob_enter = (fun _ -> incr depth); ob_exit = (fun _ -> decr depth) };
+  let ob_enter _ _ _ _ = incr depth in
+  st.st_obs <- Some { ob_block; ob_enter; ob_exit = (fun _ -> decr depth) };
   Fun.protect
     ~finally:(fun () -> st.st_obs <- None)
     (fun () -> try ignore (f_run st pf regs entry) with Left_region -> ())
@@ -819,7 +732,6 @@ type rtarget = {
 }
 
 let rtarget_backbone rt = rt.rt_backbone
-let rtarget_nregs rt = rt.rt_pf.pf_nregs
 let rtarget_fname rt = rt.rt_fname
 
 let instr_def (i : Ir.instr) : int option =
@@ -1118,7 +1030,7 @@ let run_main_real (ex : exec) (rt : rtarget) ~(on_iter : int -> Value.t array ->
       enter st pf bidx
     end
   in
-  run_entry ex ~obs:{ ob_block; ob_enter = ignore; ob_exit = ignore }
+  run_entry ex ~probe:{ ob_block; ob_enter = (fun _ _ _ _ -> ()); ob_exit = ignore }
 
 (* ---- workers -------------------------------------------------------- *)
 
@@ -1172,8 +1084,8 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
           let v, cost = builtin bi argv ~has_dst:(bdst >= 0) in
           charge st cost;
           if bdst >= 0 then regs.(bdst) <- v
-      | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = f_call st ccallee cargs regs in
+      | Pcall { ccallee; cargs; cdst; cenabled } ->
+          let v = f_call st ccallee cargs cenabled regs in
           if cdst >= 0 then regs.(cdst) <- v
     done;
     charge st Costmodel.terminator_cost;

@@ -1,48 +1,26 @@
 (** Prepared-program execution layer: a one-time pass resolving an
     {!Ir.program} into an array-indexed, closure-threaded form, and the
-    interpreter loops over it. A fast loop carries every run that needs
-    no per-instruction observer (plain runs, the profiler's
-    block-grained run, the real engine's coordinator, workers' nested
-    calls and the verifier's replay); a hooked loop fires the reference
-    event stream ({!hooks}); [run_iteration] keeps its own target-depth
-    loop. Per instruction the fast loop makes one closure call (a binop
-    on a register and a register or constant adds one more, to its
-    operator) and one charge to an unboxed running total; comparisons
-    return the shared {!Value.vtrue}/{!Value.vfalse}.
-    What it still allocates is every [int] or [float] result (a boxed
-    {!Value.t}) and, per builtin call, the argument list and the result
-    pair.
+    interpreter loops over it. Two loops: the fast loop carries every
+    run (plain runs, the compile-time recorders' observed runs, the
+    real engine's coordinator, workers' nested calls and the verifier's
+    replay); [run_iteration] keeps its own target-depth loop. An
+    observed run ({!run_observed}) reports block entries, calls,
+    builtins and, on request, region and call actuals, once per block
+    entry and once per event, never per instruction. Per instruction the
+    fast loop makes one closure call (a binop on a register and a
+    register or constant adds one more, to its operator) and one charge
+    to an unboxed running total; comparisons return the shared
+    {!Value.vtrue}/{!Value.vfalse}. What it still allocates is every
+    [int] or [float] result (a boxed {!Value.t}) and, per builtin call,
+    the argument list and the result pair.
 
     Contract: outputs, total cycles, diagnostics, fuel exhaustion point,
-    and (hooked) event streams are identical to the reference
-    interpreter kept in [test/] as the oracle, on every program. The
-    differential tests in [test/test_precompile.ml] and
-    [test/test_fuzz.ml] enforce this. *)
+    and observed events are identical to the reference interpreter kept
+    in [test/] as the oracle, on every program. Division or modulo by
+    zero and an index out of bounds raise CS018. The differential tests
+    in [test/test_precompile.ml] and [test/test_fuzz.ml] enforce this. *)
 
 module Ir := Commset_ir.Ir
-
-(** The reference event stream, fired by the hooked loop. *)
-type hooks = {
-  mutable on_instr : Ir.func -> Ir.instr -> unit;
-  mutable on_block : Ir.func -> Ir.label -> unit;
-  mutable on_base_cost : float -> unit;
-  mutable on_builtin : Builtins.t -> float -> unit;
-  mutable on_output : string -> unit;
-  mutable on_enter_func : Ir.func -> unit;
-  mutable on_exit_func : Ir.func -> unit;
-  mutable on_region_enter :
-    Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit;
-      (** fired on entry to a commutative region, with the predicate
-          actuals of each of its commsets evaluated at that instant and
-          the live register file (for replay, snapshot it) *)
-  mutable on_call_actuals :
-    Ir.instr -> Value.t list -> (string * (string * Value.t list) list) list -> unit;
-      (** fired before a call to a user-defined function, with the
-          evaluated argument values and, per COMMSETNAMEDARGADD enable on
-          the call, the evaluated (block, set actuals) bindings *)
-}
-
-val null_hooks : unit -> hooks
 
 (** Raised when a run exhausts its fuel (charged per instruction and per
     block entry), so that a non-terminating program stops. *)
@@ -63,24 +41,44 @@ val prepare : Ir.program -> t
 val program : t -> Ir.program
 
 (** One run of a prepared program: private machine, globals, fuel and
-    cycle counter. Passing [?hooks] makes {!run_main} use the hooked
-    loop; omitting it selects the fast loop. *)
+    cycle counter. The executor installs the machine's output sink. *)
 type exec
 
-val executor : ?hooks:hooks -> ?fuel:int -> ?machine:Machine.t -> t -> exec
+val executor : ?fuel:int -> ?machine:Machine.t -> t -> exec
 
 (** Run [main()] to completion; returns total simulated cycles. Raises
     the same {!Commset_support.Diag.Error}s / {!Out_of_fuel} as the
     reference interpreter. *)
 val run_main : exec -> float
 
-(** Like {!run_main}, but hooks run block-grained, on the fast loop with
-    a block observer: only [on_enter_func], [on_exit_func], [on_block]
-    and [on_output] fire; per-instruction hooks ([on_instr],
-    [on_base_cost], [on_builtin]) and actuals hooks ([on_region_enter],
-    [on_call_actuals]) are skipped while {!total_cost} still advances
-    per instruction in reference order. *)
-val run_main_coarse : exec -> float
+(** What an observed run reports beyond its effects, in the reference
+    interpreter's event order. Output lines are not here: they go to
+    the machine's {!Machine.emit} sink, which an observer may wrap. *)
+type observer = {
+  on_block : Ir.func -> Ir.label -> unit;
+      (** at every block entry, after its fuel step (a jump to a label
+          with no block reports the label, then raises [Not_found]) *)
+  on_region :
+    (Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit) option;
+      (** after [on_block] of a commutative region's entry block: the
+          predicate actuals of each of its commsets evaluated at that
+          instant and the live register file (for replay, copy it) *)
+  on_enter : Ir.func -> unit;  (** before a call or [main] binds its arguments *)
+  on_call :
+    (Ir.func -> Value.t list -> (string * (string * Value.t list) list) list -> unit) option;
+      (** before [on_enter] of a call to a user function: the callee,
+          the evaluated argument values and, per COMMSETNAMEDARGADD
+          enable on the call, the evaluated (block, set actuals) *)
+  on_exit : Ir.func -> unit;  (** after a call returns normally *)
+  on_builtin : (Builtins.t -> float -> unit) option;
+      (** after a builtin returns, with the cost it charged *)
+}
+
+(** Like {!run_main}, with [observer] told of every event, on the fast
+    loop: {!total_cost} advances per instruction in reference order, so
+    an observer reading it at an event sees the reference's total. The
+    optional payloads are evaluated only when present. *)
+val run_observed : exec -> observer -> float
 
 val machine : exec -> Machine.t
 val total_cost : exec -> float
@@ -145,11 +143,10 @@ val plan_real :
 (** Instruction iids the coordinator executes inside the loop. *)
 val rtarget_backbone : rtarget -> int list
 
-val rtarget_nregs : rtarget -> int
 val rtarget_fname : rtarget -> string
 
-(** Run [main()] with the target loop in dispatch mode (fast loop only;
-    the executor's hooks are ignored). [on_iter k regs] fires at every
+(** Run [main()] with the target loop in dispatch mode, on the fast
+    loop. [on_iter k regs] fires at every
     header entry that continues into the body — [regs] is the live
     register file, valid only for the duration of the callback (copy it
     to keep it). [on_loop_done] fires at every exit from the loop,

@@ -11,7 +11,7 @@ module A = Commset_analysis
 type seg = { mutable seg_start : float }
 
 type frame = {
-  func : Ir.func;  (** compared physically with the block hook's function *)
+  func : Ir.func;  (** compared physically with the block entry's function *)
   costs : float array;  (** the function's block costs, indexed by label *)
   mutable cur_label : Ir.label;
   seg : seg;
@@ -36,14 +36,15 @@ type t = { reports : loop_report list; total : float }
 let label_slots (f : Ir.func) =
   Hashtbl.fold (fun l _ m -> max m (l + 1)) f.Ir.blocks (max 0 f.Ir.n_labels)
 
-(* Inclusive attribution without a per-cost-event stack walk: the coarse
-   path fires only block-grained hooks while the executor's running
-   total advances per instruction, and each frame flushes the elapsed
-   segment to its current block whenever that block changes (or the
-   frame pops). A parent's open segment spans its callees' execution, so
-   callee time lands at the call site's block. This costs O(blocks
-   executed) array updates; the per-function cost arrays are found once
-   per call (name -> array, built on a function's first call). *)
+(* Inclusive attribution without a per-cost-event stack walk: the run's
+   observer hears only block entries, calls and returns while the
+   executor's running total advances per instruction, and each frame
+   flushes the elapsed segment to its current block whenever that block
+   changes (or the frame pops). A parent's open segment spans its
+   callees' execution, so callee time lands at the call site's block.
+   This costs O(blocks executed) array updates; the per-function cost
+   arrays are found once per call (name -> array, built on a function's
+   first call). *)
 let record ?(machine = Machine.create ()) (prepared : Precompile.t) :
     (string, float array) Hashtbl.t * float =
   let costs : (string, float array) Hashtbl.t = Hashtbl.create 16 in
@@ -55,8 +56,7 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) :
         Hashtbl.add costs f.Ir.fname a;
         a
   in
-  let hooks = Precompile.null_hooks () in
-  let ex = Precompile.executor ~hooks ~machine prepared in
+  let ex = Precompile.executor ~machine prepared in
   let stack : frame list ref = ref [] in
   let flush fr =
     let n = Precompile.total_cost ex in
@@ -64,31 +64,38 @@ let record ?(machine = Machine.create ()) (prepared : Precompile.t) :
     if seg <> 0. then fr.costs.(fr.cur_label) <- seg +. fr.costs.(fr.cur_label);
     fr.seg.seg_start <- n
   in
-  hooks.Precompile.on_enter_func <-
-    (fun f ->
-      stack :=
-        {
-          func = f;
-          costs = costs_of f;
-          cur_label = f.Ir.entry;
-          seg = { seg_start = Precompile.total_cost ex };
-        }
-        :: !stack);
-  hooks.Precompile.on_exit_func <-
-    (fun _ ->
-      match !stack with
-      | [] -> ()
-      | fr :: rest ->
-          flush fr;
-          stack := rest);
-  hooks.Precompile.on_block <-
-    (fun f l ->
-      match !stack with
-      | fr :: _ when fr.func == f ->
-          flush fr;
-          fr.cur_label <- l
-      | _ -> ());
-  let total = Precompile.run_main_coarse ex in
+  let total =
+    Precompile.run_observed ex
+      {
+        Precompile.on_block =
+          (fun f l ->
+            match !stack with
+            | fr :: _ when fr.func == f ->
+                flush fr;
+                fr.cur_label <- l
+            | _ -> ());
+        on_enter =
+          (fun f ->
+            stack :=
+              {
+                func = f;
+                costs = costs_of f;
+                cur_label = f.Ir.entry;
+                seg = { seg_start = Precompile.total_cost ex };
+              }
+              :: !stack);
+        on_exit =
+          (fun _ ->
+            match !stack with
+            | [] -> ()
+            | fr :: rest ->
+                flush fr;
+                stack := rest);
+        on_region = None;
+        on_call = None;
+        on_builtin = None;
+      }
+  in
   List.iter flush !stack;
   (costs, total)
 

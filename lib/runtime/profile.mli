@@ -15,7 +15,7 @@ type loop_report = {
 
 type t = { reports : loop_report list; total : float }
 
-(** Profile the prepared program (block-grained coarse engine) and rank
+(** Profile the prepared program (a block-grained observed run) and rank
     its loops by inclusive cost. Block costs accumulate in one float
     array per function, indexed by label and found once per call: per
     block there is no hashing or string comparison, and the only

@@ -53,11 +53,18 @@ val n_iterations : t -> int
 (** Total cost of all loop iterations. *)
 val loop_cost : t -> float
 
-(** Run the prepared program once sequentially (hooked loop) and record
-    the trace of the PDG's target loop. Its bookkeeping allocates per
-    iteration, per node instance and per atom, never per instruction:
-    a node's compute between atoms accumulates unboxed. *)
-val record : ?machine:Machine.t -> Precompile.t -> Pdg.t -> t * Machine.t
+(** Run the prepared program once sequentially, observed on the fast
+    loop, and record the trace of the PDG's target loop. The recorder
+    works once per block entry and once per builtin, call and return:
+    each block is split into segments (one node's instructions up to the
+    next call or node change) whose integer costs are presummed; costs
+    outside the loop's nodes are added one by one, in reference order.
+    [tap], given the run's executor and the recorder's observer, returns
+    the observer the run uses: the verifier's replay instances are
+    recorded through it, with no run of their own. *)
+val record :
+  ?tap:(Precompile.exec -> Precompile.observer -> Precompile.observer) ->
+  ?machine:Machine.t -> Precompile.t -> Pdg.t -> t
 
 (** Update the node weights of every PDG in the list in place from the
     trace (profile-guided pipeline balancing, §4.5); the node means are

@@ -450,9 +450,8 @@ let run_probe ~name ~setup (ast : Ast.program) ~fname (cands : cand list) : prob
   let psrc = Pretty.program_to_string (apply ast ~fname ~globals ~region_refs ~fn_refs) in
   let cp = P.compile ~name:(name ^ ".probe") ~setup ~verify:false psrc in
   let report =
-    V.Verify.run ~dynamic:false ~prepared:cp.P.prepared ~md:cp.P.md
-      ~target_fname:cp.P.target.P.func.Ir.fname ~loop:cp.P.target.P.loop
-      ~induction:cp.P.target.P.induction ~setup ()
+    V.Static.run ~md:cp.P.md ~target_fname:cp.P.target.P.func.Ir.fname
+      ~loop:cp.P.target.P.loop ~induction:cp.P.target.P.induction ()
   in
   (* marker sets recover the candidate each lowered member came from *)
   let of_member = Hashtbl.create 32 in

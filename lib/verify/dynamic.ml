@@ -1,8 +1,8 @@
 (** Dynamic refutation of commutativity annotations by replay.
 
-    One instrumented run of the program records, per commset member, a
-    few dynamic instances: the live register file at region entry (or
-    the argument values at an interface call), the concrete predicate
+    The compile's trace run, tapped, records per commset member a few
+    dynamic instances: the live register file at region entry (or the
+    argument values at an interface call), the concrete predicate
     actuals, and — for the first instances — a deep snapshot of the
     whole machine plus globals. Every pair the static checker left
     [Unknown] is then re-tried concretely: two recorded instances whose
@@ -55,20 +55,24 @@ let rec deep_value = function
   | Value.Varray a -> Value.Varray (Array.map deep_value a)
   | v -> v
 
-(** Run the program once under instrumentation and record member
-    instances; the first [max_snapshots] instances of each member get a
-    full state snapshot. *)
-let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
-    ~(setup : Machine.t -> unit) : inv list =
-  let prog = Precompile.program prepared in
-  let machine = Machine.create () in
-  setup machine;
-  let hooks = Precompile.null_hooks () in
-  let ex = Precompile.executor ~hooks ~machine prepared in
+(** Member instances recorded by the run a {!tap} observes. *)
+type recording = { rc_md : Metadata.t; rc_prog : Ir.program; mutable rc_invs : inv list }
+
+let recording ~md prepared = { rc_md = md; rc_prog = Precompile.program prepared; rc_invs = [] }
+
+let instances rc = List.rev rc.rc_invs
+
+let max_snapshots = 2
+
+(** [o] extended to record into [rc] the member instances of the run
+    [ex] executes; the first [max_snapshots] instances of each member
+    get a full state snapshot. *)
+let tap rc (ex : Precompile.exec) (o : Precompile.observer) : Precompile.observer =
+  let md = rc.rc_md and prog = rc.rc_prog in
+  let machine = Precompile.machine ex in
   let seq = ref 0 in
   let recorded : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
   let snapped : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
-  let invs = ref [] in
   let add member actuals body =
     let n = Option.value ~default:0 (Hashtbl.find_opt recorded member) in
     if n < max_recorded then begin
@@ -84,59 +88,60 @@ let record ~max_snapshots ~(prepared : Precompile.t) ~(md : Metadata.t)
         else None
       in
       incr seq;
-      invs :=
+      rc.rc_invs <-
         { imember = member; iactuals = actuals; ibody = body; iseq = !seq; isnap }
-        :: !invs
+        :: rc.rc_invs
     end
   in
   (* Named-block membership is established at the call site; carry the
      enables of the innermost active user call down to region entries. *)
   let pending = ref None in
   let stack = ref [] in
-  hooks.Precompile.on_call_actuals <-
-    (fun i argv enables ->
-      match Ir.callee_of i with
-      | None -> ()
-      | Some callee -> (
-          pending := Some (callee, enables);
-          match (Metadata.interface_refs md callee, Ir.find_func prog callee) with
-          | [], _ | _, None -> ()
-          | refs, Some f ->
-              let actuals =
-                List.map
-                  (fun (sname, idxs) ->
-                    (sname, List.filter_map (fun k -> List.nth_opt argv k) idxs))
-                  refs
-              in
-              add (Metadata.Mfun callee) actuals (Bfun { bfunc = f; bargs = argv })));
-  hooks.Precompile.on_enter_func <-
-    (fun f ->
-      let en =
-        match !pending with Some (c, en) when c = f.Ir.fname -> en | _ -> []
-      in
-      pending := None;
-      stack := (f.Ir.fname, en) :: !stack);
-  hooks.Precompile.on_exit_func <-
-    (fun _ -> match !stack with _ :: tl -> stack := tl | [] -> ());
-  hooks.Precompile.on_region_enter <-
-    (fun func region actuals regs ->
-      let body () =
-        Bregion { bfunc = func; bregion = region; bregs = Array.copy regs }
-      in
-      (match region.Ir.rname with
-      | Some bname -> (
-          match !stack with
-          | (fn, enables) :: _ when fn = func.Ir.fname -> (
-              match List.assoc_opt bname enables with
-              | Some set_actuals when set_actuals <> [] ->
-                  add (Metadata.Mnamed (func.Ir.fname, bname)) set_actuals (body ())
-              | _ -> ())
-          | _ -> ())
-      | None -> ());
-      if actuals <> [] || region.Ir.rname = None then
-        add (Metadata.Mregion (func.Ir.fname, region.Ir.rid)) actuals (body ()));
-  (try ignore (Precompile.run_main ex) with Precompile.Out_of_fuel | Diag.Error _ -> ());
-  List.rev !invs
+  let on_call (f : Ir.func) argv enables =
+    let callee = f.Ir.fname in
+    pending := Some (callee, enables);
+    match (Metadata.interface_refs md callee, Ir.find_func prog callee) with
+    | [], _ | _, None -> ()
+    | refs, Some f ->
+        let actuals =
+          List.map
+            (fun (sname, idxs) -> (sname, List.filter_map (fun k -> List.nth_opt argv k) idxs))
+            refs
+        in
+        add (Metadata.Mfun callee) actuals (Bfun { bfunc = f; bargs = argv })
+  in
+  let on_enter (f : Ir.func) =
+    let en = match !pending with Some (c, en) when c = f.Ir.fname -> en | _ -> [] in
+    pending := None;
+    stack := (f.Ir.fname, en) :: !stack
+  in
+  let on_region (func : Ir.func) (region : Ir.region) actuals regs =
+    let body () = Bregion { bfunc = func; bregion = region; bregs = Array.copy regs } in
+    (match region.Ir.rname with
+    | Some bname -> (
+        match !stack with
+        | (fn, enables) :: _ when fn = func.Ir.fname -> (
+            match List.assoc_opt bname enables with
+            | Some set_actuals when set_actuals <> [] ->
+                add (Metadata.Mnamed (func.Ir.fname, bname)) set_actuals (body ())
+            | _ -> ())
+        | _ -> ())
+    | None -> ());
+    if actuals <> [] || region.Ir.rname = None then
+      add (Metadata.Mregion (func.Ir.fname, region.Ir.rid)) actuals (body ())
+  in
+  let o_region = Option.value o.on_region ~default:(fun _ _ _ _ -> ()) in
+  let o_call = Option.value o.on_call ~default:(fun _ _ _ -> ()) in
+  {
+    o with
+    on_region = Some (fun f r a regs -> o_region f r a regs; on_region f r a regs);
+    on_enter = (fun f -> o.on_enter f; on_enter f);
+    on_call = Some (fun f argv en -> o_call f argv en; on_call f argv en);
+    on_exit =
+      (fun f ->
+        o.on_exit f;
+        match !stack with _ :: tl -> stack := tl | [] -> ());
+  }
 
 (* ---- eligibility ---------------------------------------------------- *)
 
@@ -269,23 +274,21 @@ let refute_pair ~prepared ~max_trials invs (info : Metadata.set_info) m1 m2 ~pse
 
 (* ---- report refinement ---------------------------------------------- *)
 
-(** Re-try every [Unknown] pair of [report] concretely; [Refuted]
-    upgrades carry a replay witness, surviving pairs keep their verdict
-    with the trial count recorded. *)
-let refine ?(max_snapshots = 2) ?(max_trials = 3) ~(prepared : Precompile.t)
-    ~(md : Metadata.t) ~(setup : Machine.t -> unit) (report : Verdict.report) :
-    Verdict.report =
-  let wanted =
-    List.exists
-      (fun (p : Verdict.pair) ->
-        match p.Verdict.pverdict with
-        | Verdict.Unknown _ -> eligible md p.Verdict.pm1 p.Verdict.pm2
-        | _ -> false)
-      report.Verdict.rpairs
-  in
-  if not wanted then report
+let wanted md (report : Verdict.report) =
+  List.exists
+    (fun (p : Verdict.pair) ->
+      match p.Verdict.pverdict with
+      | Verdict.Unknown _ -> eligible md p.Verdict.pm1 p.Verdict.pm2
+      | _ -> false)
+    report.Verdict.rpairs
+
+(** Re-try every eligible [Unknown] pair of [report] concretely from the
+    recorded [instances]; [Refuted] upgrades carry a replay witness,
+    surviving pairs keep their verdict with the trial count recorded. *)
+let refine ?(max_trials = 3) ~(prepared : Precompile.t) ~(md : Metadata.t)
+    ~(instances : inv list) (report : Verdict.report) : Verdict.report =
+  if not (wanted md report) then report
   else
-    let invs = record ~max_snapshots ~prepared ~md ~setup in
     let refine_one (p : Verdict.pair) =
       match p.Verdict.pverdict with
       | Verdict.Unknown _ when eligible md p.Verdict.pm1 p.Verdict.pm2 -> (
@@ -293,7 +296,7 @@ let refine ?(max_snapshots = 2) ?(max_trials = 3) ~(prepared : Precompile.t)
           | None -> p
           | Some info ->
               let upgraded, trials =
-                refute_pair ~prepared ~max_trials invs info p.Verdict.pm1
+                refute_pair ~prepared ~max_trials instances info p.Verdict.pm1
                   p.Verdict.pm2 ~pself:p.Verdict.pself
               in
               let pverdict =

@@ -8,6 +8,7 @@ module Ir = Commset_ir.Ir
 module Metadata = Commset_core.Metadata
 module Machine = Commset_runtime.Machine
 module Value = Commset_runtime.Value
+module Precompile := Commset_runtime.Precompile
 
 (** How to re-execute a recorded instance. *)
 type body =
@@ -23,38 +24,35 @@ type inv = {
   isnap : (Machine.t * (string * Value.t) list) option;
 }
 
-(** Run the prepared program once under instrumentation and record
-    member instances with state snapshots; replay runs them through
-    {!Commset_runtime.Precompile.run_region} and
-    {!Commset_runtime.Precompile.run_func}. *)
-val record :
-  max_snapshots:int ->
-  prepared:Commset_runtime.Precompile.t ->
-  md:Metadata.t ->
-  setup:(Machine.t -> unit) ->
-  inv list
+(** Member instances recorded by the run a {!tap} observes. *)
+type recording
 
-(** May this pair be replayed fairly (writes confined to snapshot-covered
-    or member-local state)? *)
-val eligible : Metadata.t -> Metadata.member -> Metadata.member -> bool
+(** An empty recording; the first two instances of each member will
+    carry a state snapshot. *)
+val recording : md:Metadata.t -> Precompile.t -> recording
 
-(** Try to refute one pair from recorded instances. *)
-val refute_pair :
-  prepared:Commset_runtime.Precompile.t ->
-  max_trials:int ->
-  inv list ->
-  Metadata.set_info ->
-  Metadata.member ->
-  Metadata.member ->
-  pself:bool ->
-  Verdict.t option * int
+(** [tap rc ex o] extends the observer [o] to record member instances of
+    the run [ex] executes, for {!Commset_runtime.Trace.record}'s [tap]:
+    instances are recorded in the compile's trace run, with no run of
+    their own; replay runs them through {!Precompile.run_region} and
+    {!Precompile.run_func}. *)
+val tap : recording -> Precompile.exec -> Precompile.observer -> Precompile.observer
 
-(** Re-try every [Unknown] pair of a static report concretely. *)
+(** The recorded instances, in recording order. *)
+val instances : recording -> inv list
+
+(** Does the static report leave an [Unknown] pair that may be replayed
+    fairly — both members' writes confined to snapshot-covered or
+    member-local state — so that the trace run should record instances? *)
+val wanted : Metadata.t -> Verdict.report -> bool
+
+(** Re-try every eligible [Unknown] pair of a static report concretely
+    from recorded instances; the report is returned as is unless
+    {!wanted}. *)
 val refine :
-  ?max_snapshots:int ->
   ?max_trials:int ->
-  prepared:Commset_runtime.Precompile.t ->
+  prepared:Precompile.t ->
   md:Metadata.t ->
-  setup:(Machine.t -> unit) ->
+  instances:inv list ->
   Verdict.report ->
   Verdict.report

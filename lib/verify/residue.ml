@@ -38,12 +38,6 @@ type t = atom list
 
 let rank = function Agree -> 0 | Benign -> 1 | Opaque -> 2 | Diverge _ -> 3
 
-let status_label = function
-  | Agree -> "agree"
-  | Benign -> "benign"
-  | Opaque -> "opaque"
-  | Diverge _ -> "diverge"
-
 let atom ?loc status detail = { rloc = loc; rstatus = status; rdetail = detail }
 
 (** The worst status in the residue; an empty residue agrees. *)

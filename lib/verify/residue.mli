@@ -19,7 +19,6 @@ type atom = { rloc : Effects.location option; rstatus : status; rdetail : string
 type t = atom list
 
 val rank : status -> int
-val status_label : status -> string
 val atom : ?loc:Effects.location -> status -> string -> atom
 
 (** Worst status present; [Agree] when empty. *)

@@ -494,8 +494,6 @@ let check_pair_res ctx (info : Metadata.set_info) m1 m2 :
           (Verdict.Proved "no admitted scenario diverges", [])
           admitted
 
-let check_pair ctx info m1 m2 : Verdict.t = fst (check_pair_res ctx info m1 m2)
-
 (* ---- set & report enumeration -------------------------------------- *)
 
 let pairs_of_set md (info : Metadata.set_info) :
@@ -510,7 +508,13 @@ let pairs_of_set md (info : Metadata.set_info) :
       in
       pairs members
 
-let run ctx : Verdict.report =
+let src_log = Logs.Src.create "commset.verify" ~doc:"Commutativity annotation verifier"
+
+module Log = (val Logs.src_log src_log : Logs.LOG)
+
+let run ~md ~target_fname ~loop ~induction () : Verdict.report =
+  Log.debug (fun m -> m "static differencing over '%s'" target_fname);
+  let ctx = create ~md ~target_fname ~loop ~induction in
   let rpairs =
     List.concat_map
       (fun (info : Metadata.set_info) ->
@@ -529,4 +533,8 @@ let run ctx : Verdict.report =
           (pairs_of_set ctx.md info))
       (Metadata.sets_in_rank_order ctx.md)
   in
-  { Verdict.rpairs }
+  let report = { Verdict.rpairs } in
+  Log.debug (fun m ->
+      m "static pass: %d proved, %d unknown, %d refuted" (Verdict.n_proved report)
+        (Verdict.n_unknown report) (Verdict.n_refuted report));
+  report

@@ -6,44 +6,16 @@ module A = Commset_analysis
 module S = A.Symexec
 module Metadata = Commset_core.Metadata
 
-type ctx
-
-val create :
+(** Check every pair of every commset: the verifier's static pass.
+    [target_fname] and [loop] identify the hot loop whose induction
+    facts feed the symbolic domain. It needs no run of the program, so a
+    compile runs it before the trace, whose run records replay instances
+    ({!Dynamic}) only when the report leaves a pair to replay. Progress
+    goes to the [commset.verify] log source. *)
+val run :
   md:Metadata.t ->
   target_fname:string ->
   loop:A.Loops.loop ->
   induction:A.Induction.t ->
-  ctx
-
-(** An invocation site of a member: the function whose registers the
-    predicate actuals live in, those actuals for one set, and the block
-    the site sits in. *)
-type site = {
-  site_fn : string;
-  site_label : Ir.label option;
-  site_actuals : Ir.operand list;
-}
-
-(** Every place a member can be invoked as an instance of the set. *)
-val sites : ctx -> string -> Metadata.member -> site list
-
-(** Verdict for one member pair of one set. *)
-val check_pair : ctx -> Metadata.set_info -> Metadata.member -> Metadata.member -> Verdict.t
-
-(** Like {!check_pair}, but also returns the difference residue per
-    admitted iteration fact — the structured obstruction (or lack of
-    one) the verdict was folded from. *)
-val check_pair_res :
-  ctx ->
-  Metadata.set_info ->
-  Metadata.member ->
-  Metadata.member ->
-  Verdict.t * (S.iteration_fact * Residue.t) list
-
-(** The member pairs a set asserts commutative: each member against
-    itself for Self sets, distinct members for Group sets. *)
-val pairs_of_set :
-  Metadata.t -> Metadata.set_info -> (Metadata.member * Metadata.member * bool) list
-
-(** Check every pair of every commset. *)
-val run : ctx -> Verdict.report
+  unit ->
+  Verdict.report

@@ -38,11 +38,6 @@ type access = {
       (** sub-resource key, in the summarized function's own frame *)
 }
 
-(** Classified accesses of one instruction of [fname]; [visited] guards
-    recursion through user-defined callees. *)
-val accesses_of_instr :
-  Metadata.t -> fname:string -> visited:string list -> Ir.instr -> access list
-
 (** Summary of one commset member. *)
 type t = {
   smember : Metadata.member;
@@ -51,7 +46,6 @@ type t = {
   srw : Effects.rw;
 }
 
-val instrs_of_member : Metadata.t -> Metadata.member -> string * Ir.instr list
 val of_member : Metadata.t -> Metadata.member -> t
 
 (** The summary mentions state the engines cannot attribute precisely. *)

@@ -1,25 +1,52 @@
 (** The reference interpreter: a tree-walking evaluator of IR programs
-    with cycle accounting and the {!Precompile.hooks} event stream. It
-    is the oracle the prepared engine ({!Precompile}) is differentially
-    tested against; no library code runs it. *)
+    with cycle accounting and the {!hooks} event stream. It is the
+    oracle the prepared engine ({!Precompile}) is differentially tested
+    against; no library code runs it. *)
 
 module Ir = Commset_ir.Ir
 module Ast = Commset_lang.Ast
 open Commset_support
 open Commset_runtime
 
+type hooks = {
+  mutable on_instr : Ir.func -> Ir.instr -> unit;
+  mutable on_block : Ir.func -> Ir.label -> unit;
+  mutable on_base_cost : float -> unit;
+  mutable on_builtin : Builtins.t -> float -> unit;
+  mutable on_output : string -> unit;
+  mutable on_enter_func : Ir.func -> unit;
+  mutable on_exit_func : Ir.func -> unit;
+  mutable on_region_enter :
+    Ir.func -> Ir.region -> (string * Value.t list) list -> Value.t array -> unit;
+  mutable on_call_actuals :
+    Ir.instr -> Value.t list -> (string * (string * Value.t list) list) list -> unit;
+}
+
+let null_hooks () =
+  {
+    on_instr = (fun _ _ -> ());
+    on_block = (fun _ _ -> ());
+    on_base_cost = (fun _ -> ());
+    on_builtin = (fun _ _ -> ());
+    on_output = (fun _ -> ());
+    on_enter_func = (fun _ -> ());
+    on_exit_func = (fun _ -> ());
+    on_region_enter = (fun _ _ _ _ -> ());
+    on_call_actuals = (fun _ _ _ -> ());
+  }
+
 type t = {
   prog : Ir.program;
   machine : Machine.t;
   globals : (string, Value.t) Hashtbl.t;
-  hooks : Precompile.hooks;
+  hooks : hooks;
   region_entries : (string * Ir.label, Ir.region) Hashtbl.t;
       (** (function, label) -> region whose entry block it is *)
   mutable fuel : int;
   mutable total_cost : float;
 }
 
-let create ?(hooks = Precompile.null_hooks ()) ?(fuel = Precompile.default_fuel)
+let create ?(hooks = null_hooks ()) ?(fuel = Precompile.default_fuel)
     ?(machine = Machine.create ()) prog =
   let globals = Hashtbl.create 16 in
   List.iter
@@ -36,12 +63,12 @@ let create ?(hooks = Precompile.null_hooks ()) ?(fuel = Precompile.default_fuel)
   machine.Machine.emit <-
     (fun s ->
       Machine.default_emit machine s;
-      t.hooks.Precompile.on_output s);
+      t.hooks.on_output s);
   t
 
 let charge t c =
   t.total_cost <- t.total_cost +. c;
-  t.hooks.Precompile.on_base_cost c
+  t.hooks.on_base_cost c
 
 (* ------------------------------------------------------------------ *)
 (* Operand / operator evaluation                                       *)
@@ -60,10 +87,12 @@ let eval_binop op ty (a : Value.t) (b : Value.t) : Value.t =
   | Ast.Mul, Ast.Tint -> Vint (to_int a * to_int b)
   | Ast.Div, Ast.Tint ->
       let d = to_int b in
-      if d = 0 then Diag.error "runtime: division by zero" else Vint (to_int a / d)
+      if d = 0 then Diag.error ~code:"CS018" "runtime: division by zero"
+      else Vint (to_int a / d)
   | Ast.Mod, Ast.Tint ->
       let d = to_int b in
-      if d = 0 then Diag.error "runtime: modulo by zero" else Vint (to_int a mod d)
+      if d = 0 then Diag.error ~code:"CS018" "runtime: modulo by zero"
+      else Vint (to_int a mod d)
   | Ast.Add, Ast.Tfloat -> Vfloat (to_float a +. to_float b)
   | Ast.Sub, Ast.Tfloat -> Vfloat (to_float a -. to_float b)
   | Ast.Mul, Ast.Tfloat -> Vfloat (to_float a *. to_float b)
@@ -99,9 +128,9 @@ let eval_unop op (a : Value.t) : Value.t =
 (* ------------------------------------------------------------------ *)
 
 let rec exec_func t (func : Ir.func) (args : Value.t list) : Value.t option =
-  t.hooks.Precompile.on_enter_func func;
+  t.hooks.on_enter_func func;
   let result = exec_func_body t func args in
-  t.hooks.Precompile.on_exit_func func;
+  t.hooks.on_exit_func func;
   result
 
 and exec_func_body t (func : Ir.func) (args : Value.t list) : Value.t option =
@@ -121,7 +150,7 @@ and exec_func_body t (func : Ir.func) (args : Value.t list) : Value.t option =
     (* fuel is also charged per block so empty infinite loops terminate *)
     if t.fuel <= 0 then raise Precompile.Out_of_fuel;
     t.fuel <- t.fuel - 1;
-    t.hooks.Precompile.on_block func label;
+    t.hooks.on_block func label;
     (match Hashtbl.find_opt t.region_entries (func.Ir.fname, label) with
     | Some region ->
         let actuals =
@@ -129,7 +158,7 @@ and exec_func_body t (func : Ir.func) (args : Value.t list) : Value.t option =
             (fun (set, ops) -> (set, List.map (eval_operand regs) ops))
             region.Ir.rrefs
         in
-        t.hooks.Precompile.on_region_enter func region actuals regs
+        t.hooks.on_region_enter func region actuals regs
     | None -> ());
     let block = Ir.block func label in
     List.iter (exec_instr t func regs) block.Ir.instrs;
@@ -145,7 +174,7 @@ and exec_func_body t (func : Ir.func) (args : Value.t list) : Value.t option =
 and exec_instr t func regs (i : Ir.instr) =
   if t.fuel <= 0 then raise Precompile.Out_of_fuel;
   t.fuel <- t.fuel - 1;
-  t.hooks.Precompile.on_instr func i;
+  t.hooks.on_instr func i;
   charge t (Costmodel.instr_cost i.Ir.desc);
   match i.Ir.desc with
   | Ir.Move (r, op) -> regs.(r) <- eval_operand regs op
@@ -161,14 +190,14 @@ and exec_instr t func regs (i : Ir.instr) =
       let a = Value.to_array ~what:"indexed value" (eval_operand regs arr) in
       let j = Value.to_int ~what:"index" (eval_operand regs idx) in
       if j < 0 || j >= Array.length a then
-        Diag.error ~loc:i.Ir.iloc "runtime: index %d out of bounds (length %d)" j
+        Diag.error ~loc:i.Ir.iloc ~code:"CS018" "runtime: index %d out of bounds (length %d)" j
           (Array.length a);
       regs.(r) <- a.(j)
   | Ir.Store_index (arr, idx, v) ->
       let a = Value.to_array ~what:"indexed value" (eval_operand regs arr) in
       let j = Value.to_int ~what:"index" (eval_operand regs idx) in
       if j < 0 || j >= Array.length a then
-        Diag.error ~loc:i.Ir.iloc "runtime: index %d out of bounds (length %d)" j
+        Diag.error ~loc:i.Ir.iloc ~code:"CS018" "runtime: index %d out of bounds (length %d)" j
           (Array.length a);
       a.(j) <- eval_operand regs v
   | Ir.Call { dst; callee; args; enabled } -> (
@@ -178,7 +207,7 @@ and exec_instr t func regs (i : Ir.instr) =
           let v, cost = bi.Builtins.impl t.machine argv in
           (* builtin cost is reported through its own hook, not on_base_cost *)
           t.total_cost <- t.total_cost +. cost;
-          t.hooks.Precompile.on_builtin bi cost;
+          t.hooks.on_builtin bi cost;
           (match dst with Some r -> regs.(r) <- v | None -> ())
       | None -> (
           match Ir.find_func t.prog callee with
@@ -192,7 +221,7 @@ and exec_instr t func regs (i : Ir.instr) =
                         e.Ir.en_sets ))
                   enabled
               in
-              t.hooks.Precompile.on_call_actuals i argv en_actuals;
+              t.hooks.on_call_actuals i argv en_actuals;
               let result = exec_func t f argv in
               match (dst, result) with
               | Some r, Some v -> regs.(r) <- v
@@ -216,7 +245,7 @@ let exec_region t (func : Ir.func) (regs : Value.t array) (region : Ir.region) :
     if Hashtbl.mem labels label then begin
       if t.fuel <= 0 then raise Precompile.Out_of_fuel;
       t.fuel <- t.fuel - 1;
-      t.hooks.Precompile.on_block func label;
+      t.hooks.on_block func label;
       let block = Ir.block func label in
       List.iter (exec_instr t func regs) block.Ir.instrs;
       charge t Costmodel.terminator_cost;

@@ -1,6 +1,6 @@
 (** The reference recorders: each records what its library counterpart
-    records, with the straightforward per-event bookkeeping (see the
-    interface). *)
+    records, on the reference interpreter's event stream, with the
+    straightforward per-event bookkeeping (see the interface). *)
 
 module Ir = Commset_ir.Ir
 module Pdg = Commset_pdg.Pdg
@@ -78,9 +78,9 @@ let add_compute r c =
       | _ -> e.atoms <- Acompute c :: e.atoms)
   | None -> r.other <- r.other +. c
 
-let trace_hooks r : Precompile.hooks =
+let trace_hooks r : Interp.hooks =
   {
-    Precompile.on_instr =
+    Interp.on_instr =
       (fun func i ->
         if is_target r func then begin
           let nid =
@@ -171,7 +171,7 @@ let trace ?(machine = Machine.create ()) prepared (pdg : Pdg.t) : Trace.t =
     }
   in
   let total =
-    Precompile.run_main (Precompile.executor ~hooks:(trace_hooks r) ~machine prepared)
+    Interp.run_main (Interp.create ~hooks:(trace_hooks r) ~machine (Precompile.program prepared))
   in
   (* the final header visit is not an iteration *)
   (match r.cur_iter with Some it -> r.other <- r.other +. iteration_cost it | None -> ());
@@ -192,11 +192,11 @@ type frame = { fname : string; mutable cur_label : Ir.label; mutable seg_start :
    block changes or the frame pops *)
 let block_costs ?(machine = Machine.create ()) prepared =
   let costs : (string * Ir.label, float) Hashtbl.t = Hashtbl.create 256 in
-  let hooks = Precompile.null_hooks () in
-  let ex = Precompile.executor ~hooks ~machine prepared in
+  let hooks = Interp.null_hooks () in
+  let interp = Interp.create ~hooks ~machine (Precompile.program prepared) in
   let stack = ref [] in
   let flush fr =
-    let n = Precompile.total_cost ex in
+    let n = interp.Interp.total_cost in
     let seg = n -. fr.seg_start in
     if seg <> 0. then begin
       let key = (fr.fname, fr.cur_label) in
@@ -204,26 +204,26 @@ let block_costs ?(machine = Machine.create ()) prepared =
     end;
     fr.seg_start <- n
   in
-  hooks.Precompile.on_enter_func <-
+  hooks.Interp.on_enter_func <-
     (fun f ->
       stack :=
-        { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = Precompile.total_cost ex }
+        { fname = f.Ir.fname; cur_label = f.Ir.entry; seg_start = interp.Interp.total_cost }
         :: !stack);
-  hooks.Precompile.on_exit_func <-
+  hooks.Interp.on_exit_func <-
     (fun _ ->
       match !stack with
       | [] -> ()
       | fr :: rest ->
           flush fr;
           stack := rest);
-  hooks.Precompile.on_block <-
+  hooks.Interp.on_block <-
     (fun f l ->
       match !stack with
       | fr :: _ when fr.fname = f.Ir.fname ->
           flush fr;
           fr.cur_label <- l
       | _ -> ());
-  let total = Precompile.run_main_coarse ex in
+  let total = Interp.run_main interp in
   List.iter flush !stack;
   (costs, total)
 
@@ -259,3 +259,96 @@ let profile ?machine prepared : Profile.t =
       List.sort (fun a b -> compare b.Profile.lr_cost a.Profile.lr_cost) !reports;
     total;
   }
+
+(* ---- replay instances ------------------------------------------------- *)
+
+module Metadata = Commset_core.Metadata
+module Dynamic = Commset_verify.Dynamic
+
+let rec deep_value = function
+  | Value.Varray a -> Value.Varray (Array.map deep_value a)
+  | v -> v
+
+let max_recorded = 8
+
+let dynamic ~max_snapshots prepared ~(md : Metadata.t) ~(setup : Machine.t -> unit) :
+    Dynamic.inv list =
+  let prog = Precompile.program prepared in
+  let machine = Machine.create () in
+  setup machine;
+  let hooks = Interp.null_hooks () in
+  let interp = Interp.create ~hooks ~machine prog in
+  let seq = ref 0 in
+  let recorded : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
+  let snapped : (Metadata.member, int) Hashtbl.t = Hashtbl.create 16 in
+  let invs = ref [] in
+  let add member actuals body =
+    let n = Option.value ~default:0 (Hashtbl.find_opt recorded member) in
+    if n < max_recorded then begin
+      Hashtbl.replace recorded member (n + 1);
+      let ns = Option.value ~default:0 (Hashtbl.find_opt snapped member) in
+      let isnap =
+        if ns < max_snapshots then begin
+          Hashtbl.replace snapped member (ns + 1);
+          Some
+            ( Machine.clone machine,
+              Hashtbl.fold (fun k v acc -> (k, deep_value v) :: acc) interp.Interp.globals [] )
+        end
+        else None
+      in
+      incr seq;
+      invs :=
+        {
+          Dynamic.imember = member;
+          iactuals = actuals;
+          ibody = body;
+          iseq = !seq;
+          isnap;
+        }
+        :: !invs
+    end
+  in
+  (* named-block membership is established at the call site: carry the
+     enables of the innermost active user call down to region entries *)
+  let pending = ref None in
+  let stack = ref [] in
+  hooks.Interp.on_call_actuals <-
+    (fun i argv enables ->
+      match Ir.callee_of i with
+      | None -> ()
+      | Some callee -> (
+          pending := Some (callee, enables);
+          match (Metadata.interface_refs md callee, Ir.find_func prog callee) with
+          | [], _ | _, None -> ()
+          | refs, Some f ->
+              let actuals =
+                List.map
+                  (fun (sname, idxs) ->
+                    (sname, List.filter_map (fun k -> List.nth_opt argv k) idxs))
+                  refs
+              in
+              add (Metadata.Mfun callee) actuals (Dynamic.Bfun { bfunc = f; bargs = argv })));
+  hooks.Interp.on_enter_func <-
+    (fun f ->
+      let en = match !pending with Some (c, en) when c = f.Ir.fname -> en | _ -> [] in
+      pending := None;
+      stack := (f.Ir.fname, en) :: !stack);
+  hooks.Interp.on_exit_func <- (fun _ -> match !stack with _ :: tl -> stack := tl | [] -> ());
+  hooks.Interp.on_region_enter <-
+    (fun func region actuals regs ->
+      let body () = Dynamic.Bregion { bfunc = func; bregion = region; bregs = Array.copy regs } in
+      (match region.Ir.rname with
+      | Some bname -> (
+          match !stack with
+          | (fn, enables) :: _ when fn = func.Ir.fname -> (
+              match List.assoc_opt bname enables with
+              | Some set_actuals when set_actuals <> [] ->
+                  add (Metadata.Mnamed (func.Ir.fname, bname)) set_actuals (body ())
+              | _ -> ())
+          | _ -> ())
+      | None -> ());
+      if actuals <> [] || region.Ir.rname = None then
+        add (Metadata.Mregion (func.Ir.fname, region.Ir.rid)) actuals (body ()));
+  (try ignore (Interp.run_main interp)
+   with Precompile.Out_of_fuel | Commset_support.Diag.Error _ -> ());
+  List.rev !invs

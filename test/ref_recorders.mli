@@ -1,12 +1,15 @@
-(** The reference recorders: the per-event trace recorder (one
-    [Acompute] rewrite per cost event, hashtable-probed execs) and the
-    hashtable profiler (one [(function, label)] entry per block), kept as
-    the differential oracle of {!Commset_runtime.Trace.record} and
-    {!Commset_runtime.Profile.analyze}; no library code runs them. *)
+(** The reference recorders, each on the reference interpreter's full
+    event stream ({!Interp.hooks}): the per-event trace recorder (one
+    [Acompute] rewrite per cost event, hashtable-probed execs), the
+    hashtable profiler (one [(function, label)] entry per block) and the
+    verifier's replay-instance recorder in its own run, kept as the
+    differential oracle of {!Commset_runtime.Trace.record},
+    {!Commset_runtime.Profile.analyze} and
+    {!Commset_verify.Dynamic.tap}; no library code runs them. *)
 
 module R := Commset_runtime
 
-(** Run the prepared program once on the hooked loop and record the
+(** Run the program once on the reference interpreter and record the
     trace of the PDG's target loop, event by event. *)
 val trace :
   ?machine:R.Machine.t -> R.Precompile.t -> Commset_pdg.Pdg.t -> R.Trace.t
@@ -18,7 +21,20 @@ val iteration_cost : R.Trace.iteration -> float
 
 val loop_cost : R.Trace.t -> float
 
-(** Profile the prepared program on the block-grained path into a
+(** Profile the program on the reference interpreter into a
     [(function, label)] hashtable and rank its loops by inclusive
     cost. *)
 val profile : ?machine:R.Machine.t -> R.Precompile.t -> R.Profile.t
+
+(** Run the program once on the reference interpreter, from a machine
+    [setup] prepares, and record member instances as the verifier's
+    recording run did before it moved into the trace run: at most eight
+    per member, the first [max_snapshots] with a machine and globals
+    snapshot (globals in the interpreter's table order). A run that
+    traps or exhausts its fuel keeps what it recorded. *)
+val dynamic :
+  max_snapshots:int ->
+  R.Precompile.t ->
+  md:Commset_core.Metadata.t ->
+  setup:(R.Machine.t -> unit) ->
+  Commset_verify.Dynamic.inv list

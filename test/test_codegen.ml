@@ -201,6 +201,47 @@ let test_corrupted_cache_recompiles () =
   check Alcotest.bool "healed entry serves a disk cache hit" true
     warm.Codegen.cg_cache_hit
 
+(* ---- a missing toolchain is a visible fallback ---- *)
+
+(* With no compiler on PATH, a cache with no entry for the body and an
+   empty in-process memo, a codegen run cannot build its module: it must
+   run on the interpreted real engine, say why, and still end Equiv —
+   never in an error. Every setting is restored afterwards. *)
+let test_missing_toolchain () =
+  let w = Option.get (Registry.find "hmmer") in
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let plan =
+    match P.executable_plans c ~threads:2 with
+    | p :: _ -> p
+    | [] -> Alcotest.fail "hmmer has no executable plan at 2 threads"
+  in
+  let scratch name =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "commset-cgtest-%s-%d" name (Unix.getpid ()))
+  in
+  let empty_bin = scratch "nobin" and cache = scratch "nocache" in
+  List.iter (fun d -> try Sys.mkdir d 0o755 with Sys_error _ -> ()) [ empty_bin; cache ];
+  let old_path = Sys.getenv_opt "PATH" in
+  let old_cache = Sys.getenv_opt "COMMSET_CODEGEN_CACHE" in
+  Unix.putenv "PATH" empty_bin;
+  Unix.putenv "COMMSET_CODEGEN_CACHE" cache;
+  Codegen.reset_memo ();
+  Fun.protect ~finally:(fun () ->
+      Unix.putenv "PATH" (Option.value ~default:"" old_path);
+      Unix.putenv "COMMSET_CODEGEN_CACHE" (Option.value ~default:"" old_cache);
+      Codegen.reset_memo ();
+      Array.iter (fun f -> remove_if_exists (Filename.concat cache f)) (Sys.readdir cache);
+      List.iter (fun d -> try Sys.rmdir d with Sys_error _ -> ()) [ empty_bin; cache ])
+  @@ fun () ->
+  let x = P.run_parallel ~engine:Exec.Codegen_engine ~jobs:1 c plan in
+  check Alcotest.string "ran on the real engine" "real" x.P.xstats.Exec.x_engine;
+  let why = Option.value ~default:"(no reason)" x.P.xstats.Exec.x_engine_reason in
+  check Alcotest.bool
+    (Printf.sprintf "reason %S starts with \"toolchain unavailable\"" why)
+    true
+    (String.starts_with ~prefix:"toolchain unavailable" why);
+  check Alcotest.bool "Equiv" true (x.P.xfidelity <> P.Mismatch)
+
 (* ---- property: random small loop bodies compile and agree ---- *)
 
 (* Random int expression over the induction variable and constants,
@@ -462,4 +503,8 @@ let suite =
       Alcotest.test_case "kmeans: poisoned state, compiled body traps like the interpreter"
         `Quick (poisoned_state "kmeans");
     ]
-    @ differential_cases @ compiled_seq_cases @ compiled_charges_cases )
+    @ differential_cases @ compiled_seq_cases @ compiled_charges_cases
+    @ [
+        Alcotest.test_case "a missing toolchain falls back to the real engine, Equiv" `Quick
+          test_missing_toolchain;
+      ] )

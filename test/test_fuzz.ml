@@ -134,9 +134,10 @@ let prop_pretty_roundtrip_behaviour =
       let out2 = run_sequential printed in
       out1 = out2)
 
-(* the prepared-program engine (all three paths) must be observationally
-   identical to the reference tree-walking interpreter: same outputs and
-   bit-identical cycle totals on every random program *)
+(* the prepared-program engine (plain, observed and block-grained runs)
+   must be observationally identical to the reference tree-walking
+   interpreter: same outputs and bit-identical cycle totals on every
+   random program *)
 let prop_prepared_differential =
   QCheck.Test.make
     ~name:"random programs: prepared engine matches the reference interpreter"
@@ -150,17 +151,26 @@ let prop_prepared_differential =
       let m_ref = R.Machine.create () in
       let t_ref = Interp.run_main (Interp.create ~machine:m_ref prog) in
       let prepared = R.Precompile.prepare prog in
+      let observed =
+        {
+          R.Precompile.on_block = (fun _ _ -> ());
+          on_region = Some (fun _ _ _ _ -> ());
+          on_enter = ignore;
+          on_call = Some (fun _ _ _ -> ());
+          on_exit = ignore;
+          on_builtin = Some (fun _ _ -> ());
+        }
+      in
       let run path =
         let machine = R.Machine.create () in
+        let ex = R.Precompile.executor ~machine prepared in
         let t =
           match path with
-          | `Fast -> R.Precompile.run_main (R.Precompile.executor ~machine prepared)
-          | `Instrumented ->
-              R.Precompile.run_main
-                (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) ~machine prepared)
-          | `Coarse ->
-              R.Precompile.run_main_coarse
-                (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) ~machine prepared)
+          | `Fast -> R.Precompile.run_main ex
+          | `Observed -> R.Precompile.run_observed ex observed
+          | `Block_grained ->
+              R.Precompile.run_observed ex
+                { observed with on_region = None; on_call = None; on_builtin = None }
         in
         (t, R.Machine.outputs machine)
       in
@@ -169,7 +179,7 @@ let prop_prepared_differential =
         (fun path ->
           let t, out = run path in
           Int64.bits_of_float t = Int64.bits_of_float t_ref && out = ref_out)
-        [ `Fast; `Instrumented; `Coarse ])
+        [ `Fast; `Observed; `Block_grained ])
 
 let prop_elision =
   QCheck.Test.make ~name:"random programs: pragma elision preserves sequential output"

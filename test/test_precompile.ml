@@ -2,10 +2,13 @@
     be observationally identical to the reference interpreter
     ({!Interp}, the oracle kept in this directory) — outputs, total
     cycles (bit-exact), diagnostics, fuel exhaustion points, final
-    globals, the complete hook event stream on the hooked path, the
-    block-level events on the coarse path, and the outcome of replaying
-    each recorded commset instance — across every bundled workload,
-    every annotation variant, and a set of handwritten corner cases. *)
+    globals, the events an observed run carries (block entries, region
+    entries with their actuals, calls with their arguments and enables,
+    returns, builtins and outputs) against the oracle's event stream
+    filtered to those, the block-grained events alone, and the outcome
+    of replaying each recorded commset instance — across every bundled
+    workload, every annotation variant, and a set of handwritten corner
+    cases. *)
 
 module L = Commset_lang
 module Ir = Commset_ir.Ir
@@ -39,93 +42,123 @@ let enc_actuals actuals =
        (fun (set, vs) -> set ^ "=" ^ String.concat "," (List.map enc_value vs))
        actuals)
 
-(** Record every hook event into [sink] as a canonical string. Exact but
-    allocation-heavy: for the big workloads use {!hashing_hooks}. *)
-let recording_hooks sink =
-  let h = R.Precompile.null_hooks () in
-  let add s = sink := s :: !sink in
-  h.R.Precompile.on_instr <- (fun f i -> add (Printf.sprintf "I:%s:%d" f.Ir.fname i.Ir.iid));
-  h.R.Precompile.on_block <- (fun f l -> add (Printf.sprintf "B:%s:%d" f.Ir.fname l));
-  h.R.Precompile.on_base_cost <- (fun c -> add (Printf.sprintf "C:%d" (fbits c)));
-  h.R.Precompile.on_builtin <-
-    (fun bi c -> add (Printf.sprintf "X:%s:%d" bi.R.Builtins.name (fbits c)));
-  h.R.Precompile.on_output <- (fun s -> add ("O:" ^ String.escaped s));
-  h.R.Precompile.on_enter_func <- (fun f -> add ("E:" ^ f.Ir.fname));
-  h.R.Precompile.on_exit_func <- (fun f -> add ("F:" ^ f.Ir.fname));
-  h.R.Precompile.on_region_enter <-
-    (fun f r actuals regs ->
-      add
-        (Printf.sprintf "R:%s:%d:%s:#%d" f.Ir.fname r.Ir.rid (enc_actuals actuals)
-           (Array.length regs)));
-  h.R.Precompile.on_call_actuals <-
-    (fun i argv en ->
-      add
-        (Printf.sprintf "A:%d:%s:%s" i.Ir.iid
-           (String.concat "," (List.map enc_value argv))
-           (String.concat "|"
-              (List.map (fun (blk, sets) -> blk ^ "{" ^ enc_actuals sets ^ "}") en))));
+(** One consumer of the events an observed run carries, in the order
+    the reference fires them. {!hooks_of} and {!observer_of} deliver the
+    same events to it from the oracle and from the fast loop. *)
+type events = {
+  ev_block : Ir.func -> Ir.label -> unit;
+  ev_region : Ir.func -> Ir.region -> (string * R.Value.t list) list -> R.Value.t array -> unit;
+  ev_enter : Ir.func -> unit;
+  ev_call : string -> R.Value.t list -> (string * (string * R.Value.t list) list) list -> unit;
+  ev_exit : Ir.func -> unit;
+  ev_builtin : R.Builtins.t -> float -> unit;
+  ev_output : string -> unit;
+}
+
+(* The oracle's hooks, filtered to [e]'s events: per-instruction and
+   per-cost events are not observed. With [coarse], only block entries,
+   calls and returns, what a block-grained observer hears. *)
+let hooks_of ?(coarse = false) (e : events) : Interp.hooks =
+  let h = Interp.null_hooks () in
+  h.Interp.on_block <- e.ev_block;
+  h.Interp.on_enter_func <- e.ev_enter;
+  h.Interp.on_exit_func <- e.ev_exit;
+  if not coarse then begin
+    h.Interp.on_region_enter <- e.ev_region;
+    h.Interp.on_call_actuals <-
+      (fun i argv en -> e.ev_call (Option.get (Ir.callee_of i)) argv en);
+    h.Interp.on_builtin <- e.ev_builtin;
+    h.Interp.on_output <- e.ev_output
+  end;
   h
 
-(** Fold every hook event into a running hash + count, without storing
-    the stream. Identical streams give identical (hash, count); a
-    divergence at any event perturbs all later mixes. *)
-let hashing_hooks acc count =
-  let h = R.Precompile.null_hooks () in
+(* The fast loop's observer of [e]'s events; outputs come through the
+   machine's sink, which {!run_prepared} wraps. *)
+let observer_of ?(coarse = false) (e : events) : R.Precompile.observer =
+  {
+    R.Precompile.on_block = e.ev_block;
+    on_region = (if coarse then None else Some e.ev_region);
+    on_enter = e.ev_enter;
+    on_call = (if coarse then None else Some (fun f -> e.ev_call f.Ir.fname));
+    on_exit = e.ev_exit;
+    on_builtin = (if coarse then None else Some e.ev_builtin);
+  }
+
+(** Record every event into [sink] as a canonical string. Exact but
+    allocation-heavy: for the big workloads use {!hashing_events}. *)
+let recording_events sink =
+  let add s = sink := s :: !sink in
+  {
+    ev_block = (fun f l -> add (Printf.sprintf "B:%s:%d" f.Ir.fname l));
+    ev_region =
+      (fun f r actuals regs ->
+        add
+          (Printf.sprintf "R:%s:%d:%s:#%d" f.Ir.fname r.Ir.rid (enc_actuals actuals)
+             (Array.length regs)));
+    ev_enter = (fun f -> add ("E:" ^ f.Ir.fname));
+    ev_call =
+      (fun callee argv en ->
+        add
+          (Printf.sprintf "A:%s:%s:%s" callee
+             (String.concat "," (List.map enc_value argv))
+             (String.concat "|"
+                (List.map (fun (blk, sets) -> blk ^ "{" ^ enc_actuals sets ^ "}") en))));
+    ev_exit = (fun f -> add ("F:" ^ f.Ir.fname));
+    ev_builtin = (fun bi c -> add (Printf.sprintf "X:%s:%d" bi.R.Builtins.name (fbits c)));
+    ev_output = (fun s -> add ("O:" ^ String.escaped s));
+  }
+
+(** Fold every event into a running hash + count, without storing the
+    stream. Identical streams give identical (hash, count); a divergence
+    at any event perturbs all later mixes. *)
+let hashing_events acc count =
   let mix x = acc := (!acc * 31) + x in
   let mixh v = mix (Hashtbl.hash v) in
   let ev tag =
     incr count;
     mix tag
   in
-  h.R.Precompile.on_instr <-
-    (fun f i ->
-      ev 1;
-      mixh f.Ir.fname;
-      mix i.Ir.iid);
-  h.R.Precompile.on_block <-
-    (fun f l ->
-      ev 2;
-      mixh f.Ir.fname;
-      mix l);
-  h.R.Precompile.on_base_cost <-
-    (fun c ->
-      ev 3;
-      mix (fbits c));
-  h.R.Precompile.on_builtin <-
-    (fun bi c ->
-      ev 4;
-      mixh bi.R.Builtins.name;
-      mix (fbits c));
-  h.R.Precompile.on_output <-
-    (fun s ->
-      ev 5;
-      mixh s);
-  h.R.Precompile.on_enter_func <-
-    (fun f ->
-      ev 6;
-      mixh f.Ir.fname);
-  h.R.Precompile.on_exit_func <-
-    (fun f ->
-      ev 7;
-      mixh f.Ir.fname);
-  h.R.Precompile.on_region_enter <-
-    (fun f r actuals regs ->
-      ev 8;
-      mixh f.Ir.fname;
-      mix r.Ir.rid;
-      mixh (enc_actuals actuals);
-      mix (Array.length regs));
-  h.R.Precompile.on_call_actuals <-
-    (fun i argv en ->
-      ev 9;
-      mix i.Ir.iid;
-      mixh (List.map enc_value argv);
-      List.iter
-        (fun (blk, sets) ->
-          mixh blk;
-          mixh (enc_actuals sets))
-        en);
-  h
+  {
+    ev_block =
+      (fun f l ->
+        ev 2;
+        mixh f.Ir.fname;
+        mix l);
+    ev_region =
+      (fun f r actuals regs ->
+        ev 8;
+        mixh f.Ir.fname;
+        mix r.Ir.rid;
+        mixh (enc_actuals actuals);
+        mix (Array.length regs));
+    ev_enter =
+      (fun f ->
+        ev 6;
+        mixh f.Ir.fname);
+    ev_call =
+      (fun callee argv en ->
+        ev 9;
+        mixh callee;
+        mixh (List.map enc_value argv);
+        List.iter
+          (fun (blk, sets) ->
+            mixh blk;
+            mixh (enc_actuals sets))
+          en);
+    ev_exit =
+      (fun f ->
+        ev 7;
+        mixh f.Ir.fname);
+    ev_builtin =
+      (fun bi c ->
+        ev 4;
+        mixh bi.R.Builtins.name;
+        mix (fbits c));
+    ev_output =
+      (fun s ->
+        ev 5;
+        mixh s);
+  }
 
 (* ---- run outcomes --------------------------------------------------- *)
 
@@ -138,10 +171,10 @@ type outcome = {
 let canon_globals l =
   List.sort compare (List.map (fun (n, v) -> (n, enc_value v)) l)
 
-let run_reference ?hooks ?fuel ~setup prog =
+let run_reference ?events ?coarse ?fuel ~setup prog =
   let machine = R.Machine.create () in
   setup machine;
-  let interp = Interp.create ?hooks ?fuel ~machine prog in
+  let interp = Interp.create ?hooks:(Option.map (hooks_of ?coarse) events) ?fuel ~machine prog in
   let result =
     match Interp.run_main interp with
     | total -> Ok total
@@ -156,12 +189,25 @@ let run_reference ?hooks ?fuel ~setup prog =
       canon_globals (Hashtbl.fold (fun n v l -> (n, v) :: l) interp.Interp.globals []);
   }
 
-let run_prepared ?(run = R.Precompile.run_main) ?hooks ?fuel ~setup prepared =
+(* the fast loop, plain or observed; a full observer also hears the
+   outputs, through the machine's sink *)
+let run_prepared ?events ?(coarse = false) ?fuel ~setup prepared =
   let machine = R.Machine.create () in
   setup machine;
-  let ex = R.Precompile.executor ?hooks ?fuel ~machine prepared in
+  let ex = R.Precompile.executor ?fuel ~machine prepared in
+  let run () =
+    match events with
+    | None -> R.Precompile.run_main ex
+    | Some e ->
+        if not coarse then
+          machine.R.Machine.emit <-
+            (fun s ->
+              R.Machine.default_emit machine s;
+              e.ev_output s);
+        R.Precompile.run_observed ex (observer_of ~coarse e)
+  in
   let result =
-    match run ex with
+    match run () with
     | total -> Ok total
     | exception Diag.Error d -> Error (Diag.to_string d)
     | exception R.Precompile.Out_of_fuel -> Error "<out of fuel>"
@@ -182,21 +228,23 @@ let check_outcome what (expected : outcome) (got : outcome) =
     Alcotest.(list (pair string string))
     (what ^ ": globals") expected.o_globals got.o_globals
 
-(** Full differential on one program: fast path and instrumented path
-    against the reference, plus exact hook-stream comparison. *)
+(** Full differential on one program: the plain fast loop, an observed
+    run and a block-grained observed run against the reference, with
+    exact comparison of each observed event stream. *)
 let differential_prog ?fuel ?(setup = fun _ -> ()) prog =
   let prepared = R.Precompile.prepare prog in
-  let ref_sink = ref [] in
-  let reference = run_reference ~hooks:(recording_hooks ref_sink) ?fuel ~setup prog in
   let fast = run_prepared ?fuel ~setup prepared in
-  check_outcome "fast path" reference fast;
-  let ins_sink = ref [] in
-  let instrumented =
-    run_prepared ~hooks:(recording_hooks ins_sink) ?fuel ~setup prepared
-  in
-  check_outcome "instrumented path" reference instrumented;
-  check Alcotest.(list string) "hook event stream" (List.rev !ref_sink)
-    (List.rev !ins_sink)
+  List.iter
+    (fun coarse ->
+      let what = if coarse then "block-grained" else "observed" in
+      let ref_sink = ref [] and obs_sink = ref [] in
+      let reference = run_reference ~events:(recording_events ref_sink) ~coarse ?fuel ~setup prog in
+      check_outcome "fast path" reference fast;
+      let observed = run_prepared ~events:(recording_events obs_sink) ~coarse ?fuel ~setup prepared in
+      check_outcome (what ^ " path") reference observed;
+      check Alcotest.(list string) (what ^ " event stream") (List.rev !ref_sink)
+        (List.rev !obs_sink))
+    [ false; true ]
 
 let differential ?fuel ?setup src = differential_prog ?fuel ?setup (compile src)
 
@@ -473,6 +521,11 @@ let test_diff_traps () =
     let m = trap_message src in
     check Alcotest.bool (Printf.sprintf "%S in %S" needle m) true (contains ~needle m)
   in
+  (* each trap carries CS018, the runtime-trap code *)
+  let expect needle src =
+    expect needle src;
+    expect "error[CS018]" src
+  in
   expect "division by zero" "void main() { int x = 8; int y = x / (x - x); }";
   expect "modulo by zero" "void main() { int x = 8; int y = x % (x - x); }";
   expect "out of bounds" "void main() { int[] a = iarray(2); a[5] = 1; }";
@@ -547,6 +600,17 @@ let test_alloc_charge () =
 
 (* ---- workload differentials ----------------------------------------- *)
 
+(** The observed events of one run against the oracle's, as rolling
+    hash + event count (the streams run to millions of events). *)
+let observed_events ~coarse what ~setup prog prepared =
+  let ref_acc = ref 0 and ref_n = ref 0 in
+  let acc = ref 0 and n = ref 0 in
+  let reference = run_reference ~events:(hashing_events ref_acc ref_n) ~coarse ~setup prog in
+  let observed = run_prepared ~events:(hashing_events acc n) ~coarse ~setup prepared in
+  check_outcome what reference observed;
+  check Alcotest.int (what ^ ": event count") !ref_n !n;
+  check Alcotest.int (what ^ ": event hash") !ref_acc !acc
+
 let workload_differential (w : W.t) variant_name src () =
   let prog = compile src in
   let prepared = R.Precompile.prepare prog in
@@ -555,46 +619,16 @@ let workload_differential (w : W.t) variant_name src () =
   let reference = run_reference ~setup:w.W.setup prog in
   let fast = run_prepared ~setup:w.W.setup prepared in
   check_outcome (what "%s/%s fast") reference fast;
-  (* instrumented path: full hook stream, compared as rolling hash +
-     event count (the streams run to millions of events) *)
-  let ref_acc = ref 0 and ref_n = ref 0 in
-  let ins_acc = ref 0 and ins_n = ref 0 in
-  let reference_h =
-    run_reference ~hooks:(hashing_hooks ref_acc ref_n) ~setup:w.W.setup prog
-  in
-  let instrumented =
-    run_prepared ~hooks:(hashing_hooks ins_acc ins_n) ~setup:w.W.setup prepared
-  in
-  check_outcome (what "%s/%s instrumented") reference_h instrumented;
-  check Alcotest.int (what "%s/%s hook event count") !ref_n !ins_n;
-  check Alcotest.int (what "%s/%s hook event hash") !ref_acc !ins_acc
+  (* observed path: every event an observed run carries *)
+  observed_events ~coarse:false (what "%s/%s observed") ~setup:w.W.setup prog prepared
 
-(** Hash only the block- and function-level events: the subset the
-    block-grained path fires (outputs are compared separately). *)
-let coarse_hooks acc count =
-  let h = R.Precompile.null_hooks () in
-  let ev tag x =
-    incr count;
-    acc := (((!acc * 31) + tag) * 31) + Hashtbl.hash x
-  in
-  h.R.Precompile.on_block <- (fun f l -> ev 2 (f.Ir.fname, l));
-  h.R.Precompile.on_enter_func <- (fun f -> ev 6 f.Ir.fname);
-  h.R.Precompile.on_exit_func <- (fun f -> ev 7 f.Ir.fname);
-  h
-
+(* The block-grained observer's events (block entries, calls, returns;
+   what the profiler hears): outputs are compared separately. *)
 let workload_coarse_events (w : W.t) variant_name src () =
   let prog = compile src in
-  let what fmt = Printf.sprintf fmt w.W.wname variant_name in
-  let ref_acc = ref 0 and ref_n = ref 0 in
-  let acc = ref 0 and n = ref 0 in
-  let reference = run_reference ~hooks:(coarse_hooks ref_acc ref_n) ~setup:w.W.setup prog in
-  let coarse =
-    run_prepared ~run:R.Precompile.run_main_coarse ~hooks:(coarse_hooks acc n)
-      ~setup:w.W.setup (R.Precompile.prepare prog)
-  in
-  check_outcome (what "%s/%s coarse") reference coarse;
-  check Alcotest.int (what "%s/%s block event count") !ref_n !n;
-  check Alcotest.int (what "%s/%s block event hash") !ref_acc !acc
+  observed_events ~coarse:true
+    (Printf.sprintf "%s/%s block-grained" w.W.wname variant_name)
+    ~setup:w.W.setup prog (R.Precompile.prepare prog)
 
 (* ---- replay entries against the oracle ------------------------------ *)
 
@@ -668,13 +702,21 @@ let check_replay what ((got, expected) : replayed * replayed) =
     (what ^ ": globals") expected.r_globals got.r_globals;
   check Alcotest.int (what ^ ": steps") expected.r_steps got.r_steps
 
-(** Every instance the verifier's recording run snapshots. *)
+(** Every instance the verifier records with a snapshot in a trace run
+    it taps. *)
+let recorded_instances setup (c : P.t) =
+  let rc = Dynamic.recording ~md:c.P.md c.P.prepared in
+  let machine = R.Machine.create () in
+  setup machine;
+  ignore (R.Trace.record ~tap:(Dynamic.tap rc) ~machine c.P.prepared c.P.target.P.pdg);
+  Dynamic.instances rc
+
 let snapshotted (w : W.t) src =
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup src in
-  let invs =
-    Dynamic.record ~max_snapshots:2 ~prepared:c.P.prepared ~md:c.P.md ~setup:w.W.setup
-  in
-  (c.P.prepared, List.filter_map (fun i -> Option.map (fun s -> (i, s)) i.Dynamic.isnap) invs)
+  ( c.P.prepared,
+    List.filter_map
+      (fun i -> Option.map (fun s -> (i, s)) i.Dynamic.isnap)
+      (recorded_instances w.W.setup c) )
 
 let workload_replay (w : W.t) variant_name src () =
   let prepared, snaps = snapshotted w src in

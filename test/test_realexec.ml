@@ -364,7 +364,8 @@ let test_worker_trap_releases_locks () =
   | Error why -> Alcotest.failf "plan_real refused the loop: %s" why
   | exception Diag.Error d ->
       if not (contains ~sub:"out of bounds" d.Diag.message) then
-        Alcotest.failf "unexpected diagnostic: %s" d.Diag.message);
+        Alcotest.failf "unexpected diagnostic: %s" d.Diag.message;
+      check Alcotest.(option string) "a runtime trap's code" (Some "CS018") d.Diag.code);
   let x = P.run_parallel ~engine:Exec.Real_engine ~jobs:2 c plan in
   check Alcotest.bool "the same program then runs Equiv" true (x.P.xfidelity <> P.Mismatch)
 

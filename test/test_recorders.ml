@@ -1,8 +1,11 @@
-(** The compile-time recorders ({!Trace.record}, {!Profile.analyze})
-    against the reference recorders kept in this directory
-    ({!Ref_recorders}): every trace and profile must be bit-identical on
-    every workload and annotation variant, on random programs and on
-    seeded source mutants. Allocation counts pin the recorders'
+(** The compile-time recorders ({!Trace.record}, {!Profile.analyze} and
+    the verifier's replay instances recorded through the trace run's
+    tap) against the reference recorders kept in this directory
+    ({!Ref_recorders}), which run on the reference interpreter: every
+    trace and profile must be bit-identical on every workload and
+    annotation variant, on random programs and on seeded source mutants,
+    and the instances equal on every program whose static verifier pass
+    leaves a pair to replay. Allocation counts pin the recorders'
     bookkeeping: the trace recorder allocates nothing per instruction,
     the profiler nothing per block beyond its boxed total reading. *)
 
@@ -144,8 +147,7 @@ let test_missing_label () =
 (* Counts, not timings. [f]'s inner loop runs 20 times per call and
    [main] calls it from a 10,000-iteration loop: one run retires
    2,140,008 steps, 450,003 of them block entries. Each recorder is
-   measured against the same run without its bookkeeping (null hooks
-   on the same loop). *)
+   measured against a plain run of the same program. *)
 let alloc_src =
   "int f(int n) { int s = 0; int j = 0; while (j < 20) { s = (s + j * n + 1) % 9973; j = j + 1; } \
    return s; }\n\
@@ -162,41 +164,111 @@ let alloc_prog =
   lazy
     (let c = P.compile alloc_src in
      let blocks = ref 0 in
-     let counting = R.Precompile.null_hooks () in
-     counting.R.Precompile.on_block <- (fun _ _ -> incr blocks);
-     let ex = R.Precompile.executor ~hooks:counting c.P.prepared in
-     ignore (R.Precompile.run_main_coarse ex : float);
+     let ex = R.Precompile.executor c.P.prepared in
+     ignore
+       (R.Precompile.run_observed ex
+          {
+            R.Precompile.on_block = (fun _ _ -> incr blocks);
+            on_region = None;
+            on_enter = ignore;
+            on_call = None;
+            on_exit = ignore;
+            on_builtin = None;
+          }
+         : float);
      check Alcotest.int "steps" 2_140_008 (R.Precompile.steps ex);
      check Alcotest.int "block entries" 450_003 !blocks;
      (c, !blocks))
 
 let test_alloc_trace () =
   let c, _ = Lazy.force alloc_prog in
-  let _, hooked =
-    words (fun () ->
-        R.Precompile.run_main
-          (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) c.P.prepared))
-  in
-  let (trace, _), traced = words (fun () -> R.Trace.record c.P.prepared c.P.target.P.pdg) in
+  let _, plain = words (fun () -> R.Precompile.run_main (R.Precompile.executor c.P.prepared)) in
+  let trace, traced = words (fun () -> R.Trace.record c.P.prepared c.P.target.P.pdg) in
   let iters = R.Trace.n_iterations trace in
   check Alcotest.int "target iterations" 10_000 iters;
-  let per_iter = (traced -. hooked) /. float_of_int iters in
+  let per_iter = (traced -. plain) /. float_of_int iters in
   check Alcotest.bool
-    (Printf.sprintf "%.0f words per iteration beyond the hooked loop (at most 200)" per_iter)
+    (Printf.sprintf "%.0f words per iteration beyond a plain run (at most 200)" per_iter)
     true (per_iter <= 200.)
 
 let test_alloc_profile () =
   let c, blocks = Lazy.force alloc_prog in
-  let _, coarse =
-    words (fun () ->
-        R.Precompile.run_main_coarse
-          (R.Precompile.executor ~hooks:(R.Precompile.null_hooks ()) c.P.prepared))
-  in
+  let _, plain = words (fun () -> R.Precompile.run_main (R.Precompile.executor c.P.prepared)) in
   let _, profiled = words (fun () -> R.Profile.analyze c.P.prepared) in
-  let per_block = (profiled -. coarse) /. float_of_int blocks in
+  let per_block = (profiled -. plain) /. float_of_int blocks in
   check Alcotest.bool
-    (Printf.sprintf "%.2f words per block entry beyond the coarse loop (at most 3)" per_block)
+    (Printf.sprintf "%.2f words per block entry beyond a plain run (at most 3)" per_block)
     true (per_block <= 3.)
+
+(* ---- replay instances ---------------------------------------------- *)
+
+module Dynamic = Commset_verify.Dynamic
+module Metadata = Commset_core.Metadata
+
+let enc_body = function
+  | Dynamic.Bregion { bfunc; bregion; bregs } ->
+      Printf.sprintf "region %s/%d [%s]" bfunc.Ir.fname bregion.Ir.rid
+        (String.concat ";" (Array.to_list (Array.map Test_precompile.enc_value bregs)))
+  | Dynamic.Bfun { bfunc; bargs } ->
+      Printf.sprintf "call %s(%s)" bfunc.Ir.fname
+        (String.concat "," (List.map Test_precompile.enc_value bargs))
+
+let show_inv (i : Dynamic.inv) =
+  Printf.sprintf "#%d %s %s %s" i.Dynamic.iseq
+    (Metadata.member_to_string i.Dynamic.imember)
+    (Test_precompile.enc_actuals i.Dynamic.iactuals)
+    (enc_body i.Dynamic.ibody)
+
+(* The instances the trace run records through the verifier's tap, for
+   a program whose static pass leaves a pair to replay, against the
+   reference recording on the oracle: member, actuals, body with its
+   register file or arguments and sequence number, and every snapshot's
+   machine and globals. [None] when the static pass leaves none. *)
+let instances_differential what ~setup (c : P.t) =
+  let report =
+    Commset_verify.Static.run ~md:c.P.md ~target_fname:c.P.target.P.func.Ir.fname
+      ~loop:c.P.target.P.loop ~induction:c.P.target.P.induction ()
+  in
+  if not (Dynamic.wanted c.P.md report) then None
+  else begin
+    let expected = Ref_recorders.dynamic ~max_snapshots:2 c.P.prepared ~md:c.P.md ~setup in
+    let got = Test_precompile.recorded_instances setup c in
+    check Alcotest.(list string) (what ^ ": instances") (List.map show_inv expected)
+      (List.map show_inv got);
+    List.iter2
+      (fun (e : Dynamic.inv) (g : Dynamic.inv) ->
+        let what = Printf.sprintf "%s: instance #%d" what e.Dynamic.iseq in
+        match (e.Dynamic.isnap, g.Dynamic.isnap) with
+        | None, None -> ()
+        | Some (em, eg), Some (gm, gg) ->
+            check Alcotest.(list string) (what ^ ": machine diff") [] (R.Machine.obs_diff em gm);
+            check
+              Alcotest.(list (pair string string))
+              (what ^ ": globals") (Test_precompile.canon_globals eg)
+              (Test_precompile.canon_globals gg)
+        | _ -> Alcotest.failf "%s: snapshot on one side only" what)
+      expected got;
+    Some (List.length got)
+  end
+
+let test_instances () =
+  let covered =
+    List.concat_map
+      (fun (w : W.t) ->
+        List.filter_map
+          (fun (name, src) ->
+            let what = Printf.sprintf "%s/%s" w.W.wname name in
+            let c = P.compile ~name:w.W.wname ~setup:w.W.setup src in
+            Option.map (fun n -> (what, n)) (instances_differential what ~setup:w.W.setup c))
+          (("base", w.W.source) :: w.W.variants))
+      Registry.all
+  in
+  (* the programs whose static pass leaves a pair to replay *)
+  List.iter
+    (fun w ->
+      check Alcotest.bool (w ^ " records replay instances") true
+        (List.exists (fun (what, n) -> String.starts_with ~prefix:(w ^ "/") what && n > 0) covered))
+    [ "md5sum"; "geti"; "potrace" ]
 
 (* ---- seeded source mutants -------------------------------------------- *)
 
@@ -259,4 +331,8 @@ let suite =
         test_mutants;
       QCheck_alcotest.to_alcotest ~long:false prop_random_differential;
     ]
-    @ workload_cases )
+    @ workload_cases
+    @ [
+        Alcotest.test_case "replay instances recorded in the trace run match the reference"
+          `Slow test_instances;
+      ] )
