@@ -20,7 +20,7 @@ module T = Commset_transforms
 module Report = Commset_report
 module Obs = Commset_obs
 
-let json_escape = Obs.Metrics.json_escape
+module J = Obs.Json_strict
 
 let md5sum = Option.get (Registry.find "md5sum")
 
@@ -171,17 +171,29 @@ let measure_stages ~sweep ~jobs : stage_times =
       })
 
 let json_of_gc g =
-  Printf.sprintf
-    {|{ "minor_collections": %d, "major_collections": %d, "allocated_mwords": %.1f }|}
-    g.gd_minor g.gd_major g.gd_alloc_mw
+  J.Obj
+    [
+      ("minor_collections", J.int g.gd_minor);
+      ("major_collections", J.int g.gd_major);
+      ("allocated_mwords", J.Num g.gd_alloc_mw);
+    ]
 
 let json_of_stages st =
-  Printf.sprintf
-    {|{ "jobs": %d, "compile_s": %.3f, "evaluate_all_s": %.3f, "sweep_s": %.3f, "total_s": %.3f,
-    "gc": { "compile": %s, "evaluate_all": %s, "sweep": %s } }|}
-    st.st_jobs st.st_compile st.st_eval st.st_sweep (st_total st)
-    (json_of_gc st.st_gc_compile) (json_of_gc st.st_gc_eval)
-    (json_of_gc st.st_gc_sweep)
+  J.Obj
+    [
+      ("jobs", J.int st.st_jobs);
+      ("compile_s", J.Num st.st_compile);
+      ("evaluate_all_s", J.Num st.st_eval);
+      ("sweep_s", J.Num st.st_sweep);
+      ("total_s", J.Num (st_total st));
+      ( "gc",
+        J.Obj
+          [
+            ("compile", json_of_gc st.st_gc_compile);
+            ("evaluate_all", json_of_gc st.st_gc_eval);
+            ("sweep", json_of_gc st.st_gc_sweep);
+          ] );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead guard                                      *)
@@ -310,21 +322,19 @@ let bench_recorder_overhead comp : recorder_overhead =
       })
 
 let json_of_overhead ro =
-  let spans =
-    ro.ro_spans
-    |> List.map (fun (name, count, total) ->
-           Printf.sprintf {|{ "name": "%s", "count": %d, "total_s": %.6f }|} name count
-             total)
-    |> String.concat ",\n      "
+  let span (name, count, total) =
+    J.Obj [ ("name", J.Str name); ("count", J.int count); ("total_s", J.Num total) ]
   in
-  Printf.sprintf
-    {|{ "off_s": %.6f, "on_s": %.6f, "wall_ratio_median": %.6f,
-    "span_cost_ns": %.1f, "spans_per_eval": %.1f, "overhead_frac": %.6f,
-    "spans": [
-      %s
-    ] }|}
-    ro.ro_off_s ro.ro_on_s ro.ro_wall_ratio ro.ro_span_cost_ns ro.ro_spans_per_eval
-    ro.ro_frac spans
+  J.Obj
+    [
+      ("off_s", J.Num ro.ro_off_s);
+      ("on_s", J.Num ro.ro_on_s);
+      ("wall_ratio_median", J.Num ro.ro_wall_ratio);
+      ("span_cost_ns", J.Num ro.ro_span_cost_ns);
+      ("spans_per_eval", J.Num ro.ro_spans_per_eval);
+      ("overhead_frac", J.Num ro.ro_frac);
+      ("spans", J.Arr (List.map span ro.ro_spans));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Real-execution leg: measured speedups beside predicted              *)
@@ -411,20 +421,21 @@ let bench_real_execution evals : int * measured list =
   (jobs, rows)
 
 let json_of_measured (jobs, rows) =
-  let entries =
-    rows
-    |> List.map (fun m ->
-           Printf.sprintf
-             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "predicted_speedup": %.3f, "measured_speedup": %.3f, "verdict": "%s", "available_cores": %d, "jobs_clamped": %b, "oversubscribed": %b }|}
-             m.me_workload (json_escape m.me_plan) m.me_engine m.me_predicted
-             m.me_measured
-             (P.fidelity_to_string m.me_fidelity)
-             m.me_cores m.me_jobs_clamped m.me_oversubscribed)
-    |> String.concat ",\n    "
+  let entry m =
+    J.Obj
+      [
+        ("workload", J.Str m.me_workload);
+        ("plan", J.Str m.me_plan);
+        ("engine", J.Str m.me_engine);
+        ("predicted_speedup", J.Num m.me_predicted);
+        ("measured_speedup", J.Num m.me_measured);
+        ("verdict", J.Str (P.fidelity_name m.me_fidelity));
+        ("available_cores", J.int m.me_cores);
+        ("jobs_clamped", J.Bool m.me_jobs_clamped);
+        ("oversubscribed", J.Bool m.me_oversubscribed);
+      ]
   in
-  Printf.sprintf {|{ "jobs": %d, "plans": [
-    %s
-  ] }|} jobs entries
+  J.Obj [ ("jobs", J.int jobs); ("plans", J.Arr (List.map entry rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Execution observatory: attribution profiles, the predicted-vs-      *)
@@ -579,30 +590,35 @@ let bench_attrib_overhead comp : overhead_row list =
         [ Commset_exec.Exec.Real_engine; Commset_exec.Exec.Codegen_engine ]
 
 let json_of_exec_profile (jobs, oversubscribed, rows) overhead =
-  let row_entries =
-    rows
-    |> List.map (fun r ->
-           Printf.sprintf
-             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "p95_lock_wait_ns": %.1f, "p95_frontier_wait_ns": %.1f, "gap": %.4f, "oversubscribed": %b }|}
-             r.ep_workload (json_escape r.ep_plan) r.ep_engine
-             r.ep_p95_lock_wait_ns r.ep_p95_frontier_wait_ns r.ep_gap r.ep_oversubscribed)
-    |> String.concat ",\n    "
+  let row r =
+    J.Obj
+      [
+        ("workload", J.Str r.ep_workload);
+        ("plan", J.Str r.ep_plan);
+        ("engine", J.Str r.ep_engine);
+        ("p95_lock_wait_ns", J.Num r.ep_p95_lock_wait_ns);
+        ("p95_frontier_wait_ns", J.Num r.ep_p95_frontier_wait_ns);
+        ("gap", J.Num r.ep_gap);
+        ("oversubscribed", J.Bool r.ep_oversubscribed);
+      ]
   in
-  let overhead_entries =
-    overhead
-    |> List.map (fun o ->
-           Printf.sprintf
-             {|{ "engine": "%s", "off_s": %.6f, "on_s": %.6f, "overhead_frac": %.6f, "oversubscribed": %b }|}
-             o.ao_engine o.ao_off_s o.ao_on_s o.ao_overhead_frac o.ao_oversubscribed)
-    |> String.concat ",\n    "
+  let overhead_row o =
+    J.Obj
+      [
+        ("engine", J.Str o.ao_engine);
+        ("off_s", J.Num o.ao_off_s);
+        ("on_s", J.Num o.ao_on_s);
+        ("overhead_frac", J.Num o.ao_overhead_frac);
+        ("oversubscribed", J.Bool o.ao_oversubscribed);
+      ]
   in
-  Printf.sprintf
-    {|{ "jobs": %d, "oversubscribed": %b, "workloads": [
-    %s
-  ], "overhead": [
-    %s
-  ] }|}
-    jobs oversubscribed row_entries overhead_entries
+  J.Obj
+    [
+      ("jobs", J.int jobs);
+      ("oversubscribed", J.Bool oversubscribed);
+      ("workloads", J.Arr (List.map row rows));
+      ("overhead", J.Arr (List.map overhead_row overhead));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve leg: daemon throughput and tail latency under a seeded load   *)
@@ -650,27 +666,6 @@ let bench_serve () : Server.report =
     r.r_equiv_failures
     (if r.r_oversubscribed then "  (oversubscribed)" else "");
   r
-
-let json_of_serve (r : Server.report) =
-  let lat (l : Server.latency) =
-    Printf.sprintf
-      {|{ "p50_us": %.1f, "p95_us": %.1f, "p99_us": %.1f, "mean_us": %.1f }|}
-      l.Server.p50_us l.p95_us l.p99_us l.mean_us
-  in
-  let c = r.Server.r_cache in
-  let looked_up = c.Commset_serve.Plancache.pc_hits + c.pc_misses in
-  let hit_rate =
-    if looked_up = 0 then 0.
-    else float_of_int c.Commset_serve.Plancache.pc_hits /. float_of_int looked_up
-  in
-  Printf.sprintf
-    {|{ "requests_offered": %d, "requests_served": %d, "requests_failed": %d, "throughput_rps": %.1f, "offered_rate_rps": %s, "jobs": %d, "available_cores": %d, "oversubscribed": %b, "latency_us": { "queue": %s, "service": %s, "total": %s }, "plan_cache_hit_rate": %.4f, "equiv_checked": %d, "equiv_failures": %d, "drained": %b }|}
-    r.Server.r_offered r.r_served r.r_failed r.r_throughput_rps
-    (match r.r_offered_rate_rps with
-    | Some x -> Printf.sprintf "%.1f" x
-    | None -> "null")
-    r.r_jobs r.r_cores r.r_oversubscribed (lat r.r_queue) (lat r.r_service)
-    (lat r.r_total) hit_rate r.r_equiv_checked r.r_equiv_failures r.r_drained
 
 (* ------------------------------------------------------------------ *)
 (* Codegen leg: interpreter vs compiled iteration throughput           *)
@@ -843,22 +838,21 @@ let bench_codegen_throughput evals : codegen_row list =
   rows
 
 let json_of_codegen rows =
-  let entries =
-    rows
-    |> List.map (fun cr ->
-           Printf.sprintf
-             {|{ "workload": "%s", "plan": "%s", "engine_ran": "%s", "fallback_reason": %s, "interp_iter_per_s": %.1f, "codegen_iter_per_s": %.1f, "speedup": %.3f, "cache_hit": %b, "compile_s": %.3f }|}
-             cr.cr_workload (json_escape cr.cr_plan) cr.cr_engine_ran
-             (match cr.cr_fallback with
-             | Some why -> Printf.sprintf "\"%s\"" (json_escape why)
-             | None -> "null")
-             cr.cr_interp_iter_s cr.cr_codegen_iter_s cr.cr_speedup cr.cr_cache_hit
-             cr.cr_compile_s)
-    |> String.concat ",\n    "
+  let row cr =
+    J.Obj
+      [
+        ("workload", J.Str cr.cr_workload);
+        ("plan", J.Str cr.cr_plan);
+        ("engine_ran", J.Str cr.cr_engine_ran);
+        ("fallback_reason", J.opt (fun why -> J.Str why) cr.cr_fallback);
+        ("interp_iter_per_s", J.Num cr.cr_interp_iter_s);
+        ("codegen_iter_per_s", J.Num cr.cr_codegen_iter_s);
+        ("speedup", J.Num cr.cr_speedup);
+        ("cache_hit", J.Bool cr.cr_cache_hit);
+        ("compile_s", J.Num cr.cr_compile_s);
+      ]
   in
-  Printf.sprintf {|{ "jobs": 1, "rows": [
-    %s
-  ] }|} entries
+  J.Obj [ ("jobs", J.int 1); ("rows", J.Arr (List.map row rows)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Synthesis leg: commsetc suggest over the eight workloads            *)
@@ -921,17 +915,20 @@ let bench_synthesis () : synth_row list =
     [ "md5sum"; "url"; "geti"; "eclat"; "hmmer"; "em3d"; "kmeans"; "potrace" ]
 
 let json_of_synthesis rows =
-  let jopt = function Some f -> Printf.sprintf "%.3f" f | None -> "null" in
-  rows
-  |> List.map (fun s ->
-         Printf.sprintf
-           {|{ "workload": "%s", "suggestions": %d, "recommended": %d, "baseline_speedup": %.3f, "bundle_speedup": %.3f, "hand_speedup": %s, "best_suggestion_speedup": %s }|}
-           s.sy_workload s.sy_suggestions s.sy_recommended s.sy_baseline
-           s.sy_bundle (jopt s.sy_hand) (jopt s.sy_best))
-  |> String.concat ",\n    "
-  |> Printf.sprintf {|[
-    %s
-  ]|}
+  let num = J.opt (fun f -> J.Num f) in
+  let row s =
+    J.Obj
+      [
+        ("workload", J.Str s.sy_workload);
+        ("suggestions", J.int s.sy_suggestions);
+        ("recommended", J.int s.sy_recommended);
+        ("baseline_speedup", J.Num s.sy_baseline);
+        ("bundle_speedup", J.Num s.sy_bundle);
+        ("hand_speedup", num s.sy_hand);
+        ("best_suggestion_speedup", num s.sy_best);
+      ]
+  in
+  J.Arr (List.map row rows)
 
 let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profile
     ~serve =
@@ -974,33 +971,29 @@ let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profil
       Some (par, speedup, identical)
     end
   in
-  let oc = open_out "BENCH_commset.json" in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "commset-evaluation-pipeline",
-  "quick": %b,
-  "available_cores": %d,
-  "recommended_domains": %d,
-  "jobs": %d,
-  "sequential": %s,
-  "parallel": %s,
-  "parallel_speedup": %s,
-  "identical_tables": %s,
-  "measured": %s,
-  "codegen": %s,
-  "synthesis": %s,
-  "recorder": %s,
-  "exec_profile": %s,
-  "serve": %s
-}
-|}
-    quick cores cores par_jobs (json_of_stages seq)
-    (match par with Some (p, _, _) -> json_of_stages p | None -> "null")
-    (match par with Some (_, s, _) -> Printf.sprintf "%.3f" s | None -> "null")
-    (match par with Some (_, _, i) -> string_of_bool i | None -> "null")
-    (json_of_measured measured) (json_of_codegen codegen)
-    (json_of_synthesis synthesis) (json_of_overhead overhead) exec_profile serve;
-  close_out oc;
+  let doc =
+    J.Obj
+      [
+        ("benchmark", J.Str "commset-evaluation-pipeline");
+        ("quick", J.Bool quick);
+        ("available_cores", J.int cores);
+        ("recommended_domains", J.int cores);
+        ("jobs", J.int par_jobs);
+        ("sequential", json_of_stages seq);
+        ("parallel", J.opt (fun (p, _, _) -> json_of_stages p) par);
+        ("parallel_speedup", J.opt (fun (_, s, _) -> J.Num s) par);
+        ("identical_tables", J.opt (fun (_, _, i) -> J.Bool i) par);
+        ("measured", json_of_measured measured);
+        ("codegen", json_of_codegen codegen);
+        ("synthesis", json_of_synthesis synthesis);
+        ("recorder", json_of_overhead overhead);
+        ("exec_profile", exec_profile);
+        ("serve", Server.report_json serve);
+      ]
+  in
+  (* expanded three levels deep: the committed file is reviewed as a diff *)
+  Out_channel.with_open_bin "BENCH_commset.json" (fun oc ->
+      Out_channel.output_string oc (J.to_string ~expand:3 doc ^ "\n"));
   Printf.printf "  wrote BENCH_commset.json\n"
 
 (* ------------------------------------------------------------------ *)
@@ -1086,6 +1079,6 @@ let () =
   let profile = bench_exec_profile evals in
   let attrib_overhead = bench_attrib_overhead md5_comp in
   let exec_profile = json_of_exec_profile profile attrib_overhead in
-  let serve = json_of_serve (bench_serve ()) in
+  let serve = bench_serve () in
   bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profile
     ~serve

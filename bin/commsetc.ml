@@ -94,8 +94,27 @@ let file_arg =
     & opt (some string) None
     & info [ "file"; "f" ] ~docv:"FILE" ~doc:"Compile a miniC source file instead.")
 
+(* Count and rate flags share one converter: a value outside the flag's
+   range is a usage error (exit 2), and each flag's help states the range. *)
+let bounded of_string pp ~range ok =
+  let parse s =
+    match of_string s with
+    | Some v when ok v -> Ok v
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got '%s'" range s))
+  in
+  Arg.conv (parse, pp)
+
+let count ~min =
+  bounded int_of_string_opt Format.pp_print_int
+    ~range:(Printf.sprintf "an integer of at least %d" min)
+    (fun n -> n >= min)
+
 let threads_arg =
-  Arg.(value & opt int 8 & info [ "threads"; "t" ] ~docv:"N" ~doc:"Thread count (1-8).")
+  Arg.(
+    value
+    & opt (count ~min:1) 8
+    & info [ "threads"; "t" ] ~docv:"N"
+        ~doc:"Thread count the plans target, at least 1 (the paper's evaluation uses 1-8).")
 
 (* --engine and --jobs of the real-execution subcommands (run, stat) *)
 let engine_arg =
@@ -113,23 +132,15 @@ let engine_arg =
            --jobs.")
 
 let jobs_arg =
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a worker count of at least 1, got '%s'" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   Arg.(
     value
-    & opt (some positive) None
+    & opt (some (count ~min:1)) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Worker-domain count for real execution; defaults to the machine's \
-           available cores minus one. For $(b,run) it executes the plans on $(docv) \
-           real OCaml domains instead of simulating them, with a mandatory \
-           output-equivalence check against the sequential reference.")
+          "Worker-domain count for real execution, at least 1; defaults to the \
+           machine's available cores minus one. For $(b,run) it executes the plans \
+           on $(docv) real OCaml domains instead of simulating them, with a \
+           mandatory output-equivalence check against the sequential reference.")
 
 let log_level_arg =
   let conv_level =
@@ -529,6 +540,19 @@ let write_file path contents =
     Fmt.epr "cannot write '%s': %s@." path reason;
     exit 2
 
+(* The one way a Chrome trace leaves the program: export, check with the
+   strict trace validator (never ship a trace we would reject
+   ourselves), write. The event count, or an exit code (3: the trace
+   failed validation, 2: the file cannot be written) and a message. *)
+let write_trace path events =
+  let json = Obs.Export.chrome_json events in
+  match Obs.Json_strict.validate_chrome_trace json with
+  | Error e -> Error (3, "internal: generated trace failed validation: " ^ e)
+  | Ok n -> (
+      match Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc json) with
+      | () -> Ok n
+      | exception Sys_error reason -> Error (2, Printf.sprintf "cannot write '%s': %s" path reason))
+
 let read_file path =
   try
     let ic = open_in_bin path in
@@ -624,14 +648,11 @@ let stat_cmd =
                     | None -> [])
                   runs
             in
-            let json = Obs.Export.chrome_json events in
-            match Obs.Json_strict.validate_chrome_trace json with
-            | Ok n ->
-                write_file path json;
-                Fmt.epr "wrote %d trace event(s) to %s@." n path
-            | Error e ->
-                Fmt.epr "internal: generated trace failed validation: %s@." e;
-                exit 3));
+            match write_trace path events with
+            | Ok n -> Fmt.epr "wrote %d trace event(s) to %s@." n path
+            | Error (code, e) ->
+                Fmt.epr "%s@." e;
+                exit code));
         let mismatches =
           List.filter (fun (r : P.exec_run) -> r.P.xfidelity = P.Mismatch) runs
         in
@@ -712,16 +733,13 @@ let trace_cmd =
                     r.P.timelines
               | None -> []
             in
-            let json = Obs.Export.chrome_json events in
-            (* never ship a trace we would reject ourselves *)
             let n_events =
-              match Obs.Json_strict.validate_chrome_trace json with
+              match write_trace out events with
               | Ok n -> n
-              | Error e ->
-                  Fmt.epr "internal: generated trace failed validation: %s@." e;
-                  exit 3
+              | Error (code, e) ->
+                  Fmt.epr "%s@." e;
+                  exit code
             in
-            write_file out json;
             Fmt.pr "%s: wrote %d trace event(s) to %s@." name n_events out;
             (match best with
             | Some r ->
@@ -867,13 +885,6 @@ let serve_cmd =
     if (not selftest) && socket = None then (
       Fmt.epr "serve: nothing to serve — pass --selftest and/or --socket PATH@.";
       exit 2);
-    if jobs < 1 || requests < 1 || rate <= 0. || burst < 1. || equiv_every < 0
-       || cache_capacity < 1
-    then (
-      Fmt.epr
-        "serve: --jobs/--requests/--cache-capacity must be >= 1, --rate > 0, --burst >= \
-         1, --equiv-every >= 0@.";
-      exit 2);
     let lookup name =
       match Registry.find name with
       | Some w -> Ok (w.W.source, w.W.setup)
@@ -923,7 +934,7 @@ let serve_cmd =
       (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.Server.request_stop ())))
       [ Sys.sigint; Sys.sigterm ];
     let report = Serve.Server.run ?load ?socket cfg in
-    let json = Serve.Server.report_json report in
+    let json = Obs.Json_strict.to_string (Serve.Server.report_json report) in
     (match status_out with
     | Some path -> (
         try
@@ -987,24 +998,29 @@ let serve_cmd =
              external client needed. Combines with --socket (the generator runs while \
              the socket listens).")
   in
+  let rate ~range ok = bounded float_of_string_opt Format.pp_print_float ~range ok in
   let requests_arg =
     Arg.(
-      value & opt int 1000
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Generated requests to offer (selftest).")
+      value
+      & opt (count ~min:1) 1000
+      & info [ "requests"; "n" ] ~docv:"N"
+          ~doc:"Generated requests to offer (selftest), at least 1.")
   in
   let rate_arg =
     Arg.(
-      value & opt float 1000.
+      value
+      & opt (rate ~range:"a finite number above 0" (fun r -> Float.is_finite r && r > 0.)) 1000.
       & info [ "rate" ] ~docv:"RPS"
-          ~doc:"Mean offered rate of the open-loop generator, requests/second.")
+          ~doc:"Mean offered rate of the open-loop generator, requests/second, above 0.")
   in
   let burst_arg =
     Arg.(
-      value & opt float 3.
+      value
+      & opt (rate ~range:"a finite number of at least 1" (fun b -> Float.is_finite b && b >= 1.)) 3.
       & info [ "burst" ] ~docv:"X"
           ~doc:
-            "On/off burstiness: ON phases offer $(docv)× the mean rate, OFF phases \
-             whatever keeps the long-run mean at --rate. 1 = plain Poisson.")
+            "On/off burstiness, at least 1: ON phases offer $(docv)× the mean rate, OFF \
+             phases whatever keeps the long-run mean at --rate. 1 = plain Poisson.")
   in
   let seed_arg =
     Arg.(
@@ -1021,11 +1037,11 @@ let serve_cmd =
   let jobs_arg =
     Arg.(
       value
-      & opt int (Commset_exec.Exec.default_jobs ())
+      & opt (count ~min:1) (Commset_exec.Exec.default_jobs ())
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Warm pool worker domains, spawned once and reused for every request. \
-             Defaults to the machine's available cores minus one.")
+            "Warm pool worker domains, at least 1, spawned once and reused for every \
+             request. Defaults to the machine's available cores minus one.")
   in
   let socket_arg =
     Arg.(
@@ -1039,17 +1055,22 @@ let serve_cmd =
   in
   let equiv_every_arg =
     Arg.(
-      value & opt int 100
+      value
+      & opt (count ~min:0) 100
       & info [ "equiv-every" ] ~docv:"N"
           ~doc:
             "Check every $(docv)th response per workload against the sequential \
-             reference with the output-equivalence checker; 0 disables sampling.")
+             reference with the output-equivalence checker; at least 0, and 0 \
+             disables sampling.")
   in
   let cache_capacity_arg =
     Arg.(
-      value & opt int 8
+      value
+      & opt (count ~min:1) 8
       & info [ "cache-capacity" ] ~docv:"N"
-          ~doc:"Plan-cache entries (LRU beyond that); each distinct source compiles once.")
+          ~doc:
+            "Plan-cache entries, at least 1 (LRU beyond that); each distinct source \
+             compiles once.")
   in
   let strict_arg =
     Arg.(
@@ -1089,18 +1110,9 @@ let install_trace_env_hook () =
       Obs.Recorder.set_enabled true;
       at_exit (fun () ->
           Obs.Recorder.set_enabled false;
-          let json =
-            Obs.Export.chrome_json (Obs.Export.of_recorder ~pid:0 (Obs.Recorder.dump ()))
-          in
-          match Obs.Json_strict.validate_chrome_trace json with
-          | Ok _ -> (
-              try
-                let oc = open_out_bin path in
-                output_string oc json;
-                close_out_noerr oc
-              with Sys_error reason ->
-                Fmt.epr "COMMSET_TRACE: cannot write '%s': %s@." path reason)
-          | Error e -> Fmt.epr "COMMSET_TRACE: internal: trace failed validation: %s@." e)
+          match write_trace path (Obs.Export.of_recorder ~pid:0 (Obs.Recorder.dump ())) with
+          | Ok _ -> ()
+          | Error (_, e) -> Fmt.epr "COMMSET_TRACE: %s@." e)
 
 let () =
   let doc = "the COMMSET implicit-parallelism compiler (PLDI 2011 reproduction)" in

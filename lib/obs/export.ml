@@ -111,90 +111,39 @@ let of_sim_timelines ~pid ~name (timelines : (float * float * string) list array
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let add_escaped buf s = Buffer.add_string buf (Metrics.json_escape s)
+module J = Json_strict
 
-(* trace-event timestamps: plain decimal, never scientific notation *)
-let add_us buf v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.0f" v)
-  else Buffer.add_string buf (Printf.sprintf "%.3f" v)
+let event_json ev =
+  let head ph ~pid ~tid name =
+    [ ("ph", J.Str ph); ("pid", J.int pid); ("tid", J.int tid); ("name", J.Str name) ]
+  in
+  let args = function
+    | [] -> []
+    | args ->
+        let arg = function Astr s -> J.Str s | Aint n -> J.int n | Afloat v -> J.Num v in
+        [ ("args", J.Obj (List.map (fun (k, a) -> (k, arg a)) args)) ]
+  in
+  J.Obj
+    (match ev with
+    | Complete { pid; tid; name; cat; ts; dur; args = a } ->
+        head "X" ~pid ~tid name
+        @ [ ("cat", J.Str cat); ("ts", J.Num ts); ("dur", J.Num (Float.max 0. dur)) ]
+        @ args a
+    | Instant { pid; tid; name; cat; ts; args = a } ->
+        head "i" ~pid ~tid name
+        @ [ ("cat", J.Str cat); ("ts", J.Num ts); ("s", J.Str "t") ]
+        @ args a
+    | Counter { pid; tid; name; ts; series } ->
+        head "C" ~pid ~tid name
+        @ (("ts", J.Num ts) :: args (List.map (fun (k, v) -> (k, Afloat v)) series))
+    | Process_name { pid; name } ->
+        head "M" ~pid ~tid:0 "process_name" @ args [ ("name", Astr name) ]
+    | Thread_name { pid; tid; name } ->
+        head "M" ~pid ~tid "thread_name" @ args [ ("name", Astr name) ])
 
-let add_arg buf (k, a) =
-  Buffer.add_char buf '"';
-  add_escaped buf k;
-  Buffer.add_string buf "\": ";
-  match a with
-  | Astr s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
-  | Aint n -> Buffer.add_string buf (string_of_int n)
-  | Afloat v -> add_us buf v
-
-let add_args buf = function
-  | [] -> ()
-  | args ->
-      Buffer.add_string buf ", \"args\": { ";
-      List.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_string buf ", ";
-          add_arg buf a)
-        args;
-      Buffer.add_string buf " }"
-
-let add_common buf ~ph ~pid ~tid ~name ~cat ~ts =
-  Buffer.add_string buf (Printf.sprintf "{ \"ph\": \"%s\", \"pid\": %d, \"tid\": %d" ph pid tid);
-  (match name with
-  | Some n ->
-      Buffer.add_string buf ", \"name\": \"";
-      add_escaped buf n;
-      Buffer.add_char buf '"'
-  | None -> ());
-  (match cat with
-  | Some c ->
-      Buffer.add_string buf ", \"cat\": \"";
-      add_escaped buf c;
-      Buffer.add_char buf '"'
-  | None -> ());
-  match ts with
-  | Some t ->
-      Buffer.add_string buf ", \"ts\": ";
-      add_us buf t
-  | None -> ()
-
-let add_event buf = function
-  | Complete { pid; tid; name; cat; ts; dur; args } ->
-      add_common buf ~ph:"X" ~pid ~tid ~name:(Some name) ~cat:(Some cat) ~ts:(Some ts);
-      Buffer.add_string buf ", \"dur\": ";
-      add_us buf (Float.max 0. dur);
-      add_args buf args;
-      Buffer.add_string buf " }"
-  | Instant { pid; tid; name; cat; ts; args } ->
-      add_common buf ~ph:"i" ~pid ~tid ~name:(Some name) ~cat:(Some cat) ~ts:(Some ts);
-      Buffer.add_string buf ", \"s\": \"t\"";
-      add_args buf args;
-      Buffer.add_string buf " }"
-  | Counter { pid; tid; name; ts; series } ->
-      add_common buf ~ph:"C" ~pid ~tid ~name:(Some name) ~cat:None ~ts:(Some ts);
-      add_args buf (List.map (fun (k, v) -> (k, Afloat v)) series);
-      Buffer.add_string buf " }"
-  | Process_name { pid; name } ->
-      add_common buf ~ph:"M" ~pid ~tid:0 ~name:(Some "process_name") ~cat:None ~ts:None;
-      add_args buf [ ("name", Astr name) ];
-      Buffer.add_string buf " }"
-  | Thread_name { pid; tid; name } ->
-      add_common buf ~ph:"M" ~pid ~tid ~name:(Some "thread_name") ~cat:None ~ts:None;
-      add_args buf [ ("name", Astr name) ];
-      Buffer.add_string buf " }"
-
+(* one event per line *)
 let chrome_json (events : event list) : string =
-  let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{ \"traceEvents\": [";
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n";
-      add_event buf ev)
-    events;
-  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\" }\n";
-  Buffer.contents buf
+  J.to_string ~expand:2
+    (J.Obj
+       [ ("traceEvents", J.Arr (List.map event_json events)); ("displayTimeUnit", J.Str "ms") ])
+  ^ "\n"

@@ -1,5 +1,6 @@
-(** Strict JSON parser; see the interface. Recursive descent over a
-    string with a mutable cursor; errors carry the byte offset. *)
+(** JSON values, their printer and a strict parser; see the interface.
+    The parser is recursive descent over a string with a mutable
+    cursor; errors carry the byte offset. *)
 
 type t =
   | Null
@@ -8,6 +9,81 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
+
+let int n = Num (float_of_int n)
+let opt f = function Some v -> f v | None -> Null
+
+(* ------------------------------------------------------------------ *)
+(* Printer                                                             *)
+(* ------------------------------------------------------------------ *)
+
+let add_string b s =
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"'
+
+(* %.15g reads back exactly whenever some decimal of at most 15 digits
+   does, and %.17g always does *)
+let number f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 0x1p53 then Printf.sprintf "%.0f" f
+  else
+    let shortest p = Printf.sprintf "%.*g" p f in
+    let s = shortest 15 in
+    if float_of_string s = f then s
+    else
+      let s = shortest 16 in
+      if float_of_string s = f then s else shortest 17
+
+let to_string ?(expand = 0) v =
+  let b = Buffer.create 1024 in
+  let rec add depth = function
+    | Null -> Buffer.add_string b "null"
+    | Bool x -> Buffer.add_string b (string_of_bool x)
+    | Num f -> Buffer.add_string b (number f)
+    | Str s -> add_string b s
+    | Arr xs -> seq depth '[' ']' (add (depth + 1)) xs
+    | Obj kvs ->
+        let sep = if depth < expand then ": " else ":" in
+        seq depth '{' '}'
+          (fun (k, v) ->
+            add_string b k;
+            Buffer.add_string b sep;
+            add (depth + 1) v)
+          kvs
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun depth op cl item xs ->
+    let break n =
+      if depth < expand && xs <> [] then (
+        Buffer.add_char b '\n';
+        Buffer.add_string b (String.make (2 * n) ' '))
+    in
+    Buffer.add_char b op;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        break (depth + 1);
+        item x)
+      xs;
+    break depth;
+    Buffer.add_char b cl
+  in
+  add 0 v;
+  Buffer.contents b
+
+(* ------------------------------------------------------------------ *)
+(* Parser                                                              *)
+(* ------------------------------------------------------------------ *)
 
 exception Fail of string
 

@@ -1,5 +1,7 @@
-(** A strict JSON parser (RFC 8259 grammar, no extensions) and a
-    Chrome trace-event validator over it.
+(** The one JSON layer: a value type, its printer, a strict parser
+    (RFC 8259 grammar, no extensions) and a Chrome trace-event
+    validator over it. Every machine-readable document the program
+    writes is built as a {!t} and printed by {!to_string}.
 
     Strictness: no trailing commas, no comments, no [NaN]/[Infinity],
     no unquoted keys, duplicate keys within one object rejected, the
@@ -14,6 +16,25 @@ type t =
   | Str of string
   | Arr of t list
   | Obj of (string * t) list  (** in source order; keys unique *)
+
+(** [int n] is [Num (float_of_int n)]. *)
+val int : int -> t
+
+(** [opt f x] is [f v] for [Some v] and [Null] for [None]. *)
+val opt : ('a -> t) -> 'a option -> t
+
+(** [to_string v] prints [v] as JSON. Strings escape the quote, the
+    backslash and every control byte (other bytes pass through); an
+    integral number below 2{^53} in magnitude prints without a
+    fraction, any other finite number as the shortest decimal that
+    reads back to the same float, and a non-finite number as [null] (a
+    schema that needs a number then rejects it). The output is compact. With [~expand:d],
+    containers nested less than [d] deep put each element on its own
+    line, indented two spaces per level — a trace with one event per
+    line, or a committed file reviewed as a diff. For any value with
+    unique keys, [parse (to_string v) = Ok v] up to non-finite
+    numbers. *)
+val to_string : ?expand:int -> t -> string
 
 val parse : string -> (t, string) result
 

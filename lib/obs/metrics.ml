@@ -138,78 +138,45 @@ let snapshot () =
           ])
     (sorted_entries ())
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* a float rendered as a syntactically valid JSON number *)
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6f" v
+module J = Json_strict
 
 let to_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{ \"metrics\": [";
-  List.iteri
-    (fun i (name, m, doc) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n  { \"name\": \"";
-      Buffer.add_string buf (json_escape name);
-      Buffer.add_string buf "\"";
-      if doc <> "" then begin
-        Buffer.add_string buf ", \"doc\": \"";
-        Buffer.add_string buf (json_escape doc);
-        Buffer.add_string buf "\""
-      end;
-      (match m with
-      | Mcounter c ->
-          Buffer.add_string buf
-            (Printf.sprintf ", \"kind\": \"counter\", \"value\": %d" (Atomic.get c))
-      | Mgauge g ->
-          Buffer.add_string buf
-            (Printf.sprintf ", \"kind\": \"gauge\", \"value\": %s" (json_float (Atomic.get g)))
+  let metric (name, m, doc) =
+    let fields =
+      match m with
+      | Mcounter c -> [ ("kind", J.Str "counter"); ("value", J.int (Atomic.get c)) ]
+      | Mgauge g -> [ ("kind", J.Str "gauge"); ("value", J.Num (Atomic.get g)) ]
       | Mhist h ->
-          Buffer.add_string buf
-            (Printf.sprintf ", \"kind\": \"histogram\", \"count\": %d, \"sum\": %s"
-               (Atomic.get h.h_count)
-               (json_float (Atomic.get h.h_sum)));
-          Buffer.add_string buf
-            (Printf.sprintf ", \"p50\": %s, \"p95\": %s, \"p99\": %s"
-               (json_float (hist_quantile h 0.50))
-               (json_float (hist_quantile h 0.95))
-               (json_float (hist_quantile h 0.99)));
-          Buffer.add_string buf ", \"buckets\": { ";
-          let first = ref true in
+          let buckets = ref [] in
           Array.iteri
             (fun i b ->
               let n = Atomic.get b in
-              if n > 0 then begin
-                if not !first then Buffer.add_string buf ", ";
-                first := false;
-                Buffer.add_string buf (Printf.sprintf "\"%d\": %d" (i - 32) n)
-              end)
+              if n > 0 then buckets := (string_of_int (i - 32), J.int n) :: !buckets)
             h.h_buckets;
-          Buffer.add_string buf " }");
-      Buffer.add_string buf " }")
-    (sorted_entries ());
-  Buffer.add_string buf "\n] }\n";
-  Buffer.contents buf
+          [
+            ("kind", J.Str "histogram");
+            ("count", J.int (Atomic.get h.h_count));
+            ("sum", J.Num (Atomic.get h.h_sum));
+            ("p50", J.Num (hist_quantile h 0.50));
+            ("p95", J.Num (hist_quantile h 0.95));
+            ("p99", J.Num (hist_quantile h 0.99));
+            ("buckets", J.Obj (List.rev !buckets));
+          ]
+    in
+    let doc = if doc = "" then [] else [ ("doc", J.Str doc) ] in
+    J.Obj ((("name", J.Str name) :: doc) @ fields)
+  in
+  J.to_string (J.Obj [ ("metrics", J.Arr (List.map metric (sorted_entries ()))) ]) ^ "\n"
 
 let to_text () =
   let buf = Buffer.create 512 in
   List.iter
-    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%-40s %s\n" name (json_float v)))
+    (fun (name, v) ->
+      let v =
+        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+        else Printf.sprintf "%.6f" v
+      in
+      Buffer.add_string buf (Printf.sprintf "%-40s %s\n" name v))
     (snapshot ());
   Buffer.contents buf
 

@@ -76,6 +76,3 @@ val to_text : unit -> string
 
 (** Zero every registered metric (tests and benchmark legs). *)
 val reset : unit -> unit
-
-(** JSON string-body escaping (shared with the trace exporter). *)
-val json_escape : string -> string

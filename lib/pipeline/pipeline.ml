@@ -88,6 +88,11 @@ let fidelity_to_string = function
   | Multiset_equal -> "multiset-equal"
   | Mismatch -> "MISMATCH"
 
+let fidelity_name = function
+  | Exact -> "exact"
+  | Multiset_equal -> "multiset-equal"
+  | Mismatch -> "MISMATCH"
+
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -80,7 +80,12 @@ type run = {
   timelines : (float * float * string) list array;
 }
 
+(** For people: [exact (deterministic)], [multiset-equal], [MISMATCH]. *)
 val fidelity_to_string : output_fidelity -> string
+
+(** The one machine-readable name every JSON document uses: [exact],
+    [multiset-equal], [MISMATCH]. *)
+val fidelity_name : output_fidelity -> string
 
 (** Compile a miniC source. Raises {!Diag.Error} on any frontend,
     metadata, well-formedness or runtime failure. With [~verify:true]

@@ -3,12 +3,7 @@
 module P = Commset_pipeline.Pipeline
 module X = Commset_exec.Exec
 module Attrib = Commset_obs.Attrib
-module Metrics = Commset_obs.Metrics
-
-let fidelity_name = function
-  | P.Exact -> "exact"
-  | P.Multiset_equal -> "multiset-equal"
-  | P.Mismatch -> "MISMATCH"
+module J = Commset_obs.Json_strict
 
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
@@ -121,7 +116,7 @@ let render_text ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
               r.P.xstats.X.x_engine;
               f2 r.P.xpredicted;
               f2 r.P.xstats.X.x_measured_speedup;
-              fidelity_name r.P.xfidelity;
+              P.fidelity_name r.P.xfidelity;
               string_of_int r.P.xstats.X.x_iterations;
               Printf.sprintf "%.3f" (r.P.xstats.X.x_wall_par_s *. 1e3);
             ])
@@ -140,109 +135,80 @@ let render_text ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let num v =
-  let v = if Float.is_finite v then v else 0. in
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-let str s = "\"" ^ Metrics.json_escape s ^ "\""
-let opt_str = function None -> "null" | Some s -> str s
-let bool b = if b then "true" else "false"
-
-let obj fields = "{ " ^ String.concat ", " (List.map (fun (k, v) -> str k ^ ": " ^ v) fields) ^ " }"
-let arr items = "[" ^ String.concat ", " items ^ "]"
-
 let attrib_json (s : Attrib.summary) =
-  obj
+  let rows f l = J.Arr (List.map (fun x -> J.Obj (f x)) l) in
+  let k = s.Attrib.a_coord in
+  J.Obj
     [
-      ("jobs", string_of_int s.Attrib.a_jobs);
-      ("iterations", string_of_int s.Attrib.a_iterations);
-      ("iter_wall_ns", num s.Attrib.a_iter_wall_ns);
-      ("charged_cycles", num s.Attrib.a_charged_cycles);
-      ("conservation_error", num s.Attrib.a_conservation_error);
-      ("charge_flushes", string_of_int s.Attrib.a_charge_flushes);
+      ("jobs", J.int s.Attrib.a_jobs);
+      ("iterations", J.int s.Attrib.a_iterations);
+      ("iter_wall_ns", J.Num s.Attrib.a_iter_wall_ns);
+      ("charged_cycles", J.Num s.Attrib.a_charged_cycles);
+      ("conservation_error", J.Num s.Attrib.a_conservation_error);
+      ("charge_flushes", J.int s.Attrib.a_charge_flushes);
       ( "causes",
-        arr
-          (List.map
-             (fun c ->
-               obj
-                 [
-                   ("cause", str c.Attrib.c_name);
-                   ("total_ns", num c.Attrib.c_total_ns);
-                   ("count", string_of_int c.Attrib.c_count);
-                   ("p50_ns", num c.Attrib.c_p50_ns);
-                   ("p95_ns", num c.Attrib.c_p95_ns);
-                   ("p99_ns", num c.Attrib.c_p99_ns);
-                 ])
-             s.Attrib.a_causes) );
+        rows
+          (fun c ->
+            [ ("cause", J.Str c.Attrib.c_name); ("total_ns", J.Num c.Attrib.c_total_ns);
+              ("count", J.int c.Attrib.c_count); ("p50_ns", J.Num c.Attrib.c_p50_ns);
+              ("p95_ns", J.Num c.Attrib.c_p95_ns); ("p99_ns", J.Num c.Attrib.c_p99_ns) ])
+          s.Attrib.a_causes );
       ( "locks",
-        arr
-          (List.map
-             (fun l ->
-               obj
-                 [
-                   ("name", str l.Attrib.l_name);
-                   ("acquires", string_of_int l.Attrib.l_acquires);
-                   ("wait_ns", num l.Attrib.l_wait_ns);
-                 ])
-             s.Attrib.a_locks) );
+        rows
+          (fun l ->
+            [ ("name", J.Str l.Attrib.l_name); ("acquires", J.int l.Attrib.l_acquires);
+              ("wait_ns", J.Num l.Attrib.l_wait_ns) ])
+          s.Attrib.a_locks );
       ( "builtins",
-        arr
-          (List.map
-             (fun b ->
-               obj
-                 [
-                   ("name", str b.Attrib.b_name);
-                   ("calls", string_of_int b.Attrib.b_calls);
-                   ("wall_ns", num b.Attrib.b_wall_ns);
-                   ("charged_cycles", num b.Attrib.b_cost_cycles);
-                 ])
-             s.Attrib.a_builtins) );
+        rows
+          (fun b ->
+            [ ("name", J.Str b.Attrib.b_name); ("calls", J.int b.Attrib.b_calls);
+              ("wall_ns", J.Num b.Attrib.b_wall_ns);
+              ("charged_cycles", J.Num b.Attrib.b_cost_cycles) ])
+          s.Attrib.a_builtins );
       ( "coordinator",
-        obj
-          [
-            ("wall_ns", num s.Attrib.a_coord.Attrib.k_wall_ns);
-            ("dispatch_wait_ns", num s.Attrib.a_coord.Attrib.k_dispatch_wait_ns);
-            ("utilization", num s.Attrib.a_coord.Attrib.k_utilization);
-            ("merge_ns", num s.Attrib.a_coord.Attrib.k_merge_ns);
-          ] );
+        J.Obj
+          [ ("wall_ns", J.Num k.Attrib.k_wall_ns);
+            ("dispatch_wait_ns", J.Num k.Attrib.k_dispatch_wait_ns);
+            ("utilization", J.Num k.Attrib.k_utilization); ("merge_ns", J.Num k.Attrib.k_merge_ns) ]
+      );
     ]
 
 let plan_json (r : P.exec_run) =
   let x = r.P.xstats in
-  obj
+  J.Obj
     [
-      ("plan", str r.P.xplan.Commset_transforms.Plan.label);
-      ("engine", str x.X.x_engine);
-      ("engine_reason", opt_str x.X.x_engine_reason);
-      ("predicted_speedup", num r.P.xpredicted);
-      ("measured_speedup", num x.X.x_measured_speedup);
-      ("fidelity", str (fidelity_name r.P.xfidelity));
-      ("threads", string_of_int x.X.x_threads);
-      ("wall_seq_s", num x.X.x_wall_seq_s);
-      ("wall_par_s", num x.X.x_wall_par_s);
-      ("iterations", string_of_int x.X.x_iterations);
-      ("steps", string_of_int x.X.x_steps);
-      ("lock_contended", string_of_int x.X.x_lock_contended);
-      ("queue_full_waits", string_of_int x.X.x_queue_full_waits);
-      ("queue_empty_waits", string_of_int x.X.x_queue_empty_waits);
-      ("frontier_waits", string_of_int x.X.x_frontier_waits);
-      ("buffered_updates", string_of_int x.X.x_buffered_updates);
-      ("merge_s", num x.X.x_merge_s);
-      ("codegen_cache_hit", bool x.X.x_codegen_cache_hit);
-      ("codegen_compile_s", num x.X.x_codegen_compile_s);
-      ( "attribution",
-        match x.X.x_attrib with None -> "null" | Some s -> attrib_json s );
+      ("plan", J.Str r.P.xplan.Commset_transforms.Plan.label);
+      ("engine", J.Str x.X.x_engine);
+      ("engine_reason", J.opt (fun s -> J.Str s) x.X.x_engine_reason);
+      ("predicted_speedup", J.Num r.P.xpredicted);
+      ("measured_speedup", J.Num x.X.x_measured_speedup);
+      ("fidelity", J.Str (P.fidelity_name r.P.xfidelity));
+      ("threads", J.int x.X.x_threads);
+      ("wall_seq_s", J.Num x.X.x_wall_seq_s);
+      ("wall_par_s", J.Num x.X.x_wall_par_s);
+      ("iterations", J.int x.X.x_iterations);
+      ("steps", J.int x.X.x_steps);
+      ("lock_contended", J.int x.X.x_lock_contended);
+      ("queue_full_waits", J.int x.X.x_queue_full_waits);
+      ("queue_empty_waits", J.int x.X.x_queue_empty_waits);
+      ("frontier_waits", J.int x.X.x_frontier_waits);
+      ("buffered_updates", J.int x.X.x_buffered_updates);
+      ("merge_s", J.Num x.X.x_merge_s);
+      ("codegen_cache_hit", J.Bool x.X.x_codegen_cache_hit);
+      ("codegen_compile_s", J.Num x.X.x_codegen_compile_s);
+      ("attribution", J.opt attrib_json x.X.x_attrib);
     ]
 
 let render_json ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
-  obj
-    [
-      ("workload", str workload);
-      ("engine_requested", str engine);
-      ("jobs", string_of_int jobs);
-      ("available_cores", string_of_int cores);
-      ("oversubscribed", bool (jobs + 1 > cores));
-      ("plans", arr (List.map plan_json runs));
-    ]
+  J.to_string
+    (J.Obj
+       [
+         ("workload", J.Str workload);
+         ("engine_requested", J.Str engine);
+         ("jobs", J.int jobs);
+         ("available_cores", J.int cores);
+         ("oversubscribed", J.Bool (jobs + 1 > cores));
+         ("plans", J.Arr (List.map plan_json runs));
+       ])
   ^ "\n"

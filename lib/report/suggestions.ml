@@ -3,6 +3,7 @@
 
 module Synth = Commset_synth.Synth
 module Diag = Commset_support.Diag
+module J = Commset_obs.Json_strict
 
 let kind_str = function
   | Commset_lang.Ast.Group_set -> "group"
@@ -55,51 +56,47 @@ let render (r : Synth.result) : string =
 
 (* ---- JSON ----------------------------------------------------------- *)
 
-let jstr s = Printf.sprintf "\"%s\"" (Commset_obs.Metrics.json_escape s)
-let jopt_str = function Some s -> jstr s | None -> "null"
-let jfloat f = Printf.sprintf "%.4f" f
-let jopt_float = function Some f -> jfloat f | None -> "null"
-let jlist l = Printf.sprintf "[%s]" (String.concat "," l)
+let json_of_anchor a =
+  let line kind l = [ ("kind", J.Str kind); ("line", J.int l) ] in
+  J.Obj
+    (match a with
+    | Synth.Ablock l -> line "block" l
+    | Synth.Awrap l -> line "wrap" l
+    | Synth.Adecl_split l -> line "decl-split" l
+    | Synth.Afun f -> [ ("kind", J.Str "function"); ("function", J.Str f) ])
 
-let json_of_anchor = function
-  | Synth.Ablock l -> Printf.sprintf "{\"kind\":\"block\",\"line\":%d}" l
-  | Synth.Awrap l -> Printf.sprintf "{\"kind\":\"wrap\",\"line\":%d}" l
-  | Synth.Adecl_split l -> Printf.sprintf "{\"kind\":\"decl-split\",\"line\":%d}" l
-  | Synth.Afun f -> Printf.sprintf "{\"kind\":\"function\",\"function\":%s}" (jstr f)
+let strs l = J.Arr (List.map (fun s -> J.Str s) l)
 
 let json_of_member (m : Synth.member) =
-  Printf.sprintf "{\"anchor\":%s,\"desc\":%s,\"refs\":%s}"
-    (json_of_anchor m.Synth.m_anchor)
-    (jstr m.Synth.m_desc)
-    (jlist (List.map jstr m.Synth.m_refs))
+  J.Obj
+    [
+      ("anchor", json_of_anchor m.Synth.m_anchor);
+      ("desc", J.Str m.Synth.m_desc);
+      ("refs", strs m.Synth.m_refs);
+    ]
 
 let json_of_suggestion (s : Synth.suggestion) =
-  Printf.sprintf
-    "{\"set\":%s,\"kind\":%s,\"predicate\":%s,\"speedup\":%s,\"recommended\":%b,\"members\":%s,\"pragmas\":%s}"
-    (jopt_str s.Synth.sg_set)
-    (jstr (kind_str s.Synth.sg_kind))
-    (jopt_str s.Synth.sg_predicate)
-    (jopt_float s.Synth.sg_speedup)
-    s.Synth.sg_recommended
-    (jlist (List.map json_of_member s.Synth.sg_members))
-    (jlist (List.map jstr s.Synth.sg_pragmas))
-
-let json_of_diag (d : Diag.diagnostic) =
-  Printf.sprintf "{\"severity\":%s,\"code\":%s,\"message\":%s}"
-    (jstr
-       (match d.Diag.severity with
-       | Diag.Error_sev -> "error"
-       | Diag.Warning_sev -> "warning"))
-    (jopt_str d.Diag.code)
-    (jstr d.Diag.message)
+  J.Obj
+    [
+      ("set", J.opt (fun n -> J.Str n) s.Synth.sg_set);
+      ("kind", J.Str (kind_str s.Synth.sg_kind));
+      ("predicate", J.opt (fun p -> J.Str p) s.Synth.sg_predicate);
+      ("speedup", J.opt (fun f -> J.Num f) s.Synth.sg_speedup);
+      ("recommended", J.Bool s.Synth.sg_recommended);
+      ("members", J.Arr (List.map json_of_member s.Synth.sg_members));
+      ("pragmas", strs s.Synth.sg_pragmas);
+    ]
 
 let render_json (r : Synth.result) : string =
-  Printf.sprintf
-    "{\"name\":%s,\"speedup\":{\"baseline\":%s,\"bundle\":%s,\"hand\":%s},\"suggestions\":%s,\"diagnostics\":%s,\"source\":%s}"
-    (jstr r.Synth.r_name)
-    (jfloat r.Synth.r_baseline)
-    (jfloat r.Synth.r_bundle)
-    (jopt_float r.Synth.r_hand)
-    (jlist (List.map json_of_suggestion r.Synth.r_suggestions))
-    (jlist (List.map json_of_diag r.Synth.r_diags))
-    (jstr r.Synth.r_source)
+  J.to_string
+    (J.Obj
+       [
+         ("name", J.Str r.Synth.r_name);
+         ( "speedup",
+           J.Obj
+             [ ("baseline", J.Num r.Synth.r_baseline); ("bundle", J.Num r.Synth.r_bundle);
+               ("hand", J.opt (fun f -> J.Num f) r.Synth.r_hand) ] );
+         ("suggestions", J.Arr (List.map json_of_suggestion r.Synth.r_suggestions));
+         ("diagnostics", J.Arr (List.map Diag.to_json r.Synth.r_diags));
+         ("source", J.Str r.Synth.r_source);
+       ])

@@ -4,8 +4,7 @@
 module V = Commset_verify
 module Verdict = V.Verdict
 module Diag = Commset_support.Diag
-module Loc = Commset_support.Loc
-module Metrics = Commset_obs.Metrics
+module J = Commset_obs.Json_strict
 
 let verdict_cell = function
   | Verdict.Proved _ -> "proved"
@@ -43,35 +42,28 @@ let render (r : Verdict.report) : string =
 let json_of_pair (p : Verdict.pair) =
   let source =
     match p.Verdict.pverdict with
-    | Verdict.Refuted cx ->
-        Printf.sprintf ",\"source\":\"%s\""
-          (Metrics.json_escape (Verdict.source_to_string cx.Verdict.cx_source))
-    | _ -> ""
+    | Verdict.Refuted cx -> [ ("source", J.Str (Verdict.source_to_string cx.Verdict.cx_source)) ]
+    | _ -> []
   in
-  Printf.sprintf
-    "{\"set\":\"%s\",\"pair\":\"%s\",\"verdict\":\"%s\",\"trials\":%d,\"why\":\"%s\"%s}"
-    (Metrics.json_escape p.Verdict.pset)
-    (Metrics.json_escape (Verdict.pair_label p))
-    (Metrics.json_escape (verdict_cell p.Verdict.pverdict))
-    p.Verdict.ptrials
-    (Metrics.json_escape (verdict_why p.Verdict.pverdict))
-    source
-
-let json_of_diag (d : Diag.diagnostic) =
-  let code = match d.Diag.code with Some c -> c | None -> "" in
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"code\":\"%s\",\"loc\":\"%s\",\"message\":\"%s\"}"
-    (match d.Diag.severity with
-    | Diag.Error_sev -> "error"
-    | Diag.Warning_sev -> "warning")
-    (Metrics.json_escape code)
-    (Metrics.json_escape (Format.asprintf "%a" Loc.pp d.Diag.loc))
-    (Metrics.json_escape d.Diag.message)
+  J.Obj
+    ([
+       ("set", J.Str p.Verdict.pset);
+       ("pair", J.Str (Verdict.pair_label p));
+       ("verdict", J.Str (verdict_cell p.Verdict.pverdict));
+       ("trials", J.int p.Verdict.ptrials);
+       ("why", J.Str (verdict_why p.Verdict.pverdict));
+     ]
+    @ source)
 
 (** The whole lint outcome as one JSON object: verdicts plus diagnostics. *)
 let render_json (r : Verdict.report) (diags : Diag.diagnostic list) : string =
-  Printf.sprintf
-    "{\"pairs\":[%s],\"diagnostics\":[%s],\"summary\":{\"proved\":%d,\"unknown\":%d,\"refuted\":%d}}"
-    (String.concat "," (List.map json_of_pair r.Verdict.rpairs))
-    (String.concat "," (List.map json_of_diag diags))
-    (Verdict.n_proved r) (Verdict.n_unknown r) (Verdict.n_refuted r)
+  J.to_string
+    (J.Obj
+       [
+         ("pairs", J.Arr (List.map json_of_pair r.Verdict.rpairs));
+         ("diagnostics", J.Arr (List.map Diag.to_json diags));
+         ( "summary",
+           J.Obj
+             [ ("proved", J.int (Verdict.n_proved r)); ("unknown", J.int (Verdict.n_unknown r));
+               ("refuted", J.int (Verdict.n_refuted r)) ] );
+       ])

@@ -1,7 +1,6 @@
 (** Length-prefixed strict-JSON framing; see the interface. *)
 
 module J = Commset_obs.Json_strict
-module Metrics = Commset_obs.Metrics
 
 let max_frame = 16 * 1024 * 1024
 
@@ -90,17 +89,15 @@ type request = {
   rq_echo : bool;
 }
 
-let esc = Metrics.json_escape
-
 let request_to_json r =
   let body =
     match (r.rq_workload, r.rq_source) with
-    | Some w, _ -> Printf.sprintf {|"workload":"%s"|} (esc w)
-    | None, Some s -> Printf.sprintf {|"source":"%s"|} (esc s)
+    | Some w, _ -> ("workload", J.Str w)
+    | None, Some s -> ("source", J.Str s)
     | None, None -> invalid_arg "Proto.request_to_json: no workload or source"
   in
-  let echo = if r.rq_echo then {|,"echo":true|} else "" in
-  Printf.sprintf {|{"id":%d,%s%s}|} r.rq_id body echo
+  let echo = if r.rq_echo then [ ("echo", J.Bool true) ] else [] in
+  J.to_string (J.Obj (("id", J.int r.rq_id) :: body :: echo))
 
 let str_member name obj =
   match J.member name obj with Some (J.Str s) -> Some s | _ -> None
@@ -111,11 +108,21 @@ let num_member name obj =
 let bool_member name obj =
   match J.member name obj with Some (J.Bool b) -> Some b | _ -> None
 
+(* An absent member reads as 0; a present one must be an integer below
+   2^53 in magnitude, where every integer is exactly a float. *)
+let int_member name obj =
+  match J.member name obj with
+  | None -> Ok 0
+  | Some (J.Num n) when Float.is_integer n && Float.abs n < 0x1p53 -> Ok (int_of_float n)
+  | Some _ -> Error (Printf.sprintf "\"%s\" is not an integer below 2^53 in magnitude" name)
+
+let ( let* ) = Result.bind
+
 let request_of_json s =
   match J.parse s with
   | Error e -> Error ("request is not strict JSON: " ^ e)
   | Ok (J.Obj _ as obj) -> (
-      let id = match num_member "id" obj with Some n -> int_of_float n | None -> 0 in
+      let* id = int_member "id" obj in
       let workload = str_member "workload" obj in
       let source = str_member "source" obj in
       let echo = Option.value ~default:false (bool_member "echo" obj) in
@@ -138,36 +145,26 @@ type response = {
 }
 
 let response_to_json r =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf {|{"id":%d,"status":"%s"|} r.rs_id
-                           (match r.rs_error with None -> "ok" | Some _ -> "error"));
-  (match r.rs_error with
-  | Some e -> Buffer.add_string buf (Printf.sprintf {|,"error":"%s"|} (esc e))
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf {|,"workload":"%s","cache":"%s","n_outputs":%d,"digest":"%s"|}
-       (esc r.rs_workload)
-       (if r.rs_hit then "hit" else "miss")
-       r.rs_n_outputs (esc r.rs_digest));
-  (match r.rs_outputs with
-  | Some lines ->
-      Buffer.add_string buf {|,"outputs":[|};
-      List.iteri
-        (fun i line ->
-          if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf {|"%s"|} (esc line)))
-        lines;
-      Buffer.add_char buf ']'
-  | None -> ());
-  Buffer.add_string buf
-    (Printf.sprintf {|,"queue_us":%.1f,"service_us":%.1f}|} r.rs_queue_us r.rs_service_us);
-  Buffer.contents buf
+  let some k f = function Some v -> [ (k, f v) ] | None -> [] in
+  J.to_string
+    (J.Obj
+       ([ ("id", J.int r.rs_id); ("status", J.Str (if r.rs_error = None then "ok" else "error")) ]
+       @ some "error" (fun e -> J.Str e) r.rs_error
+       @ [
+           ("workload", J.Str r.rs_workload);
+           ("cache", J.Str (if r.rs_hit then "hit" else "miss"));
+           ("n_outputs", J.int r.rs_n_outputs);
+           ("digest", J.Str r.rs_digest);
+         ]
+       @ some "outputs" (fun ls -> J.Arr (List.map (fun l -> J.Str l) ls)) r.rs_outputs
+       @ [ ("queue_us", J.Num r.rs_queue_us); ("service_us", J.Num r.rs_service_us) ]))
 
 let response_of_json s =
   match J.parse s with
   | Error e -> Error ("response is not strict JSON: " ^ e)
   | Ok (J.Obj _ as obj) ->
-      let id = match num_member "id" obj with Some n -> int_of_float n | None -> 0 in
+      let* id = int_member "id" obj in
+      let* n_outputs = int_member "n_outputs" obj in
       let error =
         match str_member "status" obj with
         | Some "ok" -> None
@@ -185,8 +182,7 @@ let response_of_json s =
           rs_error = error;
           rs_workload = Option.value ~default:"" (str_member "workload" obj);
           rs_hit = str_member "cache" obj = Some "hit";
-          rs_n_outputs =
-            int_of_float (Option.value ~default:0. (num_member "n_outputs" obj));
+          rs_n_outputs = n_outputs;
           rs_digest = Option.value ~default:"" (str_member "digest" obj);
           rs_outputs = outputs;
           rs_queue_us = Option.value ~default:0. (num_member "queue_us" obj);

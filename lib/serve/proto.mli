@@ -51,7 +51,8 @@ type request = {
 val request_to_json : request -> string
 
 (** Strict parse + shape check: exactly one of ["workload"] /
-    ["source"] must be present. *)
+    ["source"] must be present, and a present ["id"] must be an integer
+    below 2{^53} in magnitude (an absent one reads as 0). *)
 val request_of_json : string -> (request, string) result
 
 type response = {
@@ -67,4 +68,6 @@ type response = {
 }
 
 val response_to_json : response -> string
+
+(** Same integer rule for ["id"] and ["n_outputs"]. *)
 val response_of_json : string -> (response, string) result

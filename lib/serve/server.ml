@@ -470,53 +470,61 @@ let run ?load ?socket cfg =
 
 (* ---------- report JSON ---------- *)
 
-let esc = Metrics.json_escape
-
-let json_latency l =
-  Printf.sprintf {|{"p50_us":%.1f,"p95_us":%.1f,"p99_us":%.1f,"mean_us":%.1f}|} l.p50_us
-    l.p95_us l.p99_us l.mean_us
-
-let json_opt_num = function None -> "null" | Some x -> Printf.sprintf "%.6f" x
-let json_opt_str = function None -> "null" | Some s -> Printf.sprintf {|"%s"|} (esc s)
-
 let report_json r =
   let cache = r.r_cache in
   let lookups = cache.Plancache.pc_hits + cache.Plancache.pc_misses in
   let hit_rate =
     if lookups = 0 then 1.0 else float_of_int cache.Plancache.pc_hits /. float_of_int lookups
   in
-  let workloads =
-    r.r_workloads
-    |> List.map (fun w ->
-           Printf.sprintf
-             {|{"name":"%s","key":"%s","requests":%d,"compile_s":%.6f,"best_plan":%s,"predicted_speedup":%s}|}
-             (esc w.wr_name) (esc w.wr_key) w.wr_requests w.wr_compile_s
-             (json_opt_str w.wr_best_plan)
-             (json_opt_num w.wr_predicted))
-    |> String.concat ","
+  let str s = J.Str s and num x = J.Num x in
+  let latency l =
+    J.Obj
+      [ ("p50_us", num l.p50_us); ("p95_us", num l.p95_us); ("p99_us", num l.p99_us);
+        ("mean_us", num l.mean_us) ]
   in
-  let mix =
-    r.r_mix
-    |> List.map (fun (n, w) -> Printf.sprintf {|{"name":"%s","weight":%.3f}|} (esc n) w)
-    |> String.concat ","
+  let workload w =
+    J.Obj
+      [ ("name", str w.wr_name); ("key", str w.wr_key); ("requests", J.int w.wr_requests);
+        ("compile_s", num w.wr_compile_s); ("best_plan", J.opt str w.wr_best_plan);
+        ("predicted_speedup", J.opt num w.wr_predicted) ]
   in
-  let s =
-    Printf.sprintf
-      {|{"requests_offered":%d,"requests_served":%d,"requests_failed":%d,"duration_s":%.6f,"throughput_rps":%.1f,"offered_rate_rps":%s,"jobs":%d,"available_cores":%d,"oversubscribed":%b,"latency_us":{"queue":%s,"service":%s,"total":%s},"equiv":{"every":%d,"checked":%d,"failures":%d,"first_failure":%s},"plan_cache":{"capacity":%d,"entries":%d,"hits":%d,"misses":%d,"evictions":%d,"single_flight_waits":%d,"compile_failures":%d,"hit_rate":%.6f},"pool":{"executed":%d,"task_errors":%d,"backpressure_waits":%d},"workloads":[%s],"drained":%b,"stopped_by":"%s","seed":%s,"burst":%s,"mix":[%s]}|}
-      r.r_offered r.r_served r.r_failed r.r_duration_s r.r_throughput_rps
-      (json_opt_num r.r_offered_rate_rps)
-      r.r_jobs r.r_cores r.r_oversubscribed (json_latency r.r_queue)
-      (json_latency r.r_service) (json_latency r.r_total) r.r_equiv_every r.r_equiv_checked
-      r.r_equiv_failures
-      (json_opt_str r.r_equiv_first_failure)
-      cache.Plancache.pc_capacity cache.Plancache.pc_entries cache.Plancache.pc_hits
-      cache.Plancache.pc_misses cache.Plancache.pc_evictions cache.Plancache.pc_waits
-      cache.Plancache.pc_failures hit_rate r.r_pool.Workers.w_executed
-      r.r_pool.Workers.w_task_errors r.r_pool.Workers.w_backpressure workloads r.r_drained
-      r.r_stopped_by
-      (match r.r_seed with None -> "null" | Some s -> string_of_int s)
-      (json_opt_num r.r_burst) mix
-  in
-  match J.parse s with
-  | Ok _ -> s
-  | Error e -> failwith ("Server.report_json produced invalid JSON: " ^ e)
+  J.Obj
+    [
+      ("requests_offered", J.int r.r_offered);
+      ("requests_served", J.int r.r_served);
+      ("requests_failed", J.int r.r_failed);
+      ("duration_s", num r.r_duration_s);
+      ("throughput_rps", num r.r_throughput_rps);
+      ("offered_rate_rps", J.opt num r.r_offered_rate_rps);
+      ("jobs", J.int r.r_jobs);
+      ("available_cores", J.int r.r_cores);
+      ("oversubscribed", J.Bool r.r_oversubscribed);
+      ( "latency_us",
+        J.Obj
+          [ ("queue", latency r.r_queue); ("service", latency r.r_service);
+            ("total", latency r.r_total) ] );
+      ( "equiv",
+        J.Obj
+          [ ("every", J.int r.r_equiv_every); ("checked", J.int r.r_equiv_checked);
+            ("failures", J.int r.r_equiv_failures);
+            ("first_failure", J.opt str r.r_equiv_first_failure) ] );
+      ( "plan_cache",
+        J.Obj
+          [ ("capacity", J.int cache.Plancache.pc_capacity);
+            ("entries", J.int cache.Plancache.pc_entries);
+            ("hits", J.int cache.Plancache.pc_hits); ("misses", J.int cache.Plancache.pc_misses);
+            ("evictions", J.int cache.Plancache.pc_evictions);
+            ("single_flight_waits", J.int cache.Plancache.pc_waits);
+            ("compile_failures", J.int cache.Plancache.pc_failures); ("hit_rate", num hit_rate) ] );
+      ( "pool",
+        J.Obj
+          [ ("executed", J.int r.r_pool.Workers.w_executed);
+            ("task_errors", J.int r.r_pool.Workers.w_task_errors);
+            ("backpressure_waits", J.int r.r_pool.Workers.w_backpressure) ] );
+      ("workloads", J.Arr (List.map workload r.r_workloads));
+      ("drained", J.Bool r.r_drained);
+      ("stopped_by", str r.r_stopped_by);
+      ("seed", J.opt J.int r.r_seed);
+      ("burst", J.opt num r.r_burst);
+      ("mix", J.Arr (List.map (fun (n, w) -> J.Obj [ ("name", str n); ("weight", num w) ]) r.r_mix));
+    ]

@@ -91,7 +91,6 @@ val run : ?load:load -> ?socket:string -> config -> report
     from a signal handler (one atomic store). *)
 val request_stop : unit -> unit
 
-(** Render the report as one strict-JSON object (the shape
-    [ci/serve-schema.json] pins); self-checked against
-    {!Commset_obs.Json_strict.parse} before being returned. *)
-val report_json : report -> string
+(** The report as one JSON object, the shape [ci/serve-schema.json]
+    pins; the CLI prints it and the benchmark embeds it. *)
+val report_json : report -> Commset_obs.Json_strict.t

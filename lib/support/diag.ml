@@ -67,6 +67,16 @@ let pp ppf d =
 
 let to_string d = Fmt.str "%a" pp d
 
+let to_json d =
+  let module J = Commset_obs.Json_strict in
+  J.Obj
+    [
+      ("severity", J.Str (Fmt.str "%a" pp_severity d.severity));
+      ("code", J.opt (fun c -> J.Str c) d.code);
+      ("loc", J.Str (Fmt.str "%a" Loc.pp d.loc));
+      ("message", J.Str d.message);
+    ]
+
 (** [guard f] runs [f ()] and converts a raised diagnostic into [Error]. *)
 let guard f = match f () with v -> Ok v | exception Error d -> (Error d : ('a, diagnostic) result)
 

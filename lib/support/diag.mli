@@ -39,6 +39,10 @@ val pp_severity : Format.formatter -> severity -> unit
 val pp : Format.formatter -> diagnostic -> unit
 val to_string : diagnostic -> string
 
+(** The JSON shape lint and suggest share:
+    [{"severity", "code" (null when absent), "loc", "message"}]. *)
+val to_json : diagnostic -> Commset_obs.Json_strict.t
+
 (** [guard f] runs [f ()] and converts a raised diagnostic into [Error]. *)
 val guard : (unit -> 'a) -> ('a, diagnostic) result
 

@@ -170,8 +170,21 @@ let test_stat_render_json_strict () =
       [ x ]
   in
   match Json.parse json with
-  | Ok _ -> ()
   | Error e -> Alcotest.failf "stat JSON rejected by the strict parser: %s" e
+  | Ok doc -> (
+      match Json.member "plans" doc with
+      | Some (Json.Arr [ p ]) -> (
+          check Alcotest.bool "fidelity uses the machine-readable name" true
+            (Json.member "fidelity" p = Some (Json.Str (P.fidelity_name x.P.xfidelity)));
+          match Option.bind (Json.member "attribution" p) (Json.member "causes") with
+          | Some (Json.Arr cs) ->
+              check Alcotest.(list string) "the six causes, in order" causes
+                (List.map
+                   (fun c ->
+                     match Json.member "cause" c with Some (Json.Str n) -> n | _ -> "")
+                   cs)
+          | _ -> Alcotest.fail "no attribution causes")
+      | _ -> Alcotest.fail "expected one plan")
 
 let test_stat_render_text () =
   let x, _ = measured_summary () in

@@ -175,7 +175,9 @@ let test_corrupted_cache_recompiles () =
   Unix.putenv "COMMSET_CODEGEN_CACHE" dir;
   Fun.protect ~finally:(fun () ->
       Unix.putenv "COMMSET_CODEGEN_CACHE" (Option.value ~default:"" old_cache);
-      Codegen.reset_memo ())
+      Codegen.reset_memo ();
+      Array.iter (fun f -> remove_if_exists (Filename.concat dir f)) (Sys.readdir dir);
+      try Sys.rmdir dir with Sys_error _ -> ())
   @@ fun () ->
   let ml, cmxs = Codegen.cache_paths ~key in
   remove_if_exists ml;

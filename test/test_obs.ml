@@ -211,6 +211,87 @@ let test_validate_chrome_trace () =
   reject "not an object" {|{ "traceEvents": [ 42 ] }|};
   reject "no traceEvents" {|{ "events": [] }|}
 
+(* ---- printer ---- *)
+
+(* structural equality with numbers compared bit for bit, so -0. and 0.
+   differ *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr xs, Json.Arr ys -> List.length xs = List.length ys && List.for_all2 json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.length xs = List.length ys
+      && List.for_all2 (fun (k, x) (l, y) -> k = l && json_equal x y) xs ys
+  | _ -> a = b
+
+(* strings over all 256 byte values; finite floats from every corner of
+   the range, plus the ones that are easy to print wrong *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  let num =
+    oneof
+      [
+        finite;
+        map float_of_int int;
+        oneofl [ -0.; 0.1; 1e300; -1e-300; 5e-324; 0x1p53; 1e15; 123.456; max_float ];
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) num;
+               map (fun s -> Json.Str s) str;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           let sub = self (n - 1) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> Json.Arr xs) (list_size (int_bound 4) sub));
+               ( 1,
+                 map
+                   (fun kvs ->
+                     (* keys unique: the parser rejects duplicates *)
+                     Json.Obj (List.mapi (fun i (k, v) -> (string_of_int i ^ k, v)) kvs))
+                   (list_size (int_bound 4) (pair str sub)) );
+             ])
+
+let test_printer_round_trip_qcheck =
+  QCheck.Test.make ~count:500 ~name:"printer: parse (to_string v) = Ok v"
+    QCheck.(pair (make gen_json) (int_bound 3))
+    (fun (v, expand) ->
+      let s = Json.to_string ~expand v in
+      match Json.parse s with
+      | Ok v' when json_equal v v' -> true
+      | Ok _ -> QCheck.Test.fail_reportf "read back a different value from %S" s
+      | Error e -> QCheck.Test.fail_reportf "rejected %S: %s" s e)
+
+let test_printer_numbers () =
+  List.iter
+    (fun (v, want) -> check Alcotest.string want want (Json.to_string (Json.Num v)))
+    [
+      (5., "5");
+      (-0., "-0");
+      (0.1, "0.1");
+      (1e300, "1e+300");
+      (123.456, "123.456");
+      (1. /. 3., "0.3333333333333333");
+    ];
+  check Alcotest.string "non-finite numbers print as null" {|[null,null,null]|}
+    (Json.to_string (Json.Arr [ Json.Num nan; Json.Num infinity; Json.Num neg_infinity ]));
+  check Alcotest.string "control bytes escape" {|"\u0001\n\"\\"|}
+    (Json.to_string (Json.Str "\001\n\"\\"));
+  check Alcotest.string "expanded layout" "{\n  \"a\": [1,2],\n  \"b\": {}\n}"
+    (Json.to_string ~expand:1 (Json.Obj [ ("a", Json.Arr [ Json.int 1; Json.int 2 ]); ("b", Json.Obj []) ]))
+
 (* ---- exporters round-trip the strict parser ---- *)
 
 let test_export_round_trip () =
@@ -404,10 +485,22 @@ let test_metrics_kinds () =
     Alcotest.fail "histogram missing from snapshot"
 
 let test_metrics_json_strict () =
-  ignore (Metrics.counter "test.json \"quoted\\name\"");
+  let name = "test.json \"quoted\\name\"" in
+  Metrics.incr (Metrics.counter name);
   match Json.parse (Metrics.to_json ()) with
-  | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics dump rejected by strict parser: %s" e
+  | Ok doc -> (
+      match Json.member "metrics" doc with
+      | Some (Json.Arr ms) ->
+          List.iter
+            (fun m ->
+              if Json.member "name" m = None || Json.member "kind" m = None then
+                Alcotest.fail "a metric lacks its name or kind")
+            ms;
+          let mine = List.find_opt (fun m -> Json.member "name" m = Some (Json.Str name)) ms in
+          check Alcotest.bool "the counter reads back by its escaped name" true
+            (Option.bind mine (Json.member "value") = Some (Json.Num 1.))
+      | _ -> Alcotest.fail "no \"metrics\" array")
 
 (** The data-driven counters (tasks executed, sim aborts and waits,
     interpreter steps) must not depend on how work was spread over
@@ -460,6 +553,8 @@ let suite =
       Alcotest.test_case "json: strict parser accepts" `Quick test_json_strict_accepts;
       Alcotest.test_case "json: strict parser rejects" `Quick test_json_strict_rejects;
       Alcotest.test_case "json: chrome trace validation" `Quick test_validate_chrome_trace;
+      QCheck_alcotest.to_alcotest test_printer_round_trip_qcheck;
+      Alcotest.test_case "json: printer numbers, null and escapes" `Quick test_printer_numbers;
       Alcotest.test_case "export: round-trips strict parser" `Quick test_export_round_trip;
       QCheck_alcotest.to_alcotest test_export_escaping_qcheck;
       QCheck_alcotest.to_alcotest test_nesting_qcheck;

@@ -1,6 +1,6 @@
 (** Tests for the reporting layer: ASCII tables and charts, the Table 1
-    feature matrix, the evaluation helpers, and the lint JSON's string
-    escaping. *)
+    feature matrix, the evaluation helpers, and the lint JSON (string
+    escaping, keys, null codes). *)
 
 module Report = Commset_report
 module Diag = Commset_support.Diag
@@ -73,6 +73,42 @@ let test_verdicts_json_escape () =
             (match Json.member "message" diag with Some (Json.Str m) -> Some m | _ -> None)
       | _ -> Alcotest.fail "expected one diagnostic")
 
+(* A real lint outcome (geti: verified pairs and CS005 warnings) plus an
+   uncoded diagnostic: the document carries every key, and an absent
+   code is null. *)
+let test_verdicts_json_keys () =
+  let module P = Commset_pipeline.Pipeline in
+  let module V = Commset_verify in
+  let w = Option.get (Commset_workloads.Registry.find "geti") in
+  let c = P.compile ~name:"geti" ~setup:w.Commset_workloads.Workload.setup ~verify:true
+      w.Commset_workloads.Workload.source
+  in
+  let report = Option.get c.P.verification in
+  let diags = V.Lint.run_all { V.Lint.md = c.P.md; report = Some report; strict = false } in
+  let uncoded = Diag.diagnostic Diag.Error_sev Commset_support.Loc.dummy "no code" in
+  let has keys what o =
+    List.iter
+      (fun k -> if Json.member k o = None then Alcotest.failf "%s lacks %S" what k)
+      keys
+  in
+  match Json.parse (Report.Verdicts.render_json report (diags @ [ uncoded ])) with
+  | Error e -> Alcotest.failf "lint JSON rejected by the strict parser: %s" e
+  | Ok doc -> (
+      has [ "pairs"; "diagnostics"; "summary" ] "document" doc;
+      Option.iter (has [ "proved"; "unknown"; "refuted" ] "summary") (Json.member "summary" doc);
+      (match Json.member "pairs" doc with
+      | Some (Json.Arr (_ :: _ as ps)) ->
+          List.iter (has [ "set"; "pair"; "verdict"; "trials"; "why" ] "pair") ps
+      | _ -> Alcotest.fail "geti lints no pairs");
+      match Json.member "diagnostics" doc with
+      | Some (Json.Arr ds) ->
+          List.iter (has [ "severity"; "code"; "loc"; "message" ] "diagnostic") ds;
+          check Alcotest.bool "geti's CS005 warnings are coded" true
+            (List.exists (fun d -> Json.member "code" d = Some (Json.Str "CS005")) ds);
+          check Alcotest.bool "an absent code is null" true
+            (Json.member "code" (List.nth ds (List.length ds - 1)) = Some Json.Null)
+      | _ -> Alcotest.fail "no diagnostics array")
+
 let suite =
   ( "report",
     [
@@ -82,4 +118,5 @@ let suite =
       Alcotest.test_case "geomean" `Quick test_geomean;
       Alcotest.test_case "verdicts: JSON escapes diagnostic messages" `Quick
         test_verdicts_json_escape;
+      Alcotest.test_case "verdicts: lint JSON carries its keys" `Quick test_verdicts_json_keys;
     ] )

@@ -267,9 +267,34 @@ let test_proto_request_json () =
   (match Proto.request_of_json {|{"id":1,"workload":"a","source":"b"}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "request with both workload and source accepted");
-  match Proto.request_of_json "{nope" with
+  (match Proto.request_of_json "{nope" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "malformed JSON accepted"
+  | Ok _ -> Alcotest.fail "malformed JSON accepted");
+  (* the id comes from outside the program: an integer below 2^53 in
+     magnitude, or absent (0) *)
+  let id_of body =
+    match Proto.request_of_json (Printf.sprintf {|{%s"workload":"url"}|} body) with
+    | Ok r -> Some r.Proto.rq_id
+    | Error _ -> None
+  in
+  List.iter
+    (fun (body, want) -> check Alcotest.(option int) body want (id_of body))
+    [
+      ("", Some 0);
+      ({|"id":-3,|}, Some (-3));
+      ({|"id":9007199254740991,|}, Some 9007199254740991);
+      ({|"id":1.5,|}, None);
+      ({|"id":"7",|}, None);
+      ({|"id":null,|}, None);
+      ({|"id":1e300,|}, None);
+      ({|"id":9007199254740992,|}, None);
+    ];
+  (* a hostile source string survives the frame byte for byte *)
+  let src = String.init 256 Char.chr ^ "\"\\ caf\xc3\xa9" in
+  let r = { Proto.rq_id = 3; rq_workload = None; rq_source = Some src; rq_echo = false } in
+  match Proto.request_of_json (Proto.request_to_json r) with
+  | Ok r' -> check Alcotest.bool "hostile source roundtrips" true (r = r')
+  | Error e -> Alcotest.fail e
 
 let test_proto_response_json () =
   let r =
@@ -280,18 +305,27 @@ let test_proto_response_json () =
       rs_hit = true;
       rs_n_outputs = 3;
       rs_digest = "abc123";
-      rs_outputs = Some [ "a"; "b \"quoted\""; "c" ];
+      rs_outputs = Some [ "a"; "b \"quoted\""; String.init 32 Char.chr; "\\ caf\xc3\xa9\x7f" ];
       rs_queue_us = 12.5;
-      rs_service_us = 100.0;
+      rs_service_us = 100.0 /. 3.;
     }
   in
   let json = Proto.response_to_json r in
   (match Json.parse json with
-  | Ok _ -> ()
+  | Ok doc ->
+      List.iter
+        (fun k -> if Json.member k doc = None then Alcotest.failf "response lacks %S" k)
+        [ "id"; "status"; "workload"; "cache"; "n_outputs"; "digest"; "outputs"; "queue_us"; "service_us" ]
   | Error e -> Alcotest.failf "response is not strict JSON: %s" e);
-  match Proto.response_of_json json with
+  (match Proto.response_of_json json with
   | Ok r' -> check Alcotest.bool "response roundtrips" true (r = r')
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun body ->
+      match Proto.response_of_json body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted %s" body)
+    [ {|{"id":2.5,"status":"ok"}|}; {|{"id":1,"status":"ok","n_outputs":"3"}|} ]
 
 (* ---- long-idle backoff tier ---- *)
 
@@ -419,10 +453,31 @@ let test_server_selftest () =
       check Alcotest.int "per-workload count" 40 w.Server.wr_requests;
       check Alcotest.bool "an executable best plan" true (w.Server.wr_best_plan <> None)
   | ws -> Alcotest.failf "expected one workload report, got %d" (List.length ws));
-  (* the report renders as one strict-JSON object *)
-  match Json.parse (Server.report_json r) with
-  | Ok _ -> ()
+  (* the report renders as one strict-JSON object carrying what CI reads *)
+  match Json.parse (Json.to_string (Server.report_json r)) with
   | Error e -> Alcotest.failf "report is not strict JSON: %s" e
+  | Ok doc ->
+      let rec get o = function
+        | [] -> o
+        | k :: path -> (
+            match Json.member k o with
+            | Some v -> get v path
+            | None -> Alcotest.failf "report lacks %s" k)
+      in
+      check Alcotest.bool "equiv.failures" true (get doc [ "equiv"; "failures" ] = Json.Num 0.);
+      check Alcotest.bool "drained" true (get doc [ "drained" ] = Json.Bool true);
+      check Alcotest.bool "stopped_by" true (get doc [ "stopped_by" ] = Json.Str "completed");
+      List.iter
+        (fun path -> ignore (get doc path))
+        [
+          [ "requests_served" ];
+          [ "requests_offered" ];
+          [ "throughput_rps" ];
+          [ "oversubscribed" ];
+          [ "equiv"; "checked" ];
+          [ "plan_cache"; "hit_rate" ];
+          [ "latency_us"; "total"; "p99_us" ];
+        ]
 
 let test_server_mixed_and_errors () =
   let load = selftest_load ~requests:30 ~mix:[ ("tiny", 1.); ("tiny2", 1.); ("nope", 1.) ] () in

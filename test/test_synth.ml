@@ -208,10 +208,29 @@ let test_report_render () =
         (contains_sub ~sub:needle text))
     [ "md5sum"; "#pragma commset"; "recommended" ];
   let json = Commset_report.Suggestions.render_json r in
-  Alcotest.(check bool) "json has speedup object" true
-    (contains_sub ~sub:"\"speedup\"" json);
   Alcotest.(check bool) "json escapes newlines in source" false
-    (String.contains json '\n')
+    (String.contains json '\n');
+  let module J = Commset_obs.Json_strict in
+  let has keys what o =
+    List.iter (fun k -> if J.member k o = None then Alcotest.failf "%s lacks %S" what k) keys
+  in
+  match J.parse json with
+  | Error e -> Alcotest.failf "suggest JSON rejected by the strict parser: %s" e
+  | Ok doc -> (
+      has [ "name"; "speedup"; "suggestions"; "diagnostics"; "source" ] "document" doc;
+      Option.iter (has [ "baseline"; "bundle"; "hand" ] "speedup") (J.member "speedup" doc);
+      Alcotest.(check bool) "source reads back" true
+        (J.member "source" doc = Some (J.Str r.Synth.r_source));
+      (match J.member "suggestions" doc with
+      | Some (J.Arr (_ :: _ as ss)) ->
+          List.iter
+            (has [ "set"; "kind"; "predicate"; "speedup"; "recommended"; "members"; "pragmas" ]
+               "suggestion")
+            ss
+      | _ -> Alcotest.fail "md5sum has no suggestion");
+      match J.member "diagnostics" doc with
+      | Some (J.Arr ds) -> List.iter (has [ "severity"; "code"; "loc"; "message" ] "diagnostic") ds
+      | _ -> Alcotest.fail "no diagnostics array")
 
 let suite =
   ( "synth",
