@@ -159,6 +159,18 @@ let hex_digit st c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> fail st "malformed \\u escape"
 
+(* four hex digits of a \u escape *)
+let hex4 st =
+  if st.pos + 4 > String.length st.src then fail st "truncated \\u escape";
+  let code =
+    (hex_digit st st.src.[st.pos] lsl 12)
+    lor (hex_digit st st.src.[st.pos + 1] lsl 8)
+    lor (hex_digit st st.src.[st.pos + 2] lsl 4)
+    lor hex_digit st st.src.[st.pos + 3]
+  in
+  st.pos <- st.pos + 4;
+  code
+
 let parse_string st =
   expect st '"';
   let buf = Buffer.create 16 in
@@ -179,26 +191,27 @@ let parse_string st =
         | Some 't' -> advance st; Buffer.add_char buf '\t'; go ()
         | Some 'u' ->
             advance st;
-            if st.pos + 4 > String.length st.src then fail st "truncated \\u escape";
+            let code = hex4 st in
             let code =
-              (hex_digit st st.src.[st.pos] lsl 12)
-              lor (hex_digit st st.src.[st.pos + 1] lsl 8)
-              lor (hex_digit st st.src.[st.pos + 2] lsl 4)
-              lor hex_digit st st.src.[st.pos + 3]
+              if code >= 0xDC00 && code <= 0xDFFF then fail st "lone low surrogate"
+              else if code >= 0xD800 && code <= 0xDBFF then begin
+                (* a high surrogate must be followed by an escaped low one:
+                   together they are one code point above U+FFFF *)
+                if
+                  not
+                    (st.pos + 1 < String.length st.src
+                    && st.src.[st.pos] = '\\'
+                    && st.src.[st.pos + 1] = 'u')
+                then fail st "lone high surrogate";
+                st.pos <- st.pos + 2;
+                let low = hex4 st in
+                if low < 0xDC00 || low > 0xDFFF then fail st "lone high surrogate";
+                0x10000 + ((code - 0xD800) lsl 10) + (low - 0xDC00)
+              end
+              else code
             in
-            st.pos <- st.pos + 4;
-            (* encode the code point as UTF-8 (surrogates are kept as-is
-               bytes of their code unit; the exporters never emit them) *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
+            (* never a surrogate here, so always a scalar value *)
+            Buffer.add_utf_8_uchar buf (Uchar.of_int code);
             go ()
         | _ -> fail st "bad escape")
     | Some c when Char.code c < 0x20 -> fail st "raw control character in string"

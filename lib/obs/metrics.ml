@@ -168,18 +168,6 @@ let to_json () =
   in
   J.to_string (J.Obj [ ("metrics", J.Arr (List.map metric (sorted_entries ()))) ]) ^ "\n"
 
-let to_text () =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (name, v) ->
-      let v =
-        if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-        else Printf.sprintf "%.6f" v
-      in
-      Buffer.add_string buf (Printf.sprintf "%-40s %s\n" name v))
-    (snapshot ());
-  Buffer.contents buf
-
 let reset () =
   Mutex.lock registry_lock;
   Hashtbl.iter

@@ -71,8 +71,5 @@ val snapshot : unit -> (string * float) list
     {!Json_strict.parse}. *)
 val to_json : unit -> string
 
-(** Flat [name value] text dump, one metric per line, sorted. *)
-val to_text : unit -> string
-
 (** Zero every registered metric (tests and benchmark legs). *)
 val reset : unit -> unit

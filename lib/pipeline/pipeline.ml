@@ -55,7 +55,8 @@ type t = {
   prog : Ir.program;
   prepared : R.Precompile.t;
       (** prepared once; every interpreter run of this compilation
-          (profiling, tracing, verification, CLI execution) shares it *)
+          (the compile's one run, the verifier's replays, CLI execution)
+          shares it *)
   effects : A.Effects.t;
   md : Metadata.t;
   commset_graph : string Digraph.t;
@@ -102,12 +103,11 @@ let fresh_machine setup () =
   setup m;
   m
 
-(* The target loop's analyses, its two PDGs and the trace run. With
-   [verify], the static pass runs first, so that the trace run records
-   the replay instances its report needs; both come back for
-   {!V.Dynamic.refine}. *)
-let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~setup ~prepared
-    ~verify : target * R.Trace.t * (V.Verdict.report * V.Dynamic.inv list) option =
+(* The target loop's analyses, its two PDGs and its trace, built from
+   the event log of the compile's one run. With [verify], the static
+   pass runs too; its report comes back for {!V.Dynamic.refine}. *)
+let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~prepared ~log
+    ~verify : target * R.Trace.t * V.Verdict.report option =
   let func =
     match Ir.find_func prog fname with
     | Some f -> f
@@ -148,15 +148,7 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
              V.Static.run ~md ~target_fname:fname ~loop ~induction ()))
     else None
   in
-  let recording =
-    match static with
-    | Some report when V.Dynamic.wanted md report -> Some (V.Dynamic.recording ~md prepared)
-    | _ -> None
-  in
-  let trace =
-    R.Trace.record ?tap:(Option.map V.Dynamic.tap recording) ~machine:(fresh_machine setup ())
-      prepared pdg
-  in
+  let trace = R.Trace.of_log prepared pdg log in
   R.Trace.apply_weights trace [ pdg; pdg_plain ];
   let n_uco, n_ico = Dep_analysis.annotate md pdg dom induction in
   ( {
@@ -174,17 +166,17 @@ let build_target prog effects (lookup : A.Effects.lookup) md ~fname ~header ~set
       n_ico;
     },
     trace,
-    Option.map (fun r -> (r, Option.fold ~none:[] ~some:V.Dynamic.instances recording)) static )
+    static )
 
 let src_log = Logs.Src.create "commset.pipeline" ~doc:"COMMSET parallelization workflow"
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
 
-(** Compile a miniC source: all static stages plus one profiling run and
-    one tracing run (both on fresh machines built by [setup]; the latter
-    also records the verifier's replay instances when needed). Stage
-    progress is reported on the [commset.pipeline] log source (paper
-    Figure 5's workflow). *)
+(** Compile a miniC source: all static stages plus one run of the
+    program, on a fresh machine built by [setup], that profiles it, logs
+    the events its trace is built from and, with [verify], records the
+    verifier's replay instances. Stage progress is reported on the
+    [commset.pipeline] log source (paper Figure 5's workflow). *)
 let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = false)
     (source : string) : t =
   Recorder.with_span ~cat:"compile" "pipeline.compile" @@ fun () ->
@@ -212,9 +204,14 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
   Log.info (fun m -> m "[%s] preparing the program for execution" name);
   let prepared = stage "compile.prepare" (fun () -> R.Precompile.prepare prog) in
   Log.info (fun m -> m "[%s] profiling to select the hottest loop" name);
-  let profile =
+  (* the replay instances are recorded whatever the target: the static
+     report that decides whether they are needed comes later *)
+  let recording = if verify then Some (V.Dynamic.recording ~md prepared) else None in
+  let profile, log =
     stage "compile.profile" (fun () ->
-        R.Profile.analyze ~machine:(fresh_machine setup ()) prepared)
+        R.Profile.run
+          ?tap:(Option.map V.Dynamic.tap recording)
+          ~machine:(fresh_machine setup ()) prepared)
   in
   let hottest =
     match R.Profile.hottest profile with
@@ -228,7 +225,7 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
   let target, trace, static =
     stage "compile.pdg" (fun () ->
         build_target prog effects lookup md ~fname:hottest.R.Profile.lr_func
-          ~header:hottest.R.Profile.lr_header ~setup ~prepared ~verify)
+          ~header:hottest.R.Profile.lr_header ~prepared ~log ~verify)
   in
   Log.info (fun m ->
       m "[%s] PDG built (%d nodes, %d edges); Algorithm 1: %d uco, %d ico" name
@@ -244,8 +241,9 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
   let verification =
     match static with
     | None -> None
-    | Some (report, instances) ->
+    | Some report ->
       Log.info (fun m -> m "[%s] commutativity sanitizer: differencing + replay" name);
+      let instances = Option.fold ~none:[] ~some:V.Dynamic.instances recording in
       let report =
         stage "compile.verify" (fun () -> V.Dynamic.refine ~prepared ~md ~instances report)
       in
@@ -353,17 +351,17 @@ let simulate_lowered ~record_timeline t low (plan : T.Plan.t) : run * T.Emit.t =
 let simulate ?(record_timeline = false) t (plan : T.Plan.t) : run =
   fst (simulate_lowered ~record_timeline t (lower t) plan)
 
-let evaluate_lowered ~record_timeline t low ~threads : run list =
+let evaluate_lowered ~record_timeline t low plans : run list =
   Recorder.with_span ~cat:"pipeline" "pipeline.evaluate" @@ fun () ->
-  Pool.parmap (fun plan -> fst (simulate_lowered ~record_timeline t low plan)) (plans t ~threads)
-  |> List.sort (fun a b -> compare b.speedup a.speedup)
+  Pool.parmap (fun plan -> fst (simulate_lowered ~record_timeline t low plan)) plans
+  |> List.stable_sort (fun a b -> compare b.speedup a.speedup)
 
 (** Simulate every plan at [threads]; sorted by speedup, best first.
     Simulations are independent, so they fan out over the domain pool;
     the sort key and the deterministic plan order make the result
     identical to the sequential path. *)
 let evaluate ?(record_timeline = false) t ~threads : run list =
-  evaluate_lowered ~record_timeline t (lower t) ~threads
+  evaluate_lowered ~record_timeline t (lower t) (plans t ~threads)
 
 let best ?record_timeline t ~threads : run option =
   match evaluate ?record_timeline t ~threads with [] -> None | r :: _ -> Some r
@@ -422,7 +420,7 @@ let sweep ?(min_threads = 1) ?(precomputed = []) t ~max_threads :
       (fun threads ->
         match List.assoc_opt threads precomputed with
         | Some runs -> (threads, runs)
-        | None -> (threads, evaluate_lowered ~record_timeline:false t low ~threads))
+        | None -> (threads, evaluate_lowered ~record_timeline:false t low (plans t ~threads)))
       counts
   in
   (* fold in ascending thread order: series appear in first-encounter
@@ -480,10 +478,15 @@ let prepare_service ?(name = "<service>") ?(setup : setup = fun _ -> ())
   Recorder.with_span ~cat:"serve" "serve.prepare_service" @@ fun () ->
   let t0 = Commset_obs.Clock.now_ns () in
   let compiled = compile ~name ~setup ~verify source in
+  (* the sort is stable, so among equal speedups the first executable
+     plan wins, as it would among all plans *)
   let best =
-    List.find_opt
-      (fun r -> Result.is_ok (Commset_exec.Exec.supported r.plan))
-      (evaluate compiled ~threads)
+    match
+      evaluate_lowered ~record_timeline:false compiled (lower compiled)
+        (executable_plans compiled ~threads)
+    with
+    | [] -> None
+    | r :: _ -> Some r
   in
   let compile_s = (Commset_obs.Clock.now_ns () -. t0) /. 1e9 in
   { sv_key = content_key source; sv_name = name; sv_compiled = compiled;

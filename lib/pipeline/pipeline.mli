@@ -41,8 +41,9 @@ type target = {
     at compile time and reused by every {!plans} call of a sweep. *)
 type plan_ctx = { reductions : Commset_pdg.Reduction.t list; scc : Commset_pdg.Scc.t }
 
-(** A compiled program: every static stage plus one profiling run and one
-    tracing run (both on the prepared-program engine). *)
+(** A compiled program: every static stage plus one run of the program on
+    the prepared-program engine, which profiles it and logs the events its
+    trace is built from. *)
 type t = {
   name : string;
   source : string;
@@ -51,7 +52,8 @@ type t = {
   prog : Ir.program;
   prepared : R.Precompile.t;
       (** prepared once; every interpreter run of this compilation
-          (profiling, tracing, verification, CLI execution) shares it *)
+          (the compile's one run, the verifier's replays, CLI execution)
+          shares it *)
   effects : A.Effects.t;
   md : Metadata.t;
   commset_graph : string Digraph.t;
@@ -159,7 +161,8 @@ type service = {
   sv_compiled : t;
   sv_threads : int;  (** thread count [sv_best] was planned for *)
   sv_best : run option;
-      (** strongest executable plan by simulated speedup, if any *)
+      (** strongest executable plan by simulated speedup, if any; only
+          the executable plans are simulated *)
   sv_compile_s : float;  (** wall seconds the compile-time stages took *)
 }
 

@@ -1,10 +1,11 @@
 (** Per-iteration execution traces of a target loop.
 
-    The trace recorder runs the program sequentially once and attributes
-    every simulated cycle, builtin call, and output line to the PDG node
-    that produced it (costs inside callees are attributed to the calling
-    node, like the paper's outlined member functions). The parallel
-    simulator then replays these traces under a parallelization plan. *)
+    The trace recorder replays the event log of the compile's one
+    sequential run ({!Profile.run}) and attributes every simulated cycle,
+    builtin call, and output line to the PDG node that produced it (costs
+    inside callees are attributed to the calling node, like the paper's
+    outlined member functions). The parallel simulator then replays these
+    traces under a parallelization plan. *)
 
 module Ir = Commset_ir.Ir
 module Pdg = Commset_pdg.Pdg
@@ -114,7 +115,7 @@ let loop_cost t =
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The recorder works once per block entry and once per event (a
+(* The recorder works once per logged block entry and once per event (a
    builtin, a call, a return), never per instruction. On a function's
    first entry, its blocks are split into segments: runs of
    instructions ending at a builtin or user call, at a change of PDG
@@ -430,9 +431,9 @@ let on_output rec_ s =
     e.atoms <- Aout s :: e.atoms
   end
 
-(* Each callback is a closure of its full arity: a partial application
-   would go through the generic apply path and allocate on every
-   event. *)
+(* The recorder as the observer the log is replayed to. Each callback
+   is a closure of its full arity: a partial application would go
+   through the generic apply path and allocate on every event. *)
 let observer rec_ : Precompile.observer =
   {
     on_block = (fun f l -> on_block rec_ f l);
@@ -443,11 +444,9 @@ let observer rec_ : Precompile.observer =
     on_builtin = Some (fun bi c -> on_builtin rec_ bi c);
   }
 
-(** Run the program once sequentially and record the trace of the PDG's
-    target loop. [tap], given the run's executor and the recorder's
-    observer, returns the observer the run uses: the recorder's, extended
-    (the verifier records its replay instances through it). *)
-let record ?tap ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : Pdg.t) : t =
+(** Build the trace of the PDG's target loop by replaying the event log
+    of the compile's one run through the recorder. *)
+let of_log (prepared : Precompile.t) (pdg : Pdg.t) (log : Profile.log) : t =
   let tfunc = pdg.Pdg.func in
   let loop = pdg.Pdg.loop in
   let in_body =
@@ -484,13 +483,7 @@ let record ?tap ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : 
       saw_loop = false;
     }
   in
-  let ex = Precompile.executor ~machine prepared in
-  machine.Machine.emit <-
-    (fun s ->
-      Machine.default_emit machine s;
-      on_output rec_ s);
-  let obs = match tap with Some tap -> tap ex (observer rec_) | None -> observer rec_ in
-  let total = Precompile.run_observed ex obs in
+  Profile.replay log (observer rec_) ~on_output:(on_output rec_);
   (* the final header visit (the failing test) is not a real iteration:
      fold its cost into [other] *)
   (match rec_.cur_iter with
@@ -504,7 +497,7 @@ let record ?tap ?(machine = Machine.create ()) (prepared : Precompile.t) (pdg : 
     outputs_before = List.rev rec_.before;
     outputs_after = List.rev rec_.after;
     seq_outputs = List.rev rec_.all_outputs;
-    seq_total = total;
+    seq_total = Profile.log_total log;
   }
 
 (** Update PDG node weights in place from the trace (profile-guided

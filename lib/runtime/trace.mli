@@ -1,7 +1,8 @@
-(** Per-iteration execution traces of a target loop: one sequential run
-    attributes every simulated cycle, builtin call, output line and
-    predicate actual to the PDG node that produced it; the parallel
-    simulator replays these traces under a parallelization plan. *)
+(** Per-iteration execution traces of a target loop: the compile's one
+    sequential run, replayed from its event log, attributes every
+    simulated cycle, builtin call, output line and predicate actual to
+    the PDG node that produced it; the parallel simulator replays these
+    traces under a parallelization plan. *)
 
 module Ir = Commset_ir.Ir
 module Pdg = Commset_pdg.Pdg
@@ -53,18 +54,14 @@ val n_iterations : t -> int
 (** Total cost of all loop iterations. *)
 val loop_cost : t -> float
 
-(** Run the prepared program once sequentially, observed on the fast
-    loop, and record the trace of the PDG's target loop. The recorder
-    works once per block entry and once per builtin, call and return:
-    each block is split into segments (one node's instructions up to the
-    next call or node change) whose integer costs are presummed; costs
-    outside the loop's nodes are added one by one, in reference order.
-    [tap], given the run's executor and the recorder's observer, returns
-    the observer the run uses: the verifier's replay instances are
-    recorded through it, with no run of their own. *)
-val record :
-  ?tap:(Precompile.exec -> Precompile.observer -> Precompile.observer) ->
-  ?machine:Machine.t -> Precompile.t -> Pdg.t -> t
+(** Build the trace of the PDG's target loop by replaying the event log
+    of the compile's one run ({!Profile.run}); the program does not run
+    again. The recorder works once per logged block entry and once per
+    builtin, call and return: each block is split into segments (one
+    node's instructions up to the next call or node change) whose
+    integer costs are presummed; costs outside the loop's nodes are
+    added one by one, in reference order. *)
+val of_log : Precompile.t -> Pdg.t -> Profile.log -> t
 
 (** Update the node weights of every PDG in the list in place from the
     trace (profile-guided pipeline balancing, §4.5); the node means are

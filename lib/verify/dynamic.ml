@@ -1,6 +1,6 @@
 (** Dynamic refutation of commutativity annotations by replay.
 
-    The compile's trace run, tapped, records per commset member a few
+    The compile's one run, tapped, records per commset member a few
     dynamic instances: the live register file at region entry (or the
     argument values at an interface call), the concrete predicate
     actuals, and — for the first instances — a deep snapshot of the

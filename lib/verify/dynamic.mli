@@ -32,10 +32,10 @@ type recording
 val recording : md:Metadata.t -> Precompile.t -> recording
 
 (** [tap rc ex o] extends the observer [o] to record member instances of
-    the run [ex] executes, for {!Commset_runtime.Trace.record}'s [tap]:
-    instances are recorded in the compile's trace run, with no run of
-    their own; replay runs them through {!Precompile.run_region} and
-    {!Precompile.run_func}. *)
+    the run [ex] executes, for {!Commset_runtime.Profile.run}'s [tap]:
+    instances are recorded in the compile's one run, whatever its target
+    loop, with no run of their own; replay runs them through
+    {!Precompile.run_region} and {!Precompile.run_func}. *)
 val tap : recording -> Precompile.exec -> Precompile.observer -> Precompile.observer
 
 (** The recorded instances, in recording order. *)
@@ -43,7 +43,7 @@ val instances : recording -> inv list
 
 (** Does the static report leave an [Unknown] pair that may be replayed
     fairly — both members' writes confined to snapshot-covered or
-    member-local state — so that the trace run should record instances? *)
+    member-local state — so that {!refine} uses the recorded instances? *)
 val wanted : Metadata.t -> Verdict.report -> bool
 
 (** Re-try every eligible [Unknown] pair of a static report concretely

@@ -3,9 +3,10 @@
     [Acompute] rewrite per cost event, hashtable-probed execs), the
     hashtable profiler (one [(function, label)] entry per block) and the
     verifier's replay-instance recorder in its own run, kept as the
-    differential oracle of {!Commset_runtime.Trace.record},
-    {!Commset_runtime.Profile.analyze} and
-    {!Commset_verify.Dynamic.tap}; no library code runs them. *)
+    differential oracle of the compile's one run
+    ({!Commset_runtime.Profile.run}), the trace built from its log
+    ({!Commset_runtime.Trace.of_log}) and {!Commset_verify.Dynamic.tap};
+    no library code runs them. *)
 
 module R := Commset_runtime
 
@@ -28,7 +29,7 @@ val profile : ?machine:R.Machine.t -> R.Precompile.t -> R.Profile.t
 
 (** Run the program once on the reference interpreter, from a machine
     [setup] prepares, and record member instances as the verifier's
-    recording run did before it moved into the trace run: at most eight
+    recording run did before it moved into the compile's run: at most eight
     per member, the first [max_snapshots] with a machine and globals
     snapshot (globals in the interpreter's table order). A run that
     traps or exhausts its fuel keeps what it recorded. *)

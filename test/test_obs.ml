@@ -158,8 +158,12 @@ let test_json_strict_accepts () =
       "{}";
       "-0.5e3";
       {|{ "a": [1, 2.5, "xé", {"b": false}] }|};
-      {|"😀"|} (* surrogate pair *);
-    ]
+      {|"😀"|} (* raw astral character *);
+    ];
+  (* an escaped surrogate pair decodes to the one code point's UTF-8 *)
+  match Json.parse {|"\ud83d\ude00"|} with
+  | Ok (Json.Str s) -> check Alcotest.string "U+1F600" "\xf0\x9f\x98\x80" s
+  | _ -> Alcotest.fail "escaped surrogate pair"
 
 let test_json_strict_rejects () =
   List.iter
@@ -179,6 +183,9 @@ let test_json_strict_rejects () =
       {|{"dup": 1, "dup": 2}|};
       "\"unterminated";
       "\"bad \\q escape\"";
+      {|"\ud83d"|} (* lone high surrogate *);
+      {|"\ude00"|} (* lone low surrogate *);
+      {|"\ud83d\u0041"|} (* high surrogate, then no low one *);
     ]
 
 let test_validate_chrome_trace () =

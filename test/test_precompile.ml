@@ -702,13 +702,13 @@ let check_replay what ((got, expected) : replayed * replayed) =
     (what ^ ": globals") expected.r_globals got.r_globals;
   check Alcotest.int (what ^ ": steps") expected.r_steps got.r_steps
 
-(** Every instance the verifier records with a snapshot in a trace run
+(** Every instance the verifier records in the compile's one run, which
     it taps. *)
 let recorded_instances setup (c : P.t) =
   let rc = Dynamic.recording ~md:c.P.md c.P.prepared in
   let machine = R.Machine.create () in
   setup machine;
-  ignore (R.Trace.record ~tap:(Dynamic.tap rc) ~machine c.P.prepared c.P.target.P.pdg);
+  ignore (R.Profile.run ~tap:(Dynamic.tap rc) ~machine c.P.prepared);
   Dynamic.instances rc
 
 let snapshotted (w : W.t) src =

@@ -1,13 +1,14 @@
-(** The compile-time recorders ({!Trace.record}, {!Profile.analyze} and
-    the verifier's replay instances recorded through the trace run's
-    tap) against the reference recorders kept in this directory
-    ({!Ref_recorders}), which run on the reference interpreter: every
-    trace and profile must be bit-identical on every workload and
-    annotation variant, on random programs and on seeded source mutants,
-    and the instances equal on every program whose static verifier pass
-    leaves a pair to replay. Allocation counts pin the recorders'
-    bookkeeping: the trace recorder allocates nothing per instruction,
-    the profiler nothing per block beyond its boxed total reading. *)
+(** The compile-time recorders (the compile's one run, {!Profile.run},
+    the trace built from its event log, {!Trace.of_log}, and the
+    verifier's replay instances recorded through the run's tap) against
+    the reference recorders kept in this directory ({!Ref_recorders}),
+    which run on the reference interpreter: every trace and profile must
+    be bit-identical on every workload and annotation variant, on random
+    programs and on seeded source mutants, and the instances equal on
+    every program whose static verifier pass leaves a pair to replay.
+    Counts pin the rest: a compile runs the program once, the run
+    allocates little per block entry beyond its boxed total reading, and
+    building the trace allocates nothing per instruction. *)
 
 module R = Commset_runtime
 module P = Commset_pipeline.Pipeline
@@ -140,14 +141,15 @@ let test_missing_label () =
   let outcome f = match f () with _ -> "ran" | exception Not_found -> "Not_found" in
   check Alcotest.string "reference" "Not_found"
     (outcome (fun () -> Ref_recorders.profile prepared));
-  check Alcotest.string "profile" "Not_found" (outcome (fun () -> R.Profile.analyze prepared))
+  check Alcotest.string "profile" "Not_found" (outcome (fun () -> R.Profile.run prepared))
 
 (* ---- allocation ------------------------------------------------------ *)
 
 (* Counts, not timings. [f]'s inner loop runs 20 times per call and
    [main] calls it from a 10,000-iteration loop: one run retires
-   2,140,008 steps, 450,003 of them block entries. Each recorder is
-   measured against a plain run of the same program. *)
+   2,140,008 steps, 450,003 of them block entries. The one run is
+   measured against a plain run of the same program, the trace's
+   building on its own. *)
 let alloc_src =
   "int f(int n) { int s = 0; int j = 0; while (j < 20) { s = (s + j * n + 1) % 9973; j = j + 1; } \
    return s; }\n\
@@ -182,23 +184,64 @@ let alloc_prog =
 
 let test_alloc_trace () =
   let c, _ = Lazy.force alloc_prog in
-  let _, plain = words (fun () -> R.Precompile.run_main (R.Precompile.executor c.P.prepared)) in
-  let trace, traced = words (fun () -> R.Trace.record c.P.prepared c.P.target.P.pdg) in
+  let _, log = R.Profile.run c.P.prepared in
+  let trace, built = words (fun () -> R.Trace.of_log c.P.prepared c.P.target.P.pdg log) in
   let iters = R.Trace.n_iterations trace in
   check Alcotest.int "target iterations" 10_000 iters;
-  let per_iter = (traced -. plain) /. float_of_int iters in
+  let per_iter = built /. float_of_int iters in
   check Alcotest.bool
-    (Printf.sprintf "%.0f words per iteration beyond a plain run (at most 200)" per_iter)
-    true (per_iter <= 200.)
+    (Printf.sprintf "%.0f words per iteration to build the trace (at most 200)" per_iter)
+    true (per_iter <= 200.);
+  (* the replay handed the log's chunks back for reuse *)
+  check Alcotest.bool "a second replay raises" true
+    (match R.Trace.of_log c.P.prepared c.P.target.P.pdg log with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_alloc_profile () =
   let c, blocks = Lazy.force alloc_prog in
   let _, plain = words (fun () -> R.Precompile.run_main (R.Precompile.executor c.P.prepared)) in
-  let _, profiled = words (fun () -> R.Profile.analyze c.P.prepared) in
+  let _, profiled = words (fun () -> R.Profile.run c.P.prepared) in
   let per_block = (profiled -. plain) /. float_of_int blocks in
   check Alcotest.bool
     (Printf.sprintf "%.2f words per block entry beyond a plain run (at most 3)" per_block)
     true (per_block <= 3.)
+
+(* ---- one run per compile ------------------------------------------- *)
+
+module Metrics = Commset_obs.Metrics
+
+let m_runs = Metrics.counter "interp.runs"
+let m_steps = Metrics.counter "interp.steps"
+
+(* A compile runs the program once, with or without the verifier: the
+   trace comes from the run's log, and the verifier's replays
+   ([run_region], [run_func]) are no runs. Its steps are one plain
+   run's. md5sum's static report leaves pairs to replay. *)
+let test_one_run () =
+  List.iter
+    (fun name ->
+      let w = Option.get (Registry.find name) in
+      let c = P.compile ~name ~setup:w.W.setup w.W.source in
+      let m = R.Machine.create () in
+      w.W.setup m;
+      let ex = R.Precompile.executor ~machine:m c.P.prepared in
+      ignore (R.Precompile.run_main ex : float);
+      let plain = R.Precompile.steps ex in
+      List.iter
+        (fun verify ->
+          let what = Printf.sprintf "%s, verify %b" name verify in
+          let runs0 = Metrics.value m_runs and steps0 = Metrics.value m_steps in
+          let c = P.compile ~name ~setup:w.W.setup ~verify w.W.source in
+          check Alcotest.int (what ^ ": runs") 1 (Metrics.value m_runs - runs0);
+          check Alcotest.int (what ^ ": steps") plain (Metrics.value m_steps - steps0);
+          if verify && name = "md5sum" then
+            check Alcotest.bool (what ^ ": the report wants replay") true
+              (Commset_verify.Dynamic.wanted c.P.md
+                 (Commset_verify.Static.run ~md:c.P.md ~target_fname:c.P.target.P.func.Ir.fname
+                    ~loop:c.P.target.P.loop ~induction:c.P.target.P.induction ())))
+        [ false; true ])
+    [ "kmeans"; "md5sum" ]
 
 (* ---- replay instances ---------------------------------------------- *)
 
@@ -219,7 +262,7 @@ let show_inv (i : Dynamic.inv) =
     (Test_precompile.enc_actuals i.Dynamic.iactuals)
     (enc_body i.Dynamic.ibody)
 
-(* The instances the trace run records through the verifier's tap, for
+(* The instances the compile's run records through the verifier's tap, for
    a program whose static pass leaves a pair to replay, against the
    reference recording on the oracle: member, actuals, body with its
    register file or arguments and sequence number, and every snapshot's
@@ -333,6 +376,7 @@ let suite =
     ]
     @ workload_cases
     @ [
-        Alcotest.test_case "replay instances recorded in the trace run match the reference"
+        Alcotest.test_case "replay instances recorded in the compile's run match the reference"
           `Slow test_instances;
+        Alcotest.test_case "a compile runs the program once" `Quick test_one_run;
       ] )

@@ -298,7 +298,7 @@ void main() {
   let ast = L.Parser.parse_program src in
   let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
   let prog = Commset_ir.Lower.lower_program ast in
-  let profile = R.Profile.analyze (R.Precompile.prepare prog) in
+  let profile, _ = R.Profile.run (R.Precompile.prepare prog) in
   match R.Profile.hottest profile with
   | Some h ->
       check Alcotest.string "hottest function" "main" h.R.Profile.lr_func;

@@ -18,6 +18,8 @@ module Workers = Commset_exec.Workers
 module Costmodel = Commset_runtime.Costmodel
 module Clock = Commset_obs.Clock
 module Json = Commset_obs.Json_strict
+module W = Commset_workloads.Workload
+module Registry = Commset_workloads.Registry
 
 let check = Alcotest.check
 
@@ -256,6 +258,10 @@ let test_framer_incremental () =
   | _ -> Alcotest.fail "oversized frame length accepted"
   | exception Failure _ -> ()
 
+(* U+1F600 in UTF-8, and as the JSON escapes Python's json.dumps writes *)
+let astral = "\xf0\x9f\x98\x80"
+let astral_escaped = {|\ud83d\ude00|}
+
 let test_proto_request_json () =
   let r = { Proto.rq_id = 7; rq_workload = Some "url"; rq_source = None; rq_echo = true } in
   (match Proto.request_of_json (Proto.request_to_json r) with
@@ -289,6 +295,17 @@ let test_proto_request_json () =
       ({|"id":1e300,|}, None);
       ({|"id":9007199254740992,|}, None);
     ];
+  (* an escaped surrogate pair is one astral character; a lone
+     surrogate makes the request malformed *)
+  (match Proto.request_of_json {|{"id":4,"source":"\ud83d\ude00"}|} with
+  | Ok r -> check Alcotest.(option string) "escaped pair" (Some astral) r.Proto.rq_source
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun body ->
+      match Proto.request_of_json (Printf.sprintf {|{"id":5,"source":"%s"}|} body) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "lone surrogate accepted: %s" body)
+    [ {|\ud83d|}; {|\ude00|}; {|\ud83d\u0041|} ];
   (* a hostile source string survives the frame byte for byte *)
   let src = String.init 256 Char.chr ^ "\"\\ caf\xc3\xa9" in
   let r = { Proto.rq_id = 3; rq_workload = None; rq_source = Some src; rq_echo = false } in
@@ -491,7 +508,10 @@ let test_server_mixed_and_errors () =
   check Alcotest.int "two services reported" 2 (List.length r.Server.r_workloads);
   check Alcotest.int "zero Equiv failures" 0 r.Server.r_equiv_failures
 
-let test_server_socket () =
+(* Run a daemon on a fresh socket and hand [f] a connection to it;
+   returns the daemon's report once it stopped, and whether the socket
+   file is left. *)
+let with_daemon f =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "commset-serve-test.sock" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let daemon = Domain.spawn (fun () -> Server.run ~socket:path (tiny_config ())) in
@@ -507,9 +527,14 @@ let test_server_socket () =
         connect ()
   in
   connect ();
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
+  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ()) (fun () -> f fd);
+  Server.request_stop ();
+  let r = Domain.join daemon in
+  (r, Sys.file_exists path)
+
+let test_server_socket () =
+  let r, socket_left =
+    with_daemon @@ fun fd ->
       (* by-name request with echo *)
       Proto.send_frame fd
         (Proto.request_to_json
@@ -546,13 +571,76 @@ let test_server_socket () =
       | Some payload -> (
           match Proto.response_of_json payload with
           | Ok resp -> check Alcotest.bool "error status" true (resp.Proto.rs_error <> None)
-          | Error e -> Alcotest.fail e)));
-  Server.request_stop ();
-  let r = Domain.join daemon in
+          | Error e -> Alcotest.fail e))
+  in
   check Alcotest.string "stopped by signal" "signal" r.Server.r_stopped_by;
   check Alcotest.bool "drained" true r.Server.r_drained;
   check Alcotest.int "two well-formed requests served" 2 r.Server.r_served;
-  check Alcotest.bool "socket unlinked on shutdown" false (Sys.file_exists path)
+  check Alcotest.bool "socket unlinked on shutdown" false socket_left
+
+let replace_all = Commset_codegen.Build.replace_all
+
+(* A request whose inline source holds an astral character in a string
+   literal, escaped as a surrogate pair, runs and is digested like the
+   raw UTF-8 form; one holding a lone surrogate gets the malformed-frame
+   error response. *)
+let test_server_escaped_source () =
+  let src =
+    replace_all ~sub:"int_to_string(x)" ~by:("\"" ^ astral ^ " \" + int_to_string(x)") tiny_src
+  in
+  let request id =
+    Proto.request_to_json
+      { Proto.rq_id = id; rq_workload = None; rq_source = Some src; rq_echo = true }
+  in
+  let escaped = replace_all ~sub:astral ~by:astral_escaped (request 2) in
+  check Alcotest.bool "the escaped frame is ASCII" true
+    (String.for_all (fun c -> Char.code c < 0x80) escaped);
+  let exchange fd payload =
+    Proto.send_frame fd payload;
+    match Proto.recv_frame fd with
+    | None -> Alcotest.fail "no response"
+    | Some payload -> (
+        match Proto.response_of_json payload with Ok resp -> resp | Error e -> Alcotest.fail e)
+  in
+  let r, _ =
+    with_daemon @@ fun fd ->
+    let raw = exchange fd (request 1) and esc = exchange fd escaped in
+    check Alcotest.bool "raw ok" true (raw.Proto.rs_error = None);
+    check Alcotest.bool "escaped ok" true (esc.Proto.rs_error = None);
+    check Alcotest.(option (list string)) "outputs" (Some [ astral ^ " 0"; astral ^ " 3" ])
+      (Option.map (List.filteri (fun i _ -> i < 2)) raw.Proto.rs_outputs);
+    check Alcotest.string "same digest" raw.Proto.rs_digest esc.Proto.rs_digest;
+    check Alcotest.bool "same source, a cache hit" true esc.Proto.rs_hit;
+    let lone = exchange fd (replace_all ~sub:astral_escaped ~by:{|\ud83d|} escaped) in
+    check Alcotest.bool "lone surrogate: error status" true (lone.Proto.rs_error <> None)
+  in
+  check Alcotest.int "two well-formed requests served" 2 r.Server.r_served
+
+(* ---- service plans ---- *)
+
+(* [prepare_service] simulates only the plans the real engine can run;
+   it must pick what the first executable plan among all simulated
+   plans was, bit for bit. *)
+let test_service_best () =
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun (variant, src) ->
+          let what = Printf.sprintf "%s/%s" w.W.wname variant in
+          let sv = P.prepare_service ~name:w.W.wname ~setup:w.W.setup ~threads:8 src in
+          let all =
+            List.find_opt
+              (fun (r : P.run) -> Result.is_ok (Commset_exec.Exec.supported r.P.plan))
+              (P.evaluate sv.P.sv_compiled ~threads:8)
+          in
+          let show =
+            Option.map (fun (r : P.run) ->
+                Printf.sprintf "%s %Lx %s" r.P.plan.Commset_transforms.Plan.label
+                  (Int64.bits_of_float r.P.speedup) (P.fidelity_name r.P.fidelity))
+          in
+          check Alcotest.(option string) what (show all) (show sv.P.sv_best))
+        (("base", w.W.source) :: w.W.variants))
+    Registry.all
 
 (* ---- fidelity gate ---- *)
 
@@ -626,4 +714,8 @@ let suite =
       Alcotest.test_case "server: socket requests, inline source, malformed frame" `Quick
         test_server_socket;
       Alcotest.test_case "pipeline: fidelity gate verdicts" `Quick test_fidelity_gate;
+      Alcotest.test_case "server: escaped astral source, lone surrogates" `Quick
+        test_server_escaped_source;
+      Alcotest.test_case "service: best plan from the executable plans alone" `Slow
+        test_service_best;
     ] )
