@@ -49,6 +49,33 @@ def serve(r, opts):
         return "no Equiv checks ran (equiv.checked == 0)"
 
 
+def attrib_overhead(o, opts):
+    """bench exec_profile.overhead row: at most 5% unless coordinator and
+    worker time-slice one core, where the ratio is scheduler noise."""
+    if not o["oversubscribed"] and o["overhead_frac"] > 0.05:
+        return "%s attribution overhead %.2f%% exceeds the 5%% budget" % (
+            o["engine"], 100 * o["overhead_frac"])
+
+
+# compiled over interpreted iteration throughput per program: hmmer's
+# body is miniC compute, the dispatch codegen removes; md5sum's is
+# library calls both engines make natively, at parity by design
+CODEGEN_FLOORS = {"hmmer": 1.2, "md5sum": 0.9}
+
+
+def codegen_floors(items, opts):
+    """bench/perf result items: body_real_s over body_codegen_s medians."""
+    real, compiled = items["body_real_s"], items["body_codegen_s"]
+    gated = sorted(p for p in CODEGEN_FLOORS if p in real and p in compiled)
+    if not gated:
+        return "holds neither %s" % " nor ".join(sorted(CODEGEN_FLOORS))
+    for p in gated:
+        ratio = real[p]["median"] / compiled[p]["median"]
+        if ratio < CODEGEN_FLOORS[p]:
+            return "%s: compiled throughput %.2fx the interpreted one, below its %.1fx floor" % (
+                p, ratio, CODEGEN_FLOORS[p])
+
+
 def rediscovery(s, opts):
     if "min-bundle" not in opts:
         return None
@@ -66,6 +93,8 @@ def rediscovery(s, opts):
 # name -> (check, the options it reads)
 CHECKS = {"monotone_quantiles": (monotone_quantiles, []),
           "component_sum": (component_sum, []),
+          "attrib_overhead": (attrib_overhead, []),
+          "codegen_floors": (codegen_floors, []),
           "serve": (serve, ["stopped-by", "min-hit-rate", "require-equiv"]),
           "rediscovery": (rediscovery, ["min-bundle"])}
 

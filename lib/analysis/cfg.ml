@@ -40,7 +40,6 @@ let of_func (func : Ir.func) =
 let successors t label = Ir.successors (Ir.block t.func label)
 let predecessors t label = Option.value ~default:[] (Hashtbl.find_opt t.preds label)
 let reachable_labels t = t.labels
-let is_reachable t label = Hashtbl.mem t.rpo_index label
 let rpo_index t label = Hashtbl.find t.rpo_index label
 
 (** [can_reach t ~avoiding src dst]: is there a non-empty path from [src]

@@ -14,7 +14,6 @@ val of_func : Ir.func -> t
 val successors : t -> Ir.label -> Ir.label list
 val predecessors : t -> Ir.label -> Ir.label list
 val reachable_labels : t -> Ir.label list
-val is_reachable : t -> Ir.label -> bool
 val rpo_index : t -> Ir.label -> int
 
 (** [can_reach t ~avoiding src dst]: is there a non-empty path from [src]

@@ -98,4 +98,3 @@ let compute_post (cfg : Cfg.t) =
   { pdom; virtual_exit }
 
 let post_dominates p a b = dominates p.pdom a b
-let ipdom p label = idom p.pdom label

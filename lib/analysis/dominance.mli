@@ -24,6 +24,3 @@ val compute_post : Cfg.t -> post
 
 (** Reflexive post-dominance. *)
 val post_dominates : post -> Ir.label -> Ir.label -> bool
-
-(** Immediate post-dominator ([None] at the virtual exit). *)
-val ipdom : post -> Ir.label -> Ir.label option

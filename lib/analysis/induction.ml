@@ -80,8 +80,6 @@ let compute (func : Ir.func) (cfg : Cfg.t) (dom : Dominance.t) (loop : Loops.loo
 
 let basic_ivs t = t.ivs
 
-let is_basic_iv t r = List.exists (fun iv -> iv.iv_reg = r) t.ivs
-
 (** Classify an operand's value at a point inside the loop as affine in a
     basic IV, loop-invariant, or unknown. Chains of [Move]/[Binop] through
     uniquely-defined registers are followed up to a small depth. *)

@@ -18,7 +18,6 @@ type t
 
 val compute : Ir.func -> Cfg.t -> Dominance.t -> Loops.loop -> t
 val basic_ivs : t -> iv list
-val is_basic_iv : t -> Ir.reg -> bool
 
 (** Classify an operand's value inside the loop, following chains of
     uniquely-defined registers up to a small depth. *)

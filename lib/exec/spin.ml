@@ -1,50 +1,34 @@
 (** Busy-wait primitives; see the interface for the tuning rationale. *)
 
-module Costmodel = Commset_runtime.Costmodel
-
-let spin_rounds () = Costmodel.exec_spin_rounds ()
+let spin_rounds = 200
 
 (* yielding quantum once the spin budget is spent: long enough that a
    preempted partner gets scheduled, short enough to stay responsive *)
-let yield_s () = Costmodel.exec_spin_sleep_s ()
+let sleep_s = 50e-6
 
-type backoff = {
-  mutable rounds : int;
-  limit : int;
-  sleep_s : float;
-  (* long-idle tier: after [idle_after] base-quantum sleeps the quantum
-     doubles each sleep up to [sleep_cap_s], so a parked waiter costs
-     one wakeup per cap instead of polling every base quantum *)
-  mutable sleeps : int;
-  mutable cur_sleep_s : float;
-  idle_after : int;
-  sleep_cap_s : float;
-}
+(* long-idle tier: after [idle_after] base-quantum sleeps the quantum
+   doubles each sleep up to [sleep_cap_s], so an idle waiter converges to
+   one wakeup per cap instead of polling every base quantum; the cap
+   bounds the worst-case wakeup latency of a parked worker *)
+let idle_after = 40
+let sleep_cap_s = 20e-3
 
-let backoff () =
-  let sleep_s = yield_s () in
-  {
-    rounds = 0;
-    limit = spin_rounds ();
-    sleep_s;
-    sleeps = 0;
-    cur_sleep_s = sleep_s;
-    idle_after = Costmodel.exec_idle_sleep_after ();
-    sleep_cap_s = Float.max (Costmodel.exec_idle_sleep_cap_s ()) sleep_s;
-  }
+type backoff = { mutable rounds : int; mutable sleeps : int; mutable cur_sleep_s : float }
+
+let backoff () = { rounds = 0; sleeps = 0; cur_sleep_s = sleep_s }
 
 let current_sleep_s b = b.cur_sleep_s
 
 let once b =
-  if b.rounds < b.limit then begin
+  if b.rounds < spin_rounds then begin
     Domain.cpu_relax ();
     b.rounds <- b.rounds + 1
   end
   else begin
     Unix.sleepf b.cur_sleep_s;
     b.sleeps <- b.sleeps + 1;
-    if b.sleeps >= b.idle_after then
-      b.cur_sleep_s <- Float.min (b.cur_sleep_s *. 2.) b.sleep_cap_s
+    if b.sleeps >= idle_after then
+      b.cur_sleep_s <- Float.min (b.cur_sleep_s *. 2.) sleep_cap_s
   end
 
 (* a successful wait ends the episode; the next episode of the same
@@ -52,7 +36,7 @@ let once b =
 let reset b =
   b.rounds <- 0;
   b.sleeps <- 0;
-  b.cur_sleep_s <- b.sleep_s
+  b.cur_sleep_s <- sleep_s
 
 type lock = { flag : bool Atomic.t }
 

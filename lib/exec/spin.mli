@@ -11,11 +11,20 @@
     producer blocked on a full queue would burn its entire quantum
     spinning against a consumer that is not running. *)
 
-(** Spin rounds before a waiter starts yielding to the OS scheduler —
-    read from {!Commset_runtime.Costmodel.exec_spin_rounds}, so the
-    [COMMSET_SPIN_ROUNDS] / [COMMSET_SPIN_SLEEP_US] environment knobs
-    tune the backoff without a recompile. *)
-val spin_rounds : unit -> int
+(** Spin rounds before a waiter starts yielding to the OS scheduler
+    (200). *)
+val spin_rounds : int
+
+(** Base yielding quantum once the spin budget is spent (50 µs). *)
+val sleep_s : float
+
+(** Base-quantum sleeps before the backoff escalates (40, ~2 ms at the
+    base quantum). *)
+val idle_after : int
+
+(** Sleep-quantum ceiling of the long-idle tier (20 ms): the worst-case
+    wakeup latency of a parked waiter. *)
+val sleep_cap_s : float
 
 (** One waiter's backoff state; create one per blocking episode. *)
 type backoff
@@ -23,13 +32,11 @@ type backoff
 val backoff : unit -> backoff
 
 (** One backoff step: {!Domain.cpu_relax} for the first {!spin_rounds}
-    calls, then sleeps. The first
-    {!Commset_runtime.Costmodel.exec_idle_sleep_after} sleeps use the
-    base quantum (short blocking episodes behave exactly as before);
-    after that the waiter is long-idle and the quantum doubles per
-    sleep up to {!Commset_runtime.Costmodel.exec_idle_sleep_cap_s} —
-    an idle daemon worker parks at ~0% CPU with wakeup latency bounded
-    by the cap. *)
+    calls, then sleeps. The first {!idle_after} sleeps use the base
+    quantum {!sleep_s} (short blocking episodes behave exactly as
+    before); after that the waiter is long-idle and the quantum doubles
+    per sleep up to {!sleep_cap_s} — an idle daemon worker parks at ~0%
+    CPU with wakeup latency bounded by the cap. *)
 val once : backoff -> unit
 
 (** Forget accumulated idleness: the next {!once} is back at the

@@ -8,7 +8,7 @@
     coordinator). An idle worker parks on its empty ring through the
     adaptive backoff's long-idle tier ({!Spin}), so an idle pool sits
     at ~0% CPU while wakeup latency stays bounded by
-    {!Commset_runtime.Costmodel.exec_idle_sleep_cap_s}.
+    {!Spin.sleep_cap_s}.
 
     Tasks are arbitrary closures; an exception escaping a task is
     caught, counted ([w_task_errors]) and logged — one poisoned request

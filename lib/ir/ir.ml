@@ -134,8 +134,6 @@ let term_uses = function
 let successors b =
   match b.term with Jump l -> [ l ] | Branch (_, l1, l2) -> [ l1; l2 ] | Ret _ -> []
 
-let innermost_region i = match i.iregions with [] -> None | r :: _ -> Some r
-
 let find_region f rid = List.find_opt (fun r -> r.rid = rid) f.fregions
 
 let callee_of i = match i.desc with Call { callee; _ } -> Some callee | _ -> None
@@ -215,5 +213,3 @@ let pp_func ppf f =
       Fmt.pf ppf "   %a@." (pp_terminator f) b.term)
     (blocks_in_order f);
   Fmt.pf ppf "}@."
-
-let func_to_string f = Fmt.str "%a" pp_func f

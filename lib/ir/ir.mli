@@ -100,7 +100,6 @@ val operand_uses : operand -> reg list
 val instr_uses : instr -> reg list
 val term_uses : terminator -> reg list
 val successors : block -> label list
-val innermost_region : instr -> int option
 val find_region : func -> int -> region option
 val callee_of : instr -> string option
 
@@ -110,4 +109,3 @@ val operand_to_string : func -> operand -> string
 val pp_instr : func -> Format.formatter -> instr -> unit
 val pp_terminator : func -> Format.formatter -> terminator -> unit
 val pp_func : Format.formatter -> func -> unit
-val func_to_string : func -> string

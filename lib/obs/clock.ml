@@ -1,4 +1,3 @@
 (** Monotonic time source; see the interface. *)
 
 let now_ns () = Int64.to_float (Monotonic_clock.now ())
-let now_us () = now_ns () /. 1e3

@@ -56,7 +56,6 @@ let rec gauge_add g v =
   if not (Atomic.compare_and_set g cur (cur +. v)) then gauge_add g v
 
 let gauge_set g v = Atomic.set g v
-let gauge_value g = Atomic.get g
 
 let n_buckets = 64
 

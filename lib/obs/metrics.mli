@@ -35,7 +35,6 @@ type gauge
 val gauge : ?doc:string -> string -> gauge
 val gauge_add : gauge -> float -> unit
 val gauge_set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** Log₂-bucketed histogram of non-negative float observations. Bucket
     [i] counts observations [v] with [2^(i-32) <= v < 2^(i-31)]

@@ -131,7 +131,6 @@ let dump () : span list =
     (buffers ())
 
 let dropped_total () = List.fold_left (fun acc b -> acc + b.dropped) 0 (buffers ())
-let n_domains () = Atomic.get next_slot
 
 let reset () =
   List.iter

@@ -55,9 +55,6 @@ val dump : unit -> span list
 (** Spans discarded because some domain's buffer was full. *)
 val dropped_total : unit -> int
 
-(** Number of per-domain buffers created so far. *)
-val n_domains : unit -> int
-
 (** Discard all recorded spans (buffers stay allocated); also resets
     the dropped count. For tests and benchmark legs. *)
 val reset : unit -> unit

@@ -68,8 +68,6 @@ let node_of_instr t iid =
   if iid >= 0 && iid < Array.length t.instr_node then Array.unsafe_get t.instr_node iid
   else None
 
-let is_commutative_edge e = e.commut <> Cnone
-
 (** Edges that remain after applying the commutativity annotations the way
     the transforms see them: [Cuco] edges vanish; carried [Cico] edges
     become intra-iteration edges. *)

@@ -64,8 +64,6 @@ val node_region : node -> Ir.region option
     iids. *)
 val node_of_instr : t -> int -> int option
 
-val is_commutative_edge : edge -> bool
-
 (** Edges as the transforms see them: [Cuco] edges vanish; carried
     [Cico] edges become intra-iteration edges. *)
 val effective_edges : t -> edge list

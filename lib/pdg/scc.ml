@@ -48,7 +48,6 @@ let compute (pdg : Pdg.t) ~(edges : Pdg.edge list) : t =
   Array.iteri (fun a succs -> List.iter (fun b -> assert (a < b || a = b)) succs) dag;
   { comps; comp_of; dag_succs = dag; topo; carried_internal }
 
-let n_components t = Array.length t.comps
 let members t cid = t.comps.(cid)
 let component_of t nid = t.comp_of.(nid)
 let has_carried_dep t cid = t.carried_internal.(cid)

@@ -14,7 +14,6 @@ type t = {
 (** Component ids are numbered in topological order (sources first). *)
 val compute : Pdg.t -> edges:Pdg.edge list -> t
 
-val n_components : t -> int
 val members : t -> int -> int list
 val component_of : t -> int -> int
 val has_carried_dep : t -> int -> bool

@@ -94,108 +94,6 @@ let exec_ns_per_cycle_cell = Atomic.make 1.0
 let exec_ns_per_cycle () = Atomic.get exec_ns_per_cycle_cell
 let set_exec_ns_per_cycle v = Atomic.set exec_ns_per_cycle_cell (Float.max 0. v)
 
-(* Busy-wait tuning for the executor's adaptive backoff (Commset_exec.Spin)
-   lives here, next to the simulator's handoff constants, so retuning the
-   real backend never requires a recompile: COMMSET_SPIN_ROUNDS and
-   COMMSET_SPIN_SLEEP_US override the defaults (200 rounds of cpu_relax,
-   then 50us yielding sleeps). *)
-
-let exec_spin_rounds_cell = Atomic.make (-1)
-
-let exec_spin_rounds () =
-  let v = Atomic.get exec_spin_rounds_cell in
-  if v >= 0 then v
-  else
-    let v =
-      match Sys.getenv_opt "COMMSET_SPIN_ROUNDS" with
-      | None | Some "" -> 200
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 0 -> n
-          | _ ->
-              Commset_support.Diag.error ~code:"CS013"
-                "invalid COMMSET_SPIN_ROUNDS value '%s': expected a \
-                 non-negative iteration count"
-                s)
-    in
-    Atomic.set exec_spin_rounds_cell v;
-    v
-
-(* negative = not yet initialised from the environment *)
-let exec_spin_sleep_cell = Atomic.make (-1.0)
-
-let exec_spin_sleep_s () =
-  let v = Atomic.get exec_spin_sleep_cell in
-  if v >= 0. then v
-  else
-    let v =
-      match Sys.getenv_opt "COMMSET_SPIN_SLEEP_US" with
-      | None | Some "" -> 50e-6
-      | Some s -> (
-          match float_of_string_opt (String.trim s) with
-          | Some f when f >= 0. && Float.is_finite f -> f *. 1e-6
-          | _ ->
-              Commset_support.Diag.error ~code:"CS013"
-                "invalid COMMSET_SPIN_SLEEP_US value '%s': expected a \
-                 non-negative number of microseconds"
-                s)
-    in
-    Atomic.set exec_spin_sleep_cell v;
-    v
-
-(* Long-idle tier of the adaptive backoff (daemon mode): after
-   [exec_idle_sleep_after] base-quantum sleeps the quantum doubles each
-   episode up to [exec_idle_sleep_cap_s], so an idle waiter converges to
-   one wakeup per cap instead of polling every 50 µs forever.  The cap
-   bounds the worst-case wakeup latency of a parked worker. *)
-
-let exec_idle_sleep_after_cell = Atomic.make (-1)
-
-let exec_idle_sleep_after () =
-  let v = Atomic.get exec_idle_sleep_after_cell in
-  if v >= 0 then v
-  else
-    let v =
-      match Sys.getenv_opt "COMMSET_IDLE_SLEEP_AFTER" with
-      | None | Some "" -> 40
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 0 -> n
-          | _ ->
-              Commset_support.Diag.error ~code:"CS013"
-                "invalid COMMSET_IDLE_SLEEP_AFTER value '%s': expected a \
-                 non-negative sleep count"
-                s)
-    in
-    Atomic.set exec_idle_sleep_after_cell v;
-    v
-
-let set_exec_idle_sleep_after n = Atomic.set exec_idle_sleep_after_cell (max 0 n)
-
-let exec_idle_sleep_cap_cell = Atomic.make (-1.0)
-
-let exec_idle_sleep_cap_s () =
-  let v = Atomic.get exec_idle_sleep_cap_cell in
-  if v >= 0. then v
-  else
-    let v =
-      match Sys.getenv_opt "COMMSET_IDLE_SLEEP_CAP_MS" with
-      | None | Some "" -> 20e-3
-      | Some s -> (
-          match float_of_string_opt (String.trim s) with
-          | Some f when f >= 0. && Float.is_finite f -> f *. 1e-3
-          | _ ->
-              Commset_support.Diag.error ~code:"CS013"
-                "invalid COMMSET_IDLE_SLEEP_CAP_MS value '%s': expected a \
-                 non-negative number of milliseconds"
-                s)
-    in
-    Atomic.set exec_idle_sleep_cap_cell v;
-    v
-
-let set_exec_idle_sleep_cap_ms ms =
-  Atomic.set exec_idle_sleep_cap_cell (Float.max 0. (ms *. 1e-3))
-
 (* Relative predicted-vs-measured speedup gap the strict gates accept
    (run --strict, serve --selftest --strict). *)
 let fidelity_band_cell = Atomic.make (-1.0)

@@ -54,39 +54,6 @@ val exec_ns_per_cycle : unit -> float
 
 val set_exec_ns_per_cycle : float -> unit
 
-(** Spin rounds the executor's adaptive backoff burns with
-    [Domain.cpu_relax] before it starts yielding to the OS scheduler.
-    Initialized from [COMMSET_SPIN_ROUNDS] (default 200) on first read;
-    malformed values raise a CS013 {!Commset_support.Diag.Error}. *)
-val exec_spin_rounds : unit -> int
-
-(** Yielding quantum (seconds) once the spin budget is spent. Initialized
-    from [COMMSET_SPIN_SLEEP_US] (microseconds, default 50) on first
-    read; malformed values raise a CS013 {!Commset_support.Diag.Error}. *)
-val exec_spin_sleep_s : unit -> float
-
-(** {2 Long-idle parking (daemon mode)}
-
-    A waiter that has already slept {!exec_idle_sleep_after} base
-    quanta is long-idle: each further sleep doubles up to
-    {!exec_idle_sleep_cap_s}, so a parked daemon worker costs one
-    wakeup per cap (~0% CPU) while its worst-case wakeup latency stays
-    bounded by the cap. *)
-
-(** Base-quantum sleeps before the backoff escalates. Initialized from
-    [COMMSET_IDLE_SLEEP_AFTER] (default 40 — ~2 ms at the default
-    50 µs quantum) on first read; malformed values raise CS013. *)
-val exec_idle_sleep_after : unit -> int
-
-val set_exec_idle_sleep_after : int -> unit
-
-(** Sleep-quantum ceiling (seconds) of the long-idle tier. Initialized
-    from [COMMSET_IDLE_SLEEP_CAP_MS] (milliseconds, default 20) on
-    first read; malformed values raise CS013. *)
-val exec_idle_sleep_cap_s : unit -> float
-
-val set_exec_idle_sleep_cap_ms : float -> unit
-
 (** Relative predicted-vs-measured speedup gap accepted by the strict
     fidelity gates ([run --strict], [serve --selftest --strict]) on
     non-oversubscribed machines. Initialized from

@@ -26,8 +26,6 @@ let diagnostic ?code severity loc message = { severity; loc; code; message }
 let error ?(loc = Loc.dummy) ?code fmt =
   Format.kasprintf (fun message -> raise (Error (diagnostic ?code Error_sev loc message))) fmt
 
-let errorf = error
-
 (* The sink is intentionally a plain ref: collection happens on the driver
    domain only; parallel workers never report through it. *)
 let sink : diagnostic list ref option ref = ref None

@@ -21,8 +21,6 @@ val diagnostic : ?code:string -> severity -> Loc.t -> string -> diagnostic
 (** [error ~loc ~code fmt ...] raises {!Error} with the formatted message. *)
 val error : ?loc:Loc.t -> ?code:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
-val errorf : ?loc:Loc.t -> ?code:string -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-
 (** [report d] appends [d] to the active {!collect} sink; outside of
     [collect] an error is raised and a warning is dropped. *)
 val report : diagnostic -> unit

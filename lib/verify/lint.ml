@@ -9,7 +9,7 @@
     (unreadable input) from the driver; CS010–CS012 (region control
     flow, transitive member call, cyclic commset graph) from the
     well-formedness checker; CS013 (invalid [COMMSET_JOBS] or
-    [COMMSET_SPIN_*] value) from the pool and the cost model; CS014
+    [COMMSET_FIDELITY_BAND] value) from the pool and the cost model; CS014
     (plan refused by the real backend) from the executor; CS015 and
     CS016 (no sound condition, weaker bundle) from the synthesizer;
     CS017 (fuel exhausted) from {!Commset_runtime.Precompile.fuel_guard}

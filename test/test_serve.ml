@@ -15,7 +15,6 @@ module Proto = Commset_serve.Proto
 module Server = Commset_serve.Server
 module Spin = Commset_exec.Spin
 module Workers = Commset_exec.Workers
-module Costmodel = Commset_runtime.Costmodel
 module Clock = Commset_obs.Clock
 module Json = Commset_obs.Json_strict
 module W = Commset_workloads.Workload
@@ -346,29 +345,15 @@ let test_proto_response_json () =
 
 (* ---- long-idle backoff tier ---- *)
 
-let with_idle_knobs ~after ~cap_ms f =
-  let old_after = Costmodel.exec_idle_sleep_after () in
-  let old_cap = Costmodel.exec_idle_sleep_cap_s () in
-  Costmodel.set_exec_idle_sleep_after after;
-  Costmodel.set_exec_idle_sleep_cap_ms cap_ms;
-  Fun.protect
-    ~finally:(fun () ->
-      Costmodel.set_exec_idle_sleep_after old_after;
-      Costmodel.set_exec_idle_sleep_cap_ms (old_cap *. 1e3))
-    f
-
 let test_spin_idle_escalation () =
-  with_idle_knobs ~after:3 ~cap_ms:0.8 @@ fun () ->
-  let base = Costmodel.exec_spin_sleep_s () in
+  let base = Spin.sleep_s in
   let b = Spin.backoff () in
-  let spin_budget = Spin.spin_rounds () in
   (* burn the cpu_relax budget *)
-  for _ = 1 to spin_budget do Spin.once b done;
+  for _ = 1 to Spin.spin_rounds do Spin.once b done;
   check (Alcotest.float 1e-9) "still at base quantum" base (Spin.current_sleep_s b);
-  (* the first [after] sleeps all pay the base quantum; the next
-     quantum only escalates once the [after]th has been slept *)
-  Spin.once b;
-  Spin.once b;
+  (* the first [idle_after] sleeps all pay the base quantum; the next
+     quantum only escalates once the [idle_after]th has been slept *)
+  for _ = 1 to Spin.idle_after - 1 do Spin.once b done;
   check (Alcotest.float 1e-9) "responsive tier holds before `after` sleeps" base
     (Spin.current_sleep_s b);
   Spin.once b;
@@ -376,18 +361,17 @@ let test_spin_idle_escalation () =
     (Spin.current_sleep_s b);
   Spin.once b;
   check (Alcotest.float 1e-9) "second doubling" (base *. 4.) (Spin.current_sleep_s b);
-  (* ...and clamps at the cap *)
+  (* ...and clamps at the cap (4 x 50 us doubled 7 times passes 20 ms) *)
   for _ = 1 to 8 do Spin.once b done;
-  check (Alcotest.float 1e-9) "clamped at the cap" 0.0008 (Spin.current_sleep_s b);
+  check (Alcotest.float 1e-9) "clamped at the cap" Spin.sleep_cap_s (Spin.current_sleep_s b);
   (* reset returns to the responsive tier *)
   Spin.reset b;
   check (Alcotest.float 1e-9) "reset restores the base quantum" base
     (Spin.current_sleep_s b)
 
-(* the satellite's promise: an idle worker wakes within the cap (plus
-   scheduling noise), not within some unbounded exponential sleep *)
+(* an idle worker wakes within the cap (plus scheduling noise), not
+   within some unbounded exponential sleep *)
 let test_idle_wakeup_latency_bounded () =
-  with_idle_knobs ~after:2 ~cap_ms:5. @@ fun () ->
   let pool = Workers.spawn ~jobs:1 () in
   Fun.protect
     ~finally:(fun () -> Workers.shutdown pool)
@@ -404,10 +388,11 @@ let test_idle_wakeup_latency_bounded () =
       let t_start = Atomic.get started in
       if t_start = 0. then Alcotest.fail "parked worker never woke";
       let wakeup_ms = (t_start -. t_submit) /. 1e6 in
-      (* cap is 5ms; allow generous scheduler noise, but far below the
+      (* cap is 20ms; allow generous scheduler noise, but far below the
          unbounded-exponential failure mode this test exists to catch *)
       if wakeup_ms > 250. then
-        Alcotest.failf "idle wakeup took %.1f ms (cap 5 ms)" wakeup_ms)
+        Alcotest.failf "idle wakeup took %.1f ms (cap %.0f ms)" wakeup_ms
+          (Spin.sleep_cap_s *. 1e3))
 
 (* ---- warm worker pool ---- *)
 
