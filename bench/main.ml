@@ -585,7 +585,7 @@ let () =
     (fun (r : P.run) ->
       Printf.printf "  %-44s %5.2fx  aborts=%d  %s\n" r.P.plan.T.Plan.label r.P.speedup
         r.P.tx_aborts
-        (P.fidelity_to_string r.P.fidelity))
+        (Commset_exec.Equiv.verdict_to_string r.P.fidelity))
     (Commset_support.Listx.take 4 (P.evaluate cd ~threads:8));
 
   if not quick then begin

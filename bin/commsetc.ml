@@ -270,67 +270,78 @@ let gate_fidelity ~strict ~cores ~jobs (runs : P.exec_run list) =
         List.iter (fun (label, gap) -> Fmt.epr "  %-52s gap %.2f@." label gap) over;
         exit 1
 
-let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format =
+(* The real-execution path [run] and [stat] share, in three steps. *)
+
+(* The executable plans at [jobs] that [pick] chooses; when it chooses
+   none, every executable plan is listed and the command exits with
+   [no_match]. *)
+let pick_executable c ~jobs ~plan_sel ~no_match pick =
   let all = P.executable_plans c ~threads:jobs in
-  let selected = List.filter (plan_matches plan_sel) all in
-  if selected = [] then (
-    Fmt.epr "no executable plan matches --plan=%s at %d job(s)@." plan_sel jobs;
-    Fmt.epr "executable plans:@.";
-    List.iter (fun (p : T.Plan.t) -> Fmt.epr "  %s@." p.T.Plan.label) all;
-    exit (if strict then 1 else 0));
+  match pick all with
+  | [] ->
+      Fmt.epr "no executable plan matches --plan=%s at %d job(s)@." plan_sel jobs;
+      Fmt.epr "executable plans:@.";
+      List.iter (fun (p : T.Plan.t) -> Fmt.epr "  %s@." p.T.Plan.label) all;
+      exit no_match
+  | selected -> selected
+
+(* Each plan on real domains with attribution; [each] sees every run as
+   it completes. *)
+let exec_plans c ~engine ~jobs ?(each = ignore) plans =
+  List.map
+    (fun plan ->
+      let x = P.run_parallel ~engine ~jobs ~attrib:true c plan in
+      each x;
+      x)
+    plans
+
+let exit_on_mismatch (runs : P.exec_run list) =
+  match List.length (List.filter (fun (r : P.exec_run) -> r.P.xfidelity = P.Mismatch) runs) with
+  | 0 -> ()
+  | n ->
+      Fmt.epr "%d plan(s) FAILED output equivalence@." n;
+      exit 1
+
+let exec_real c ~name ~engine ~jobs ~plan_sel ~strict ~format =
+  let selected =
+    pick_executable c ~jobs ~plan_sel ~no_match:(if strict then 1 else 0)
+      (List.filter (plan_matches plan_sel))
+  in
   let cores = Domain.recommended_domain_count () in
+  let engine_s = Commset_exec.Exec.engine_name engine in
   match format with
   | `Json ->
-      let runs =
-        List.map (fun plan -> P.run_parallel ~engine ~jobs ~attrib:true c plan) selected
-      in
+      let runs = exec_plans c ~engine ~jobs selected in
       print_string
-        (Commset_report.Stat.render_json ~workload:name
-           ~engine:(Commset_exec.Exec.engine_name engine)
-           ~jobs ~cores runs);
-      let mismatches =
-        List.length (List.filter (fun (r : P.exec_run) -> r.P.xfidelity = P.Mismatch) runs)
-      in
-      if mismatches > 0 then (
-        Fmt.epr "%d plan(s) FAILED output equivalence@." mismatches;
-        exit 1);
+        (Commset_report.Stat.render_json ~workload:name ~engine:engine_s ~jobs ~cores runs);
+      exit_on_mismatch runs;
       gate_fidelity ~strict ~cores ~jobs runs
   | `Text ->
       Fmt.pr "real execution on %d domain(s), engine %s (%d core(s) available):@." jobs
-        (Commset_exec.Exec.engine_name engine)
-        cores;
+        engine_s cores;
       if cores < 2 then
         Fmt.pr "  note: single core available — measured speedups are not meaningful@.";
       Fmt.pr "  %-52s %9s %9s  %s@." "plan" "predicted" "measured" "outputs";
-      let executed = ref [] in
-      let mismatches =
-        List.fold_left
-          (fun bad plan ->
-            let x = P.run_parallel ~engine ~jobs c plan in
-            executed := x :: !executed;
-            let s = x.P.xstats in
-            Fmt.pr "  %-52s %8.2fx %8.2fx  %s  [%s, %.1f ms seq, %.1f ms par%s]@."
-              s.Commset_exec.Exec.x_label x.P.xpredicted
-              s.Commset_exec.Exec.x_measured_speedup
-              (P.fidelity_to_string x.P.xfidelity)
-              (engine_cell ~requested:engine s)
-              (s.Commset_exec.Exec.x_wall_seq_s *. 1e3)
-              (s.Commset_exec.Exec.x_wall_par_s *. 1e3)
-              (if s.Commset_exec.Exec.x_engine = "codegen" then
-                 Printf.sprintf ", codegen %s %.2fs"
-                   (if s.Commset_exec.Exec.x_codegen_cache_hit then "cache-hit"
-                    else "compiled")
-                   s.Commset_exec.Exec.x_codegen_compile_s
-               else "");
-            if x.P.xfidelity = P.Mismatch then bad + 1 else bad)
-          0 selected
+      let line (x : P.exec_run) =
+        let s = x.P.xstats in
+        Fmt.pr "  %-52s %8.2fx %8.2fx  %s  [%s, %.1f ms seq, %.1f ms par%s]@."
+          s.Commset_exec.Exec.x_label x.P.xpredicted
+          s.Commset_exec.Exec.x_measured_speedup
+          (Commset_exec.Equiv.verdict_to_string x.P.xfidelity)
+          (engine_cell ~requested:engine s)
+          (s.Commset_exec.Exec.x_wall_seq_s *. 1e3)
+          (s.Commset_exec.Exec.x_wall_par_s *. 1e3)
+          (if s.Commset_exec.Exec.x_engine = "codegen" then
+             Printf.sprintf ", codegen %s %.2fs"
+               (if s.Commset_exec.Exec.x_codegen_cache_hit then "cache-hit" else "compiled")
+               s.Commset_exec.Exec.x_codegen_compile_s
+           else "")
       in
-      if mismatches > 0 then (
-        Fmt.epr "%d plan(s) FAILED output equivalence@." mismatches;
-        exit 1);
+      let runs = exec_plans c ~engine ~jobs ~each:line selected in
+      exit_on_mismatch runs;
       if strict then
         Fmt.pr "all %d plan(s) match the sequential reference@." (List.length selected);
-      gate_fidelity ~strict ~cores ~jobs (List.rev !executed)
+      gate_fidelity ~strict ~cores ~jobs runs
 
 let run_cmd =
   let run workload variant file threads jobs engine plan_sel strict timeline format level =
@@ -365,7 +376,7 @@ let run_cmd =
                   else []
                 in
                 Fmt.pr "  %-52s %5.2fx  %s%s@." r.P.plan.T.Plan.label r.P.speedup
-                  (P.fidelity_to_string r.P.fidelity)
+                  (Commset_exec.Equiv.verdict_to_string r.P.fidelity)
                   (if extras = [] then "" else "  [" ^ String.concat ", " extras ^ "]"))
               (P.evaluate c ~threads);
             if timeline then (
@@ -600,23 +611,16 @@ let stat_cmd =
         let engine = Option.value engine ~default:Commset_exec.Exec.Real_engine in
         let jobs = Option.value jobs ~default:(Commset_exec.Exec.default_jobs ()) in
         let c = P.compile ~name ~setup src in
-        let all = P.executable_plans c ~threads:jobs in
         let selected =
-          if String.lowercase_ascii plan_sel = "best" then select_best_plans c ~jobs all
-          else List.filter (plan_matches plan_sel) all
+          pick_executable c ~jobs ~plan_sel ~no_match:1 (fun all ->
+              if String.lowercase_ascii plan_sel = "best" then select_best_plans c ~jobs all
+              else List.filter (plan_matches plan_sel) all)
         in
-        if selected = [] then (
-          Fmt.epr "no executable plan matches --plan=%s at %d job(s)@." plan_sel jobs;
-          Fmt.epr "executable plans:@.";
-          List.iter (fun (p : T.Plan.t) -> Fmt.epr "  %s@." p.T.Plan.label) all;
-          exit 1);
         let tracing = trace_out <> None in
         if tracing then (
           Obs.Recorder.reset ();
           Obs.Recorder.set_enabled true);
-        let runs =
-          List.map (fun plan -> P.run_parallel ~engine ~jobs ~attrib:true c plan) selected
-        in
+        let runs = exec_plans c ~engine ~jobs selected in
         if tracing then Obs.Recorder.set_enabled false;
         let engine_s = Commset_exec.Exec.engine_name engine in
         let cores = Domain.recommended_domain_count () in
@@ -653,12 +657,7 @@ let stat_cmd =
             | Error (code, e) ->
                 Fmt.epr "%s@." e;
                 exit code));
-        let mismatches =
-          List.filter (fun (r : P.exec_run) -> r.P.xfidelity = P.Mismatch) runs
-        in
-        if mismatches <> [] then (
-          Fmt.epr "%d plan(s) FAILED output equivalence@." (List.length mismatches);
-          exit 1))
+        exit_on_mismatch runs)
   in
   let plan_arg =
     Arg.(
@@ -744,7 +743,7 @@ let trace_cmd =
             (match best with
             | Some r ->
                 Fmt.pr "  best plan: %s (%.2fx, %s)@." r.P.plan.T.Plan.label r.P.speedup
-                  (P.fidelity_to_string r.P.fidelity)
+                  (Commset_exec.Equiv.verdict_to_string r.P.fidelity)
             | None -> ());
             let dropped = Obs.Recorder.dropped_total () in
             if dropped > 0 then

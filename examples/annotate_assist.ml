@@ -107,5 +107,5 @@ let () =
   List.iter
     (fun (r : P.run) ->
       Printf.printf "  %-40s %5.2fx  %s\n" r.P.plan.T.Plan.label r.P.speedup
-        (P.fidelity_to_string r.P.fidelity))
+        (Commset_exec.Equiv.verdict_to_string r.P.fidelity))
     (Commset_support.Listx.take 3 (P.evaluate c1 ~threads:8))

@@ -20,7 +20,7 @@ let show name =
   List.iter
     (fun (r : P.run) ->
       Printf.printf "  %-52s %5.2fx  output %s\n" r.P.plan.T.Plan.label r.P.speedup
-        (P.fidelity_to_string r.P.fidelity))
+        (Commset_exec.Equiv.verdict_to_string r.P.fidelity))
     runs;
   (* determinism check: which schedules preserved the sequential output
      order exactly, and which only as a multiset? *)

@@ -88,7 +88,7 @@ let () =
       | Some r ->
           Printf.printf "  %d threads: best %-36s %5.2fx (%s)\n" threads
             r.P.plan.T.Plan.label r.P.speedup
-            (P.fidelity_to_string r.P.fidelity)
+            (Commset_exec.Equiv.verdict_to_string r.P.fidelity)
       | None -> Printf.printf "  %d threads: no plan\n" threads)
     [ 2; 4; 8 ];
   (* show a slice of the program's real output, from the sequential trace *)

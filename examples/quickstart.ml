@@ -32,7 +32,7 @@ let () =
   List.iter
     (fun (r : P.run) ->
       Printf.printf "  %-44s %5.2fx  output %s\n" r.P.plan.T.Plan.label r.P.speedup
-        (P.fidelity_to_string r.P.fidelity))
+        (Commset_exec.Equiv.verdict_to_string r.P.fidelity))
     (P.evaluate c ~threads:8);
 
   (* the deterministic-output variant: one fewer SELF annotation flips the
@@ -43,5 +43,5 @@ let () =
   List.iter
     (fun (r : P.run) ->
       Printf.printf "  %-44s %5.2fx  output %s\n" r.P.plan.T.Plan.label r.P.speedup
-        (P.fidelity_to_string r.P.fidelity))
+        (Commset_exec.Equiv.verdict_to_string r.P.fidelity))
     (Commset_support.Listx.take 2 (P.evaluate cd ~threads:8))

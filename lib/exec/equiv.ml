@@ -7,7 +7,12 @@ type verdict = Exact | Commutative_equal | Mismatch
 
 let verdict_to_string = function
   | Exact -> "exact (deterministic)"
-  | Commutative_equal -> "commutative-equal (multiset)"
+  | Commutative_equal -> "multiset-equal"
+  | Mismatch -> "MISMATCH"
+
+let verdict_name = function
+  | Exact -> "exact"
+  | Commutative_equal -> "multiset-equal"
   | Mismatch -> "MISMATCH"
 
 let commutative_outputs ~(sync : Sync.t) ~(trace : Trace.t) =

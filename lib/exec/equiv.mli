@@ -1,13 +1,15 @@
-(** Output equivalence between a real parallel execution and the
-    sequential reference, refined by the effect classification the
-    synchronization engine already computed: outputs produced by commset
-    members are the ones the annotations declare order-free, so they are
-    compared as multisets, while every other output must appear in
-    exactly its sequential position (relative to the other
-    non-commutative outputs). This is the executable counterpart of the
-    sanitizer's effect classes — and strictly stronger than a whole-
-    stream multiset comparison, which would forgive an illegal
-    reordering of two ordinary prints. *)
+(** Output equivalence between a parallel execution — simulated, run on
+    real domains or served — and the sequential reference, refined by
+    the effect classification the synchronization engine already
+    computed: outputs produced by commset members are the ones the
+    annotations declare order-free, so they are compared as multisets,
+    while every other output must appear in exactly its sequential
+    position (relative to the other non-commutative outputs). This is
+    the executable counterpart of the sanitizer's effect classes — and
+    strictly stronger than a whole-stream multiset comparison, which
+    would forgive an illegal reordering of two ordinary prints. It is
+    the one rule the simulator, the engines and the daemon judge
+    output by. *)
 
 module Trace = Commset_runtime.Trace
 module Sync = Commset_transforms.Sync
@@ -19,7 +21,12 @@ type verdict =
           outputs equal as multisets *)
   | Mismatch
 
+(** For people: [exact (deterministic)], [multiset-equal], [MISMATCH]. *)
 val verdict_to_string : verdict -> string
+
+(** The one machine-readable name every JSON document uses: [exact],
+    [multiset-equal], [MISMATCH]. *)
+val verdict_name : verdict -> string
 
 (** [commutative_outputs ~sync ~trace] classifies output lines: [true]
     for lines emitted (at least once) by a PDG node belonging to some

@@ -1,6 +1,6 @@
 (** Per-iteration execution attribution for the real/codegen engines.
 
-    The real execution backend ({!Commset_exec.Realexec}) creates one
+    The real execution backend ({!Commset_exec.Exec}) creates one
     {!t} per run and one {!worker} per worker domain. Workers charge
     wall time to causes as it is spent — dispatch-queue wait (empty
     SPSC ring), per-commset lock wait, frontier wait, builtin time —

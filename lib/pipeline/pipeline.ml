@@ -4,7 +4,8 @@
     well-formedness checks → profiling (hot-loop selection) → PDG →
     COMMSET dependence analysis (Algorithm 1) → DOALL / DSWP / PS-DSWP
     plans with automatic concurrency control → simulated multicore
-    execution with performance estimates and output-equivalence checks.
+    execution with performance estimates, judged by the one output rule
+    ({!Commset_exec.Equiv.check}) that also judges real and served runs.
 
     This module is the library's main public entry point. *)
 
@@ -24,6 +25,7 @@ module T = Commset_transforms
 module R = Commset_runtime
 module V = Commset_verify
 module Recorder = Commset_obs.Recorder
+module Equiv = Commset_exec.Equiv
 open Commset_support
 
 type setup = R.Machine.t -> unit
@@ -65,6 +67,9 @@ type t = {
   trace : R.Trace.t;
   sync : T.Sync.t;
   sync_none : T.Sync.t;
+  commutative : string -> bool;
+      (** output lines some commset member emitted in the trace: the
+          commset classifier {!judge} hands {!Equiv.check} *)
   plan_ctx_comm : plan_ctx;
   plan_ctx_plain : plan_ctx;
   setup : setup;
@@ -72,27 +77,17 @@ type t = {
       (** per-pair commutativity verdicts, when compiled with [~verify:true] *)
 }
 
-type output_fidelity = Exact | Multiset_equal | Mismatch
+type verdict = Equiv.verdict = Exact | Commutative_equal | Mismatch
 
 type run = {
   plan : T.Plan.t;
   speedup : float;
   makespan : float;  (** whole-program simulated cycles *)
-  fidelity : output_fidelity;
+  fidelity : verdict;
   lock_contended : int;
   tx_aborts : int;
   timelines : (float * float * string) list array;
 }
-
-let fidelity_to_string = function
-  | Exact -> "exact (deterministic)"
-  | Multiset_equal -> "multiset-equal"
-  | Mismatch -> "MISMATCH"
-
-let fidelity_name = function
-  | Exact -> "exact"
-  | Multiset_equal -> "multiset-equal"
-  | Mismatch -> "MISMATCH"
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -232,8 +227,12 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
         (Array.length target.pdg.Pdg.nodes)
         (List.length target.pdg.Pdg.edges)
         target.n_uco target.n_ico);
-  let sync =
-    stage "compile.sync" (fun () -> T.Sync.compute md target.pdg trace target.priv)
+  (* the classifier is built here, once, and not lazily: the simulator
+     reads it from the domain pool *)
+  let sync, commutative =
+    stage "compile.sync" (fun () ->
+        let sync = T.Sync.compute md target.pdg trace target.priv in
+        (sync, Equiv.commutative_outputs ~sync ~trace))
   in
   Log.info (fun m -> m "[%s] synchronization engine: %d node(s) compiler-locked" name
       (Hashtbl.length sync.T.Sync.node_locks));
@@ -275,11 +274,17 @@ let compile ?(name = "<program>") ?(setup : setup = fun _ -> ()) ?(verify = fals
     trace;
     sync;
     sync_none;
+    commutative;
     plan_ctx_comm = plan_ctx_of target.pdg;
     plan_ctx_plain = plan_ctx_of target.pdg_plain;
     setup;
     verification;
   }
+
+let judge t ~commset actual =
+  Equiv.check
+    ~commutative:(if commset then t.commutative else fun _ -> false)
+    ~reference:t.trace.R.Trace.seq_outputs ~actual
 
 (* ------------------------------------------------------------------ *)
 (* Plans                                                               *)
@@ -311,15 +316,6 @@ let plans t ~threads : T.Plan.t list =
 (* Simulation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_outputs t (sim_outputs : (float * string) list) : output_fidelity =
-  let loop_outputs = List.map snd sim_outputs in
-  let full = t.trace.R.Trace.outputs_before @ loop_outputs @ t.trace.R.Trace.outputs_after in
-  if full = t.trace.R.Trace.seq_outputs then Exact
-  else if
-    List.sort compare full = List.sort compare t.trace.R.Trace.seq_outputs
-  then Multiset_equal
-  else Mismatch
-
 let plan_pdg t (plan : T.Plan.t) =
   if plan.T.Plan.uses_commset then t.target.pdg else t.target.pdg_plain
 
@@ -341,7 +337,11 @@ let simulate_lowered ~record_timeline t low (plan : T.Plan.t) : run * T.Emit.t =
       plan;
       speedup = t.trace.R.Trace.seq_total /. makespan;
       makespan;
-      fidelity = check_outputs t result.R.Sim.outputs;
+      fidelity =
+        judge t ~commset:plan.T.Plan.uses_commset
+          (t.trace.R.Trace.outputs_before
+          @ List.map snd result.R.Sim.outputs
+          @ t.trace.R.Trace.outputs_after);
       lock_contended = result.R.Sim.lock_contended;
       tx_aborts = result.R.Sim.tx_aborts;
       timelines = result.R.Sim.timelines;
@@ -374,7 +374,7 @@ type exec_run = {
   xplan : T.Plan.t;
   xpredicted : float;  (** the simulator's speedup prediction for the same plan *)
   xstats : Commset_exec.Exec.stats;
-  xfidelity : output_fidelity;
+  xfidelity : verdict;
 }
 
 (** Plans at [threads] the real backend can execute (TM and speculative
@@ -385,35 +385,29 @@ let executable_plans t ~threads : T.Plan.t list =
     (plans t ~threads)
 
 (** Execute a plan on real domains (Commset_exec) next to one simulation
-    of the same plan, so predicted and measured speedups arrive as a
-    pair. The executor's mandatory output-equivalence verdict is mapped
-    onto the simulator's {!output_fidelity} scale. *)
+    of the same plan, so predicted and measured speedups and verdicts
+    arrive as a pair. *)
 let run_parallel ?engine ?jobs ?attrib t (plan : T.Plan.t) : exec_run =
   Recorder.with_span ~cat:"pipeline" "pipeline.run_parallel" @@ fun () ->
   let predicted, emitted = simulate_lowered ~record_timeline:false t (lower t) plan in
   (* the real engine indexes the same lock registry the simulation used *)
-  let sync = if plan.T.Plan.uses_commset then t.sync else t.sync_none in
   let xstats =
     Commset_exec.Exec.run ?engine ?jobs ?attrib ~plan ~pdg:(plan_pdg t plan) ~trace:t.trace
-      ~locks:emitted.T.Emit.locks ~sync ~prepared:t.prepared ~setup:t.setup ()
+      ~locks:emitted.T.Emit.locks
+      ~judge:(judge t ~commset:plan.T.Plan.uses_commset)
+      ~prepared:t.prepared ~setup:t.setup ()
   in
-  let xfidelity =
-    match xstats.Commset_exec.Exec.x_verdict with
-    | Commset_exec.Equiv.Exact -> Exact
-    | Commset_exec.Equiv.Commutative_equal -> Multiset_equal
-    | Commset_exec.Equiv.Mismatch -> Mismatch
-  in
+  let xfidelity = xstats.Commset_exec.Exec.x_verdict in
   { xplan = plan; xpredicted = predicted.speedup; xstats; xfidelity }
 
 (** Speedup curves: series name -> (threads, speedup) points, for thread
-    counts min_threads..max_threads. Thread counts are evaluated on the
+    counts 1..max_threads. Thread counts are evaluated on the
     domain pool; [precomputed] supplies run lists for thread counts that
     were already evaluated (e.g. the 8-thread runs the caller needed
     anyway), so no configuration is ever simulated twice. *)
-let sweep ?(min_threads = 1) ?(precomputed = []) t ~max_threads :
-    (string * (int * float) list) list =
+let sweep ?(precomputed = []) t ~max_threads : (string * (int * float) list) list =
   Recorder.with_span ~cat:"pipeline" "pipeline.sweep" @@ fun () ->
-  let counts = List.init (max 0 (max_threads - min_threads + 1)) (fun i -> min_threads + i) in
+  let counts = List.init (max 0 max_threads) (fun i -> i + 1) in
   let low = lower t in
   let runs_per_count =
     Pool.parmap
@@ -450,16 +444,15 @@ let sweep ?(min_threads = 1) ?(precomputed = []) t ~max_threads :
 (* Compile-time / serve-time split (daemon mode)                       *)
 (* ------------------------------------------------------------------ *)
 
-(** Everything derivable from the source text alone, computed once and
-    reused by every request for the same content hash: the full
-    compilation, the best executable plan's simulated run (the serve
-    fidelity probe's target), and the output-equivalence classifier.
-    Serve-time state — a fresh machine per request — is deliberately
-    NOT here: a [service] is immutable and safe to share across the
-    warm pool's worker domains ({!Commset_runtime.Precompile} executors
-    carry all per-run mutable state). *)
+(** Everything derivable from the source text and its set-up, computed
+    once and reused by every request for the same plan-cache key: the
+    full compilation (with its output classifier) and the best
+    executable plan's simulated run (the serve fidelity probe's
+    target). Serve-time state — a fresh machine per request — is
+    deliberately NOT here: a [service] is immutable and safe to share
+    across the warm pool's worker domains ({!Commset_runtime.Precompile}
+    executors carry all per-run mutable state). *)
 type service = {
-  sv_key : string;  (** {!content_key} of the source text *)
   sv_name : string;
   sv_compiled : t;
   sv_threads : int;  (** thread count [sv_best] was planned for *)
@@ -469,8 +462,10 @@ type service = {
   sv_compile_s : float;  (** wall seconds the compile-time stages took *)
 }
 
-(** Content hash of a source text: the plan-cache key. Two sources
-    differing in any byte (annotations included) get distinct services. *)
+(** Content hash of a source text, the daemon's plan-cache key (with the
+    workload name for by-name requests, whose set-up differs). Two
+    sources differing in any byte (annotations included) get distinct
+    services. *)
 let content_key source = Digest.to_hex (Digest.string source)
 
 let prepare_service ?(name = "<service>") ?(setup : setup = fun _ -> ())
@@ -489,31 +484,8 @@ let prepare_service ?(name = "<service>") ?(setup : setup = fun _ -> ())
     | r :: _ -> Some r
   in
   let compile_s = (Commset_obs.Clock.now_ns () -. t0) /. 1e9 in
-  { sv_key = content_key source; sv_name = name; sv_compiled = compiled;
-    sv_threads = threads; sv_best = best; sv_compile_s = compile_s }
-
-(** One request: execute the prepared program on a fresh machine and
-    return its output stream. Safe to call concurrently from any number
-    of worker domains — the prepared program is shared read-only and
-    each call owns its executor and machine. *)
-let serve_request (sv : service) : string list =
-  let machine = R.Machine.create () in
-  sv.sv_compiled.setup machine;
-  let exec = R.Precompile.executor ~machine sv.sv_compiled.prepared in
-  let _total : float = R.Precompile.run_main exec in
-  R.Machine.outputs machine
-
-(** The sequential reference stream recorded at compile time — what a
-    sampled response is Equiv-checked against. *)
-let service_reference (sv : service) : string list =
-  sv.sv_compiled.trace.R.Trace.seq_outputs
-
-(** The service's output classifier for {!Commset_exec.Equiv.check}:
-    lines emitted by commset members compare as multisets, everything
-    else must hold its sequential position. *)
-let service_commutative (sv : service) : string -> bool =
-  Commset_exec.Equiv.commutative_outputs ~sync:sv.sv_compiled.sync
-    ~trace:sv.sv_compiled.trace
+  { sv_name = name; sv_compiled = compiled; sv_threads = threads; sv_best = best;
+    sv_compile_s = compile_s }
 
 (* ------------------------------------------------------------------ *)
 (* Fidelity gate (run --strict, serve --selftest --strict)             *)

@@ -5,7 +5,8 @@
     well-formedness checks → profiling (hot-loop selection) → PDG →
     Algorithm 1 → DOALL / (PS-)DSWP / speculative plans with automatic
     concurrency control → simulated multicore execution with performance
-    estimates and output-fidelity checks. *)
+    estimates. Simulated, executed and served output is judged by one
+    rule, {!judge}. *)
 
 module Ast = Commset_lang.Ast
 module Tc = Commset_lang.Typecheck
@@ -62,6 +63,10 @@ type t = {
   trace : R.Trace.t;
   sync : T.Sync.t;
   sync_none : T.Sync.t;
+  commutative : string -> bool;
+      (** the commset classifier, built once per compile: [true] for
+          output lines some commset member emitted in the trace
+          ({!Commset_exec.Equiv.commutative_outputs} under [sync]) *)
   plan_ctx_comm : plan_ctx;
   plan_ctx_plain : plan_ctx;
   setup : setup;
@@ -69,31 +74,34 @@ type t = {
       (** per-pair commutativity verdicts, when compiled with [~verify:true] *)
 }
 
-(** How a simulated schedule's output compares with the sequential run. *)
-type output_fidelity = Exact | Multiset_equal | Mismatch
+(** How a parallel run's output compares with the sequential run; named
+    by {!Commset_exec.Equiv.verdict_to_string} and
+    {!Commset_exec.Equiv.verdict_name}. *)
+type verdict = Commset_exec.Equiv.verdict = Exact | Commutative_equal | Mismatch
 
 type run = {
   plan : T.Plan.t;
   speedup : float;
   makespan : float;  (** whole-program simulated cycles *)
-  fidelity : output_fidelity;
+  fidelity : verdict;  (** {!judge} on the simulated output stream *)
   lock_contended : int;
   tx_aborts : int;
   timelines : (float * float * string) list array;
 }
-
-(** For people: [exact (deterministic)], [multiset-equal], [MISMATCH]. *)
-val fidelity_to_string : output_fidelity -> string
-
-(** The one machine-readable name every JSON document uses: [exact],
-    [multiset-equal], [MISMATCH]. *)
-val fidelity_name : output_fidelity -> string
 
 (** Compile a miniC source. Raises {!Diag.Error} on any frontend,
     metadata, well-formedness or runtime failure. With [~verify:true]
     the commutativity sanitizer also runs (static differencing plus
     dynamic replay) and its verdicts land in [verification]. *)
 val compile : ?name:string -> ?setup:setup -> ?verify:bool -> string -> t
+
+(** [judge t ~commset actual]: the one output rule, which judges
+    simulated, executed and served output alike —
+    {!Commset_exec.Equiv.check} of [actual] against the sequential
+    output of the compile's run, with the [commutative] classifier when
+    [commset] (COMMSET plans, served requests) and with none for
+    baseline plans, which must print every line in sequential order. *)
+val judge : t -> commset:bool -> string list -> verdict
 
 (** All plans at a thread count: COMMSET-enabled plans over the annotated
     PDG plus non-COMMSET baseline plans over the plain PDG. *)
@@ -114,7 +122,7 @@ type exec_run = {
   xplan : T.Plan.t;
   xpredicted : float;  (** the simulator's speedup prediction *)
   xstats : Commset_exec.Exec.stats;
-  xfidelity : output_fidelity;  (** the executor's equivalence verdict *)
+  xfidelity : verdict;  (** the executor's verdict, [xstats.x_verdict] *)
 }
 
 (** Plans at [threads] the real backend can execute; TM and speculative
@@ -136,12 +144,12 @@ val run_parallel :
   T.Plan.t ->
   exec_run
 
-(** Speedup curves: series name -> (threads, speedup) points.
+(** Speedup curves: series name -> (threads, speedup) points for thread
+    counts 1..[max_threads].
     [precomputed] supplies already-evaluated run lists per thread count
     (e.g. the 8-thread runs from {!evaluate}) so those configurations are
     not simulated a second time. *)
 val sweep :
-  ?min_threads:int ->
   ?precomputed:(int * run list) list ->
   t ->
   max_threads:int ->
@@ -150,13 +158,13 @@ val sweep :
 (** {2 Compile-time / serve-time split (daemon mode)}
 
     [commsetc serve] amortizes compilation across requests: a {!service}
-    is the compile-time state (parse → verify → plan), keyed by
-    {!content_key} into the daemon's plan cache, and {!serve_request} is
-    the serve-time state — a fresh machine per request, safe to run
+    is the compile-time state (parse → verify → plan), keyed into the
+    daemon's plan cache by {!content_key} (with the workload name for
+    by-name requests); each request then runs
+    {!Commset_exec.Exec.run_seq} on a fresh machine, safe to run
     concurrently from the warm pool's worker domains. *)
 
 type service = {
-  sv_key : string;  (** {!content_key} of the source text *)
   sv_name : string;
   sv_compiled : t;
   sv_threads : int;  (** thread count [sv_best] was planned for *)
@@ -166,21 +174,11 @@ type service = {
   sv_compile_s : float;  (** wall seconds the compile-time stages took *)
 }
 
-(** Content hash of a source text — the plan-cache key. *)
+(** Content hash (MD5, hex) of a source text. *)
 val content_key : string -> string
 
 val prepare_service :
   ?name:string -> ?setup:setup -> ?verify:bool -> ?threads:int -> string -> service
-
-(** Execute the service once on a fresh machine; returns the output
-    stream. Concurrency-safe across domains. *)
-val serve_request : service -> string list
-
-(** The compile-time sequential reference stream (Equiv sampling). *)
-val service_reference : service -> string list
-
-(** Output classifier for {!Commset_exec.Equiv.check}. *)
-val service_commutative : service -> string -> bool
 
 (** {2 Fidelity gate} *)
 

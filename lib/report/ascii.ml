@@ -34,7 +34,8 @@ let table ~header rows =
 
 (** Render speedup-vs-threads curves as an ASCII chart.
     [series] is a list of [(name, [(threads, speedup); ...])]. *)
-let chart ?(height = 12) ~max_threads (series : (string * (int * float) list) list) =
+let chart ~max_threads (series : (string * (int * float) list) list) =
+  let height = 12 in
   let max_y =
     List.fold_left
       (fun acc (_, pts) -> List.fold_left (fun a (_, s) -> max a s) acc pts)

@@ -2,6 +2,7 @@
 
 module P = Commset_pipeline.Pipeline
 module X = Commset_exec.Exec
+module Equiv = Commset_exec.Equiv
 module Attrib = Commset_obs.Attrib
 module J = Commset_obs.Json_strict
 
@@ -116,7 +117,7 @@ let render_text ~workload ~engine ~jobs ~cores (runs : P.exec_run list) =
               r.P.xstats.X.x_engine;
               f2 r.P.xpredicted;
               f2 r.P.xstats.X.x_measured_speedup;
-              P.fidelity_name r.P.xfidelity;
+              Equiv.verdict_name r.P.xfidelity;
               string_of_int r.P.xstats.X.x_iterations;
               Printf.sprintf "%.3f" (r.P.xstats.X.x_wall_par_s *. 1e3);
             ])
@@ -183,7 +184,7 @@ let plan_json (r : P.exec_run) =
       ("engine_reason", J.opt (fun s -> J.Str s) x.X.x_engine_reason);
       ("predicted_speedup", J.Num r.P.xpredicted);
       ("measured_speedup", J.Num x.X.x_measured_speedup);
-      ("fidelity", J.Str (P.fidelity_name r.P.xfidelity));
+      ("fidelity", J.Str (Equiv.verdict_name r.P.xfidelity));
       ("threads", J.int x.X.x_threads);
       ("wall_seq_s", J.Num x.X.x_wall_seq_s);
       ("wall_par_s", J.Num x.X.x_wall_par_s);

@@ -1,8 +1,8 @@
 (** Daemon core; see the interface for the architecture. *)
 
 module P = Commset_pipeline.Pipeline
+module Exec = Commset_exec.Exec
 module Workers = Commset_exec.Workers
-module Equiv = Commset_exec.Equiv
 module Clock = Commset_obs.Clock
 module Recorder = Commset_obs.Recorder
 module Metrics = Commset_obs.Metrics
@@ -18,24 +18,23 @@ type lookup = string -> (string * P.setup, string) result
 
 type config = {
   s_jobs : int;
-  s_ring : int;
   s_cache_capacity : int;
   s_equiv_every : int;
   s_threads : int;
-  s_verify : bool;
   s_lookup : lookup;
 }
 
 let default_config ~lookup =
   {
-    s_jobs = Commset_exec.Exec.default_jobs ();
-    s_ring = 256;
+    s_jobs = Exec.default_jobs ();
     s_cache_capacity = 8;
     s_equiv_every = 100;
     s_threads = 8;
-    s_verify = false;
     s_lookup = lookup;
   }
+
+(* per-worker task-ring capacity of the warm pool *)
+let ring = 256
 
 type load = { l_spec : Gen.spec; l_requests : int }
 
@@ -89,7 +88,6 @@ let c_equiv_failures = Metrics.counter ~doc:"serve Equiv mismatches" "serve.equi
 (** One cached compiled workload plus its serve-time counters. *)
 type svc = {
   sv : P.service;
-  commutative : string -> bool;  (** computed once per compile *)
   served : int Atomic.t;
   tick : int Atomic.t;  (** Equiv sampling clock *)
 }
@@ -132,29 +130,23 @@ type state = {
 
 (* ---------- request execution (worker domains) ---------- *)
 
-let exec_source st ~name ~setup source =
-  let key = P.content_key source in
+(* [key] names what decides the compile: the source alone for an inline
+   request, the workload name too for a by-name one, whose set-up the
+   source does not show *)
+let exec_source st ~key ~name ~setup source =
   match
     Commset_runtime.Precompile.fuel_guard @@ fun () ->
     Plancache.find_or_compile st.cache ~key ~compile:(fun () ->
-        let sv =
-          P.prepare_service ~name ~setup ~verify:st.cfg.s_verify ~threads:st.cfg.s_threads
-            source
-        in
-        let svc =
-          {
-            sv;
-            commutative = P.service_commutative sv;
-            served = Atomic.make 0;
-            tick = Atomic.make 0;
-          }
-        in
+        let sv = P.prepare_service ~name ~setup ~threads:st.cfg.s_threads source in
+        let svc = { sv; served = Atomic.make 0; tick = Atomic.make 0 } in
         Mutex.lock st.seen_mu;
         Hashtbl.replace st.seen key svc;
         Mutex.unlock st.seen_mu;
         svc)
   with
-  | svc, hit -> Ok (svc, hit, P.serve_request svc.sv)
+  | svc, hit ->
+      let c = svc.sv.P.sv_compiled in
+      Ok (svc, hit, fst (Exec.run_seq ~prepared:c.P.prepared ~setup:c.P.setup))
   | exception Diag.Error d -> Error (Diag.to_string d)
   | exception exn -> Error (Printexc.to_string exn)
 
@@ -163,12 +155,9 @@ let sample_equiv st name svc outputs =
   if every > 0 && Atomic.fetch_and_add svc.tick 1 mod every = 0 then begin
     Atomic.incr st.equiv_checked;
     Metrics.incr c_equiv_checked;
-    match
-      Equiv.check ~commutative:svc.commutative ~reference:(P.service_reference svc.sv)
-        ~actual:outputs
-    with
-    | Equiv.Exact | Equiv.Commutative_equal -> ()
-    | Equiv.Mismatch ->
+    match P.judge svc.sv.P.sv_compiled ~commset:true outputs with
+    | P.Exact | P.Commutative_equal -> ()
+    | P.Mismatch ->
         Atomic.incr st.equiv_failures;
         Metrics.incr c_equiv_failures;
         Mutex.lock st.fail_mu;
@@ -200,10 +189,12 @@ let handle st req =
     | By_name n -> (
         match st.cfg.s_lookup n with
         | Error msg -> (n, Error msg)
-        | Ok (source, setup) -> (n, exec_source st ~name:n ~setup source))
+        | Ok (source, setup) ->
+            (n, exec_source st ~key:(n ^ ":" ^ P.content_key source) ~name:n ~setup source))
     | Inline source ->
-        let name = "inline:" ^ String.sub (P.content_key source) 0 8 in
-        (name, exec_source st ~name ~setup:(fun _ -> ()) source)
+        let key = P.content_key source in
+        let name = "inline:" ^ String.sub key 0 8 in
+        (name, exec_source st ~key ~name ~setup:(fun _ -> ()) source)
   in
   (match outcome with
   | Ok (svc, _, outputs) ->
@@ -266,7 +257,7 @@ let run ?load ?socket cfg =
     {
       cfg;
       cache = Plancache.create ~capacity:(max 1 cfg.s_cache_capacity);
-      pool = Workers.spawn ~ring:cfg.s_ring ~jobs:cfg.s_jobs ();
+      pool = Workers.spawn ~ring ~jobs:cfg.s_jobs ();
       seen = Hashtbl.create 16;
       seen_mu = Mutex.create ();
       queue_h = Metrics.hist_make ();

@@ -7,8 +7,12 @@
     Per request the daemon records a [serve.request] flight-recorder
     span, observes queue-wait / service / total latency into log₂
     histograms, and — every [s_equiv_every]-th request per service —
-    checks the response stream against the compile-time sequential
-    reference with {!Commset_exec.Equiv.check}.
+    judges the response stream by the compile's one output rule
+    ({!Commset_pipeline.Pipeline.judge}). A request runs
+    {!Commset_exec.Exec.run_seq}. The plan cache keys an inline source
+    by its content hash and a by-name workload by its name and content
+    hash: a by-name compile runs with the workload's set-up, an inline
+    one with none, so the two never share a service.
 
     Shutdown ({!request_stop}, wired to SIGINT/SIGTERM by the CLI) is
     graceful: admission stops, every already-queued request still runs
@@ -23,11 +27,9 @@ type lookup = string -> (string * P.setup, string) result
 
 type config = {
   s_jobs : int;  (** warm pool worker domains *)
-  s_ring : int;  (** per-worker task-ring capacity *)
   s_cache_capacity : int;  (** plan-cache entries *)
   s_equiv_every : int;  (** Equiv-check every Nth request per service; 0 = never *)
   s_threads : int;  (** thread count services are planned for *)
-  s_verify : bool;  (** run the commutativity sanitizer at compile time *)
   s_lookup : lookup;
 }
 
@@ -41,7 +43,8 @@ type latency = { p50_us : float; p95_us : float; p99_us : float; mean_us : float
 
 type workload_report = {
   wr_name : string;
-  wr_key : string;  (** content hash *)
+  wr_key : string;
+      (** plan-cache key: [name:hash] by name, the content hash inline *)
   wr_requests : int;
   wr_compile_s : float;
   wr_best_plan : string option;

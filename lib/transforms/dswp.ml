@@ -108,8 +108,10 @@ let runs ~(classify : comp -> bool) (order : comp list) : (bool * comp list) lis
    folding it into a neighbouring sequential stage collapses
    [P|S|P|S|P] chains into the paper's compact 2-3 stage pipelines.
    Sequential stages are never merged away: folding them into a parallel
-   stage would force the whole merged stage sequential. *)
-let merge_small_stages ?(threshold = 0.08) (stages : (bool * comp list) list) =
+   stage would force the whole merged stage sequential. A stage is small
+   below 8% of the total weight. *)
+let merge_small_stages (stages : (bool * comp list) list) =
+  let threshold = 0.08 in
   let weight comps = Listx.sum_float (fun c -> c.cweight) comps in
   let total = Listx.sum_float (fun (_, comps) -> weight comps) stages in
   let rec step stages =

@@ -283,9 +283,10 @@ let wanted md (report : Verdict.report) =
     report.Verdict.rpairs
 
 (** Re-try every eligible [Unknown] pair of [report] concretely from the
-    recorded [instances]; [Refuted] upgrades carry a replay witness,
-    surviving pairs keep their verdict with the trial count recorded. *)
-let refine ?(max_trials = 3) ~(prepared : Precompile.t) ~(md : Metadata.t)
+    recorded [instances], at most three trials a pair; [Refuted]
+    upgrades carry a replay witness, surviving pairs keep their verdict
+    with the trial count recorded. *)
+let refine ~(prepared : Precompile.t) ~(md : Metadata.t)
     ~(instances : inv list) (report : Verdict.report) : Verdict.report =
   if not (wanted md report) then report
   else
@@ -296,7 +297,7 @@ let refine ?(max_trials = 3) ~(prepared : Precompile.t) ~(md : Metadata.t)
           | None -> p
           | Some info ->
               let upgraded, trials =
-                refute_pair ~prepared ~max_trials instances info p.Verdict.pm1
+                refute_pair ~prepared ~max_trials:3 instances info p.Verdict.pm1
                   p.Verdict.pm2 ~pself:p.Verdict.pself
               in
               let pverdict =

@@ -47,10 +47,9 @@ val instances : recording -> inv list
 val wanted : Metadata.t -> Verdict.report -> bool
 
 (** Re-try every eligible [Unknown] pair of a static report concretely
-    from recorded instances; the report is returned as is unless
-    {!wanted}. *)
+    from recorded instances, at most three trials a pair; the report is
+    returned as is unless {!wanted}. *)
 val refine :
-  ?max_trials:int ->
   prepared:Precompile.t ->
   md:Metadata.t ->
   instances:inv list ->

@@ -14,7 +14,7 @@ module R = Commset_runtime
 module V = Commset_verify
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
-module Realexec = Commset_exec.Realexec
+module Exec = Commset_exec.Exec
 module Effects = Commset_analysis.Effects
 module Metadata = Commset_core.Metadata
 module Verdicts = Commset_report.Verdicts
@@ -37,8 +37,8 @@ let builtins () =
       Printf.printf
         "%s|class=%s|key=%s|route=%s|route_buffered=%s|family=%s|resources=%s|thread_safe=%b|tm_safe=%b\n"
         bi.R.Builtins.name (V.Summary.opclass_to_string (V.Summary.write_class bi)) key
-        (Realexec.describe_route ~buffered:false bi)
-        (Realexec.describe_route ~buffered:true bi)
+        (Exec.describe_route ~buffered:false bi)
+        (Exec.describe_route ~buffered:true bi)
         family
         (String.concat "," bi.R.Builtins.resources)
         bi.R.Builtins.thread_safe bi.R.Builtins.tm_safe)

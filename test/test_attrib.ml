@@ -175,7 +175,7 @@ let test_stat_render_json_strict () =
       match Json.member "plans" doc with
       | Some (Json.Arr [ p ]) -> (
           check Alcotest.bool "fidelity uses the machine-readable name" true
-            (Json.member "fidelity" p = Some (Json.Str (P.fidelity_name x.P.xfidelity)));
+            (Json.member "fidelity" p = Some (Json.Str (Commset_exec.Equiv.verdict_name x.P.xfidelity)));
           match Option.bind (Json.member "attribution" p) (Json.member "causes") with
           | Some (Json.Arr cs) ->
               check Alcotest.(list string) "the six causes, in order" causes

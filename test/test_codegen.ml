@@ -21,7 +21,6 @@ module Exec = Commset_exec.Exec
 module Pdg = Commset_pdg.Pdg
 module Loops = Commset_analysis.Loops
 module Codegen = Commset_codegen.Codegen
-module Realexec = Commset_exec.Realexec
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -340,13 +339,15 @@ let compiled_seq_leg (w : W.t) () =
       in
       let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
       match
-        Realexec.run ~codegen:true ~plan ~pdg ~trace:c.P.trace ~locks ~prepared:c.P.prepared
-          ~setup:w.W.setup ~jobs:1 ()
+        Exec.engine_leg ~engine:Exec.Codegen_engine ~plan ~pdg ~trace:c.P.trace ~locks
+          ~prepared:c.P.prepared ~setup:w.W.setup ~jobs:1 ()
       with
-      | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname why
-      | Ok r -> (
-          check Alcotest.string "compiled body ran" "codegen" r.Realexec.r_engine;
-          match r.Realexec.r_seq_codegen with
+      | exception Commset_support.Diag.Error d when d.Commset_support.Diag.code = Some "CS014" ->
+          Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname
+            d.Commset_support.Diag.message
+      | s, compiled_seq -> (
+          check Alcotest.string "compiled body ran" "codegen" s.Exec.x_engine;
+          match compiled_seq with
           | None -> Alcotest.failf "%s: no compiled sequential leg" w.W.wname
           | Some (outputs, wall) ->
               check Alcotest.(list string) "compiled sequential leg prints the reference"

@@ -1,6 +1,8 @@
 (** Tests for the real multicore execution backend: the SPSC queue's
     FIFO/boundedness properties (including a two-domain stress), the
-    commutativity-aware output-equivalence checker, concurrent use of
+    commutativity-aware output-equivalence checker and the compile's
+    verdict function built on it ({!Commset_pipeline.Pipeline.judge}),
+    concurrent use of
     one prepared program, unsupported-plan rejection, and md5sum's DOALL
     and pipeline shapes on real domains (the engines' per-workload
     differential suites live in {!Test_realexec} and {!Test_codegen}). *)
@@ -121,6 +123,81 @@ let test_equiv_loss () =
   check verdict "duplicated commutative output" Equiv.Mismatch
     (Equiv.check ~commutative ~reference:[ "x"; "y" ] ~actual:[ "x"; "x"; "y" ])
 
+(* ---- the compile's one output rule ---- *)
+
+let compiled name =
+  let w = Option.get (Registry.find name) in
+  P.compile ~name ~setup:w.W.setup w.W.source
+
+let swap i j l =
+  let a = List.nth l i and b = List.nth l j in
+  List.mapi (fun k s -> if k = i then b else if k = j then a else s) l
+
+let ordinary_indices (c : P.t) =
+  List.concat
+    (List.mapi
+       (fun i s -> if c.P.commutative s then [] else [ i ])
+       c.P.trace.R.Trace.seq_outputs)
+
+let is_permutation a b = List.sort compare a = List.sort compare b
+
+(* md5sum prints one commutative digest line per file: two of them may
+   trade places under a COMMSET plan, never under a baseline plan *)
+let test_judge_md5sum () =
+  let c = compiled "md5sum" in
+  let out = c.P.trace.R.Trace.seq_outputs in
+  check Alcotest.bool "the first two lines differ" true (List.nth out 0 <> List.nth out 1);
+  check Alcotest.bool "both are commutative" true
+    (c.P.commutative (List.nth out 0) && c.P.commutative (List.nth out 1));
+  let swapped = swap 0 1 out in
+  check verdict "unchanged stream" Equiv.Exact (P.judge c ~commset:true out);
+  check verdict "COMMSET plan: commutative lines may swap" Equiv.Commutative_equal
+    (P.judge c ~commset:true swapped);
+  check verdict "baseline plan: no line may move" Equiv.Mismatch
+    (P.judge c ~commset:false swapped)
+
+(* eclat prints three ordinary lines; swapping two is a whole-stream
+   permutation, which the rule still refuses *)
+let test_judge_eclat () =
+  let c = compiled "eclat" in
+  let out = c.P.trace.R.Trace.seq_outputs in
+  let ord = ordinary_indices c in
+  check Alcotest.int "three ordinary lines" 3 (List.length ord);
+  let swapped = swap (List.nth ord 0) (List.nth ord 1) out in
+  check Alcotest.bool "a permutation of the stream" true
+    (swapped <> out && is_permutation swapped out);
+  check verdict "ordinary lines keep their order" Equiv.Mismatch
+    (P.judge c ~commset:true swapped)
+
+(* geti prints one ordinary line after its commutative ones. The rule
+   orders ordinary lines among themselves, so moving the one line to the
+   front stays multiset-equal under the commset classifier; without a
+   classifier it is a mismatch, and dropping or doubling it is one under
+   both. *)
+let test_judge_geti () =
+  let c = compiled "geti" in
+  let out = c.P.trace.R.Trace.seq_outputs in
+  let line =
+    match ordinary_indices c with
+    | [ i ] -> List.nth out i
+    | ord -> Alcotest.failf "expected one ordinary line, got %d" (List.length ord)
+  in
+  let rest = List.filter (fun s -> s <> line) out in
+  let moved = line :: rest in
+  check Alcotest.bool "moving it changes the stream" true (moved <> out);
+  check verdict "commset classifier: moved" Equiv.Commutative_equal
+    (P.judge c ~commset:true moved);
+  check verdict "no classifier: moved" Equiv.Mismatch (P.judge c ~commset:false moved);
+  List.iter
+    (fun (what, actual) ->
+      List.iter
+        (fun commset ->
+          check verdict
+            (Printf.sprintf "%s, commset %b" what commset)
+            Equiv.Mismatch (P.judge c ~commset actual))
+        [ true; false ])
+    [ ("dropped", rest); ("doubled", out @ [ line ]) ]
+
 (* ---- prepared programs are re-entrant across domains ---- *)
 
 let test_precompile_concurrent () =
@@ -204,6 +281,11 @@ let suite =
       Alcotest.test_case "equiv: exact" `Quick test_equiv_exact;
       Alcotest.test_case "equiv: commutative vs ordered" `Quick test_equiv_commutative;
       Alcotest.test_case "equiv: loss and duplication" `Quick test_equiv_loss;
+      Alcotest.test_case "judge: md5sum swap, COMMSET vs baseline plan" `Quick
+        test_judge_md5sum;
+      Alcotest.test_case "judge: eclat's ordinary lines keep their order" `Quick
+        test_judge_eclat;
+      Alcotest.test_case "judge: geti's one ordinary line" `Quick test_judge_geti;
       Alcotest.test_case "prepared program: concurrent executors" `Quick
         test_precompile_concurrent;
       Alcotest.test_case "TM/Spec plans rejected with CS014" `Quick

@@ -4,8 +4,10 @@
     and check the global soundness properties:
 
     - compilation never crashes (other than clean diagnostics);
-    - every plan's simulated output is at worst a permutation of the
-      sequential output (never corrupted);
+    - every plan's simulated output passes the one output rule
+      ({!Commset_pipeline.Pipeline.judge}: never a mismatch);
+    - every executable plan, run on the real engine at one and two
+      workers, passes the same rule;
     - the pretty-printed program re-compiles to the same sequential
       output (frontend round trip);
     - speedups stay within the physical bound (#threads). *)
@@ -123,6 +125,23 @@ let prop_pipeline_sound =
             (P.evaluate c ~threads))
         [ 2; 5; 8 ])
 
+let prop_engine_equiv =
+  QCheck.Test.make
+    ~name:"random programs: executable plans run Equiv on the real engine" ~count:60
+    (QCheck.make ~print:render_program gen_program)
+    (fun spec ->
+      let c = P.compile ~name:"<fuzz>" (render_program spec) in
+      List.for_all
+        (fun jobs ->
+          List.for_all
+            (fun plan ->
+              let x =
+                P.run_parallel ~engine:Commset_exec.Exec.Real_engine ~jobs c plan
+              in
+              x.P.xfidelity <> P.Mismatch)
+            (P.executable_plans c ~threads:jobs))
+        [ 1; 2 ])
+
 let prop_pretty_roundtrip_behaviour =
   QCheck.Test.make ~name:"random programs: pretty-printing preserves behaviour" ~count:60
     (QCheck.make ~print:render_program gen_program)
@@ -195,6 +214,7 @@ let suite =
   ( "fuzz",
     [
       QCheck_alcotest.to_alcotest ~long:false prop_pipeline_sound;
+      QCheck_alcotest.to_alcotest ~long:false prop_engine_equiv;
       QCheck_alcotest.to_alcotest ~long:false prop_pretty_roundtrip_behaviour;
       QCheck_alcotest.to_alcotest ~long:false prop_prepared_differential;
       QCheck_alcotest.to_alcotest ~long:false prop_elision;

@@ -19,7 +19,6 @@ module Pdg = Commset_pdg.Pdg
 module Loops = Commset_analysis.Loops
 module Diag = Commset_support.Diag
 module Exec = Commset_exec.Exec
-module Realexec = Commset_exec.Realexec
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -65,7 +64,7 @@ let prop_merge_order_insensitive =
             bufs.(wi) <- (k, (k, j)) :: bufs.(wi)
           done)
         iters;
-      Realexec.merge_order ~compare:Int.compare bufs = seq)
+      Exec.merge_order ~compare:Int.compare bufs = seq)
 
 (* ---- differential suite: explicit real engine, no fallback ---- *)
 
@@ -238,23 +237,23 @@ let plan_time_maps (w : W.t) () =
         | Error why -> Alcotest.failf "%s: plan_real refused the loop: %s" w.W.wname why
       in
       let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
-      let ord = Realexec.analyse ~plan ~pdg ~trace:c.P.trace ~locks ~rt in
+      let ord = Exec.analyse ~plan ~pdg ~trace:c.P.trace ~locks ~rt in
       check Alcotest.int (plan.T.Plan.label ^ ": action map covers every iid") n_instrs
-        (Array.length ord.Realexec.o_action);
+        (Array.length ord.Exec.o_action);
       Array.iteri
         (fun iid got ->
           let want =
             match Pdg.node_of_instr pdg iid with
             | Some nid
-              when ord.Realexec.o_node_locks.(nid) <> [||]
-                   || ord.Realexec.o_ordered.(nid) || ord.Realexec.o_entry_await.(nid) ->
+              when ord.Exec.o_node_locks.(nid) <> [||]
+                   || ord.Exec.o_ordered.(nid) || ord.Exec.o_entry_await.(nid) ->
                 nid
             | _ -> -1
           in
           check Alcotest.int
             (Printf.sprintf "%s: action node of iid %d" plan.T.Plan.label iid)
             want got)
-        ord.Realexec.o_action)
+        ord.Exec.o_action)
     (List.concat_map (fun jobs -> P.executable_plans c ~threads:jobs) [ 1; 2; 4 ])
 
 let plan_time_map_cases =
@@ -357,11 +356,12 @@ let test_worker_trap_releases_locks () =
   let locks = (T.Emit.emit ~plan ~pdg lowered).T.Emit.locks in
   check Alcotest.bool "the member takes a commset lock" true (Array.length locks > 0);
   (match
-     Realexec.run ~plan ~pdg ~trace:c.P.trace ~locks ~prepared:c.P.prepared
+     Exec.engine_leg ~plan ~pdg ~trace:c.P.trace ~locks ~prepared:c.P.prepared
        ~setup:(offset_setup 5) ~jobs:2 ()
    with
-  | Ok _ -> Alcotest.fail "an out-of-range index ran to completion"
-  | Error why -> Alcotest.failf "plan_real refused the loop: %s" why
+  | _ -> Alcotest.fail "an out-of-range index ran to completion"
+  | exception Diag.Error d when d.Diag.code = Some "CS014" ->
+      Alcotest.failf "plan_real refused the loop: %s" d.Diag.message
   | exception Diag.Error d ->
       if not (contains ~sub:"out of bounds" d.Diag.message) then
         Alcotest.failf "unexpected diagnostic: %s" d.Diag.message;

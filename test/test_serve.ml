@@ -1,6 +1,7 @@
 (** Tests for the serve subsystem: the LRU + single-flight plan cache
     (concurrent dedup, eviction under tiny capacity, content-hash
-    keying, failure retry), the deterministic open-loop generator
+    keying, failure retry, by-name and inline requests for one source
+    kept apart), the deterministic open-loop generator
     (schedule determinism, rate algebra, mix proportions), the
     length-prefixed framing (roundtrip, incremental decoding, oversize
     rejection), the long-idle backoff tier (escalation schedule and
@@ -9,6 +10,7 @@
     Unix-socket request path. *)
 
 module P = Commset_pipeline.Pipeline
+module R = Commset_runtime
 module Plancache = Commset_serve.Plancache
 module Gen = Commset_serve.Gen
 module Proto = Commset_serve.Proto
@@ -496,10 +498,10 @@ let test_server_mixed_and_errors () =
 (* Run a daemon on a fresh socket and hand [f] a connection to it;
    returns the daemon's report once it stopped, and whether the socket
    file is left. *)
-let with_daemon f =
+let with_daemon ?(config = tiny_config ()) f =
   let path = Filename.concat (Filename.get_temp_dir_name ()) "commset-serve-test.sock" in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let daemon = Domain.spawn (fun () -> Server.run ~socket:path (tiny_config ())) in
+  let daemon = Domain.spawn (fun () -> Server.run ~socket:path config) in
   (* wait for the listener *)
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let deadline = Unix.gettimeofday () +. 5. in
@@ -537,7 +539,8 @@ let test_server_socket () =
               (match resp.Proto.rs_outputs with
               | Some ("0" :: "3" :: _) -> ()
               | _ -> Alcotest.fail "echoed outputs wrong")));
-      (* inline source identical to "tiny": content-hash keying makes it a hit *)
+      (* inline source identical to "tiny": a by-name service is keyed on
+         the name too, so the inline request compiles its own *)
       Proto.send_frame fd
         (Proto.request_to_json
            { Proto.rq_id = 2; rq_workload = None; rq_source = Some tiny_src; rq_echo = false });
@@ -548,7 +551,8 @@ let test_server_socket () =
           | Error e -> Alcotest.fail e
           | Ok resp ->
               check Alcotest.bool "inline ok" true (resp.Proto.rs_error = None);
-              check Alcotest.bool "same source is a cache hit" true resp.Proto.rs_hit));
+              check Alcotest.bool "same source by name and inline is a miss" false
+                resp.Proto.rs_hit));
       (* malformed payload gets an immediate error response *)
       Proto.send_frame fd "{not json";
       (match Proto.recv_frame fd with
@@ -562,6 +566,52 @@ let test_server_socket () =
   check Alcotest.bool "drained" true r.Server.r_drained;
   check Alcotest.int "two well-formed requests served" 2 r.Server.r_served;
   check Alcotest.bool "socket unlinked on shutdown" false socket_left
+
+(* A by-name request compiles and runs with the workload's set-up, an
+   inline one with none: md5sum's source prints different digests under
+   the two, so the two request kinds must never share a service,
+   whichever arrives first. *)
+let test_server_setup_keying () =
+  let w = Option.get (Registry.find "md5sum") in
+  let digest setup =
+    let c = P.compile ~name:w.W.wname ~setup w.W.source in
+    Digest.to_hex (Digest.string (String.concat "\n" c.P.trace.R.Trace.seq_outputs))
+  in
+  let by_name = digest w.W.setup and inline = digest (fun _ -> ()) in
+  check Alcotest.bool "the two set-ups print different outputs" true (by_name <> inline);
+  let lookup name =
+    match Registry.find name with
+    | Some w -> Ok (w.W.source, w.W.setup)
+    | None -> Error ("unknown workload " ^ name)
+  in
+  let request ~inline id =
+    {
+      Proto.rq_id = id;
+      rq_workload = (if inline then None else Some w.W.wname);
+      rq_source = (if inline then Some w.W.source else None);
+      rq_echo = false;
+    }
+  in
+  List.iter
+    (fun (order, first_inline) ->
+      let r, _ =
+        with_daemon ~config:{ (tiny_config ()) with Server.s_lookup = lookup } @@ fun fd ->
+        List.iteri
+          (fun i inline_req ->
+            let what = Printf.sprintf "%s, %s request" order (if inline_req then "inline" else "by-name") in
+            Proto.send_frame fd (Proto.request_to_json (request ~inline:inline_req (i + 1)));
+            match Option.map Proto.response_of_json (Proto.recv_frame fd) with
+            | None -> Alcotest.failf "%s: no response" what
+            | Some (Error e) -> Alcotest.failf "%s: %s" what e
+            | Some (Ok resp) ->
+                check Alcotest.(option string) (what ^ ": ok") None resp.Proto.rs_error;
+                check Alcotest.string (what ^ ": its own reference's digest")
+                  (if inline_req then inline else by_name)
+                  resp.Proto.rs_digest)
+          [ first_inline; not first_inline ]
+      in
+      check Alcotest.int (order ^ ": two misses") 2 r.Server.r_cache.Plancache.pc_misses)
+    [ ("inline first", true); ("by name first", false) ]
 
 let replace_all = Commset_codegen.Build.replace_all
 
@@ -621,7 +671,7 @@ let test_service_best () =
           let show =
             Option.map (fun (r : P.run) ->
                 Printf.sprintf "%s %Lx %s" r.P.plan.Commset_transforms.Plan.label
-                  (Int64.bits_of_float r.P.speedup) (P.fidelity_name r.P.fidelity))
+                  (Int64.bits_of_float r.P.speedup) (Commset_exec.Equiv.verdict_name r.P.fidelity))
           in
           check Alcotest.(option string) what (show all) (show sv.P.sv_best))
         (("base", w.W.source) :: w.W.variants))
@@ -699,6 +749,8 @@ let suite =
       Alcotest.test_case "server: socket requests, inline source, malformed frame" `Quick
         test_server_socket;
       Alcotest.test_case "pipeline: fidelity gate verdicts" `Quick test_fidelity_gate;
+      Alcotest.test_case "server: by-name and inline source keyed apart" `Quick
+        test_server_setup_keying;
       Alcotest.test_case "server: escaped astral source, lone surrogates" `Quick
         test_server_escaped_source;
       Alcotest.test_case "service: best plan from the executable plans alone" `Slow
