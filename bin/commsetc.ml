@@ -432,13 +432,10 @@ let seq_cmd =
         let name, src, setup = load ~workload ~variant ~file in
         let ast = Commset_lang.Parser.parse_program ~file:name src in
         let _ = Commset_lang.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
-        let prog = Commset_ir.Lower.lower_program ast in
-        let machine = R.Machine.create () in
-        setup machine;
-        let prepared = R.Precompile.prepare prog in
-        let total = R.Precompile.run_main (R.Precompile.executor ~machine prepared) in
-        List.iter print_endline (R.Machine.outputs machine);
-        Fmt.pr "-- %.0f simulated cycles@." total)
+        let prepared = R.Precompile.prepare (Commset_ir.Lower.lower_program ast) in
+        let r = Commset_exec.Exec.run_seq ~prepared ~setup in
+        List.iter print_endline r.Commset_exec.Exec.seq_outputs;
+        Fmt.pr "-- %.0f simulated cycles@." r.Commset_exec.Exec.seq_cycles)
   in
   Cmd.v
     (Cmd.info "seq" ~doc:"Run the program sequentially and print its output")

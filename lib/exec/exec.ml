@@ -112,13 +112,15 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 (* The sequential run                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_seq ~(prepared : Precompile.t) ~(setup : Machine.t -> unit) : string list * float =
+type seq = { seq_outputs : string list; seq_wall_s : float; seq_cycles : float }
+
+let run_seq ~(prepared : Precompile.t) ~(setup : Machine.t -> unit) : seq =
   let machine = Machine.create () in
   setup machine;
   let t0 = Clock.now_ns () in
-  ignore (Precompile.run_main (Precompile.executor ~machine prepared) : float);
+  let cycles = Precompile.run_main (Precompile.executor ~machine prepared) in
   let wall = (Clock.now_ns () -. t0) /. 1e9 in
-  (Machine.outputs machine, wall)
+  { seq_outputs = Machine.outputs machine; seq_wall_s = wall; seq_cycles = cycles }
 
 (* ------------------------------------------------------------------ *)
 (* Builtin routes                                                      *)
@@ -815,7 +817,7 @@ let run ?engine ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace :
   (* the equivalence reference: what the sequential program prints
      today, on a fresh machine; its wall time is the real engine's
      baseline *)
-  let reference, wall_interp_s =
+  let { seq_outputs = reference; seq_wall_s = wall_interp_s; _ } =
     Recorder.with_span ~cat:"exec" "exec.seq_reference" (fun () -> run_seq ~prepared ~setup)
   in
   (* both are sequential runs of the same deterministic program; a

@@ -125,12 +125,19 @@ type stats = {
     speculative variants. *)
 val supported : Plan.t -> (unit, string) result
 
+(** What one sequential run ({!run_seq}) gives back. *)
+type seq = {
+  seq_outputs : string list;  (** the output stream *)
+  seq_wall_s : float;  (** wall seconds of the run, set-up excluded *)
+  seq_cycles : float;  (** the cost model's simulated cycle total *)
+}
+
 (** The sequential entry: a fresh machine, [setup] applied, one fast-loop
     {!Commset_runtime.Precompile.run_main} of the prepared program.
-    Returns its output stream and wall seconds. Safe to call
-    concurrently from any number of domains — the prepared program is
-    shared read-only and each call owns its executor and machine. *)
-val run_seq : prepared:R.Precompile.t -> setup:(R.Machine.t -> unit) -> string list * float
+    Safe to call concurrently from any number of domains — the prepared
+    program is shared read-only and each call owns its executor and
+    machine. *)
+val run_seq : prepared:R.Precompile.t -> setup:(R.Machine.t -> unit) -> seq
 
 (** Merge per-worker buffers (each newest-first, as accumulated) into
     replay order: concatenation of the reversed buffers, stable-sorted

@@ -106,6 +106,63 @@ open Ast
 
 let alloc_cost n = Costmodel.alloc_base +. (Costmodel.alloc_per_slot *. float_of_int n)
 
+(* The string kernels below allocate their result and nothing per byte:
+   url's rule matching and potrace's tracing and encoding spend most of
+   those programs' time here. *)
+
+(* does [needle] occur in [hay] at [i], given that its first byte does *)
+let matches_at hay needle i =
+  let n = String.length needle in
+  let j = ref 1 in
+  while !j < n && String.unsafe_get hay (i + !j) = String.unsafe_get needle !j do
+    incr j
+  done;
+  !j >= n
+
+(* the first position of [needle] in [hay], -1 if none; 0 for an empty needle *)
+let str_find hay needle =
+  let n = String.length needle in
+  if n = 0 then 0
+  else begin
+    let c0 = String.unsafe_get needle 0 and last = String.length hay - n in
+    let i = ref 0 and found = ref (-1) in
+    while !found < 0 && !i <= last do
+      if String.unsafe_get hay !i = c0 && matches_at hay needle !i then found := !i;
+      incr i
+    done;
+    !found
+  end
+
+(* potrace stand-in: "vectorize" a bitmap into a path whose size is
+   proportional to the input, like a real vector tracer: one letter per
+   even position, returned as "P<number of odd bytes>;<path>" *)
+let trace_bitmap s =
+  let n = String.length s in
+  let path = Bytes.create ((n + 1) / 2) in
+  let crc = ref 0 and segments = ref 0 in
+  for i = 0 to n - 1 do
+    let v = Char.code (String.unsafe_get s i) in
+    crc := ((!crc * 131) + (v * (1 + (i land 7)))) land 0xFFFFFF;
+    if v land 1 = 1 then incr segments;
+    if i land 1 = 0 then Bytes.unsafe_set path (i / 2) (Char.unsafe_chr (65 + (!crc land 15)))
+  done;
+  String.concat "" [ "P"; string_of_int !segments; ";"; Bytes.unsafe_to_string path ]
+
+let hex_digits = "0123456789abcdef"
+
+(* potrace's output encoding: "<svg>", two lowercase hex digits a byte, "</svg>" *)
+let svg_encode s =
+  let n = String.length s in
+  let out = Bytes.create ((2 * n) + 11) in
+  Bytes.blit_string "<svg>" 0 out 0 5;
+  for i = 0 to n - 1 do
+    let v = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set out (5 + (2 * i)) (String.unsafe_get hex_digits (v lsr 4));
+    Bytes.unsafe_set out (6 + (2 * i)) (String.unsafe_get hex_digits (v land 15))
+  done;
+  Bytes.blit_string "</svg>" 0 out (5 + (2 * n)) 6;
+  Bytes.unsafe_to_string out
+
 let all : t list =
   List.mapi (fun id bi -> { bi with id })
   [
@@ -131,15 +188,8 @@ let all : t list =
         let c = if i >= 0 && i < String.length s then Char.code s.[i] else 0 in
         (int_v c, 2.));
     b "str_find" [ Tstring; Tstring ] Tint (fun _ a ->
-        let hay = sarg 0 a and needle = sarg 1 a in
-        let n = String.length needle and h = String.length hay in
-        let rec search i =
-          if n = 0 then 0
-          else if i + n > h then -1
-          else if String.sub hay i n = needle then i
-          else search (i + 1)
-        in
-        (int_v (search 0), 6. +. (0.15 *. float_of_int h)));
+        let hay = sarg 0 a in
+        (int_v (str_find hay (sarg 1 a)), 6. +. (0.15 *. float_of_int (String.length hay))));
     b "str_hash" [ Tstring ] Tint (fun _ a ->
         let s = sarg 0 a in
         let h = ref 5381 in
@@ -151,19 +201,8 @@ let all : t list =
         ( string_v (Md5.digest_string s),
           80. +. (Costmodel.md5_cost_per_byte *. float_of_int (String.length s)) ));
     b "trace_bitmap" [ Tstring ] Tstring (fun _ a ->
-        (* potrace stand-in: "vectorize" a bitmap into a path whose size is
-           proportional to the input, like a real vector tracer *)
         let s = sarg 0 a in
-        let path = Buffer.create (String.length s / 4) in
-        let crc = ref 0 and segments = ref 0 in
-        String.iteri
-          (fun i c ->
-            let v = Char.code c in
-            crc := ((!crc * 131) + (v * (1 + (i land 7)))) land 0xFFFFFF;
-            if v land 1 = 1 then incr segments;
-            if i land 1 = 0 then Buffer.add_char path (Char.chr (65 + (!crc land 15))))
-          s;
-        ( string_v (Printf.sprintf "P%d;%s" !segments (Buffer.contents path)),
+        ( string_v (trace_bitmap s),
           120. +. (Costmodel.trace_cost_per_byte *. float_of_int (String.length s)) ));
     (* ---- arrays ---- *)
     b "iarray" [ Tint ] (Tarray Tint)
@@ -369,11 +408,7 @@ let all : t list =
     (* ---- potrace output encoding (pure, heavy) ---- *)
     b "svg_encode" [ Tstring ] Tstring (fun _ a ->
         let s = sarg 0 a in
-        let buf = Buffer.create (String.length s * 2) in
-        Buffer.add_string buf "<svg>";
-        String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-        Buffer.add_string buf "</svg>";
-        (string_v (Buffer.contents buf), 60. +. (4.5 *. float_of_int (String.length s))));
+        (string_v (svg_encode s), 60. +. (4.5 *. float_of_int (String.length s))));
     (* ---- memoization cache (string registry) ---- *)
     b "cache_get" [ Tstring ] Tstring ~thread_safe:true ~partition:("registry", 0)
       ~spec:(rw_spec ~reads:[ "registry" ] ())

@@ -2,14 +2,13 @@
 
     The md5sum and potrace workloads call this through the [md5_hex]
     builtin — on the real execution backend it is the hottest builtin
-    by far, so [digest_string]/[digest_bytes] dispatch to the stdlib
-    [Digest] module (MD5 in C, ~4x the throughput of anything scalar
+    by far, so [digest_string] dispatches to the stdlib [Digest]
+    module (MD5 in C, ~4x the throughput of anything scalar
     OCaml can reach). [Reference] keeps the from-scratch native-int
     implementation; the test suite checks both against the RFC 1321
     vectors and checks that they agree on random inputs, so the fast
     path is never trusted blindly. *)
 
-let digest_bytes (input : Bytes.t) : string = Digest.to_hex (Digest.bytes input)
 let digest_string (s : string) : string = Digest.to_hex (Digest.string s)
 
 (** From-scratch RFC 1321 implementation on the native int (OCaml ints

@@ -146,7 +146,7 @@ let exec_source st ~key ~name ~setup source =
   with
   | svc, hit ->
       let c = svc.sv.P.sv_compiled in
-      Ok (svc, hit, fst (Exec.run_seq ~prepared:c.P.prepared ~setup:c.P.setup))
+      Ok (svc, hit, (Exec.run_seq ~prepared:c.P.prepared ~setup:c.P.setup).Exec.seq_outputs)
   | exception Diag.Error d -> Error (Diag.to_string d)
   | exception exn -> Error (Printexc.to_string exn)
 

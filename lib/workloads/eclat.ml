@@ -99,22 +99,25 @@ void main() {
 |}
     n_trans
 
-let setup m =
-  let st = ref 7 in
-  let next () =
-    st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-    !st
-  in
-  let rows =
-    Array.init n_trans (fun i ->
-        (* transactions vary in size, like real market-basket data *)
-        let len = (row_len / 2) + (i * 37 mod row_len) in
-        String.init len (fun _ ->
-            (* ASCII letters with some punctuation that is filtered out *)
-            let v = next () mod 64 in
-            Char.chr (48 + v)))
-  in
-  Commset_runtime.Machine.set_db_rows m rows
+(* deterministic pseudo-random transaction rows *)
+let rows =
+  Workload.once (fun () ->
+      let st = ref 7 in
+      let next () =
+        st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+        !st
+      in
+      Array.init n_trans (fun i ->
+          (* transactions vary in size, like real market-basket data *)
+          let len = (row_len / 2) + (i * 37 mod row_len) in
+          String.init len (fun _ ->
+              (* ASCII letters with some punctuation that is filtered out *)
+              let v = next () mod 64 in
+              Char.chr (48 + v))))
+
+(* each machine gets its own array, so a write through [Machine.db_rows]
+   cannot reach the shared one *)
+let setup m = Commset_runtime.Machine.set_db_rows m (Array.copy (rows ()))
 
 let workload : Workload.t =
   {

@@ -70,22 +70,23 @@ void main() {
     n_files
     (if print_self then ", SELF" else "")
 
+(* deterministic pseudo-random file contents, (path, contents) in order *)
+let files =
+  Workload.once (fun () ->
+      let st = ref 42 in
+      let next () =
+        st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+        !st
+      in
+      Array.init n_files (fun i ->
+          let buf = Bytes.create file_size in
+          for j = 0 to file_size - 1 do
+            Bytes.set buf j (Char.chr (next () land 0xFF))
+          done;
+          (Printf.sprintf "in/file%d" i, Bytes.unsafe_to_string buf)))
+
 let setup m =
-  (* deterministic pseudo-random file contents *)
-  let st = ref 42 in
-  let next () =
-    st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-    !st
-  in
-  for i = 0 to n_files - 1 do
-    let buf = Bytes.create file_size in
-    for j = 0 to file_size - 1 do
-      Bytes.set buf j (Char.chr (next () land 0xFF))
-    done;
-    Commset_runtime.Machine.add_file m
-      (Printf.sprintf "in/file%d" i)
-      (Bytes.to_string buf)
-  done
+  Array.iter (fun (path, contents) -> Commset_runtime.Machine.add_file m path contents) (files ())
 
 let workload : Workload.t =
   {

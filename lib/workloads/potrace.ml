@@ -139,18 +139,20 @@ void main() {
 |}
     common_prologue n_bitmaps
 
+(* deterministic pseudo-random bitmaps, (path, contents) in order *)
+let bitmaps =
+  Workload.once (fun () ->
+      let st = ref 99 in
+      let next () =
+        st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+        !st
+      in
+      Array.init n_bitmaps (fun i ->
+          let buf = Bytes.init bitmap_size (fun _ -> Char.chr (next () land 0xFF)) in
+          (Printf.sprintf "bmp/img%d" i, Bytes.unsafe_to_string buf)))
+
 let setup m =
-  let st = ref 99 in
-  let next () =
-    st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-    !st
-  in
-  for i = 0 to n_bitmaps - 1 do
-    let buf = Bytes.init bitmap_size (fun _ -> Char.chr (next () land 0xFF)) in
-    Commset_runtime.Machine.add_file m
-      (Printf.sprintf "bmp/img%d" i)
-      (Bytes.to_string buf)
-  done
+  Array.iter (fun (path, contents) -> Commset_runtime.Machine.add_file m path contents) (bitmaps ())
 
 let workload : Workload.t =
   {

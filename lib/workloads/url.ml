@@ -48,22 +48,25 @@ void main() {
 |}
     n_packets n_rules
 
+(* deterministic pseudo-random packets, (id, url) in arrival order *)
+let packets =
+  Workload.once (fun () ->
+      let st = ref 3 in
+      let next () =
+        st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
+        !st
+      in
+      List.init n_packets (fun i ->
+          let svc = next () mod n_rules in
+          let v = next () mod n_rules in
+          let base = Printf.sprintf "http://host%d/svc%d/v%d/page" (next () mod 16) svc v in
+          let pad = String.init (max 0 (url_len - String.length base)) (fun _ ->
+              Char.chr (97 + (next () mod 26)))
+          in
+          (i, base ^ "?" ^ pad)))
+
 let setup m =
-  let st = ref 3 in
-  let next () =
-    st := ((!st * 1103515245) + 12345) land 0x3FFFFFFF;
-    !st
-  in
-  let pkts =
-    List.init n_packets (fun i ->
-        let svc = next () mod n_rules in
-        let v = next () mod n_rules in
-        let base = Printf.sprintf "http://host%d/svc%d/v%d/page" (next () mod 16) svc v in
-        let pad = String.init (max 0 (url_len - String.length base)) (fun _ ->
-            Char.chr (97 + (next () mod 26)))
-        in
-        (i, base ^ "?" ^ pad))
-  in
+  let pkts = packets () in
   List.iter (fun (id, url) -> Commset_runtime.Machine.register_packet_url m id url) pkts;
   Commset_runtime.Machine.set_packets m pkts
 

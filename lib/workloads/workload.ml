@@ -21,6 +21,19 @@ type t = {
   paper_transforms : string list;
 }
 
+(** [once f] is [f] computed at most once per process and shared (a
+    workload's generated input). Two domains racing on the first call
+    may both run [f]; one result is kept and returned to both. Not a
+    [Lazy.t]: forcing one lazy value from two domains at once raises. *)
+let once f =
+  let cell = Atomic.make None in
+  fun () ->
+    match Atomic.get cell with
+    | Some v -> v
+    | None ->
+        let v = f () in
+        if Atomic.compare_and_set cell None (Some v) then v else Option.get (Atomic.get cell)
+
 (** Strip every [#pragma] line: the sequential program the annotations
     decorate (used by tests to check pragma-elision semantics). *)
 let strip_pragmas source =

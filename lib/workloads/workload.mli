@@ -18,6 +18,13 @@ type t = {
   paper_transforms : string list;
 }
 
+(** [once f] computes [f ()] on its first call and returns that same
+    value on every later call, from any domain: a workload builds its
+    generated input once per process and every [setup] installs it.
+    When two domains race on the first call, both may run [f] and one
+    result is kept; both get the kept value. *)
+val once : (unit -> 'a) -> unit -> 'a
+
 (** Strip every [#pragma] line: the sequential program the annotations
     decorate (the paper's elision property). *)
 val strip_pragmas : string -> string

@@ -89,11 +89,122 @@ let test_kernels () =
     {|
 void main() {
   print(md5_hex("abc"));
-  string path = trace_bitmap("ABCDEFGH");
+  print(trace_bitmap("ABCDEFGH"));
+  print(svg_encode("zz"));
   print(int_to_string(strlen(svg_encode("zz"))));
 }
 |}
-    [ "900150983cd24fb0d6963f7d28e17f72"; "15" ]
+    [ "900150983cd24fb0d6963f7d28e17f72"; "P4;BOHM"; "<svg>7a7a</svg>"; "15" ]
+
+(* ---- the string kernels against their reference definitions ---- *)
+
+let kernel_machine = lazy (R.Machine.create ())
+
+(* one call of a string builtin: its value and charged cost *)
+let call_kernel name args =
+  let bi = R.Builtins.find_exn name in
+  bi.R.Builtins.impl (Lazy.force kernel_machine) (List.map (fun s -> R.Value.Vstring s) args)
+
+(* value equal, cost bit-identical *)
+let agrees (v, cost) (ref_v, ref_cost) =
+  v = ref_v && Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float ref_cost)
+
+let str_find_agrees (hay, needle) =
+  let i, cost = Ref_kernels.str_find hay needle in
+  agrees (call_kernel "str_find" [ hay; needle ]) (R.Value.Vint i, cost)
+
+let string_kernel_agrees name reference s =
+  let v, cost = reference s in
+  agrees (call_kernel name [ s ]) (R.Value.Vstring v, cost)
+
+(* hay and needle over a two- or four-letter alphabet (partial and
+   overlapping matches), or a needle cut from the hay *)
+let find_case =
+  let open QCheck.Gen in
+  let over alphabet n = string_size ~gen:(oneofl alphabet) n in
+  let alphabet = oneofl [ [ 'a'; 'b' ]; [ 'a'; 'b'; 'c'; 'd' ] ] in
+  let random =
+    alphabet >>= fun a -> pair (over a (int_bound 80)) (over a (int_range 1 6))
+  in
+  let cut =
+    string_size ~gen:char (int_range 1 300) >>= fun hay ->
+    int_bound (String.length hay - 1) >>= fun i ->
+    int_range 1 (String.length hay - i) >>= fun n -> return (hay, String.sub hay i n)
+  in
+  frequency [ (3, random); (2, cut) ]
+
+let prop_str_find =
+  QCheck.Test.make ~name:"str_find agrees with the reference, value and cost" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string) find_case)
+    str_find_agrees
+
+let test_str_find_edges () =
+  List.iter
+    (fun (hay, needle) ->
+      check Alcotest.bool (Printf.sprintf "str_find(%S, %S)" hay needle) true
+        (str_find_agrees (hay, needle)))
+    [ ("abc", ""); ("", ""); ("", "a"); ("ab", "abc"); ("aaab", "aab"); ("abab", "bab");
+      ("xyz", "z"); ("xyz", "x"); ("xyz", "xyz"); ("xyz", "xyy") ];
+  check Alcotest.bool "empty needle gives 0" true
+    (fst (call_kernel "str_find" [ "abc"; "" ]) = R.Value.Vint 0);
+  check Alcotest.bool "needle longer than the hay gives -1" true
+    (fst (call_kernel "str_find" [ "ab"; "abc" ]) = R.Value.Vint (-1))
+
+(* every byte value, lengths 0-3,000 (odd ones included) *)
+let bitmap_string =
+  QCheck.make ~print:(fun s -> Printf.sprintf "<%d bytes>" (String.length s))
+    QCheck.Gen.(string_size ~gen:char (int_bound 3000))
+
+let prop_trace_bitmap =
+  QCheck.Test.make ~name:"trace_bitmap agrees with the reference, value and cost" ~count:300
+    bitmap_string
+    (string_kernel_agrees "trace_bitmap" Ref_kernels.trace_bitmap)
+
+let prop_svg_encode =
+  QCheck.Test.make ~name:"svg_encode agrees with the reference, value and cost" ~count:300
+    bitmap_string
+    (string_kernel_agrees "svg_encode" Ref_kernels.svg_encode)
+
+(* ---- the string kernels allocate their result only ----
+   Inputs stay at or below 500 bytes, so every result is a minor-heap
+   block and [Gc.minor_words] sees all of it. *)
+
+let minor_words_of name args =
+  let bi = R.Builtins.find_exn name and m = R.Machine.create () in
+  let argv = List.map (fun s -> R.Value.Vstring s) args in
+  ignore (bi.R.Builtins.impl m argv);
+  let w0 = Gc.minor_words () in
+  let v, _ = bi.R.Builtins.impl m argv in
+  let words = Gc.minor_words () -. w0 in
+  (v, words)
+
+let result_words = function
+  | R.Value.Vstring s -> float_of_int (Obj.reachable_words (Obj.repr s))
+  | _ -> Alcotest.fail "a string kernel returned a non-string"
+
+let bytes_of n = String.init n (fun i -> Char.chr ((i * 37) land 0xFF))
+
+let test_str_find_alloc () =
+  let words n = snd (minor_words_of "str_find" [ String.make n 'a'; "ab" ]) in
+  let w100 = words 100 and w500 = words 500 in
+  check (Alcotest.float 0.)
+    (Printf.sprintf "a miss allocates the same for 100 and 500 bytes (%.0f, %.0f)" w100 w500)
+    w100 w500
+
+let test_svg_encode_alloc () =
+  let v, words = minor_words_of "svg_encode" [ bytes_of 500 ] in
+  let bound = result_words v +. 16. in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words, at most the result's words + 16 (%.0f)" words bound)
+    true (words <= bound)
+
+let test_trace_bitmap_alloc () =
+  let v, words = minor_words_of "trace_bitmap" [ bytes_of 500 ] in
+  let bound = (2. *. result_words v) +. 32. in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words, at most twice the result's words + 32 (%.0f)" words
+       bound)
+    true (words <= bound)
 
 (* ---- arrays and fills ---- *)
 
@@ -286,6 +397,14 @@ let suite =
       Alcotest.test_case "string builtins" `Quick test_string_builtins;
       Alcotest.test_case "conversions" `Quick test_conversions;
       Alcotest.test_case "md5/trace/svg kernels" `Quick test_kernels;
+      QCheck_alcotest.to_alcotest ~long:false prop_str_find;
+      Alcotest.test_case "str_find edge cases against the reference" `Quick test_str_find_edges;
+      QCheck_alcotest.to_alcotest ~long:false prop_trace_bitmap;
+      QCheck_alcotest.to_alcotest ~long:false prop_svg_encode;
+      Alcotest.test_case "str_find allocates nothing per position" `Quick test_str_find_alloc;
+      Alcotest.test_case "svg_encode allocates its result only" `Quick test_svg_encode_alloc;
+      Alcotest.test_case "trace_bitmap allocates its path and result only" `Quick
+        test_trace_bitmap_alloc;
       Alcotest.test_case "array builtins" `Quick test_array_builtins;
       Alcotest.test_case "collections via miniC" `Quick test_collections_via_program;
       Alcotest.test_case "rng and histogram" `Quick test_rng_and_hist;

@@ -209,6 +209,77 @@ let test_kmeans_commutes () =
     (List.filter (fun l -> not (String.contains l '.')) (members reference))
     (List.filter (fun l -> not (String.contains l '.')) (members shuffled))
 
+(* ---- generated inputs: built once, shared, unchanged ---- *)
+
+let set_up name =
+  let m = R.Machine.create () in
+  (Option.get (Registry.find name)).W.setup m;
+  m
+
+(* every file (by path), packet (id, queued and registered url) and
+   database row a set-up installs, digested *)
+let installed_digest m =
+  let b = Buffer.create 4096 in
+  Hashtbl.fold (fun path _ acc -> path :: acc) m.R.Machine.files []
+  |> List.sort compare
+  |> List.iter (fun path ->
+         Buffer.add_string b
+           (Printf.sprintf "%s=%s\n" path (Option.get (R.Machine.file_contents m path))));
+  List.iter
+    (fun (id, url) ->
+      Buffer.add_string b (Printf.sprintf "%d:%s|%s\n" id url (R.Machine.pkt_url m id)))
+    m.R.Machine.packets;
+  Array.iter (fun row -> Buffer.add_string b (row ^ "\n")) m.R.Machine.db_rows;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_inputs_pinned () =
+  List.iter
+    (fun (name, digest) -> check Alcotest.string name digest (installed_digest (set_up name)))
+    [
+      ("md5sum", "40ec8da5a6d1cdda6d4bd68b15b4f00f");
+      ("potrace", "8d27d2508819db46e284ff42a3286a7a");
+      ("url", "a0a6eb11c86db149dc5abb1ba6e7ccb4");
+      ("eclat", "ca21c5a06501f31552b5084bed3e260b");
+    ]
+
+let test_inputs_shared () =
+  let shared what get n =
+    for i = 0 to n - 1 do
+      match (get (fst what) i, get (snd what) i) with
+      | Some a, Some b ->
+          if not (a == b) then Alcotest.failf "input %d is a copy, not the shared string" i
+      | _ -> Alcotest.failf "input %d missing" i
+    done
+  in
+  let file fmt m i = R.Machine.file_contents m (Printf.sprintf fmt i) in
+  shared (set_up "md5sum", set_up "md5sum") (file "in/file%d") 96;
+  shared (set_up "potrace", set_up "potrace") (file "bmp/img%d") 96;
+  shared (set_up "url", set_up "url") (fun m i -> Some (R.Machine.pkt_url m i)) 400
+
+let test_once_two_domains () =
+  let runs = Atomic.make 0 in
+  let go = Atomic.make false in
+  let input =
+    W.once (fun () ->
+        Atomic.incr runs;
+        String.init 4096 (fun i -> Char.chr (i land 0xFF)))
+  in
+  let force () =
+    while not (Atomic.get go) do
+      Domain.cpu_relax ()
+    done;
+    input ()
+  in
+  let d1 = Domain.spawn force and d2 = Domain.spawn force in
+  Atomic.set go true;
+  let a = Domain.join d1 and b = Domain.join d2 in
+  check Alcotest.string "both domains see equal values" a b;
+  let computed = Atomic.get runs in
+  check Alcotest.bool "one or two computations" true (computed = 1 || computed = 2);
+  check Alcotest.bool "one physical value afterwards, the one both domains got" true
+    (input () == a && input () == b);
+  check Alcotest.int "no computation after the first use" computed (Atomic.get runs)
+
 let workload_cases =
   List.concat_map
     (fun w ->
@@ -228,4 +299,7 @@ let suite =
         Alcotest.test_case "md5sum commutes under shuffles" `Slow test_md5sum_commutes;
         Alcotest.test_case "geti commutes under shuffles" `Slow test_geti_commutes;
         Alcotest.test_case "kmeans counts commute" `Slow test_kmeans_commutes;
+        Alcotest.test_case "set-ups install the pinned inputs" `Quick test_inputs_pinned;
+        Alcotest.test_case "set-ups share one generated input" `Quick test_inputs_shared;
+        Alcotest.test_case "once from two domains keeps one value" `Quick test_once_two_domains;
       ] )
