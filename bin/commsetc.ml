@@ -875,7 +875,7 @@ let serve_cmd =
       items
   in
   let run selftest requests rate burst seed mix jobs socket equiv_every cache_capacity
-      threads strict status_out level =
+      status_out level =
     setup_logs level;
     with_diag @@ fun () ->
     if (not selftest) && socket = None then (
@@ -895,7 +895,6 @@ let serve_cmd =
         Serve.Server.s_jobs = jobs;
         s_cache_capacity = cache_capacity;
         s_equiv_every = equiv_every;
-        s_threads = threads;
       }
     in
     let load =
@@ -970,20 +969,7 @@ let serve_cmd =
       Fmt.epr "serve: drain incomplete (%d of %d completed)@."
         (r.Serve.Server.r_served + r.Serve.Server.r_failed)
         r.Serve.Server.r_offered;
-      exit 1);
-    if strict then begin
-      (* probe each compiled service's best plan on real domains and
-         gate on the fidelity band (skips, visibly, when oversubscribed) *)
-      let runs =
-        List.filter_map
-          (fun (_, (sv : P.service)) ->
-            match sv.P.sv_best with
-            | None -> None
-            | Some best -> Some (P.run_parallel ~jobs sv.P.sv_compiled best.P.plan))
-          r.Serve.Server.r_services
-      in
-      gate_fidelity ~strict:true ~cores:r.Serve.Server.r_cores ~jobs runs
-    end
+      exit 1)
   in
   let selftest_arg =
     Arg.(
@@ -1065,18 +1051,9 @@ let serve_cmd =
       & opt (count ~min:1) 8
       & info [ "cache-capacity" ] ~docv:"N"
           ~doc:
-            "Plan-cache entries, at least 1 (LRU beyond that); each distinct source \
-             compiles once.")
-  in
-  let strict_arg =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "After the drain, probe each compiled workload's best plan on real domains \
-             and gate on the fidelity band (COMMSET_FIDELITY_BAND); skipped \
-             with a message when oversubscribed. Equiv failures exit non-zero even \
-             without this flag.")
+            "Plan-cache entries, at least 1 (LRU beyond that): the compiled programs \
+             the daemon holds. A distinct source compiles once, and again after an \
+             eviction.")
   in
   let status_out_arg =
     Arg.(
@@ -1093,8 +1070,8 @@ let serve_cmd =
           latency histograms and sampled output-equivalence checks")
     Term.(
       const run $ selftest_arg $ requests_arg $ rate_arg $ burst_arg $ seed_arg $ mix_arg
-      $ jobs_arg $ socket_arg $ equiv_every_arg $ cache_capacity_arg $ threads_arg
-      $ strict_arg $ status_out_arg $ log_level_arg)
+      $ jobs_arg $ socket_arg $ equiv_every_arg $ cache_capacity_arg $ status_out_arg
+      $ log_level_arg)
 
 (* [COMMSET_TRACE=path]: enable the flight recorder for the whole
    invocation, whatever the subcommand, and write the trace at exit

@@ -54,7 +54,6 @@ type t = {
   effects : Effects.t;
 }
 
-let self_region_set_name rid = Printf.sprintf "__self_r%d" rid
 let self_fun_set_name fname = Printf.sprintf "__self_f_%s" fname
 let is_materialized_self name = String.length name >= 6 && String.sub name 0 6 = "__self"
 

@@ -54,9 +54,9 @@ val set_info_exn : t -> string -> set_info
 val sets_in_rank_order : t -> set_info list
 val members_of : t -> string -> member list
 
-(** Names of materialized SELF sets. *)
-val self_region_set_name : int -> string
-
+(** Names of materialized SELF sets: [self_fun_set_name] names a
+    function's ([Lower.self_region_set] a region's), and
+    [is_materialized_self] recognizes either. *)
 val self_fun_set_name : string -> string
 val is_materialized_self : string -> bool
 

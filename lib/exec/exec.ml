@@ -15,7 +15,6 @@ module Builtins = Commset_runtime.Builtins
 module Costmodel = Commset_runtime.Costmodel
 module Sim = Commset_runtime.Sim
 module Recorder = Commset_obs.Recorder
-module Metrics = Commset_obs.Metrics
 module Clock = Commset_obs.Clock
 module Attrib = Commset_obs.Attrib
 module Diag = Commset_support.Diag
@@ -23,51 +22,6 @@ module Diag = Commset_support.Diag
 let src_log = Logs.Src.create "commset.exec" ~doc:"Real multicore execution backend"
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
-
-let m_runs = Metrics.counter ~doc:"real-backend plan executions" "exec.runs"
-
-let m_contended =
-  Metrics.counter ~doc:"real contended lock acquires" "exec.lock_contended"
-
-let m_full_waits =
-  Metrics.counter ~doc:"blocking episodes on full SPSC queues" "exec.queue_full_waits"
-
-let m_empty_waits =
-  Metrics.counter ~doc:"blocking episodes on empty SPSC queues" "exec.queue_empty_waits"
-
-let g_wall_par = Metrics.gauge ~doc:"parallel-leg seconds (last run)" "exec.wall_par_s"
-let g_wall_seq = Metrics.gauge ~doc:"sequential-leg seconds (last run)" "exec.wall_seq_s"
-
-let m_iterations =
-  Metrics.counter ~doc:"iterations dispatched to real worker domains" "exec.real_iterations"
-
-let m_frontier_waits =
-  Metrics.counter ~doc:"blocking episodes on the iteration frontier" "exec.frontier_waits"
-
-let m_buffered =
-  Metrics.counter ~doc:"commutative updates buffered per-domain" "exec.buffered_updates"
-
-let m_worker_steps =
-  Metrics.counter ~doc:"instructions retired on worker domains" "exec.worker_steps"
-
-let g_merge = Metrics.gauge ~doc:"merge-phase seconds (last real run)" "exec.merge_s"
-
-(* last-run attribution totals, for the metrics dumps *)
-let g_attr_dispatch =
-  Metrics.gauge ~doc:"attributed dispatch-queue wait ns (last real run)"
-    "exec.attrib.dispatch_wait_ns"
-
-let g_attr_lock =
-  Metrics.gauge ~doc:"attributed commset-lock wait ns (last real run)" "exec.attrib.lock_wait_ns"
-
-let g_attr_frontier =
-  Metrics.gauge ~doc:"attributed frontier wait ns (last real run)" "exec.attrib.frontier_wait_ns"
-
-let g_attr_builtin =
-  Metrics.gauge ~doc:"attributed builtin ns (last real run)" "exec.attrib.builtin_ns"
-
-let g_attr_compute =
-  Metrics.gauge ~doc:"attributed compute ns (last real run)" "exec.attrib.compute_ns"
 
 type engine = Real_engine | Codegen_engine
 
@@ -750,22 +704,9 @@ let engine_leg ?(engine = Real_engine) ?(attrib = true) ~(plan : Plan.t) ~(pdg :
       let steps = Precompile.steps ex + sum wsteps + inline_steps in
       let frontier_waits = sum wfrontier in
       let buffered_n = sum wbuffered in
-      Metrics.add m_iterations !dispatched;
-      Metrics.add m_frontier_waits frontier_waits;
-      Metrics.add m_buffered buffered_n;
-      Metrics.add m_worker_steps (sum wsteps);
-      Metrics.gauge_set g_merge !merge_s;
       let attrib_summary =
         Attrib.summarize att ~coord_wall_ns:(wall_par_s *. 1e9) ~merge_ns:(!merge_s *. 1e9)
       in
-      (match attrib_summary with
-      | Some s ->
-          Metrics.gauge_set g_attr_dispatch s.Attrib.a_dispatch_ns;
-          Metrics.gauge_set g_attr_lock s.Attrib.a_lock_ns;
-          Metrics.gauge_set g_attr_frontier s.Attrib.a_frontier_ns;
-          Metrics.gauge_set g_attr_builtin s.Attrib.a_builtin_ns;
-          Metrics.gauge_set g_attr_compute s.Attrib.a_compute_ns
-      | None -> ());
       Log.info (fun m ->
           m "plan '%s': %d iteration(s) on %d worker(s), %.3f ms, %d frontier wait(s), %d buffered"
             plan.Plan.label !dispatched w (wall_par_s *. 1e3) frontier_waits buffered_n);
@@ -812,7 +753,6 @@ let run ?engine ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace :
       Diag.error ~code:"CS014" "plan '%s' cannot run on the real backend: %s"
         plan.Plan.label why);
   Recorder.with_span ~cat:"exec" "exec.run" @@ fun () ->
-  Metrics.incr m_runs;
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
   (* the equivalence reference: what the sequential program prints
      today, on a fresh machine; its wall time is the real engine's
@@ -854,11 +794,6 @@ let run ?engine ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace :
       x_verdict = judge s.x_outputs;
     }
   in
-  Metrics.add m_contended stats.x_lock_contended;
-  Metrics.add m_full_waits stats.x_queue_full_waits;
-  Metrics.add m_empty_waits stats.x_queue_empty_waits;
-  Metrics.gauge_set g_wall_par stats.x_wall_par_s;
-  Metrics.gauge_set g_wall_seq stats.x_wall_seq_s;
   Log.info (fun m ->
       m "plan '%s' (%s): %.3f ms sequential, %.3f ms on %d domain(s), %s"
         plan.Plan.label stats.x_engine (stats.x_wall_seq_s *. 1e3)

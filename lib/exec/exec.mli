@@ -60,11 +60,12 @@
 
     Observability: the run, the sequential reference, the coordinator,
     every worker and the merge are wrapped in flight-recorder spans
-    (category ["exec"]); the [exec.*] metrics record runs, contended
-    acquires, queue and frontier waits, buffered updates, worker
-    instructions retired and merge-phase timings (real concurrency
-    measurements, no cross-run determinism promise). {!run_seq}, the
-    daemon's per-request path, records nothing. *)
+    (category ["exec"]). The run's counts and timings — contended
+    acquires, queue and frontier waits, buffered updates, instructions
+    retired, merge time and the attribution summary — are {!stats}
+    fields (real concurrency measurements, no cross-run determinism
+    promise); the engine writes nothing to the metrics registry.
+    {!run_seq}, the daemon's per-request path, records nothing. *)
 
 module Plan = Commset_transforms.Plan
 module Pdg = Commset_pdg.Pdg

@@ -441,17 +441,12 @@ let sweep ?(precomputed = []) t ~max_threads : (string * (int * float) list) lis
     !order
 
 (* ------------------------------------------------------------------ *)
-(* Compile-time / serve-time split (daemon mode)                       *)
+(* Plan-cache keys; the benchmark's compile-and-plan pass             *)
 (* ------------------------------------------------------------------ *)
 
-(** Everything derivable from the source text and its set-up, computed
-    once and reused by every request for the same plan-cache key: the
-    full compilation (with its output classifier) and the best
-    executable plan's simulated run (the serve fidelity probe's
-    target). Serve-time state — a fresh machine per request — is
-    deliberately NOT here: a [service] is immutable and safe to share
-    across the warm pool's worker domains ({!Commset_runtime.Precompile}
-    executors carry all per-run mutable state). *)
+(** A compile plus its best executable plan's simulated run. The daemon
+    caches the compile alone; only the repository benchmark builds a
+    [service], to measure and execute that plan. *)
 type service = {
   sv_name : string;
   sv_compiled : t;
@@ -465,7 +460,7 @@ type service = {
 (** Content hash of a source text, the daemon's plan-cache key (with the
     workload name for by-name requests, whose set-up differs). Two
     sources differing in any byte (annotations included) get distinct
-    services. *)
+    entries. *)
 let content_key source = Digest.to_hex (Digest.string source)
 
 let prepare_service ?(name = "<service>") ?(setup : setup = fun _ -> ())
@@ -488,7 +483,7 @@ let prepare_service ?(name = "<service>") ?(setup : setup = fun _ -> ())
     sv_compile_s = compile_s }
 
 (* ------------------------------------------------------------------ *)
-(* Fidelity gate (run --strict, serve --selftest --strict)             *)
+(* Fidelity gate (run --strict)                                       *)
 (* ------------------------------------------------------------------ *)
 
 type gate_verdict =

@@ -155,14 +155,14 @@ val sweep :
   max_threads:int ->
   (string * (int * float) list) list
 
-(** {2 Compile-time / serve-time split (daemon mode)}
+(** {2 Plan-cache keys; the benchmark's compile-and-plan pass}
 
-    [commsetc serve] amortizes compilation across requests: a {!service}
-    is the compile-time state (parse → verify → plan), keyed into the
-    daemon's plan cache by {!content_key} (with the workload name for
-    by-name requests); each request then runs
-    {!Commset_exec.Exec.run_seq} on a fresh machine, safe to run
-    concurrently from the warm pool's worker domains. *)
+    [commsetc serve] amortizes compilation across requests: it caches
+    each {!compile} under {!content_key} (with the workload name for
+    by-name requests) and runs {!Commset_exec.Exec.run_seq} on a fresh
+    machine per request; it plans nothing. A {!service} adds the best
+    executable plan's simulated run to a compile; only the repository
+    benchmark builds one ({!prepare_service}). *)
 
 type service = {
   sv_name : string;

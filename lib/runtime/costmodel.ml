@@ -44,20 +44,21 @@ let release_base = function Mutex -> 12.0 | Spin -> 12.0 | Libsafe -> 8.0
     Mutexes pay an OS sleep/wakeup; spin locks pay cache-line bouncing
     that grows with the number of spinners; thread-safe libraries use
     short internal critical sections. *)
-(* tunable knobs, exposed for the ablation benchmarks; atomic so the
-   ablation sweeps can retune them while the (parallel) evaluation
-   harness reads them from worker domains without tearing *)
-let mutex_wakeup = Atomic.make 2800.0
-let spin_handoff_base = Atomic.make 50.0
+let mutex_wakeup = 2800.0
+let spin_handoff_base = 50.0
+
+(* a knob the ablation benchmarks sweep; atomic so a sweep can retune it
+   while the (parallel) evaluation harness reads it from worker domains
+   without tearing *)
 let spin_handoff_per_waiter = Atomic.make 45.0
 
 let libsafe_handoff = 45.0
 
 let handoff_penalty flavor ~n_waiters =
   match flavor with
-  | Mutex -> Atomic.get mutex_wakeup
+  | Mutex -> mutex_wakeup
   | Spin ->
-      Atomic.get spin_handoff_base
+      spin_handoff_base
       +. (Atomic.get spin_handoff_per_waiter *. float_of_int (max 0 (n_waiters - 1)))
   | Libsafe -> libsafe_handoff
 
@@ -94,8 +95,8 @@ let exec_ns_per_cycle_cell = Atomic.make 1.0
 let exec_ns_per_cycle () = Atomic.get exec_ns_per_cycle_cell
 let set_exec_ns_per_cycle v = Atomic.set exec_ns_per_cycle_cell (Float.max 0. v)
 
-(* Relative predicted-vs-measured speedup gap the strict gates accept
-   (run --strict, serve --selftest --strict). *)
+(* Relative predicted-vs-measured speedup gap the strict gate accepts
+   (run --strict). *)
 let fidelity_band_cell = Atomic.make (-1.0)
 
 let fidelity_band () =

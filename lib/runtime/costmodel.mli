@@ -18,12 +18,12 @@ val acquire_base : lock_flavor -> float
 
 val release_base : lock_flavor -> float
 
-(** Knobs for the contended-handoff model: mutexes pay an OS
-    sleep/wakeup; spin locks pay cache-line bouncing that grows with the
-    number of spinners. *)
-val mutex_wakeup : float Atomic.t
+(** Contended-handoff model: mutexes pay an OS sleep/wakeup
+    ([mutex_wakeup]); spin locks pay cache-line bouncing, a base plus a
+    per-waiter term that grows with the number of spinners. *)
+val mutex_wakeup : float
 
-val spin_handoff_base : float Atomic.t
+val spin_handoff_base : float
 val spin_handoff_per_waiter : float Atomic.t
 
 (** Handoff latency of a library-internal critical section. *)
@@ -55,10 +55,9 @@ val exec_ns_per_cycle : unit -> float
 val set_exec_ns_per_cycle : float -> unit
 
 (** Relative predicted-vs-measured speedup gap accepted by the strict
-    fidelity gates ([run --strict], [serve --selftest --strict]) on
-    non-oversubscribed machines. Initialized from
-    [COMMSET_FIDELITY_BAND] (default 0.5) on first read; malformed
-    values raise CS013. *)
+    fidelity gate ([run --strict]) on non-oversubscribed machines.
+    Initialized from [COMMSET_FIDELITY_BAND] (default 0.5) on first
+    read; malformed values raise CS013. *)
 val fidelity_band : unit -> float
 
 (* builtin cost helpers *)

@@ -721,7 +721,6 @@ let run_region ex (f : Ir.func) (region : Ir.region) (regs : Value.t array) : un
 
 type rtarget = {
   rt_pf : pfunc;
-  rt_fname : string;
   rt_header : int;
   rt_body_entry : int;
   rt_in_loop : bool array;  (** per block index of [rt_pf] *)
@@ -732,7 +731,6 @@ type rtarget = {
 }
 
 let rtarget_backbone rt = rt.rt_backbone
-let rtarget_fname rt = rt.rt_fname
 
 let instr_def (i : Ir.instr) : int option =
   match i.Ir.desc with
@@ -919,7 +917,6 @@ let plan_real (p : t) ~(fname : string) ~(header : Ir.label)
   Ok
     {
       rt_pf = pf;
-      rt_fname = fname;
       rt_header = header_idx;
       rt_body_entry = body_entry;
       rt_in_loop = in_loop;

@@ -143,8 +143,6 @@ val plan_real :
 (** Instruction iids the coordinator executes inside the loop. *)
 val rtarget_backbone : rtarget -> int list
 
-val rtarget_fname : rtarget -> string
-
 (** Run [main()] with the target loop in dispatch mode, on the fast
     loop. [on_iter k regs] fires at every
     header entry that continues into the body — [regs] is the live

@@ -1,12 +1,12 @@
 (** The daemon's compile-once plan cache: an LRU map from content hash
-    to compiled service with single-flight deduplication — when N
+    to compiled program with single-flight deduplication — when N
     requests for the same (previously unseen) workload arrive
     concurrently, exactly one caller runs the compile while the other
     N−1 block on a condition variable and reuse its result.
 
     Values are arbitrary ['v] (the daemon stores
-    {!Commset_pipeline.Pipeline.service}); the cache never inspects
-    them. Compile failures are not cached: the flight's owner re-raises
+    {!Commset_pipeline.Pipeline.t}); the cache never inspects them.
+    Compile failures are not cached: the flight's owner re-raises
     the exception, the slot is vacated, and each waiter (and any later
     request for the same key) retries the compile itself — one at a
     time, so a deterministically bad source fails each request without

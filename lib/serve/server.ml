@@ -8,7 +8,6 @@ module Recorder = Commset_obs.Recorder
 module Metrics = Commset_obs.Metrics
 module J = Commset_obs.Json_strict
 module Diag = Commset_support.Diag
-module Plan = Commset_transforms.Plan
 
 let src_log = Logs.Src.create "commset.serve" ~doc:"Request-serving daemon"
 
@@ -20,7 +19,6 @@ type config = {
   s_jobs : int;
   s_cache_capacity : int;
   s_equiv_every : int;
-  s_threads : int;
   s_lookup : lookup;
 }
 
@@ -29,7 +27,6 @@ let default_config ~lookup =
     s_jobs = Exec.default_jobs ();
     s_cache_capacity = 8;
     s_equiv_every = 100;
-    s_threads = 8;
     s_lookup = lookup;
   }
 
@@ -45,8 +42,6 @@ type workload_report = {
   wr_key : string;
   wr_requests : int;
   wr_compile_s : float;
-  wr_best_plan : string option;
-  wr_predicted : float option;
 }
 
 type report = {
@@ -74,22 +69,20 @@ type report = {
   r_seed : int option;
   r_burst : float option;
   r_mix : (string * float) list;
-  r_services : (string * P.service) list;
 }
 
 (* one flag per process: a daemon serves until told to drain *)
 let stop = Atomic.make false
 let request_stop () = Atomic.set stop true
 
-let c_requests = Metrics.counter ~doc:"serve requests admitted" "serve.requests"
-let c_equiv_checked = Metrics.counter ~doc:"serve Equiv samples" "serve.equiv_checks"
-let c_equiv_failures = Metrics.counter ~doc:"serve Equiv mismatches" "serve.equiv_failures"
-
-(** One cached compiled workload plus its serve-time counters. *)
-type svc = {
-  sv : P.service;
+(** What the report says of one plan-cache key. The compiled program
+    itself lives only in the cache; a row outlives its eviction, so a
+    recompile adds to the counts instead of restarting them. *)
+type row = {
+  name : string;
   served : int Atomic.t;
   tick : int Atomic.t;  (** Equiv sampling clock *)
+  mutable compile_s : float;  (** summed over the key's compiles; under [seen_mu] *)
 }
 
 type conn = {
@@ -113,9 +106,9 @@ type pending = {
 
 type state = {
   cfg : config;
-  cache : svc Plancache.t;
+  cache : P.t Plancache.t;
   pool : Workers.t;
-  seen : (string, svc) Hashtbl.t;  (** every service ever compiled, by key *)
+  seen : (string, row) Hashtbl.t;  (** a row per key ever compiled *)
   seen_mu : Mutex.t;
   queue_h : Metrics.histogram;
   service_h : Metrics.histogram;
@@ -134,32 +127,40 @@ type state = {
    request, the workload name too for a by-name one, whose set-up the
    source does not show *)
 let exec_source st ~key ~name ~setup source =
+  let compile () =
+    let t0 = Clock.now_ns () in
+    let c = P.compile ~name ~setup source in
+    let dt = (Clock.now_ns () -. t0) /. 1e9 in
+    Mutex.lock st.seen_mu;
+    (match Hashtbl.find_opt st.seen key with
+    | Some row -> row.compile_s <- row.compile_s +. dt
+    | None ->
+        Hashtbl.replace st.seen key
+          { name; served = Atomic.make 0; tick = Atomic.make 0; compile_s = dt });
+    Mutex.unlock st.seen_mu;
+    c
+  in
   match
     Commset_runtime.Precompile.fuel_guard @@ fun () ->
-    Plancache.find_or_compile st.cache ~key ~compile:(fun () ->
-        let sv = P.prepare_service ~name ~setup ~threads:st.cfg.s_threads source in
-        let svc = { sv; served = Atomic.make 0; tick = Atomic.make 0 } in
-        Mutex.lock st.seen_mu;
-        Hashtbl.replace st.seen key svc;
-        Mutex.unlock st.seen_mu;
-        svc)
+    Plancache.find_or_compile st.cache ~key ~compile
   with
-  | svc, hit ->
-      let c = svc.sv.P.sv_compiled in
-      Ok (svc, hit, (Exec.run_seq ~prepared:c.P.prepared ~setup:c.P.setup).Exec.seq_outputs)
+  | c, hit ->
+      (* a ready entry's compile added its row first *)
+      Mutex.lock st.seen_mu;
+      let row = Hashtbl.find st.seen key in
+      Mutex.unlock st.seen_mu;
+      Ok (row, c, hit, (Exec.run_seq ~prepared:c.P.prepared ~setup:c.P.setup).Exec.seq_outputs)
   | exception Diag.Error d -> Error (Diag.to_string d)
   | exception exn -> Error (Printexc.to_string exn)
 
-let sample_equiv st name svc outputs =
+let sample_equiv st name row c outputs =
   let every = st.cfg.s_equiv_every in
-  if every > 0 && Atomic.fetch_and_add svc.tick 1 mod every = 0 then begin
+  if every > 0 && Atomic.fetch_and_add row.tick 1 mod every = 0 then begin
     Atomic.incr st.equiv_checked;
-    Metrics.incr c_equiv_checked;
-    match P.judge svc.sv.P.sv_compiled ~commset:true outputs with
+    match P.judge c ~commset:true outputs with
     | P.Exact | P.Commutative_equal -> ()
     | P.Mismatch ->
         Atomic.incr st.equiv_failures;
-        Metrics.incr c_equiv_failures;
         Mutex.lock st.fail_mu;
         if !(st.first_failure) = None then
           st.first_failure :=
@@ -197,9 +198,9 @@ let handle st req =
         (name, exec_source st ~key ~name ~setup:(fun _ -> ()) source)
   in
   (match outcome with
-  | Ok (svc, _, outputs) ->
-      Atomic.incr svc.served;
-      sample_equiv st name svc outputs
+  | Ok (row, c, _, outputs) ->
+      Atomic.incr row.served;
+      sample_equiv st name row c outputs
   | Error _ -> ());
   let service_ns = Clock.now_ns () -. t_start in
   (* observe in µs, not ns: the log₂ histogram represents [2⁻³², 2³²),
@@ -222,7 +223,7 @@ let handle st req =
     }
   in
   match outcome with
-  | Ok (_, hit, outputs) ->
+  | Ok (_, _, hit, outputs) ->
       Atomic.incr st.done_ok;
       respond req
         {
@@ -290,7 +291,6 @@ let run ?load ?socket cfg =
   let now_s () = (Clock.now_ns () -. t0) /. 1e9 in
   let admit ~id ~kind ~echo ~enqueue_ns ~conn =
     incr submitted;
-    Metrics.incr c_requests;
     let req = { q_id = id; q_kind = kind; q_echo = echo; q_enqueue_ns = enqueue_ns; q_conn = conn } in
     Workers.submit st.pool (fun () -> handle st req)
   in
@@ -415,14 +415,12 @@ let run ?load ?socket cfg =
   let duration_s = Float.max 1e-9 ((t_end -. t0) /. 1e9) in
   let workloads =
     Hashtbl.fold
-      (fun key svc acc ->
+      (fun key row acc ->
         {
-          wr_name = svc.sv.P.sv_name;
+          wr_name = row.name;
           wr_key = key;
-          wr_requests = Atomic.get svc.served;
-          wr_compile_s = svc.sv.P.sv_compile_s;
-          wr_best_plan = Option.map (fun r -> r.P.plan.Plan.label) svc.sv.P.sv_best;
-          wr_predicted = Option.map (fun r -> r.P.speedup) svc.sv.P.sv_best;
+          wr_requests = Atomic.get row.served;
+          wr_compile_s = row.compile_s;
         }
         :: acc)
       st.seen []
@@ -454,9 +452,6 @@ let run ?load ?socket cfg =
     r_seed = Option.map (fun l -> l.l_spec.Gen.g_seed) load;
     r_burst = Option.map (fun l -> l.l_spec.Gen.g_burst) load;
     r_mix = (match load with Some l -> l.l_spec.Gen.g_mix | None -> []);
-    r_services =
-      Hashtbl.fold (fun _ svc acc -> (svc.sv.P.sv_name, svc.sv) :: acc) st.seen []
-      |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 
 (* ---------- report JSON ---------- *)
@@ -476,8 +471,7 @@ let report_json r =
   let workload w =
     J.Obj
       [ ("name", str w.wr_name); ("key", str w.wr_key); ("requests", J.int w.wr_requests);
-        ("compile_s", num w.wr_compile_s); ("best_plan", J.opt str w.wr_best_plan);
-        ("predicted_speedup", J.opt num w.wr_predicted) ]
+        ("compile_s", num w.wr_compile_s) ]
   in
   J.Obj
     [

@@ -2,17 +2,25 @@
     — from the built-in open-loop generator ({!Gen}), a Unix-domain
     socket ({!Proto}), or both — into a persistent warm pool of worker
     domains ({!Commset_exec.Workers}), compiling each distinct workload
-    exactly once through the single-flight plan cache ({!Plancache}).
+    through the single-flight plan cache ({!Plancache}): once, and again
+    only after an eviction.
 
     Per request the daemon records a [serve.request] flight-recorder
     span, observes queue-wait / service / total latency into log₂
-    histograms, and — every [s_equiv_every]-th request per service —
+    histograms, and — every [s_equiv_every]-th request per key —
     judges the response stream by the compile's one output rule
     ({!Commset_pipeline.Pipeline.judge}). A request runs
-    {!Commset_exec.Exec.run_seq}. The plan cache keys an inline source
-    by its content hash and a by-name workload by its name and content
-    hash: a by-name compile runs with the workload's set-up, an inline
-    one with none, so the two never share a service.
+    {!Commset_exec.Exec.run_seq}; a miss runs
+    {!Commset_pipeline.Pipeline.compile} and plans nothing. The plan
+    cache keys an inline source by its content hash and a by-name
+    workload by its name and content hash: a by-name compile runs with
+    the workload's set-up, an inline one with none, so the two never
+    share a compiled program.
+
+    Compiled programs live only in the plan cache, so its capacity
+    bounds them. The daemon keeps one small row per key it ever
+    compiled (name, requests served, Equiv sampling clock, compile
+    seconds), which survives evictions: a recompile adds to its row.
 
     Shutdown ({!request_stop}, wired to SIGINT/SIGTERM by the CLI) is
     graceful: admission stops, every already-queued request still runs
@@ -28,8 +36,7 @@ type lookup = string -> (string * P.setup, string) result
 type config = {
   s_jobs : int;  (** warm pool worker domains *)
   s_cache_capacity : int;  (** plan-cache entries *)
-  s_equiv_every : int;  (** Equiv-check every Nth request per service; 0 = never *)
-  s_threads : int;  (** thread count services are planned for *)
+  s_equiv_every : int;  (** Equiv-check every Nth request per key; 0 = never *)
   s_lookup : lookup;
 }
 
@@ -45,10 +52,8 @@ type workload_report = {
   wr_name : string;
   wr_key : string;
       (** plan-cache key: [name:hash] by name, the content hash inline *)
-  wr_requests : int;
-  wr_compile_s : float;
-  wr_best_plan : string option;
-  wr_predicted : float option;  (** simulated speedup of the best plan *)
+  wr_requests : int;  (** served under this key, across evictions *)
+  wr_compile_s : float;  (** [Pipeline.compile] seconds, summed over the key's compiles *)
 }
 
 type report = {
@@ -76,10 +81,6 @@ type report = {
   r_seed : int option;
   r_burst : float option;
   r_mix : (string * float) list;
-  r_services : (string * P.service) list;
-      (** every compiled service by name — not serialized by
-          {!report_json}; the CLI's [--strict] fidelity gate probes
-          these after the drain *)
 }
 
 (** Run the daemon until the load is exhausted (selftest), the socket

@@ -432,7 +432,6 @@ let tiny_config ?(equiv_every = 1) ?(cache = 4) ?(jobs = 2) () =
     Server.s_jobs = jobs;
     s_cache_capacity = cache;
     s_equiv_every = equiv_every;
-    s_threads = 4;
   }
 
 let selftest_load ?(requests = 40) ?(mix = [ ("tiny", 1.) ]) () =
@@ -455,7 +454,7 @@ let test_server_selftest () =
   | [ w ] ->
       check Alcotest.string "workload name" "tiny" w.Server.wr_name;
       check Alcotest.int "per-workload count" 40 w.Server.wr_requests;
-      check Alcotest.bool "an executable best plan" true (w.Server.wr_best_plan <> None)
+      check Alcotest.bool "compile time recorded" true (w.Server.wr_compile_s > 0.)
   | ws -> Alcotest.failf "expected one workload report, got %d" (List.length ws));
   (* the report renders as one strict-JSON object carrying what CI reads *)
   match Json.parse (Json.to_string (Server.report_json r)) with
@@ -482,6 +481,50 @@ let test_server_selftest () =
           [ "plan_cache"; "hit_rate" ];
           [ "latency_us"; "total"; "p99_us" ];
         ]
+
+(* Two programs through a one-entry cache: every switch between them
+   evicts the other, so the run recompiles several times. *)
+let evicting_run ~requests =
+  Server.run
+    ~load:(selftest_load ~requests ~mix:[ ("tiny", 1.); ("tiny2", 1.) ] ())
+    (tiny_config ~cache:1 ~jobs:1 ())
+
+let m_sim_runs = Commset_obs.Metrics.counter "sim.runs"
+let m_interp_runs = Commset_obs.Metrics.counter "interp.runs"
+
+(* A miss runs the one compile, whose profile is one run of the
+   program, and plans nothing: no simulation, and exactly one more run
+   of the program per miss than the requests themselves make. *)
+let test_server_miss_compiles_only () =
+  let value = Commset_obs.Metrics.value in
+  let sim0 = value m_sim_runs and interp0 = value m_interp_runs in
+  let r = evicting_run ~requests:30 in
+  let misses = r.Server.r_cache.Plancache.pc_misses in
+  check Alcotest.bool "evictions forced recompiles" true (misses > 2);
+  check Alcotest.int "every request served" 30 r.Server.r_served;
+  check Alcotest.int "no simulation" 0 (value m_sim_runs - sim0);
+  check Alcotest.int "one run per miss and per request" (misses + r.Server.r_served)
+    (value m_interp_runs - interp0)
+
+(* The cache alone holds compiled programs; a key's report row outlives
+   its evictions, so a recompile neither drops nor restarts its counts. *)
+let test_server_rows_survive_eviction () =
+  let r = evicting_run ~requests:40 in
+  let c = r.Server.r_cache in
+  check Alcotest.bool "at least one eviction" true (c.Plancache.pc_evictions >= 1);
+  check Alcotest.bool "at most one program held" true (c.Plancache.pc_entries <= 1);
+  check Alcotest.int "every request served" 40 r.Server.r_served;
+  check Alcotest.(list string) "one row per program" [ "tiny"; "tiny2" ]
+    (List.map (fun w -> w.Server.wr_name) r.Server.r_workloads);
+  check Alcotest.int "the rows count every request" r.Server.r_served
+    (List.fold_left (fun n w -> n + w.Server.wr_requests) 0 r.Server.r_workloads);
+  List.iter
+    (fun w ->
+      check Alcotest.bool (w.Server.wr_name ^ ": compile time recorded") true
+        (w.Server.wr_compile_s > 0.))
+    r.Server.r_workloads;
+  check Alcotest.int "every response Equiv-checked" 40 r.Server.r_equiv_checked;
+  check Alcotest.int "zero Equiv failures" 0 r.Server.r_equiv_failures
 
 let test_server_mixed_and_errors () =
   let load = selftest_load ~requests:30 ~mix:[ ("tiny", 1.); ("tiny2", 1.); ("nope", 1.) ] () in
@@ -746,6 +789,10 @@ let suite =
         test_server_selftest;
       Alcotest.test_case "server: mixed load with failing lookups drains clean" `Quick
         test_server_mixed_and_errors;
+      Alcotest.test_case "server: a miss compiles once and simulates nothing" `Quick
+        test_server_miss_compiles_only;
+      Alcotest.test_case "server: evicted workloads keep their rows" `Quick
+        test_server_rows_survive_eviction;
       Alcotest.test_case "server: socket requests, inline source, malformed frame" `Quick
         test_server_socket;
       Alcotest.test_case "pipeline: fidelity gate verdicts" `Quick test_fidelity_gate;
