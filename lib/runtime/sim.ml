@@ -153,13 +153,19 @@ type queue_state = {
   mutable waiting_consumer : int option;
 }
 
+(* float-only, so a clock update stores the float unboxed: no
+   allocation and no write barrier per cost (DESIGN §7) *)
+type clock = {
+  mutable time : float;
+  mutable busy : float;  (** cycles spent computing (not waiting) *)
+}
+
 type thread = {
   tid : int;
   segs : seg array;
   mutable pc : int;
-  mutable time : float;
+  clock : clock;
   mutable blocked : bool;
-  mutable busy : float;  (** cycles spent computing (not waiting) *)
   mutable intervals : (float * float * string) list;  (** for timelines; reverse *)
 }
 
@@ -202,9 +208,8 @@ let create ?(record_timeline = false) ?spec_commutes ~locks ~n_queues
             tid;
             segs;
             pc = 0;
-            time = 0.;
+            clock = { time = 0.; busy = 0. };
             blocked = false;
-            busy = 0.;
             intervals = [];
           })
         programs;
@@ -239,11 +244,12 @@ let note_interval t th start stop tag =
 (* a run of costs advances the clock one cost at a time, exactly as
    the same costs in consecutive single-cost segments would *)
 let compute t th costs tag =
+  let clock = th.clock in
   for k = 0 to Array.length costs - 1 do
     let cost = costs.(k) in
-    note_interval t th th.time (th.time +. cost) tag;
-    th.time <- th.time +. cost;
-    th.busy <- th.busy +. cost
+    if t.record_timeline then note_interval t th clock.time (clock.time +. cost) tag;
+    clock.time <- clock.time +. cost;
+    clock.busy <- clock.busy +. cost
   done
 
 (* Execute the thread's consecutive thread-local segments. They read and
@@ -259,7 +265,7 @@ let rec run_ahead t th =
         th.pc <- th.pc + 1;
         run_ahead t th
     | Emit s ->
-        t.emitted <- (th.time, s) :: t.emitted;
+        t.emitted <- (th.clock.time, s) :: t.emitted;
         th.pc <- th.pc + 1;
         run_ahead t th
     | Acquire _ | Release _ | Push _ | Pop _ | Tx _ -> ()
@@ -271,7 +277,7 @@ let shared_step t th =
       let lock = t.locks.(l) in
       if lock.owner = None && Queue.is_empty lock.waiters then begin
         lock.owner <- Some th.tid;
-        th.time <- th.time +. Costmodel.acquire_base lock.spec.lflavor;
+        th.clock.time <- th.clock.time +. Costmodel.acquire_base lock.spec.lflavor;
         th.pc <- th.pc + 1
       end
       else begin
@@ -284,7 +290,7 @@ let shared_step t th =
       if lock.owner <> Some th.tid then
         Diag.error "simulator: thread %d releases lock %s it does not own" th.tid
           lock.spec.lname;
-      th.time <- th.time +. Costmodel.release_base lock.spec.lflavor;
+      th.clock.time <- th.clock.time +. Costmodel.release_base lock.spec.lflavor;
       th.pc <- th.pc + 1;
       let n_waiters = Queue.length lock.waiters in
       if n_waiters = 0 then lock.owner <- None
@@ -294,13 +300,13 @@ let shared_step t th =
         let waiter = t.threads.(w) in
         lock.owner <- Some w;
         let grant =
-          max waiter.time
-            (th.time +. Costmodel.handoff_penalty lock.spec.lflavor ~n_waiters)
+          max waiter.clock.time
+            (th.clock.time +. Costmodel.handoff_penalty lock.spec.lflavor ~n_waiters)
         in
-        t.lock_wait <- t.lock_wait +. (grant -. waiter.time);
+        t.lock_wait <- t.lock_wait +. (grant -. waiter.clock.time);
         if t.record_timeline then
-          note_interval t waiter waiter.time grant ("wait:" ^ lock.spec.lname);
-        waiter.time <- grant;
+          note_interval t waiter waiter.clock.time grant ("wait:" ^ lock.spec.lname);
+        waiter.clock.time <- grant;
         waiter.blocked <- false;
         waiter.pc <- waiter.pc + 1 (* past its Acquire *)
       end
@@ -308,18 +314,18 @@ let shared_step t th =
       let queue = t.queues.(q) in
       if queue.count < queue.capacity then begin
         queue.count <- queue.count + 1;
-        th.time <- th.time +. Costmodel.queue_push_cost;
+        th.clock.time <- th.clock.time +. Costmodel.queue_push_cost;
         th.pc <- th.pc + 1;
         match queue.waiting_consumer with
         | Some c ->
             queue.waiting_consumer <- None;
             let consumer = t.threads.(c) in
             consumer.blocked <- false;
-            let wake = max consumer.time th.time in
-            t.queue_wait <- t.queue_wait +. (wake -. consumer.time);
+            let wake = max consumer.clock.time th.clock.time in
+            t.queue_wait <- t.queue_wait +. (wake -. consumer.clock.time);
             if t.record_timeline then
-              note_interval t consumer consumer.time wake ("wait:q" ^ string_of_int q);
-            consumer.time <- wake
+              note_interval t consumer consumer.clock.time wake ("wait:q" ^ string_of_int q);
+            consumer.clock.time <- wake
         | None -> ()
       end
       else begin
@@ -330,18 +336,18 @@ let shared_step t th =
       let queue = t.queues.(q) in
       if queue.count > 0 then begin
         queue.count <- queue.count - 1;
-        th.time <- th.time +. Costmodel.queue_pop_cost;
+        th.clock.time <- th.clock.time +. Costmodel.queue_pop_cost;
         th.pc <- th.pc + 1;
         match queue.waiting_producer with
         | Some p ->
             queue.waiting_producer <- None;
             let producer = t.threads.(p) in
             producer.blocked <- false;
-            let wake = max producer.time th.time in
-            t.queue_wait <- t.queue_wait +. (wake -. producer.time);
+            let wake = max producer.clock.time th.clock.time in
+            t.queue_wait <- t.queue_wait +. (wake -. producer.clock.time);
             if t.record_timeline then
-              note_interval t producer producer.time wake ("wait:q" ^ string_of_int q);
-            producer.time <- wake
+              note_interval t producer producer.clock.time wake ("wait:q" ^ string_of_int q);
+            producer.clock.time <- wake
         | None -> ()
       end
       else begin
@@ -362,7 +368,7 @@ let shared_step t th =
                ~start ~stop ~reads:rset ~writes:wset ~spec
         then begin
           t.tx_aborts <- t.tx_aborts + 1;
-          th.busy <- th.busy +. cost;
+          th.clock.busy <- th.clock.busy +. cost;
           (* each aborted window is its own timeline interval so retried
              transactions show up as distinct [abort:] slices in traces *)
           if t.record_timeline then note_interval t th start stop ("abort:" ^ tag);
@@ -370,10 +376,10 @@ let shared_step t th =
         end
         else (start, stop)
       in
-      let start, stop = attempt 0 th.time in
+      let start, stop = attempt 0 th.clock.time in
       note_interval t th start stop tag;
-      th.time <- stop;
-      th.busy <- th.busy +. cost;
+      th.clock.time <- stop;
+      th.clock.busy <- th.clock.busy +. cost;
       t.n_commits <- t.n_commits + 1;
       t.commits <-
         Commit_index.add_sets t.commits ~time:stop ~thread:th.tid ~rset ~wset ~spec;
@@ -398,10 +404,10 @@ let run t : result =
     for i = 0 to n - 1 do
       let th = t.threads.(i) in
       if not (finished th) then begin
-        if th.time < !min_all then min_all := th.time;
+        if th.clock.time < !min_all then min_all := th.clock.time;
         if not th.blocked then
           match !best with
-          | Some b when t.threads.(b).time <= th.time -> ()
+          | Some b when t.threads.(b).clock.time <= th.clock.time -> ()
           | _ -> best := Some i
       end
     done;
@@ -416,7 +422,7 @@ let run t : result =
           Diag.error "simulator: deadlock (all unfinished threads are blocked)"
         else continue_ := false
   done;
-  let makespan = Array.fold_left (fun acc th -> max acc th.time) 0. t.threads in
+  let makespan = Array.fold_left (fun acc th -> max acc th.clock.time) 0. t.threads in
   let lock_contended =
     Array.fold_left (fun acc l -> acc + l.contended_acquires) 0 t.locks
   in
@@ -436,7 +442,7 @@ let run t : result =
   {
     makespan;
     outputs = List.sort compare (List.rev t.emitted);
-    thread_busy = Array.map (fun th -> th.busy) t.threads;
+    thread_busy = Array.map (fun th -> th.clock.busy) t.threads;
     timelines = Array.map (fun th -> List.rev th.intervals) t.threads;
     lock_contended;
     tx_aborts = t.tx_aborts;

@@ -23,7 +23,9 @@
     array, consecutive compute and builtin costs one run-length
     [Compute] carrying the node's tag. {!emit} then walks that form per
     plan, resolving commset lock ids and transaction footprints once per
-    node rather than once per instance. *)
+    node rather than once per instance. It walks twice: the first walk
+    counts each thread's segments, the second fills arrays of exactly
+    that length. *)
 
 module Pdg = Commset_pdg.Pdg
 module Effects = Commset_analysis.Effects
@@ -54,7 +56,6 @@ type lowered = {
   iters : inst array array;
   tags : string array;  (** nid -> node name, the segments' tag *)
   resources : string array;  (** library resource names, by index *)
-  n_segs : int;  (** total pre-built segments, to size the thread buffers *)
 }
 
 let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
@@ -87,7 +88,10 @@ let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
         let costs = Array.make (run_length 0 atoms) 0. in
         let rec fill k = function
           | a :: rest when k >= 0 ->
-              costs.(k) <- Trace.atom_cost a;
+              costs.(k) <-
+                (match a with
+                | Trace.Acompute c | Trace.Abuiltin { cost = c; _ } -> c
+                | Trace.Aout _ -> 0.);
               fill (k - 1) rest
           | rest -> rest
         in
@@ -105,12 +109,17 @@ let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
   let lower_exec (e : Trace.node_exec) =
     let segs, lib, has_lib, outputs = walk tags.(e.Trace.nid) [] [] false [] e.Trace.atoms in
     let segs = Array.of_list segs in
-    (* the instance's cost in trace order; outputs add nothing *)
+    (* the instance's cost in trace order; outputs add nothing. A plain
+       loop, so the running sum stays unboxed *)
     let cost = ref 0. in
-    Array.iter
-      (function
-        | Sim.Compute { costs; _ } -> Array.iter (fun c -> cost := !cost +. c) costs | _ -> ())
-      segs;
+    for k = 0 to Array.length segs - 1 do
+      match segs.(k) with
+      | Sim.Compute { costs; _ } ->
+          for j = 0 to Array.length costs - 1 do
+            cost := !cost +. costs.(j)
+          done
+      | _ -> ()
+    done;
     {
       exec = e;
       segs;
@@ -124,12 +133,7 @@ let lower ~(pdg : Pdg.t) (trace : Trace.t) : lowered =
       (fun it -> Array.of_list (List.map lower_exec (Trace.iteration_execs it)))
       trace.Trace.iterations
   in
-  let n_segs =
-    Array.fold_left
-      (Array.fold_left (fun n (i : inst) -> n + Array.length i.segs))
-      0 iters
-  in
-  { iters; tags; resources = Array.of_list (List.rev !res_names); n_segs }
+  { iters; tags; resources = Array.of_list (List.rev !res_names) }
 
 (* ------------------------------------------------------------------ *)
 (* Per-plan resolution                                                 *)
@@ -149,47 +153,38 @@ type node_mode =
   | Transaction of { reads : string list; writes : string list; spec : string option }
       (** TM member, or the member identity of a speculative one *)
 
-(* growable per-thread segment buffer *)
+(* one thread's program: [len] counts segments in the counting walk and
+   is the fill position in the filling walk *)
 type buf = { mutable segs : Sim.seg array; mutable len : int }
-
-(* sized for an even share of the instance segments; locks, queues and
-   uneven pipeline stages grow it *)
-let new_buf (low : lowered) threads =
-  { segs = Array.make ((low.n_segs / max 1 threads) + 64) (Sim.Emit ""); len = 0 }
-
-let reserve b n =
-  if b.len + n > Array.length b.segs then begin
-    let segs = Array.make (max 64 (max (b.len + n) (2 * b.len))) (Sim.Emit "") in
-    Array.blit b.segs 0 segs 0 b.len;
-    b.segs <- segs
-  end
-
-let push b s =
-  reserve b 1;
-  b.segs.(b.len) <- s;
-  b.len <- b.len + 1
-
-(* a loop, not [Array.blit]: most arrays pushed hold one or two segments *)
-let push_all b a =
-  let n = Array.length a in
-  reserve b n;
-  let segs = b.segs and len = b.len in
-  for k = 0 to n - 1 do
-    segs.(len + k) <- a.(k)
-  done;
-  b.len <- len + n
 
 type ctx = {
   plan : Plan.t;
   pdg : Pdg.t;
   low : lowered;
   tx_factor : float;
+  mutable counting : bool;  (** the first walk: count, write nothing *)
   mutable specs : Sim.lock_spec list;  (** reverse registration order *)
   lock_ids : (string, int) Hashtbl.t;
   modes : node_mode option array;  (** nid -> resolution, on first instance *)
   lib_acq : Sim.seg option array;  (** resource -> library lock acquire *)
   lib_rel : Sim.seg array;
+  mutable n_queues : int;  (** queues registered so far, ids in first-use order *)
 }
+
+let push c b s =
+  if not c.counting then b.segs.(b.len) <- s;
+  b.len <- b.len + 1
+
+(* a loop, not [Array.blit]: most arrays pushed hold one or two segments *)
+let push_all c b a =
+  let n = Array.length a in
+  if not c.counting then begin
+    let segs = b.segs and len = b.len in
+    for k = 0 to n - 1 do
+      segs.(len + k) <- a.(k)
+    done
+  end;
+  b.len <- b.len + n
 
 (* lock ids are handed out in first-encounter order along the emission
    walk, so the registry matches what the real engine indexes *)
@@ -257,6 +252,7 @@ let emit_inst c b (i : inst) =
   let nid = i.exec.Trace.nid in
   let mode = match c.modes.(nid) with Some m -> m | None -> resolve_node c nid in
   match mode with
+  | Transaction _ when c.counting -> b.len <- b.len + 1
   | Transaction { reads; writes; spec } ->
       (* one transaction covering the whole member; read/write-set
          instrumentation inflates the code inside it. A speculative
@@ -272,7 +268,7 @@ let emit_inst c b (i : inst) =
             })
           spec
       in
-      push b
+      push c b
         (Sim.Tx
            {
              cost = c.tx_factor *. i.cost;
@@ -283,41 +279,40 @@ let emit_inst c b (i : inst) =
              spec;
            })
   | Locked { acq; rel } ->
-      push_all b acq;
+      push_all c b acq;
       (* a node holding its commset locks needs no library-internal
          serialization inside them *)
-      if Array.length i.lib = 0 || Array.length acq > 0 then push_all b i.segs
+      if Array.length i.lib = 0 || Array.length acq > 0 then push_all c b i.segs
       else
         for k = 0 to Array.length i.segs - 1 do
           let res = i.lib.(k) in
           for j = 0 to Array.length res - 1 do
-            push b (lib_acquire c res.(j))
+            push c b (lib_acquire c res.(j))
           done;
-          push b i.segs.(k);
+          push c b i.segs.(k);
           for j = Array.length res - 1 downto 0 do
-            push b c.lib_rel.(res.(j))
+            push c b c.lib_rel.(res.(j))
           done
         done;
-      push_all b rel
+      push_all c b rel
 
 (* ------------------------------------------------------------------ *)
 (* DOALL                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let emit_doall c : buf array =
-  let threads = c.plan.Plan.threads in
+let walk_doall c (bufs : buf array) =
+  let threads = Array.length bufs in
   let n = Array.length c.low.iters in
-  Array.init threads (fun t ->
-      let b = new_buf c.low threads in
-      let i = ref t in
-      while !i < n do
-        let insts = c.low.iters.(!i) in
-        for k = 0 to Array.length insts - 1 do
-          emit_inst c b insts.(k)
-        done;
-        i := !i + threads
+  for t = 0 to threads - 1 do
+    let i = ref t in
+    while !i < n do
+      let insts = c.low.iters.(!i) in
+      for k = 0 to Array.length insts - 1 do
+        emit_inst c bufs.(t) insts.(k)
       done;
-      b)
+      i := !i + threads
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* DSWP / PS-DSWP                                                      *)
@@ -372,52 +367,54 @@ let thread_for (layout : pipeline_layout) stage i =
   let ths = layout.stage_threads.(stage) in
   ths.(i mod Array.length ths)
 
-let emit_pipeline c (stages : Plan.stage list) : buf array * int =
+(* the pipeline's thread count and walk; the queue registry outlives
+   one walk *)
+let pipeline_walk c (stages : Plan.stage list) : int * (buf array -> unit) =
   let layout = layout_of_stages c.pdg stages in
   let n_stages = List.length stages in
-  let upstream =
+  let linked pick =
     Array.init n_stages (fun si ->
-        List.filter_map (fun (s1, s2) -> if s2 = si then Some s1 else None) layout.comm_pairs)
+        Array.of_list (List.filter_map (pick si) layout.comm_pairs))
   in
-  let downstream =
-    Array.init n_stages (fun si ->
-        List.filter_map (fun (s1, s2) -> if s1 = si then Some s2 else None) layout.comm_pairs)
-  in
-  (* queue ids in first-use order: (producer, consumer) thread pair *)
+  let upstream = linked (fun si (s1, s2) -> if s2 = si then Some s1 else None) in
+  let downstream = linked (fun si (s1, s2) -> if s1 = si then Some s2 else None) in
+  (* one shared Push and Pop per queue, ids in first-use order:
+     (producer, consumer) thread pair *)
   let nt = layout.n_threads in
-  let queue_ids = Array.make (nt * nt) (-1) in
-  let n_queues = ref 0 in
-  let queue_id p q =
+  let queues = Array.make (nt * nt) None in
+  let queue p q =
     let k = (p * nt) + q in
-    if queue_ids.(k) < 0 then begin
-      queue_ids.(k) <- !n_queues;
-      incr n_queues
-    end;
-    queue_ids.(k)
+    match queues.(k) with
+    | Some pp -> pp
+    | None ->
+        let pp = (Sim.Push c.n_queues, Sim.Pop c.n_queues) in
+        queues.(k) <- Some pp;
+        c.n_queues <- c.n_queues + 1;
+        pp
   in
-  let bufs = Array.init nt (fun _ -> new_buf c.low nt) in
   (* walk iterations in order, interleaving stage work per thread; each
      thread's buffer stays in that thread's program order *)
-  Array.iteri
-    (fun i insts ->
+  let walk bufs =
+    for i = 0 to Array.length c.low.iters - 1 do
+      let insts = c.low.iters.(i) in
       for si = 0 to n_stages - 1 do
         let t = thread_for layout si i in
-        let b = bufs.(t) in
-        List.iter
-          (fun s1 -> push b (Sim.Pop (queue_id (thread_for layout s1 i) t)))
-          upstream.(si);
+        let b = bufs.(t) and up = upstream.(si) and down = downstream.(si) in
+        for k = 0 to Array.length up - 1 do
+          push c b (snd (queue (thread_for layout up.(k) i) t))
+        done;
         (* node executions of this stage (plus replicated loop control) *)
-        Array.iter
-          (fun (inst : inst) ->
-            let s = layout.stage_of_node.(inst.exec.Trace.nid) in
-            if s = si || s = -2 then emit_inst c b inst)
-          insts;
-        List.iter
-          (fun s2 -> push b (Sim.Push (queue_id t (thread_for layout s2 i))))
-          downstream.(si)
-      done)
-    c.low.iters;
-  (bufs, !n_queues)
+        for k = 0 to Array.length insts - 1 do
+          let s = layout.stage_of_node.(insts.(k).exec.Trace.nid) in
+          if s = si || s = -2 then emit_inst c b insts.(k)
+        done;
+        for k = 0 to Array.length down - 1 do
+          push c b (fst (queue t (thread_for layout down.(k) i)))
+        done
+      done
+    done
+  in
+  (nt, walk)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -431,22 +428,35 @@ let emit ~(plan : Plan.t) ~(pdg : Pdg.t) (low : lowered) : t =
       pdg;
       low;
       tx_factor = Atomic.get Costmodel.tx_instrumentation_factor;
+      counting = true;
       specs = [];
       lock_ids = Hashtbl.create 16;
       modes = Array.make (Array.length pdg.Pdg.nodes) None;
       lib_acq = Array.make n_res None;
       lib_rel = Array.make n_res (Sim.Release (-1));
+      n_queues = 0;
     }
   in
-  let bufs, n_queues =
+  let n_threads, walk =
     match plan.Plan.shape with
-    | Plan.Sdoall -> (emit_doall c, 0)
-    | Plan.Sdswp stages -> emit_pipeline c stages
+    | Plan.Sdoall -> (plan.Plan.threads, walk_doall c)
+    | Plan.Sdswp stages -> pipeline_walk c stages
   in
+  let bufs = Array.init n_threads (fun _ -> { segs = [||]; len = 0 }) in
+  (* the counting walk resolves every node mode, lock id and queue id in
+     first-encounter order; the filling walk finds them all resolved *)
+  walk bufs;
+  Array.iter
+    (fun b ->
+      b.segs <- Array.make b.len (Sim.Release (-1));
+      b.len <- 0)
+    bufs;
+  c.counting <- false;
+  walk bufs;
   {
-    threads = Array.map (fun b -> Array.sub b.segs 0 b.len) bufs;
+    threads = Array.map (fun b -> b.segs) bufs;
     locks = Array.of_list (List.rev c.specs);
-    n_queues;
+    n_queues = c.n_queues;
   }
 
 (** Run an emitted plan on the simulator. The makespan covers the loop

@@ -10,7 +10,9 @@
     consecutive compute and builtin costs folded into one run-length
     [Compute]. Lower once per evaluation and share the result read-only
     across the plans; per-plan {!emit} is then an index walk that
-    resolves lock ids and transaction footprints once per node. *)
+    resolves lock ids and transaction footprints once per node. It walks
+    twice, counting each thread's segments and then filling arrays of
+    exactly that length. *)
 
 module Pdg = Commset_pdg.Pdg
 module Trace = Commset_runtime.Trace

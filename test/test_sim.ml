@@ -378,6 +378,19 @@ let prop_split_runs =
       if whole <> split then QCheck.Test.fail_reportf "runs:\n%s\nsplit:\n%s" whole split;
       true)
 
+(* Counts, not timings: a clock update stores its float unboxed, so a
+   cost run allocates nothing per cost *)
+let test_compute_allocation () =
+  let costs = Array.init 10_000 (fun k -> float_of_int (1 + (k mod 7))) in
+  let thread () = [| Sim.Compute { costs; tag = "w" } |] in
+  let w0 = Gc.minor_words () in
+  let r = Sim.run (Sim.create ~locks:[||] ~n_queues:0 [| thread (); thread () |]) in
+  let words = Gc.minor_words () -. w0 in
+  check (Alcotest.float 0.) "makespan is one run" (Array.fold_left ( +. ) 0. costs)
+    r.Sim.makespan;
+  if words > 1000. then
+    Alcotest.failf "two 10,000-cost runs allocated %.0f minor words (at most 1,000)" words
+
 let prop_cases =
   [
     qcheck prop_split_runs;
@@ -403,6 +416,8 @@ let suite =
       Alcotest.test_case "TM disjoint" `Quick test_tm_no_false_conflict;
       Alcotest.test_case "TM readers" `Quick test_tm_readers_dont_conflict;
       Alcotest.test_case "emit ordering" `Quick test_emit_ordering;
+      Alcotest.test_case "a cost run allocates nothing per cost" `Quick
+        test_compute_allocation;
       qcheck prop_lock_conservation;
     ] )
 

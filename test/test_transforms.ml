@@ -262,10 +262,40 @@ let test_queue_counts () =
             (List.length stages < 2 || e.T.Emit.n_queues >= List.length stages - 1))
     (P.plans c ~threads:8)
 
+(* Counts, not timings: emission counts each thread's segments, then
+   fills arrays of exactly that length, so it allocates little beyond the
+   thread arrays (one word per segment). A promoted word is counted once.
+   Minor words come from [Gc.minor_words]: OCaml 5.1's [Gc.counters]
+   divides the words still in the minor heap by the word size once more. *)
+let test_emit_allocation () =
+  let w = Option.get (Commset_workloads.Registry.find "kmeans") in
+  let c =
+    compile ~setup:w.Commset_workloads.Workload.setup w.Commset_workloads.Workload.source
+  in
+  let plan =
+    List.find (fun (p : T.Plan.t) -> p.T.Plan.label = "DSWP[8] + Lib") (P.plans c ~threads:8)
+  in
+  let pdg = if plan.T.Plan.uses_commset then c.P.target.P.pdg else c.P.target.P.pdg_plain in
+  let low = T.Emit.lower ~pdg:c.P.target.P.pdg c.P.trace in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let w0 = words () in
+  let e = T.Emit.emit ~plan ~pdg low in
+  let words = words () -. w0 in
+  let segs = Array.fold_left (fun n t -> n + Array.length t) 0 e.T.Emit.threads in
+  let per_seg = words /. float_of_int segs in
+  if per_seg > 1.5 then
+    Alcotest.failf "emitting %d segments allocated %.0f words, %.2f per segment (at most 1.5)"
+      segs words per_seg
+
 let structure_cases =
   [
     Alcotest.test_case "stage coverage" `Slow test_stage_coverage;
     Alcotest.test_case "queue counts" `Slow test_queue_counts;
+    Alcotest.test_case "emission allocates little beyond the thread arrays" `Slow
+      test_emit_allocation;
   ]
 
 let suite =
